@@ -1,8 +1,9 @@
 # Tiered developer targets. `make check` is the concurrency tier: it
 # vets the whole module and runs the race detector over the packages
 # that execute simulation cells in parallel (the scheduler, the trace
-# cache, the single-pass multi-predictor runner, the HTTP service and
-# its shared result store). `make verify` is
+# cache, the single-pass multi-predictor runner and its cell-parallel
+# drain, the HTTP service, its shared result store and trace pool, and
+# the telemetry registry). `make verify` is
 # the differential tier: the optimized predictors against the
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME. `make bench` runs the compiled
@@ -35,7 +36,8 @@ test: build
 
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace
+	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/obs
+	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
 
 # Lint tier: vet always; staticcheck when installed (CI installs it,
 # see .github/workflows/ci.yml; locally `go install

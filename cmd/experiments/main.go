@@ -18,9 +18,10 @@
 //
 // -segments additionally splits each cell's trace into N contiguous
 // segments simulated concurrently by the segment-parallel engine
-// (sim.Options.Segments). Segmentation is an execution strategy, not
-// a model change: results — and therefore stdout — are byte-identical
-// across -segments settings too.
+// (sim.Options.Segments); -segments 0 lets each cell choose, draining
+// multi-predictor cells cell-parallel. Either is an execution
+// strategy, not a model change: results — and therefore stdout — are
+// byte-identical across -segments settings too.
 //
 // Run telemetry is opt-in and never touches stdout:
 //
@@ -59,7 +60,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text, csv or plot (ASCII charts)")
 		seed     = flag.Uint64("seed", 0, "seed offset for workload generation")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulation cells (0 = GOMAXPROCS; 1 = serial)")
-		segments = flag.Int("segments", 1, "segment-parallel split per simulation cell (bit-identical results; 1 = serial, 0 = auto)")
+		segments = flag.Int("segments", 1, "parallel split per simulation cell, bit-identical results: N >= 2 segments the trace; 0 = auto (multi-predictor cells drain cell-parallel, single-predictor cells on long traces are segmented); 1 = serial")
 		poolDir  = flag.String("trace-pool", "", "content-addressed trace pool directory: reuse pooled workload traces across runs and processes (empty = off)")
 
 		progress     = flag.Bool("progress", false, "print live per-cell progress lines to stderr")

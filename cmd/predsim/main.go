@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ctrBits   = fs.Uint("counter", 2, "counter width in bits")
 		policy    = fs.String("policy", "partial", "gskewed update policy: partial or total")
 		skipFirst = fs.Bool("skip-first-use", false, "exclude first-time (address,history) references (ideal-table accounting)")
-		segments  = fs.Int("segments", 1, "segment-parallel simulation: split the trace into N segments simulated concurrently, bit-identically to serial (1 = serial, 0 = auto)")
+		segments  = fs.Int("segments", 1, "parallel simulation, bit-identical to serial: N >= 2 splits the trace into N segments simulated concurrently; 0 = auto (several predictors drain cell-parallel, one predictor on a long trace is segmented); 1 = serial")
 		top       = fs.Int("top", 0, "also report the top-N mispredicting branch addresses")
 
 		asJSON       = fs.Bool("json", false, "emit the result as JSON (sim.Result serialization) instead of text")

@@ -50,6 +50,14 @@ func (o *RunObs) addSeries(s []*obs.Series) {
 	o.mu.Unlock()
 }
 
+// addCell appends a manifest cell; obs.Manifest itself is not
+// synchronised.
+func (o *RunObs) addCell(c obs.Cell) {
+	o.mu.Lock()
+	o.Manifest.AddCell(c)
+	o.mu.Unlock()
+}
+
 // specLabel names a predictor for telemetry: its canonical Spec string
 // when it has one, its String form otherwise (hybrids, custom tables).
 func specLabel(p predictor.Predictor) string {
@@ -100,7 +108,7 @@ func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predicto
 		if len(results) > 0 {
 			conds = results[0].Conditionals
 		}
-		o.Manifest.AddCell(obs.Cell{
+		o.addCell(obs.Cell{
 			ID:           cell,
 			Predictors:   specs,
 			Conditionals: conds,

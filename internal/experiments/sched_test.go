@@ -3,10 +3,14 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"gskew/internal/obs"
+	"gskew/internal/predictor"
+	"gskew/internal/sim"
 	"gskew/internal/trace"
 )
 
@@ -215,5 +219,35 @@ func TestRunAllDeterministicAcrossSegments(t *testing.T) {
 	if !bytes.Equal(serial, segmented) {
 		t.Errorf("rendered output differs between -segments 1 (%d bytes) and -segments 5 (%d bytes)",
 			len(serial), len(segmented))
+	}
+}
+
+// TestRunObsManifestConcurrent: cells on different scheduler workers
+// append to one RunObs manifest, which must record every cell exactly
+// once (run under -race by `make check`).
+func TestRunObsManifestConcurrent(t *testing.T) {
+	const cells = 16
+	ctx := &Context{Scale: 0.002, Sched: NewSched(4), Segments: 1, Obs: &RunObs{Intervals: 1000, Manifest: obs.NewManifest("test", nil)}}
+	branches, err := ctx.Trace("verilog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ctx.sched().Map(cells, func(i int) error {
+		preds := []predictor.Predictor{predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: uint(i % 8), Ctr: 2})}
+		_, err := ctx.RunMany(fmt.Sprintf("cell/%d", i), branches, preds, sim.Options{})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, c := range ctx.Obs.Manifest.Cells {
+		seen[c.ID] = true
+	}
+	if len(ctx.Obs.Manifest.Cells) != cells || len(seen) != cells {
+		t.Errorf("manifest holds %d cells (%d distinct), want %d", len(ctx.Obs.Manifest.Cells), len(seen), cells)
+	}
+	if got := len(ctx.Obs.Series()); got != cells {
+		t.Errorf("captured %d interval series, want %d", got, cells)
 	}
 }

@@ -41,9 +41,13 @@ import "gskew/internal/predictor"
 //   - Mixed groups (lanes of the same kind but different index
 //     functions) keep each lane's own uint8 table, aliased from the
 //     predictor, and gather/scatter one byte per lane per step. The
-//     SWAR arithmetic amortises only the automaton and the counting.
-//   - Uniform groups (every lane computes the same index — the shape
-//     RunMany replicated sweeps and the verify arm produce) store the
+//     SWAR arithmetic amortises only the automaton and the counting,
+//     which does not pay for the gather: mixed groups run slower than
+//     the lanes' scalar kernels, so the simulator never forms them.
+//     The layout stays for the verify arm and the benchmark's probe.
+//   - Uniform groups (every lane computes the same index, i.e. equal
+//     LaneKeys — the shape RunMany replicated sweeps and the verify
+//     arm produce) store the
 //     tables TRANSPOSED: entry e of a bank is a pair of plane words
 //     (hi[e], lo[e]) holding bit j for lane j. A step is then two
 //     word loads and two word stores per bank regardless of lane
@@ -150,6 +154,93 @@ type Group64 struct {
 // are 4096 steps, well inside it.
 const stepChunk64 = 8192
 
+// lane64 is one compiled kernel lowered to a bitsliced lane: exactly
+// one of single and skew is meaningful, as kind says.
+type lane64 struct {
+	kind    group64Kind
+	single  singleLane
+	skew    skewLane
+	partial bool // skew: partial update policy
+}
+
+// lower64 lowers a compiled kernel to a bitsliced lane. ok is false
+// when the kernel cannot be a lane: counters wider than 2 bits, or an
+// organisation (2Bc-gskew, whose meta/bimodal training rules do not
+// bitslice cleanly) that stays on its scalar kernel.
+func lower64(k Kernel) (ln lane64, ok bool) {
+	switch kk := k.(type) {
+	case *bimodalKernel:
+		ln.single = singleLane{kind: laneBimodal, cells: kk.cells, idxMask: kk.idxMask}
+		return ln, kk.ctrBits == 2
+	case *gshareKernel:
+		ln.single = singleLane{
+			kind: laneGShare, cells: kk.cells, idxMask: kk.idxMask,
+			histMask: kk.histMask, shift: kk.shift, fold: kk.fold, n: kk.n,
+		}
+		return ln, kk.ctrBits == 2
+	case *gselectKernel:
+		ln.single = singleLane{
+			kind: laneGSelect, cells: kk.cells, idxMask: kk.idxMask,
+			hMask: kk.hMask, aMask: kk.aMask, shift: kk.shift, histOnly: kk.histOnly,
+		}
+		return ln, kk.ctrBits == 2
+	case *skewKernel:
+		ln.kind = group64Skew
+		ln.skew = skewLane{
+			b0: kk.b0, b1: kk.b1, b2: kk.b2,
+			pa: kk.pa, pb: kk.pb,
+			bankMask: kk.bankMask, vHistMask: kk.vHistMask,
+			n: kk.n, kp: kk.kp, enhanced: kk.enhanced,
+		}
+		ln.partial = kk.partial
+		return ln, kk.ctrBits == 2
+	}
+	return ln, false
+}
+
+// LaneKey is the index function of one bitsliced lane. Lanes with equal
+// keys read and write the same entry of their own tables on every
+// step, so they compile into one uniform (transposed) Group64; counter
+// state and the skewed update policy may still differ per lane.
+type LaneKey struct {
+	kind                            group64Kind
+	lane                            uint8
+	entries                         int
+	idxMask, histMask, hMask, aMask uint64
+	vHistMask                       uint64
+	shift, n, kp                    uint
+	fold, histOnly, enhanced        bool
+}
+
+func (ln *singleLane) key() LaneKey {
+	return LaneKey{
+		kind: group64Single, lane: ln.kind, entries: len(ln.cells),
+		idxMask: ln.idxMask, histMask: ln.histMask, hMask: ln.hMask, aMask: ln.aMask,
+		shift: ln.shift, n: ln.n, fold: ln.fold, histOnly: ln.histOnly,
+	}
+}
+
+func (ln *skewLane) key() LaneKey {
+	return LaneKey{
+		kind: group64Skew, entries: len(ln.b0),
+		idxMask: ln.bankMask, vHistMask: ln.vHistMask,
+		n: ln.n, kp: ln.kp, enhanced: ln.enhanced,
+	}
+}
+
+// LaneKey64 returns k's bitsliced lane key. ok is false when k cannot
+// join any Group64. Kernels with equal keys form a uniform group.
+func LaneKey64(k Kernel) (LaneKey, bool) {
+	ln, ok := lower64(k)
+	if !ok {
+		return LaneKey{}, false
+	}
+	if ln.kind == group64Skew {
+		return ln.skew.key(), true
+	}
+	return ln.single.key(), true
+}
+
 // CompileGroup64 lowers up to 64 predictors into one bitsliced group.
 // Every lane must compile to the same kernel shape — all single-table
 // (bimodal/gshare/gselect, mixable) or all three-bank skewed
@@ -168,47 +259,17 @@ func CompileGroup64(preds []predictor.Predictor, histBits []uint) (*Group64, boo
 		if !ok {
 			return nil, false
 		}
-		switch kk := k.(type) {
-		case *bimodalKernel:
-			if kk.ctrBits != 2 || !g.admit(group64Single, i) {
-				return nil, false
-			}
-			g.single = append(g.single, singleLane{
-				kind: laneBimodal, cells: kk.cells, idxMask: kk.idxMask,
-			})
-		case *gshareKernel:
-			if kk.ctrBits != 2 || !g.admit(group64Single, i) {
-				return nil, false
-			}
-			g.single = append(g.single, singleLane{
-				kind: laneGShare, cells: kk.cells, idxMask: kk.idxMask,
-				histMask: kk.histMask, shift: kk.shift, fold: kk.fold, n: kk.n,
-			})
-		case *gselectKernel:
-			if kk.ctrBits != 2 || !g.admit(group64Single, i) {
-				return nil, false
-			}
-			g.single = append(g.single, singleLane{
-				kind: laneGSelect, cells: kk.cells, idxMask: kk.idxMask,
-				hMask: kk.hMask, aMask: kk.aMask, shift: kk.shift, histOnly: kk.histOnly,
-			})
-		case *skewKernel:
-			if kk.ctrBits != 2 || !g.admit(group64Skew, i) {
-				return nil, false
-			}
-			g.skew = append(g.skew, skewLane{
-				b0: kk.b0, b1: kk.b1, b2: kk.b2,
-				pa: kk.pa, pb: kk.pb,
-				bankMask: kk.bankMask, vHistMask: kk.vHistMask,
-				n: kk.n, kp: kk.kp, enhanced: kk.enhanced,
-			})
-			if kk.partial {
+		ln, ok := lower64(k)
+		if !ok || !g.admit(ln.kind, i) {
+			return nil, false
+		}
+		if ln.kind == group64Skew {
+			g.skew = append(g.skew, ln.skew)
+			if ln.partial {
 				g.partialMask |= uint64(1) << uint(i)
 			}
-		default:
-			// 2Bc-gskew's meta/bimodal training rules do not bitslice
-			// cleanly; it stays on its scalar kernel.
-			return nil, false
+		} else {
+			g.single = append(g.single, ln.single)
 		}
 	}
 	if len(preds) == MaxLanes {
@@ -233,32 +294,21 @@ func CompileGroup64(preds []predictor.Predictor, histBits []uint) (*Group64, boo
 	return g, true
 }
 
-// detectUniform marks the group uniform when every lane's index
-// function is the same — same kind and same masks/shifts, so every
-// lane reads and writes the same entry of its own table each step.
-// Counter state and update policy may still differ per lane (the
-// skewed partial/total mix stays a lane mask).
+// detectUniform marks the group uniform when every lane has the same
+// LaneKey, so every lane reads and writes the same entry of its own
+// table each step.
 func (g *Group64) detectUniform() {
 	if g.kind == group64Skew {
-		ln := &g.skew[0]
 		for i := range g.skew {
-			o := &g.skew[i]
-			if o.bankMask != ln.bankMask || o.vHistMask != ln.vHistMask ||
-				o.n != ln.n || o.kp != ln.kp || o.enhanced != ln.enhanced {
+			if g.skew[i].key() != g.skew[0].key() {
 				return
 			}
 		}
-		g.uniform = true
-		return
-	}
-	ln := &g.single[0]
-	for i := range g.single {
-		o := &g.single[i]
-		if o.kind != ln.kind || o.idxMask != ln.idxMask || o.histMask != ln.histMask ||
-			o.hMask != ln.hMask || o.aMask != ln.aMask || o.shift != ln.shift ||
-			o.n != ln.n || o.fold != ln.fold || o.histOnly != ln.histOnly ||
-			len(o.cells) != len(ln.cells) {
-			return
+	} else {
+		for i := range g.single {
+			if g.single[i].key() != g.single[0].key() {
+				return
+			}
 		}
 	}
 	g.uniform = true

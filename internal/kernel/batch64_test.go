@@ -286,6 +286,46 @@ func TestGroupKind64AgreesWithCompile(t *testing.T) {
 	}
 }
 
+// TestLaneKey64MatchesUniform: two lanes have equal LaneKeys exactly
+// when CompileGroup64 puts them on the uniform layout, so grouping by
+// key never forms a mixed group.
+func TestLaneKey64MatchesUniform(t *testing.T) {
+	all := append(append([]laneCase{}, singleLanes()...), skewLanes()...)
+	key := func(lc laneCase) (LaneKey, bool) {
+		k, ok := Compile(lc.mk(), lc.hist)
+		if !ok {
+			t.Fatal("lane did not compile")
+		}
+		return LaneKey64(k)
+	}
+	for i, a := range all {
+		ka, ok := key(a)
+		if !ok {
+			t.Fatalf("lane %d: LaneKey64 rejected an eligible lane", i)
+		}
+		for j, b := range all {
+			kb, _ := key(b)
+			g, grouped := CompileGroup64([]predictor.Predictor{a.mk(), b.mk()}, []uint{a.hist, b.hist})
+			uniform := grouped && g.Uniform()
+			if (ka == kb) != uniform {
+				t.Errorf("lanes %d,%d: equal keys %v, uniform group %v", i, j, ka == kb, uniform)
+			}
+		}
+	}
+	for _, p := range []predictor.Predictor{
+		predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}),
+		predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 8, HistShort: 5, Hist: 12}),
+	} {
+		k, ok := Compile(p, p.HistoryBits())
+		if !ok {
+			t.Fatalf("%s did not compile", p.Name())
+		}
+		if _, ok := LaneKey64(k); ok {
+			t.Errorf("%s: LaneKey64 accepted a kernel that cannot be a lane", p.Name())
+		}
+	}
+}
+
 // TestStepBatch64ZeroAllocs is the allocation gate for the bitsliced
 // hot loop.
 func TestStepBatch64ZeroAllocs(t *testing.T) {

@@ -296,13 +296,17 @@ func TestSegmentSteps(t *testing.T) {
 	}
 }
 
-// TestRunManyBitsliced: a sweep wide enough to form bitsliced groups
-// must match the same sweep with grouping disabled, cell for cell,
-// including under flushes (lanes alias predictor storage, so Reset
-// must be visible to the group).
+// TestRunManyBitsliced pins the grouping policy: RunMany forms a
+// bitsliced group only from lanes that share one index function (the
+// transposed uniform layout). A mixed-geometry sweep of groupable
+// families must form none; replicated and partial/total-mixed
+// same-geometry sweeps must form one group per shape. Either way the
+// results must match the same sweep with grouping disabled, cell for
+// cell, including under flushes (lanes alias predictor storage, so
+// Reset must be visible to the group).
 func TestRunManyBitsliced(t *testing.T) {
 	branches := manyTestTrace(9000)
-	mkPreds := func() []predictor.Predictor {
+	mixed := func() []predictor.Predictor {
 		var preds []predictor.Predictor
 		for n := uint(6); n < 12; n++ {
 			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: n, Hist: 6, Ctr: 2}))
@@ -314,29 +318,57 @@ func TestRunManyBitsliced(t *testing.T) {
 				BankBits: bb, HistoryBits: 6, Enhanced: true,
 			}))
 		}
-		// Oddballs that must stay scalar inside the same sweep.
-		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}))
-		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 3, Hist: 9}))
 		return preds
+	}
+	uniform := func() []predictor.Predictor {
+		var preds []predictor.Predictor
+		for i := 0; i < 10; i++ {
+			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 9, Hist: 6, Ctr: 2}))
+			pol := predictor.PartialUpdate
+			if i%2 == 1 {
+				pol = predictor.TotalUpdate
+			}
+			preds = append(preds, predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, Policy: pol}))
+		}
+		return preds
+	}
+	// Oddballs that must stay scalar inside either sweep.
+	oddballs := func(preds []predictor.Predictor) []predictor.Predictor {
+		return append(preds,
+			predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}),
+			predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 3, Hist: 9}))
 	}
 	obs.Enable()
 	defer obs.Disable()
-	for _, flush := range []int{0, 301} {
-		before := mGroups.Value()
-		got, err := RunManyBranches(branches, mkPreds(), Options{FlushEvery: flush, Segments: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mGroups.Value() == before {
-			t.Fatal("no bitsliced group formed for a 20-lane same-shape sweep")
-		}
-		want, err := RunManyBranches(branches, mkPreds(), Options{FlushEvery: flush, Segments: 1, NoBitslice: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("flush=%d cell %d: bitsliced %+v, scalar %+v", flush, i, got[i], want[i])
+	for _, tc := range []struct {
+		name          string
+		mk            func() []predictor.Predictor
+		groups, lanes int64
+	}{
+		{"mixed", func() []predictor.Predictor { return oddballs(mixed()) }, 0, 0},
+		{"uniform", func() []predictor.Predictor { return oddballs(uniform()) }, 2, 20},
+		// The mixed half's gshare n=9 and partial gskewed n=6 cells share
+		// the uniform shapes, so each group absorbs one more lane.
+		{"uniform+mixed", func() []predictor.Predictor { return oddballs(append(uniform(), mixed()...)) }, 2, 22},
+	} {
+		for _, flush := range []int{0, 301} {
+			groups, lanes := mGroups.Value(), mGroupLanes.Value()
+			got, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush, Segments: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, l := mGroups.Value()-groups, mGroupLanes.Value()-lanes; g != tc.groups || l != tc.lanes {
+				t.Errorf("%s flush=%d: formed %d groups over %d lanes, want %d over %d",
+					tc.name, flush, g, l, tc.groups, tc.lanes)
+			}
+			want, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush, Segments: 1, NoBitslice: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s flush=%d cell %d: bitsliced %+v, scalar %+v", tc.name, flush, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -21,6 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"gskew/internal/kernel"
 	"gskew/internal/obs"
@@ -96,11 +100,16 @@ type Options struct {
 	// identical either way; the flag exists for benchmarking the two
 	// paths against each other and for differential tests.
 	NoKernel bool
-	// Segments controls segment-parallel simulation of one trace (see
-	// segment.go). 0 is automatic: a materialised trace long enough to
-	// amortise staging, on a multi-core host, splits into GOMAXPROCS
-	// segments. 1 (or negative) forces the serial path. Values >= 2
-	// force that many segments (capped at 64 and at the branch count).
+	// Segments controls how one run spreads over cores. 0 is
+	// automatic: a run of at least two work units (a bitsliced group or
+	// one ungrouped cell each) drains every staged block cell-parallel
+	// on up to GOMAXPROCS goroutines, provided no two cells can share
+	// mutable state (every predictor has a Spec and appears once);
+	// otherwise — a single predictor, say — a materialised trace long
+	// enough to amortise staging, on a multi-core host, splits into
+	// GOMAXPROCS segments (see segment.go). 1 (or negative) forces the
+	// fully serial path. Values >= 2 force the segmented engine with
+	// that many segments (capped at 64 and at the branch count).
 	// Results are bit-identical to serial in every case; ineligible
 	// predictors degrade to the serial path.
 	Segments int
@@ -110,8 +119,10 @@ type Options struct {
 	// means the 4096-branch default.
 	WarmBranches int
 	// NoBitslice disables the 64-lane bitsliced group path that RunMany
-	// otherwise uses when at least 8 same-shape 2-bit cells share the
-	// trace. Results are identical either way; the flag exists for
+	// otherwise uses when at least 8 2-bit cells share one index
+	// function (same family and geometry; the skewed update policy may
+	// differ). Cells of different geometry always run their scalar
+	// kernels. Results are identical either way; the flag exists for
 	// benchmarking the group path against per-cell kernels.
 	NoBitslice bool
 	// Recorder, when non-nil, receives per-predictor (conditionals,
@@ -154,18 +165,26 @@ type manyCell struct {
 	kern       kernel.Kernel     // non-nil when p compiled to a kernel
 	stepper    predictor.Stepper // non-nil when p has the fused fast path
 	tracker    predictor.FirstUseTracker
-	group      *cellGroup // non-nil when p is a lane of a bitsliced group
-	lane       int        // p's lane within group
+	grouped    bool // p is a lane of a bitsliced group
 	mask       uint64
 	mispredict int
 	firstUse   int
 }
 
-// cellGroup is a 64-lane bitsliced kernel shared by up to 64 cells of
-// the same shape; mis is its per-lane scratch, reset each drain.
+// cellGroup is a 64-lane bitsliced kernel shared by up to 64 cells
+// with one index function; cells[j] is lane j's cell index and mis is
+// the per-lane scratch, reset each drain.
 type cellGroup struct {
-	g   *kernel.Group64
-	mis []int
+	g     *kernel.Group64
+	cells []int
+	mis   []int
+}
+
+// workUnit is one independently drainable piece of a block: a
+// bitsliced group, or (group nil) the ungrouped cell at index cell.
+type workUnit struct {
+	group *cellGroup
+	cell  int
 }
 
 // Bitsliced-group telemetry: groups formed per run and lanes they
@@ -175,30 +194,38 @@ var (
 	mGroupLanes = obs.NewCounter("sim.bitslice.lanes")
 )
 
+// mParRuns counts runs that drained their blocks on several goroutines.
+var mParRuns = obs.NewCounter("sim.par.runs")
+
 // minGroupLanes is the grouping threshold: below 8 lanes the transpose
 // overhead of the bitsliced path is not worth it over per-cell kernels.
 const minGroupLanes = 8
 
-// groupCells forms bitsliced groups over kernel-compiled cells of the
-// same shape. Grouped cells keep their scalar kernels (Invalidate and
-// fallback still work); drain simply prefers the group's lane count.
+// groupCells forms bitsliced groups over kernel-compiled cells that
+// share one index function (equal kernel.LaneKey), the transposed
+// uniform layout. Same-kind cells of different geometry stay on their
+// scalar kernels: a mixed group gathers one byte per lane per step and
+// runs slower than the lanes' own kernels. Grouped cells keep their
+// scalar kernels, so Invalidate still works.
 func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
-	byKind := map[int][]int{}
+	byKey := map[kernel.LaneKey][]int{}
+	var keys []kernel.LaneKey // first-seen order, so group order is deterministic
 	for i := range r.cells {
 		c := &r.cells[i]
-		if c.kern == nil || c.tracker != nil {
+		if c.kern == nil {
 			continue
 		}
-		if kind, ok := kernel.GroupKind64(c.p); ok {
-			byKind[kind] = append(byKind[kind], i)
+		if key, ok := kernel.LaneKey64(c.kern); ok {
+			if _, seen := byKey[key]; !seen {
+				keys = append(keys, key)
+			}
+			byKey[key] = append(byKey[key], i)
 		}
 	}
-	for _, idx := range byKind {
+	for _, key := range keys {
+		idx := byKey[key]
 		for len(idx) >= minGroupLanes {
-			n := len(idx)
-			if n > kernel.MaxLanes {
-				n = kernel.MaxLanes
-			}
+			n := min(len(idx), kernel.MaxLanes)
 			lanePreds := make([]predictor.Predictor, n)
 			laneHists := make([]uint, n)
 			for j, ci := range idx[:n] {
@@ -209,11 +236,10 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 			if !ok {
 				break
 			}
-			cg := &cellGroup{g: g, mis: make([]int, n)}
+			cg := &cellGroup{g: g, cells: idx[:n:n], mis: make([]int, n)}
 			r.groups = append(r.groups, cg)
-			for j, ci := range idx[:n] {
-				r.cells[ci].group = cg
-				r.cells[ci].lane = j
+			for _, ci := range cg.cells {
+				r.cells[ci].grouped = true
 			}
 			mGroups.Inc()
 			mGroupLanes.Add(int64(n))
@@ -230,12 +256,15 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 //
 // Events are staged: conditional branches accumulate into steps (with
 // the raw shared-register history value at each branch) and are
-// drained to every cell a block at a time. Because cells never
+// drained to every work unit a block at a time. Because cells never
 // interact, per-cell block processing preserves each cell's exact
-// per-branch order.
+// per-branch order, and the units of one block may run in any order —
+// or concurrently (see startWorkers).
 type manyRunner struct {
 	cells   []manyCell
 	groups  []*cellGroup
+	units   []workUnit
+	delta   []int // per-cell mispredicts of the block being drained
 	ghr     uint64
 	ghrMask uint64
 	steps   []kernel.Step
@@ -244,11 +273,21 @@ type manyRunner struct {
 	flushes int
 	flush   int
 	rec     *obs.Recorder
+
+	// Cell-parallel drain (nil start when serial): workers-1 parked
+	// goroutines take one start token per block, claim units through
+	// next, and report on done; exited counts them out at stop.
+	workers int
+	next    atomic.Int64
+	start   chan struct{}
+	done    chan struct{}
+	exited  sync.WaitGroup
 }
 
 func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 	r := &manyRunner{
 		cells: make([]manyCell, len(preds)),
+		delta: make([]int, len(preds)),
 		flush: opts.FlushEvery,
 		steps: make([]kernel.Step, 0, batchSize),
 		rec:   opts.Recorder,
@@ -280,8 +319,75 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 	if !opts.NoKernel && !opts.NoBitslice {
 		groupCells(r, preds, hists)
 	}
+	// Groups first: they are the largest units, so claiming them early
+	// shortens the tail of a cell-parallel block.
+	for _, g := range r.groups {
+		r.units = append(r.units, workUnit{group: g})
+	}
+	for i := range r.cells {
+		if !r.cells[i].grouped {
+			r.units = append(r.units, workUnit{cell: i})
+		}
+	}
 	r.ghrMask = uint64(1)<<maxK - 1
 	return r
+}
+
+// cellParallelSafe reports whether preds can be drained concurrently:
+// no two cells may share mutable state. Every predictor must describe
+// itself by a Spec (so it owns its tables; hybrids may wrap components
+// another cell also steps) and appear once.
+func cellParallelSafe(preds []predictor.Predictor) bool {
+	seen := make(map[predictor.Predictor]bool, len(preds))
+	for _, p := range preds {
+		if _, ok := p.(predictor.Speccer); !ok || reflect.TypeOf(p).Kind() != reflect.Pointer || seen[p] {
+			return false
+		}
+		seen[p] = true
+	}
+	return true
+}
+
+// startWorkers parks workers-1 goroutines that help drain every block.
+// Starting them once per run keeps the per-block cost at two channel
+// operations per worker and no allocation. stopWorkers must follow.
+func (r *manyRunner) startWorkers(workers int) {
+	r.workers = workers
+	// Both channels carry one token per helper per block, so a block's
+	// sends never block.
+	r.start = make(chan struct{}, workers-1)
+	r.done = make(chan struct{}, workers-1)
+	r.exited.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer r.exited.Done()
+			for range r.start {
+				r.claimUnits()
+				r.done <- struct{}{}
+			}
+		}()
+	}
+	mParRuns.Inc()
+}
+
+// stopWorkers releases the parked goroutines and waits for them to
+// exit; a no-op for serial runs.
+func (r *manyRunner) stopWorkers() {
+	if r.start != nil {
+		close(r.start)
+		r.exited.Wait()
+	}
+}
+
+// claimUnits drains units of the current block until none is left.
+func (r *manyRunner) claimUnits() {
+	for {
+		u := int(r.next.Add(1)) - 1
+		if u >= len(r.units) {
+			return
+		}
+		r.runUnit(&r.units[u])
+	}
 }
 
 // process stages a block of trace events, draining the step buffer
@@ -326,67 +432,91 @@ func (r *manyRunner) process(branches []trace.Branch) error {
 	return nil
 }
 
-// drain runs the staged steps through every cell and empties the
-// buffer.
+// drain runs the staged steps through every work unit — concurrently
+// when workers are running — then applies the per-cell deltas, the
+// recorder and the counters in cell order, and empties the buffer.
 func (r *manyRunner) drain() {
 	if len(r.steps) == 0 {
 		return
 	}
 	mBlocks.Inc()
 	mSteps.Add(int64(len(r.steps)))
-	for _, g := range r.groups {
-		// Bitsliced groups step all their lanes through the block in
-		// one pass; the per-cell loop below just collects lane counts.
-		for j := range g.mis {
-			g.mis[j] = 0
+	if r.start != nil {
+		r.next.Store(0)
+		for w := 1; w < r.workers; w++ {
+			r.start <- struct{}{}
 		}
-		g.g.StepBatch64(r.steps, g.mis)
+		r.claimUnits()
+		for w := 1; w < r.workers; w++ {
+			<-r.done
+		}
+	} else {
+		for u := range r.units {
+			r.runUnit(&r.units[u])
+		}
 	}
-	for i := range r.cells {
-		c := &r.cells[i]
-		before := c.mispredict
-		switch {
-		case c.group != nil:
-			c.mispredict += c.group.mis[c.lane]
-		case c.kern != nil:
-			// Compiled fast path: one call for the whole block.
-			c.mispredict += c.kern.StepBatch(r.steps)
-		case c.stepper != nil && c.tracker == nil:
-			for j := range r.steps {
-				s := &r.steps[j]
-				if c.stepper.Step(s.PC, s.Hist&c.mask, s.Taken) != s.Taken {
-					c.mispredict++
-				}
-			}
-		default:
-			for j := range r.steps {
-				s := &r.steps[j]
-				h := s.Hist & c.mask
-				counted := true
-				if c.tracker != nil && !c.tracker.Seen(s.PC, h) {
-					c.firstUse++
-					counted = false
-				}
-				if c.stepper != nil {
-					// Fused fast path; Predict is state-free, so always
-					// stepping is equivalent to predict-when-counted.
-					if c.stepper.Step(s.PC, h, s.Taken) != s.Taken && counted {
-						c.mispredict++
-					}
-				} else {
-					if counted && c.p.Predict(s.PC, h) != s.Taken {
-						c.mispredict++
-					}
-					c.p.Update(s.PC, h, s.Taken)
-				}
-			}
-		}
-		mMispredicts.Add(int64(c.mispredict - before))
+	total := 0
+	for i, d := range r.delta {
+		r.cells[i].mispredict += d
+		total += d
 		if r.rec != nil {
-			r.rec.Add(i, len(r.steps), c.mispredict-before)
+			r.rec.Add(i, len(r.steps), d)
 		}
 	}
+	mMispredicts.Add(int64(total))
 	r.steps = r.steps[:0]
+}
+
+// runUnit steps one work unit through the staged block and stores each
+// of its cells' mispredicts in r.delta. It touches only the unit's own
+// cells, so distinct units may run concurrently.
+func (r *manyRunner) runUnit(u *workUnit) {
+	if g := u.group; g != nil {
+		// One bitsliced pass steps every lane through the block.
+		clear(g.mis)
+		g.g.StepBatch64(r.steps, g.mis)
+		for j, ci := range g.cells {
+			r.delta[ci] = g.mis[j]
+		}
+		return
+	}
+	c := &r.cells[u.cell]
+	mis := 0
+	switch {
+	case c.kern != nil:
+		// Compiled fast path: one call for the whole block.
+		mis = c.kern.StepBatch(r.steps)
+	case c.stepper != nil && c.tracker == nil:
+		for j := range r.steps {
+			s := &r.steps[j]
+			if c.stepper.Step(s.PC, s.Hist&c.mask, s.Taken) != s.Taken {
+				mis++
+			}
+		}
+	default:
+		for j := range r.steps {
+			s := &r.steps[j]
+			h := s.Hist & c.mask
+			counted := true
+			if c.tracker != nil && !c.tracker.Seen(s.PC, h) {
+				c.firstUse++
+				counted = false
+			}
+			if c.stepper != nil {
+				// Fused fast path; Predict is state-free, so always
+				// stepping is equivalent to predict-when-counted.
+				if c.stepper.Step(s.PC, h, s.Taken) != s.Taken && counted {
+					mis++
+				}
+			} else {
+				if counted && c.p.Predict(s.PC, h) != s.Taken {
+					mis++
+				}
+				c.p.Update(s.PC, h, s.Taken)
+			}
+		}
+	}
+	r.delta[u.cell] = mis
 }
 
 // finish drains the tail block and invalidates any predictor read
@@ -420,30 +550,8 @@ func (r *manyRunner) results() []Result {
 	return out
 }
 
-// RunMany streams src once and drives every predictor per block,
-// returning per-predictor results bit-identical to len(preds)
-// sequential Run calls over the same trace. The trace is decoded once
-// and a single history register (of the longest history any predictor
-// consumes) is shared, so the cost of a sweep is one trace iteration
-// plus the predictors' own work — O(events + predictors x events_cond)
-// instead of O(predictors x events).
-func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
-	if len(preds) == 0 {
-		return nil, nil
-	}
-	if k, hists, orig, ok := segPlan(src, preds, opts); ok {
-		// Segment-parallel path: stage the trace once, run contiguous
-		// segments concurrently, reconcile at the boundaries. Results
-		// are bit-identical to the serial path below (see segment.go).
-		st, err := stageTrace(src, opts, maskFromHists(hists))
-		if err != nil {
-			return nil, err
-		}
-		res := runSegmentedMany(st, preds, hists, orig, opts, k, true)
-		st.release()
-		return res, nil
-	}
-	r := newManyRunner(preds, opts)
+// run streams src through the runner and returns the results.
+func (r *manyRunner) run(src trace.Source) ([]Result, error) {
 	if ss, ok := src.(*trace.SliceSource); ok {
 		// Fast path: iterate the materialised slice directly, with no
 		// copying into a read buffer.
@@ -467,6 +575,50 @@ func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Res
 			return nil, fmt.Errorf("sim: reading trace: %w", err)
 		}
 	}
+}
+
+// RunMany streams src once and drives every predictor per block,
+// returning per-predictor results bit-identical to len(preds)
+// sequential Run calls over the same trace. The trace is decoded once
+// and a single history register (of the longest history any predictor
+// consumes) is shared, so the cost of a sweep is one trace iteration
+// plus the predictors' own work — O(events + predictors x events_cond)
+// instead of O(predictors x events).
+//
+// With automatic segmentation (Options.Segments 0), a run of at least
+// two work units whose predictors cannot share state drains each block
+// cell-parallel on up to GOMAXPROCS goroutines: exact by construction,
+// since cells never interact. Otherwise the segmented engine's own
+// gate applies.
+func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
+	if len(preds) == 0 {
+		return nil, nil
+	}
+	var r *manyRunner
+	if opts.Segments == 0 && len(preds) > 1 && cellParallelSafe(preds) {
+		r = newManyRunner(preds, opts)
+		if workers := min(runtime.GOMAXPROCS(0), len(r.units)); workers >= 2 {
+			r.startWorkers(workers)
+			defer r.stopWorkers()
+			return r.run(src)
+		}
+	}
+	if k, hists, orig, ok := segPlan(src, preds, opts); ok {
+		// Segment-parallel path: stage the trace once, run contiguous
+		// segments concurrently, reconcile at the boundaries. Results
+		// are bit-identical to the serial path below (see segment.go).
+		st, err := stageTrace(src, opts, maskFromHists(hists))
+		if err != nil {
+			return nil, err
+		}
+		res := runSegmentedMany(st, preds, hists, orig, opts, k, true)
+		st.release()
+		return res, nil
+	}
+	if r == nil {
+		r = newManyRunner(preds, opts)
+	}
+	return r.run(src)
 }
 
 // RunManyBranches is RunMany over an in-memory trace.
