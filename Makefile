@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTableAgainstCounter -fuzztime=$(FUZZTIME) ./internal/counter
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzColumnarRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzColumnarUnpack -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzAlgoSpec -fuzztime=$(FUZZTIME) ./internal/algotrace
 	$(GO) test -fuzz=FuzzRecorder -fuzztime=$(FUZZTIME) ./internal/algotrace

@@ -173,11 +173,24 @@ func (k *bimodalKernel) step1(pc, _ uint64, taken bool) bool {
 
 func (k *bimodalKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
 
+// StepBatch is step1 over a block with the table, mask and automaton
+// hoisted into locals. Every index is also masked by len(cells)-1
+// (equal to idxMask by construction: the table has 2^n entries), so
+// the compiler drops the bounds checks, as in skewKernel.StepBatch.
 func (k *bimodalKernel) StepBatch(steps []Step) int {
+	cells := k.cells
+	if len(cells) == 0 {
+		return 0
+	}
+	aut := &k.aut
+	m := k.idxMask & uint64(len(cells)-1)
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
-		if k.step1(s.PC, s.Hist, s.Taken) != s.Taken {
+		j := s.PC & m
+		c := cells[j]
+		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		if aut.pred[c] != s.Taken {
 			mis++
 		}
 	}
@@ -219,11 +232,42 @@ func (k *gshareKernel) step1(pc, hist uint64, taken bool) bool {
 
 func (k *gshareKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
 
+// StepBatch is step1 over a block with the table, masks and automaton
+// hoisted into locals and the fold decided once per block (see
+// bimodalKernel.StepBatch for the bounds-check masking).
 func (k *gshareKernel) StepBatch(steps []Step) int {
+	cells := k.cells
+	if len(cells) == 0 {
+		return 0
+	}
+	aut := &k.aut
+	m := k.idxMask & uint64(len(cells)-1)
+	histMask, shift := k.histMask, k.shift
 	mis := 0
+	if k.fold {
+		idxMask, n := k.idxMask, k.n
+		for i := range steps {
+			s := &steps[i]
+			h, f := s.Hist&histMask, uint64(0)
+			for h != 0 {
+				f ^= h & idxMask
+				h >>= n
+			}
+			j := (s.PC ^ f) & m
+			c := cells[j]
+			cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+			if aut.pred[c] != s.Taken {
+				mis++
+			}
+		}
+		return mis
+	}
 	for i := range steps {
 		s := &steps[i]
-		if k.step1(s.PC, s.Hist, s.Taken) != s.Taken {
+		j := (s.PC ^ (s.Hist&histMask)<<shift) & m
+		c := cells[j]
+		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		if aut.pred[c] != s.Taken {
 			mis++
 		}
 	}
@@ -257,11 +301,25 @@ func (k *gselectKernel) step1(pc, hist uint64, taken bool) bool {
 
 func (k *gselectKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
 
+// StepBatch is step1 over a block with the table, masks and automaton
+// hoisted into locals (see bimodalKernel.StepBatch for the
+// bounds-check masking). The history-only case is the general one with
+// no address bits: aMask and shift are zero there.
 func (k *gselectKernel) StepBatch(steps []Step) int {
+	cells := k.cells
+	if len(cells) == 0 {
+		return 0
+	}
+	aut := &k.aut
+	m := k.idxMask & uint64(len(cells)-1)
+	aMask, hMask, shift := k.aMask, k.hMask, k.shift
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
-		if k.step1(s.PC, s.Hist, s.Taken) != s.Taken {
+		j := ((s.Hist&hMask)<<shift | s.PC&aMask) & m
+		c := cells[j]
+		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		if aut.pred[c] != s.Taken {
 			mis++
 		}
 	}

@@ -26,6 +26,9 @@ func cases() []compiled {
 		{"gshare-equal", 10, func() predictor.Predictor {
 			return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 10, Ctr: 2})
 		}},
+		{"gshare-runner-short", 5, func() predictor.Predictor {
+			return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2})
+		}},
 		{"gshare-fold", 14, func() predictor.Predictor {
 			return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 6, Hist: 14, Ctr: 2})
 		}},
@@ -60,7 +63,9 @@ func cases() []compiled {
 // randomized (pc, hist, taken) stream, must agree on every prediction
 // and leave the underlying tables identical. The kernel is compiled
 // from a SECOND predictor instance so the two paths train separate
-// storage.
+// storage. Each case is driven twice: step by step through Step, and
+// through StepBatch in blocks of random length with the raw,
+// unmasked history a wider shared register would hold.
 func TestKernelMatchesInterfacePath(t *testing.T) {
 	for _, tc := range cases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +89,71 @@ func TestKernelMatchesInterfacePath(t *testing.T) {
 				}
 				hist = (hist<<1 | b2u(taken)) & mask
 			}
+			requireSameBanks(t, "Step", kern, iface, tc.hist)
+
+			checkBatchPath(t, tc, r)
 		})
+	}
+}
+
+// batchLengths are the block lengths checkBatchPath draws from: one
+// step, a sub-word block, a full simulator block and odd sizes that
+// straddle it; 0 stands for a random length in [1, 5000].
+var batchLengths = []int{1, 63, 64, 4096, 4097, 0}
+
+// checkBatchPath drives tc through StepBatch in blocks of random
+// length against a fresh interface-path twin, requiring equal
+// mispredict counts per block and identical tables afterwards.
+func checkBatchPath(t *testing.T, tc compiled, r *rng.Xoshiro256) {
+	t.Helper()
+	iface, kp := tc.mk(), tc.mk()
+	kern, ok := Compile(kp, tc.hist)
+	if !ok {
+		t.Fatalf("Compile(%s) not supported", iface.Name())
+	}
+	mask := uint64(1)<<tc.hist - 1
+	raw := uint64(0) // an unmasked 64-bit register; the kernel masks it
+	steps := make([]Step, 0, 5000)
+	for done := 0; done < 60000; {
+		n := batchLengths[r.Uint64()%uint64(len(batchLengths))]
+		if n == 0 {
+			n = 1 + int(r.Uint64()%5000)
+		}
+		steps = steps[:0]
+		want := 0
+		for range n {
+			pc := r.Uint64() & 0x3fff
+			taken := r.Uint64()&3 != 0
+			if iface.Predict(pc, raw&mask) != taken {
+				want++
+			}
+			iface.Update(pc, raw&mask, taken)
+			steps = append(steps, Step{PC: pc, Hist: raw, Taken: taken})
+			raw = raw<<1 | b2u(taken)
+		}
+		if got := kern.StepBatch(steps); got != want {
+			t.Fatalf("block of %d at step %d: StepBatch counted %d mispredicts, interface %d", n, done, got, want)
+		}
+		done += n
+	}
+	requireSameBanks(t, "StepBatch", kern, iface, tc.hist)
+}
+
+// requireSameBanks compares the tables a kernel trained with those of
+// an interface-path twin, read through the twin's own compiled kernel.
+func requireSameBanks(t *testing.T, path string, kern Kernel, twin predictor.Predictor, hist uint) {
+	t.Helper()
+	tk, ok := Compile(twin, hist)
+	if !ok {
+		t.Fatalf("Compile(%s) not supported", twin.Name())
+	}
+	got, want := kern.(StateKernel).Banks(), tk.(StateKernel).Banks()
+	for b := range want {
+		for i := range want[b] {
+			if got[b][i] != want[b][i] {
+				t.Fatalf("%s path: bank %d cell %d is %d, interface path has %d", path, b, i, got[b][i], want[b][i])
+			}
+		}
 	}
 }
 

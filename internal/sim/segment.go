@@ -2,9 +2,8 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -78,14 +77,9 @@ const (
 // the exact shared-register history it observes, the flush boundaries,
 // and the event counts. It is read-only during the parallel phase.
 type stagedTrace struct {
-	steps   []kernel.Step
+	stager        // steps holds the whole trace's conditionals
 	flushAt []int // ascending step indices; predictors reset before step f
-	uncond  int
-	flushes int
-	ghr     uint64
-	ghrMask uint64
-	flush   int
-	pooled  bool // steps came from stepPool; release() returns it
+	pooled  bool  // steps came from stepPool; release() returns it
 }
 
 // stepPool recycles staged step buffers across segmented runs. Staging
@@ -112,58 +106,27 @@ func (st *stagedTrace) release() {
 	stepPool.Put(&buf)
 }
 
-func (st *stagedTrace) stage(branches []trace.Branch) error {
-	for i := range branches {
-		b := &branches[i]
-		switch b.Kind {
-		case trace.Conditional:
-			if st.flush > 0 && len(st.steps) > 0 && len(st.steps)%st.flush == 0 {
-				st.flushAt = append(st.flushAt, len(st.steps))
-				st.flushes++
-				st.ghr = 0
-			}
-			st.steps = append(st.steps, kernel.Step{PC: b.PC, Hist: st.ghr, Taken: b.Taken})
-			if b.Taken {
-				st.ghr = (st.ghr<<1 | 1) & st.ghrMask
-			} else {
-				st.ghr = st.ghr << 1 & st.ghrMask
-			}
-		case trace.Unconditional:
-			st.uncond++
-			st.ghr = (st.ghr<<1 | 1) & st.ghrMask
-		default:
-			return fmt.Errorf("sim: unknown branch kind %d", b.Kind)
-		}
-	}
-	return nil
-}
+// stepsFull grows the step buffer: the segmented engine keeps the
+// whole staged trace.
+func (st *stagedTrace) stepsFull() { st.steps = slices.Grow(st.steps, batchSize) }
 
-// stageTrace materialises src. The decode is identical to the serial
-// runner's process loop; the staged history values are the ones every
-// predictor observes, masked to its own length by its kernel.
+// flushNow records a flush boundary before the next staged step.
+func (st *stagedTrace) flushNow() { st.flushAt = append(st.flushAt, len(st.steps)) }
+
+// stageTrace materialises src with the serial runner's staging loop;
+// the staged history values are the ones every predictor observes,
+// masked to its own length by its kernel.
 func stageTrace(src trace.Source, opts Options, ghrMask uint64) (*stagedTrace, error) {
-	st := &stagedTrace{ghrMask: ghrMask, flush: opts.FlushEvery, pooled: true}
+	st := &stagedTrace{stager: stager{ghrMask: ghrMask, flush: opts.FlushEvery}, pooled: true}
 	st.steps = (*stepPool.Get().(*[]kernel.Step))[:0]
-	if ss, ok := src.(*trace.SliceSource); ok {
-		branches := ss.Drain()
-		if cap(st.steps) < len(branches) {
-			st.steps = make([]kernel.Step, 0, len(branches))
-		}
-		return st, st.stage(branches)
+	if ss, ok := src.(*trace.SliceSource); ok && cap(st.steps) < ss.Len() {
+		// A trace never stages more steps than it has records.
+		st.steps = make([]kernel.Step, 0, ss.Len())
 	}
-	buf := make([]trace.Branch, batchSize)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if serr := st.stage(buf[:n]); serr != nil {
-			return nil, serr
-		}
-		if errors.Is(err, io.EOF) {
-			return st, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: reading trace: %w", err)
-		}
+	if err := st.stageSource(src, st); err != nil {
+		return nil, err
 	}
+	return st, nil
 }
 
 // runRange drives k over steps[lo:hi), resetting p at every staged
@@ -534,7 +497,7 @@ func SegmentSteps(p predictor.Predictor, histBits uint, steps []kernel.Step, seg
 	if !ok {
 		return 0, false
 	}
-	st := &stagedTrace{steps: steps}
+	st := &stagedTrace{stager: stager{steps: steps}}
 	res := runSegmentedMany(st, []predictor.Predictor{p}, []uint{histBits},
 		[]kernel.StateKernel{sk}, Options{WarmBranches: warmBranches}, segments, true)
 	return res[0].Mispredicts, true

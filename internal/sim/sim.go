@@ -18,9 +18,7 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -261,18 +259,14 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 // per-branch order, and the units of one block may run in any order —
 // or concurrently (see startWorkers).
 type manyRunner struct {
-	cells   []manyCell
-	groups  []*cellGroup
-	units   []workUnit
-	delta   []int // per-cell mispredicts of the block being drained
-	ghr     uint64
-	ghrMask uint64
-	steps   []kernel.Step
-	cond    int // shared conditional count (identical across predictors)
-	uncond  int
-	flushes int
-	flush   int
-	rec     *obs.Recorder
+	cells  []manyCell
+	groups []*cellGroup
+	units  []workUnit
+	delta  []int // per-cell mispredicts of the block being drained
+	rec    *obs.Recorder
+	// stager stages the trace into steps; its event counts are shared
+	// by every cell (identical across predictors by construction).
+	stager
 
 	// Cell-parallel drain (nil start when serial): workers-1 parked
 	// goroutines take one start token per block, claim units through
@@ -288,9 +282,11 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 	r := &manyRunner{
 		cells: make([]manyCell, len(preds)),
 		delta: make([]int, len(preds)),
-		flush: opts.FlushEvery,
-		steps: make([]kernel.Step, 0, batchSize),
 		rec:   opts.Recorder,
+		stager: stager{
+			steps: make([]kernel.Step, 0, batchSize),
+			flush: opts.FlushEvery,
+		},
 	}
 	var maxK uint
 	hists := make([]uint, len(preds))
@@ -390,46 +386,21 @@ func (r *manyRunner) claimUnits() {
 	}
 }
 
-// process stages a block of trace events, draining the step buffer
-// whenever it fills or a flush boundary is reached.
-func (r *manyRunner) process(branches []trace.Branch) error {
-	for i := range branches {
-		b := &branches[i]
-		switch b.Kind {
-		case trace.Conditional:
-			if r.flush > 0 && r.cond > 0 && r.cond%r.flush == 0 {
-				// Train every cell up to the boundary before wiping
-				// predictor state, exactly as the per-event path would.
-				r.drain()
-				for j := range r.cells {
-					r.cells[j].p.Reset()
-				}
-				for _, g := range r.groups {
-					// Uniform bitsliced groups own their counter planes;
-					// re-transpose the freshly reset lane tables into them.
-					g.g.Reload()
-				}
-				r.flushes++
-				r.ghr = 0
-			}
-			r.cond++
-			r.steps = append(r.steps, kernel.Step{PC: b.PC, Hist: r.ghr, Taken: b.Taken})
-			if b.Taken {
-				r.ghr = (r.ghr<<1 | 1) & r.ghrMask
-			} else {
-				r.ghr = r.ghr << 1 & r.ghrMask
-			}
-			if len(r.steps) == cap(r.steps) {
-				r.drain()
-			}
-		case trace.Unconditional:
-			r.uncond++
-			r.ghr = (r.ghr<<1 | 1) & r.ghrMask
-		default:
-			return fmt.Errorf("sim: unknown branch kind %d", b.Kind)
-		}
+// stepsFull drains the full step buffer.
+func (r *manyRunner) stepsFull() { r.drain() }
+
+// flushNow trains every cell up to the flush boundary, exactly as the
+// per-event path would, then wipes predictor state.
+func (r *manyRunner) flushNow() {
+	r.drain()
+	for j := range r.cells {
+		r.cells[j].p.Reset()
 	}
-	return nil
+	for _, g := range r.groups {
+		// Uniform bitsliced groups own their counter planes;
+		// re-transpose the freshly reset lane tables into them.
+		g.g.Reload()
+	}
 }
 
 // drain runs the staged steps through every work unit — concurrently
@@ -552,29 +523,11 @@ func (r *manyRunner) results() []Result {
 
 // run streams src through the runner and returns the results.
 func (r *manyRunner) run(src trace.Source) ([]Result, error) {
-	if ss, ok := src.(*trace.SliceSource); ok {
-		// Fast path: iterate the materialised slice directly, with no
-		// copying into a read buffer.
-		if err := r.process(ss.Drain()); err != nil {
-			return nil, err
-		}
-		r.finish()
-		return r.results(), nil
+	if err := r.stageSource(src, r); err != nil {
+		return nil, err
 	}
-	buf := make([]trace.Branch, batchSize)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if perr := r.process(buf[:n]); perr != nil {
-			return nil, perr
-		}
-		if errors.Is(err, io.EOF) {
-			r.finish()
-			return r.results(), nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: reading trace: %w", err)
-		}
-	}
+	r.finish()
+	return r.results(), nil
 }
 
 // RunMany streams src once and drives every predictor per block,

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/trace"
 )
@@ -203,10 +206,63 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadKind places an invalid record first, in the middle
+// of a block, after a full 4096-step block has drained, and among the
+// unconditionals that follow a flush boundary, and requires the error
+// on the serial, segmented and cell-parallel paths, from a slice and
+// from a streaming source.
 func TestRunRejectsBadKind(t *testing.T) {
-	branches := []trace.Branch{{PC: 1, Kind: trace.Kind(9)}}
-	if _, err := RunBranches(branches, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 4, Ctr: 2}), Options{}); err == nil {
-		t.Error("Run accepted invalid branch kind")
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	obs.Enable()
+	defer obs.Disable()
+	placements := []struct {
+		name  string
+		at    int // index of the bad record
+		flush int
+	}{
+		{"first", 0, 0},
+		{"mid-block", 2000, 0},
+		{"after-drain", batchSize + 100, 0},
+		{"after-flush-boundary", 101, 100},
+	}
+	for _, pl := range placements {
+		for _, kind := range []trace.Kind{2, 9, 255} {
+			// All conditionals, except one unconditional right after the
+			// flush boundary so the bad record sits in the run of
+			// unconditionals a pending flush skips over.
+			branches := make([]trace.Branch, 2*batchSize)
+			for i := range branches {
+				branches[i] = condBr(uint64(i%37), i%3 != 0)
+			}
+			if pl.flush > 0 {
+				branches[pl.flush] = uncondBr(0x99)
+			}
+			branches[pl.at] = trace.Branch{PC: 1, Kind: kind}
+			want := fmt.Sprintf("sim: unknown branch kind %d", kind)
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != want {
+					t.Errorf("%s, kind %d at %d, %s: err %v, want %q", pl.name, kind, pl.at, path, err, want)
+				}
+			}
+			one := func() []predictor.Predictor {
+				return []predictor.Predictor{predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: 6, Ctr: 2})}
+			}
+			for _, segments := range []int{1, 3} {
+				opts := Options{Segments: segments, FlushEvery: pl.flush}
+				_, err := RunMany(trace.NewSliceSource(branches), one(), opts)
+				check(fmt.Sprintf("segments %d, slice", segments), err)
+				_, err = RunMany(&chanSource{branches: branches}, one(), opts)
+				check(fmt.Sprintf("segments %d, stream", segments), err)
+			}
+			before := mParRuns.Value()
+			_, err := RunManyBranches(branches, cellParCases()["families"].mk(), Options{FlushEvery: pl.flush})
+			check("cell-parallel", err)
+			if mParRuns.Value() == before {
+				t.Fatalf("%s: multi-predictor run did not take the cell-parallel path", pl.name)
+			}
+		}
 	}
 }
 

@@ -213,3 +213,58 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzColumnarUnpack diffs the dictionary-mode unpack this platform
+// decodes with (the fast variant on amd64 and arm64) against the
+// portable variant, compiled everywhere, on arbitrary packed-index,
+// direction and kind streams laid out as decodeColumnarBlock hands
+// them over: ext reaches 8 bytes past the packed indices into the
+// direction words, and directions and kinds span whole 64-bit words.
+// Both must return the same largest index and write the same records.
+func FuzzColumnarUnpack(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint16(1))
+	f.Add([]byte{0xA5, 0x3C, 0xFF, 0x01}, uint8(1), uint16(5))
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE}, uint8(7), uint16(63))
+	f.Add([]byte{0xFF, 0x00, 0x80, 0x7F}, uint8(12), uint16(ColumnarBlockSize))
+	f.Add([]byte{0x5A}, uint8(11), uint16(ColumnarBlockSize-1))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, count uint16) {
+		w := int(width % 13)
+		n := 1 + int(count)%ColumnarBlockSize
+		packedLen := (n*w + 7) / 8
+		words := (n + 63) / 64
+		fill := func(i int) byte {
+			if len(data) == 0 {
+				return byte(i * 0x9D)
+			}
+			return data[i%len(data)] ^ byte(i/len(data)*0x3B)
+		}
+		payload := make([]byte, packedLen+words*8)
+		for i := range payload {
+			payload[i] = fill(i)
+		}
+		ext := payload[:packedLen+8]
+		dirs := payload[packedLen:]
+		kinds := make([]uint64, words)
+		for i := range kinds {
+			for b := 0; b < 8; b++ {
+				kinds[i] |= uint64(fill(len(payload)+8*i+b)) << (8 * b)
+			}
+		}
+		var dict [ColumnarBlockSize]uint64
+		for i := range dict {
+			dict[i] = uint64(i)*0x9E3779B97F4A7C15 ^ uint64(fill(i))
+		}
+		got := make([]Branch, n)
+		want := make([]Branch, n)
+		gotMax := unpackColumnarRecords(got, ext, dirs, &dict, w, kinds)
+		wantMax := unpackColumnarRecordsPortable(want, ext, dirs, &dict, w, kinds)
+		if gotMax != wantMax {
+			t.Fatalf("width %d, %d records: largest index %d, portable %d", w, n, gotMax, wantMax)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("width %d, %d records: record %d is %+v, portable %+v", w, n, i, got[i], want[i])
+			}
+		}
+	})
+}
