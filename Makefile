@@ -3,7 +3,8 @@
 # that execute simulation cells in parallel (the scheduler, the trace
 # cache, the single-pass multi-predictor runner and its cell-parallel
 # drain, the HTTP service, its shared result store and trace pool, and
-# the telemetry registry). `make verify` is
+# the telemetry registry), then repeats the cell-parallel drain and the
+# experiments cell memo's single-flight tests. `make verify` is
 # the differential tier: the optimized predictors against the
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME. `make bench` runs the compiled
@@ -38,6 +39,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/obs
 	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
+	$(GO) test -race -count=5 -run 'Memo' ./internal/experiments
 
 # Lint tier: vet always; staticcheck when installed (CI installs it,
 # see .github/workflows/ci.yml; locally `go install
@@ -69,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunSegmented -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz=FuzzTAGEFoldedHistory -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
+	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
 
 bench:
 	$(GO) test -bench='Kernel|TraceDecode' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \

@@ -60,7 +60,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text, csv or plot (ASCII charts)")
 		seed     = flag.Uint64("seed", 0, "seed offset for workload generation")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulation cells (0 = GOMAXPROCS; 1 = serial)")
-		segments = flag.Int("segments", 1, "parallel split per simulation cell, bit-identical results: N >= 2 segments the trace; 0 = auto (multi-predictor cells drain cell-parallel, single-predictor cells on long traces are segmented); 1 = serial")
+		segments = flag.Int("segments", 1, "parallel split per simulation cell, bit-identical results: N >= 2 segments the trace; 0 = auto (multi-predictor cells drain cell-parallel, other cells run serially; auto never segments); 1 = serial")
 		poolDir  = flag.String("trace-pool", "", "content-addressed trace pool directory: reuse pooled workload traces across runs and processes (empty = off)")
 
 		progress     = flag.Bool("progress", false, "print live per-cell progress lines to stderr")

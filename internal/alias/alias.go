@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"gskew/internal/indexfn"
-	"gskew/internal/lru"
 )
 
 // TaggedDM is a direct-mapped tagged table: entry i remembers the last
@@ -75,8 +74,12 @@ func (t *TaggedDM) Name() string { return t.fn.Name() + "-dm" }
 // TaggedFA is a fully-associative tagged table with LRU replacement.
 // Its miss ratio is compulsory + capacity aliasing; the difference
 // between a TaggedDM and a TaggedFA of equal size is conflict aliasing.
+//
+// The recency list is threaded through per-ID slots (see Interner), so
+// a reference costs one interner probe and O(1) slice work.
 type TaggedFA struct {
-	set      *lru.Set
+	in       *Interner
+	lru      idLRU
 	histBits uint
 	accesses int
 	misses   int
@@ -85,18 +88,29 @@ type TaggedFA struct {
 // NewTaggedFA returns an n-entry fully-associative LRU tagged table
 // keyed by (address, k-bit history).
 func NewTaggedFA(entries int, histBits uint) *TaggedFA {
-	return &TaggedFA{set: lru.NewSet(entries), histBits: histBits}
+	return newTaggedFA(entries, histBits, NewInterner(entries))
+}
+
+func newTaggedFA(entries int, histBits uint, in *Interner) *TaggedFA {
+	if entries <= 0 {
+		panic(fmt.Sprintf("alias: capacity %d must be positive", entries))
+	}
+	return &TaggedFA{in: in, lru: idLRU{capacity: entries, head: -1, tail: -1}, histBits: histBits}
 }
 
 // Observe records a reference and reports whether it missed.
 func (t *TaggedFA) Observe(addr, hist uint64) bool {
-	v := indexfn.Vector(addr, hist, t.histBits)
+	id, _ := t.in.ID(indexfn.Vector(addr, hist, t.histBits))
+	return t.observeID(id)
+}
+
+func (t *TaggedFA) observeID(id int32) bool {
 	t.accesses++
-	hit, _, _ := t.set.Touch(v)
-	if !hit {
-		t.misses++
+	if t.lru.touch(id) {
+		return false
 	}
-	return !hit
+	t.misses++
+	return true
 }
 
 // Accesses returns the number of references observed.
@@ -114,7 +128,70 @@ func (t *TaggedFA) MissRatio() float64 {
 }
 
 // Entries returns the table capacity.
-func (t *TaggedFA) Entries() int { return t.set.Capacity() }
+func (t *TaggedFA) Entries() int { return t.lru.capacity }
+
+// idLRU is a fixed-capacity LRU set over dense IDs: a doubly-linked
+// recency list whose links live in per-ID slots (-1 ends the list;
+// notResident marks an ID outside the set).
+type idLRU struct {
+	prev, next []int32
+	capacity   int
+	size       int
+	head, tail int32 // most and least recently used
+}
+
+const notResident = -2
+
+// touch inserts id as most recently used, evicting the least recently
+// used ID when full, or refreshes it; it reports whether id was
+// resident.
+func (l *idLRU) touch(id int32) bool {
+	if int(id) >= len(l.prev) {
+		l.prev = growIDs(l.prev, id, notResident)
+		l.next = growIDs(l.next, id, notResident)
+	}
+	if l.prev[id] != notResident {
+		if l.head != id {
+			l.unlink(id)
+			l.pushFront(id)
+		}
+		return true
+	}
+	if l.size == l.capacity {
+		victim := l.tail
+		l.unlink(victim)
+		l.prev[victim], l.next[victim] = notResident, notResident
+	} else {
+		l.size++
+	}
+	l.pushFront(id)
+	return false
+}
+
+func (l *idLRU) unlink(id int32) {
+	p, n := l.prev[id], l.next[id]
+	if p >= 0 {
+		l.next[p] = n
+	} else {
+		l.head = n
+	}
+	if n >= 0 {
+		l.prev[n] = p
+	} else {
+		l.tail = p
+	}
+}
+
+func (l *idLRU) pushFront(id int32) {
+	l.prev[id] = -1
+	l.next[id] = l.head
+	if l.head >= 0 {
+		l.prev[l.head] = id
+	} else {
+		l.tail = id
+	}
+	l.head = id
+}
 
 // Classifier decomposes the aliasing of a direct-mapped organisation
 // into the three Cs by running, side by side on the same reference
@@ -126,10 +203,13 @@ func (t *TaggedFA) Entries() int { return t.set.Capacity() }
 //
 // Per reference: compulsory if never seen before; else capacity if the
 // FA table missed; else conflict if the DM table missed.
+//
+// One interner serves the FA table and the first-use detector, so a
+// reference pays a single hash probe.
 type Classifier struct {
 	dm   *TaggedDM
 	fa   *TaggedFA
-	seen map[uint64]struct{}
+	in   *Interner
 	cold int
 }
 
@@ -173,10 +253,11 @@ func (c ThreeC) String() string {
 // NewClassifier builds a classifier for the direct-mapped organisation
 // using fn. The FA reference table has the same entry count.
 func NewClassifier(fn indexfn.Func) *Classifier {
+	in := NewInterner(1 << fn.Bits())
 	return &Classifier{
-		dm:   NewTaggedDM(fn),
-		fa:   NewTaggedFA(1<<fn.Bits(), fn.HistoryBits()),
-		seen: make(map[uint64]struct{}),
+		dm: NewTaggedDM(fn),
+		fa: newTaggedFA(1<<fn.Bits(), fn.HistoryBits(), in),
+		in: in,
 	}
 }
 
@@ -194,16 +275,14 @@ const (
 // Observe classifies one reference against the DM table under study,
 // using the priority rule compulsory > capacity > conflict.
 func (c *Classifier) Observe(addr, hist uint64) RefClass {
-	v := indexfn.Vector(addr, hist, c.dm.fn.HistoryBits())
+	id, first := c.in.ID(indexfn.Vector(addr, hist, c.dm.fn.HistoryBits()))
 	dmMiss := c.dm.Observe(addr, hist)
-	faMiss := c.fa.Observe(addr, hist)
-	_, everSeen := c.seen[v]
-	if !everSeen {
-		c.seen[v] = struct{}{}
+	faMiss := c.fa.observeID(id)
+	if first {
 		c.cold++
 	}
 	switch {
-	case !everSeen:
+	case first:
 		return Compulsory
 	case faMiss:
 		return Capacity

@@ -1,8 +1,8 @@
 package alias
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 )
 
 // This file implements Belady's OPT (furthest-next-use) replacement
@@ -30,66 +30,134 @@ func OptMissRatio(refs []uint64, n int) float64 {
 
 // OptMisses returns the miss count of an n-entry OPT table over refs.
 func OptMisses(refs []uint64, n int) int {
-	// Precompute next-use indices: nextUse[i] is the position of the
-	// next reference to refs[i] after i, or infinity.
-	const inf = int(^uint(0) >> 1)
-	nextUse := make([]int, len(refs))
-	last := make(map[uint64]int, 1024)
-	for i := len(refs) - 1; i >= 0; i-- {
-		if j, ok := last[refs[i]]; ok {
-			nextUse[i] = j
-		} else {
-			nextUse[i] = inf
-		}
-		last[refs[i]] = i
-	}
+	ids, u := Intern(refs)
+	return NewOptStream(ids, u).Misses(n)
+}
 
-	// Resident set: vector -> its current next-use. Eviction picks the
-	// resident vector with the furthest next use, via a lazy max-heap
-	// of (nextUse, vector) entries: stale heap entries (whose recorded
-	// next use no longer matches the resident table) are discarded on
-	// pop.
-	resident := make(map[uint64]int, n)
-	h := &optHeap{}
+// OptStream is a dense-ID reference stream prepared for OPT: the
+// next-use array is computed once and serves every capacity.
+type OptStream struct {
+	ids  []int32
+	next []int32 // next[i]: position of the next reference to ids[i], or never
+	u    int
+}
+
+// never is the next use of a reference that is not referenced again.
+const never = math.MaxInt32
+
+// NewOptStream prepares the stream ids (dense IDs in [0, u)) for OPT
+// simulation. The stream is shared, not copied.
+func NewOptStream(ids []int32, u int) *OptStream {
+	if len(ids) >= never {
+		panic(fmt.Sprintf("alias: OPT stream is limited to %d references", never-1))
+	}
+	next := make([]int32, len(ids))
+	last := make([]int32, u)
+	for i := range last {
+		last[i] = never
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		id := ids[i]
+		next[i] = last[id]
+		last[id] = int32(i)
+	}
+	return &OptStream{ids: ids, next: next, u: u}
+}
+
+// Misses returns the miss count of an n-entry OPT table over the
+// stream.
+//
+// The resident set is an indexed max-heap on next use, bounded by n. A
+// hit raises its entry's key from the current position to the
+// reference's next use (a sift-up); a miss on a full table replaces
+// the root — the resident vector used furthest in the future — with
+// the new vector (a sift-down). Victims tied at "never" are all dead,
+// so the tie order does not change the miss count.
+func (o *OptStream) Misses(n int) int {
+	if n <= 0 {
+		panic(fmt.Sprintf("alias: capacity %d must be positive", n))
+	}
+	h := optHeap{
+		at:   make([]int32, o.u),
+		keys: make([]int32, 0, min(n, o.u)),
+		ids:  make([]int32, 0, min(n, o.u)),
+	}
+	for i := range h.at {
+		h.at[i] = -1
+	}
 	misses := 0
-	for i, v := range refs {
-		if _, ok := resident[v]; ok {
-			resident[v] = nextUse[i]
-			heap.Push(h, optEntry{next: nextUse[i], vec: v})
+	for i, id := range o.ids {
+		nu := o.next[i]
+		if j := h.at[id]; j >= 0 {
+			h.keys[j] = nu
+			h.up(int(j))
+			continue
+		}
+		misses++
+		if len(h.keys) < n {
+			h.push(nu, id)
 		} else {
-			misses++
-			if len(resident) >= n {
-				for {
-					top := heap.Pop(h).(optEntry)
-					if cur, ok := resident[top.vec]; ok && cur == top.next {
-						delete(resident, top.vec)
-						break
-					}
-				}
-			}
-			resident[v] = nextUse[i]
-			heap.Push(h, optEntry{next: nextUse[i], vec: v})
+			h.replaceTop(nu, id)
 		}
 	}
 	return misses
 }
 
-type optEntry struct {
-	next int
-	vec  uint64
+// optHeap is a max-heap of (next use, ID) pairs with each resident
+// ID's heap position in at (-1 when not resident).
+type optHeap struct {
+	at   []int32
+	keys []int32
+	ids  []int32
 }
 
-// optHeap is a max-heap on next-use distance.
-type optHeap []optEntry
+func (h *optHeap) swap(i, j int) {
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
+	h.at[h.ids[i]] = int32(i)
+	h.at[h.ids[j]] = int32(j)
+}
 
-func (h optHeap) Len() int           { return len(h) }
-func (h optHeap) Less(i, j int) bool { return h[i].next > h[j].next }
-func (h optHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x any)        { *h = append(*h, x.(optEntry)) }
-func (h *optHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *optHeap) up(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if h.keys[p] >= h.keys[j] {
+			return
+		}
+		h.swap(p, j)
+		j = p
+	}
+}
+
+func (h *optHeap) down(j int) {
+	n := len(h.keys)
+	for {
+		c := 2*j + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.keys[r] > h.keys[c] {
+			c = r
+		}
+		if h.keys[j] >= h.keys[c] {
+			return
+		}
+		h.swap(j, c)
+		j = c
+	}
+}
+
+func (h *optHeap) push(key, id int32) {
+	h.keys = append(h.keys, key)
+	h.ids = append(h.ids, id)
+	h.at[id] = int32(len(h.keys) - 1)
+	h.up(len(h.keys) - 1)
+}
+
+// replaceTop evicts the root and inserts (key, id) in its place.
+func (h *optHeap) replaceTop(key, id int32) {
+	h.at[h.ids[0]] = -1
+	h.keys[0], h.ids[0] = key, id
+	h.at[id] = 0
+	h.down(0)
 }

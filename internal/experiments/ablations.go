@@ -39,23 +39,21 @@ func init() {
 // runAblationBanks compares bank counts at a fixed per-bank size
 // (4k entries, 8-bit history), reporting total storage alongside so
 // the cost of each configuration is explicit. The five configurations
-// of a benchmark share one RunMany trace pass.
+// of a benchmark share one trace pass.
 func runAblationBanks(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	const bankBits = 12
 	t := report.NewTable("Bank-count ablation (4k-entry banks, 8-bit history, partial update)",
 		"benchmark", "1 bank (gshare 4k)", "3 banks (12k)", "5 banks (20k)", "7 banks (28k)", "gshare 16k")
-	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]float64, error) {
-		preds := []predictor.Predictor{
-			predictor.MustSpec(predictor.Spec{Family: "gshare", N: bankBits, Hist: histBits})}
+	rows, err := mapBenchmarks(ctx, func(name string, _ []trace.Branch) ([]float64, error) {
+		specs := []predictor.Spec{{Family: "gshare", N: bankBits, Hist: histBits}}
 		for _, banks := range []int{3, 5, 7} {
-			preds = append(preds, predictor.MustSpec(predictor.Spec{
-				Family: "gskewed", Banks: banks, N: bankBits, Hist: histBits}))
+			specs = append(specs, predictor.Spec{
+				Family: "gskewed", Banks: banks, N: bankBits, Hist: histBits})
 		}
 		// Cost-equivalent alternative to 3 more banks: one bigger bank.
-		preds = append(preds, predictor.MustSpec(predictor.Spec{
-			Family: "gshare", N: bankBits + 2, Hist: histBits}))
-		results, err := ctx.RunMany("ablation-banks/"+name, branches, preds, sim.Options{})
+		specs = append(specs, predictor.Spec{Family: "gshare", N: bankBits + 2, Hist: histBits})
+		results, err := ctx.RunSpecs("ablation-banks/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -91,16 +89,12 @@ func runAblationPolicy(ctx *Context) (Renderable, error) {
 	return historySweep(ctx, "ablation-policy",
 		"Partial vs total update (3x4k gskewed)",
 		[]uint{0, 4, 8, 12, 16},
-		[]struct {
-			name  string
-			build func(k uint) predictor.Predictor
-		}{
-			{"partial", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: k})
+		[]sweepOrg{
+			{"partial", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gskewed", N: 12, Hist: k}
 			}},
-			{"total", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{
-					Family: "gskewed", N: 12, Hist: k, Policy: predictor.TotalUpdate})
+			{"total", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gskewed", N: 12, Hist: k, Policy: predictor.TotalUpdate}
 			}},
 		})
 }
@@ -109,13 +103,12 @@ func runAblationCounters(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	t := report.NewTable("Counter-width ablation (3x4k gskewed, 8-bit history, partial update)",
 		"benchmark", "1-bit cells", "2-bit cells")
-	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]string, error) {
-		var preds []predictor.Predictor
+	rows, err := mapBenchmarks(ctx, func(name string, _ []trace.Branch) ([]string, error) {
+		var specs []predictor.Spec
 		for _, bits := range []uint{1, 2} {
-			preds = append(preds, predictor.MustSpec(predictor.Spec{
-				Family: "gskewed", N: 12, Hist: histBits, Ctr: bits}))
+			specs = append(specs, predictor.Spec{Family: "gskewed", N: 12, Hist: histBits, Ctr: bits})
 		}
-		results, err := ctx.RunMany("ablation-counters/"+name, branches, preds, sim.Options{})
+		results, err := ctx.RunSpecs("ablation-counters/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -142,15 +135,12 @@ func runAblationEnhanced(ctx *Context) (Renderable, error) {
 	return historySweep(ctx, "ablation-enhanced-bank0",
 		"Enhanced bank-0 ablation (3x4k, partial update)",
 		[]uint{8, 12, 16},
-		[]struct {
-			name  string
-			build func(k uint) predictor.Predictor
-		}{
-			{"f0(V) bank0 (gskewed)", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: k})
+		[]sweepOrg{
+			{"f0(V) bank0 (gskewed)", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gskewed", N: 12, Hist: k}
 			}},
-			{"addr-only bank0 (egskew)", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: k})
+			{"addr-only bank0 (egskew)", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "egskew", N: 12, Hist: k}
 			}},
 		})
 }

@@ -6,7 +6,8 @@
 //
 // Experiments share a Context, which caches materialised workload
 // traces so that a full `cmd/experiments -all` run generates each
-// benchmark trace once.
+// benchmark trace once, and memoises simulated cells so that each
+// distinct (trace, predictor spec, options) cell is simulated once.
 package experiments
 
 import (
@@ -77,8 +78,9 @@ func (b *Bundle) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Context carries run-wide configuration, the materialised-trace cache
-// and the scheduler that bounds concurrent simulation cells.
+// Context carries run-wide configuration, the materialised-trace cache,
+// the memo of simulated cells (see RunSpecs) and the scheduler that
+// bounds concurrent simulation cells.
 //
 // A Context is safe for concurrent use: any number of goroutines may
 // call Trace, BenchmarkNames and the experiment Run functions
@@ -122,6 +124,9 @@ type Context struct {
 
 	mu    sync.Mutex
 	cache map[string]*traceEntry
+
+	memoMu sync.Mutex
+	memo   map[memoKey]*memoEntry
 }
 
 // traceEntry is one per-benchmark cache slot. The once gates
@@ -176,13 +181,7 @@ func (c *Context) Trace(name string) ([]trace.Branch, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		poolKey := fmt.Sprintf("%s|%g|%d", name, c.scale(), c.SeedOffset)
-		if workload.IsAlgo(name) {
-			// Scale does not apply to recorded algorithms; keeping the
-			// pool identity scale-free lets CLI and service ingests of
-			// the same spec share one entry.
-			poolKey = fmt.Sprintf("%s|%d", name, c.SeedOffset)
-		}
+		poolKey := c.traceID(name)
 		if c.Pool != nil {
 			if branches, _, ok := c.Pool.GetNamed(poolKey); ok {
 				e.branches = branches
@@ -198,6 +197,19 @@ func (c *Context) Trace(name string) ([]trace.Branch, error) {
 		}
 	})
 	return e.branches, e.err
+}
+
+// traceID is the identity of a workload's trace in this Context, the
+// (name, scale, seed) triple Trace materialises it from. It keys the
+// trace pool and the simulation-cell memo.
+func (c *Context) traceID(name string) string {
+	if workload.IsAlgo(name) {
+		// Scale does not apply to recorded algorithms; keeping the
+		// identity scale-free lets CLI and service ingests of the same
+		// spec share one pool entry.
+		return fmt.Sprintf("%s|%d", name, c.SeedOffset)
+	}
+	return fmt.Sprintf("%s|%g|%d", name, c.scale(), c.SeedOffset)
 }
 
 // DropTrace evicts a cached trace (memory control for long sweeps).

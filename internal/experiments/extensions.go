@@ -49,33 +49,36 @@ func init() {
 	})
 }
 
-// compareRows runs one Compare (single-pass RunMany) per benchmark as
-// scheduler cells and returns, in suite order, rows of the form
-// [name, miss%...], the common shape of the extension tables. id names
-// the experiment for run telemetry.
-func compareRows(ctx *Context, id string, build func() []predictor.Predictor, opts sim.Options) ([][]any, error) {
-	return mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
-		results, err := ctx.RunMany(id+"/"+name, branches, build(), opts)
+// compareRows runs one RunSpecs comparison per benchmark as scheduler
+// cells and returns, in suite order, rows of the form [name, miss%...],
+// the common shape of the extension tables. id names the experiment
+// for run telemetry.
+func compareRows(ctx *Context, id string, specs []predictor.Spec, opts sim.Options) ([][]any, error) {
+	return mapBenchmarks(ctx, func(name string, _ []trace.Branch) ([]any, error) {
+		results, err := ctx.RunSpecs(id+"/"+name, name, specs, opts)
 		if err != nil {
 			return nil, err
 		}
-		row := []any{name}
-		for _, r := range results {
-			row = append(row, fmt.Sprintf("%.2f", r.MissPercent()))
-		}
-		return row, nil
+		return missRow(name, results), nil
 	})
+}
+
+// missRow is [name, miss%...] over results.
+func missRow(name string, results []sim.Result) []any {
+	row := []any{name}
+	for _, r := range results {
+		row = append(row, fmt.Sprintf("%.2f", r.MissPercent()))
+	}
+	return row
 }
 
 func runExtPAs(ctx *Context) (Renderable, error) {
 	t := report.NewTable("Skewed per-address schemes (miss %, local history 8, 64-entry BHT x 1024)",
 		"benchmark", "pas 4k", "skewed-pas 3x2k", "gshare 4k (global, h8)")
-	rows, err := compareRows(ctx, "ext-pas", func() []predictor.Predictor {
-		return []predictor.Predictor{
-			predictor.MustParseSpec("pas:bht=10,local=8,n=12,ctr=2"),
-			predictor.MustParseSpec("skewed-pas:bht=10,local=8,n=11,ctr=2,policy=partial"),
-			predictor.MustParseSpec("gshare:n=12,k=8,ctr=2"),
-		}
+	rows, err := compareRows(ctx, "ext-pas", []predictor.Spec{
+		specOf("pas:bht=10,local=8,n=12,ctr=2"),
+		specOf("skewed-pas:bht=10,local=8,n=11,ctr=2,policy=partial"),
+		specOf("gshare:n=12,k=8,ctr=2"),
 	}, sim.Options{})
 	if err != nil {
 		return nil, err
@@ -90,19 +93,30 @@ func runExtHybrid(ctx *Context) (Renderable, error) {
 	t := report.NewTable("Hybrid predictors (miss %, 8-bit history)",
 		"benchmark", "gshare 16k", "bimodal+gshare", "bimodal+gskewed", "egskew 3x4k")
 	const k = 8
-	rows, err := compareRows(ctx, "ext-hybrid", func() []predictor.Predictor {
+	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
+		// The spec'd columns come from the memo; the hybrids have no
+		// spec, so they are simulated here on their own pass.
+		specd, err := ctx.RunSpecs("ext-hybrid/"+name, name, []predictor.Spec{
+			{Family: "gshare", N: 14, Hist: k},
+			{Family: "egskew", N: 12, Hist: k},
+		}, sim.Options{})
+		if err != nil {
+			return nil, err
+		}
 		bimodal := func() predictor.Predictor {
 			return predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 12})
 		}
-		return []predictor.Predictor{
-			predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: k}),
+		hybrids, err := ctx.RunMany("ext-hybrid/"+name+"/hybrids", branches, []predictor.Predictor{
 			predictor.MustHybrid(bimodal(),
 				predictor.MustSpec(predictor.Spec{Family: "gshare", N: 13, Hist: k}), 12),
 			predictor.MustHybrid(bimodal(),
 				predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 11, Hist: k}), 12),
-			predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: k}),
+		}, sim.Options{})
+		if err != nil {
+			return nil, err
 		}
-	}, sim.Options{})
+		return missRow(name, []sim.Result{specd[0], hybrids[0], hybrids[1], specd[1]}), nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -163,12 +177,10 @@ func runExtEncoding(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	t := report.NewTable("Shared-hysteresis encoding (gskewed, 8-bit history, partial update)",
 		"benchmark", "3x4k 2-bit (24 Kbit)", "3x4k shared/2 (15 Kbit)", "3x8k shared/4 (27 Kbit)")
-	rows, err := compareRows(ctx, "ext-encoding", func() []predictor.Predictor {
-		return []predictor.Predictor{
-			predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: histBits}),
-			predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: histBits, SharedHyst: 1}),
-			predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 13, Hist: histBits, SharedHyst: 2}),
-		}
+	rows, err := compareRows(ctx, "ext-encoding", []predictor.Spec{
+		{Family: "gskewed", N: 12, Hist: histBits},
+		{Family: "gskewed", N: 12, Hist: histBits, SharedHyst: 1},
+		{Family: "gskewed", N: 13, Hist: histBits, SharedHyst: 2},
 	}, sim.Options{})
 	if err != nil {
 		return nil, err
@@ -182,38 +194,49 @@ func runExtEncoding(ctx *Context) (Renderable, error) {
 func runExtOpt(ctx *Context) (Renderable, error) {
 	const histBits = 4
 	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
-		// Record the reference stream once.
+		// Record the reference stream once, interned to dense IDs, and
+		// feed the direct-mapped tables and the stack-distance profiler
+		// on the same pass. The LRU column of every capacity is read off
+		// the one stack-distance histogram, and the OPT column shares
+		// one next-use array.
+		sizes := []uint{10, 12, 14}
+		dms := make([]*alias.TaggedDM, len(sizes))
+		for i, n := range sizes {
+			dms[i] = alias.NewTaggedDM(indexfn.NewGShare(n, histBits))
+		}
+		in := alias.NewInterner(len(branches) / 8)
+		sd := alias.NewStackDist(len(branches))
+		ids := make([]int32, 0, len(branches))
 		ghr := history.NewGlobal(histBits)
-		refs := make([]uint64, 0, len(branches))
 		for _, b := range branches {
 			if b.Kind == trace.Conditional {
-				refs = append(refs, indexfn.Vector(b.PC, ghr.Bits(), histBits))
+				h := ghr.Bits()
+				id, _ := in.ID(indexfn.Vector(b.PC, h, histBits))
+				ids = append(ids, id)
+				sd.ObserveID(id)
+				for _, dm := range dms {
+					dm.Observe(b.PC, h)
+				}
 			}
 			ghr.Shift(b.Taken)
 		}
+		optStream := alias.NewOptStream(ids, in.Len())
 
 		t := report.NewTable(name,
 			"entries", "gshare-dm %", "lru %", "opt %", "conflict vs lru", "conflict vs opt")
-		for _, n := range []uint{10, 12, 14} {
-			dm := alias.NewTaggedDM(indexfn.NewGShare(n, histBits))
-			ghr2 := history.NewGlobal(histBits)
-			for _, b := range branches {
-				if b.Kind == trace.Conditional {
-					dm.Observe(b.PC, ghr2.Bits())
-				}
-				ghr2.Shift(b.Taken)
+		for i, n := range sizes {
+			dm := dms[i].MissRatio()
+			lru := sd.MissRatioAt(1 << n)
+			opt := 0.0
+			if len(ids) > 0 {
+				opt = float64(optStream.Misses(1<<n)) / float64(len(ids))
 			}
-			fa := alias.NewTaggedFA(1<<n, 0)
-			for _, v := range refs {
-				fa.Observe(v, 0)
-			}
-			opt := alias.OptMissRatio(refs, 1<<n)
 			t.AddRow(fmt.Sprintf("%d", 1<<n),
-				fmt.Sprintf("%.3f", 100*dm.MissRatio()),
-				fmt.Sprintf("%.3f", 100*fa.MissRatio()),
+				fmt.Sprintf("%.3f", 100*dm),
+				fmt.Sprintf("%.3f", 100*lru),
 				fmt.Sprintf("%.3f", 100*opt),
-				fmt.Sprintf("%.3f", 100*(dm.MissRatio()-fa.MissRatio())),
-				fmt.Sprintf("%.3f", 100*(dm.MissRatio()-opt)))
+				fmt.Sprintf("%.3f", 100*(dm-lru)),
+				fmt.Sprintf("%.3f", 100*(dm-opt)))
 		}
 		return t, nil
 	})
@@ -239,21 +262,21 @@ func runExtPipeline(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	t := report.NewTable("Front-end model: 4-wide fetch, 5 instr/branch (miss % -> IPC at penalty 5/10/20)",
 		"benchmark", "predictor", "miss %", "IPC@5", "IPC@10", "IPC@20", "speedup@20 vs gshare")
-	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([][]any, error) {
-		preds := []predictor.Predictor{
-			predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: histBits}),
-			predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: histBits}),
-			predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: histBits}),
+	rows, err := mapBenchmarks(ctx, func(name string, _ []trace.Branch) ([][]any, error) {
+		specs := []predictor.Spec{
+			{Family: "gshare", N: 14, Hist: histBits},
+			{Family: "gskewed", N: 12, Hist: histBits},
+			{Family: "egskew", N: 12, Hist: histBits},
 		}
-		results, err := ctx.RunMany("ext-pipeline/"+name, branches, preds, sim.Options{})
+		results, err := ctx.RunSpecs("ext-pipeline/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
 		base := results[0]
 		var rows [][]any
-		for i, p := range preds {
+		for i, s := range specs {
 			r := results[i]
-			row := []any{name, fmt.Sprintf("%v", p), fmt.Sprintf("%.2f", r.MissPercent())}
+			row := []any{name, fmt.Sprintf("%v", predictor.MustSpec(s)), fmt.Sprintf("%.2f", r.MissPercent())}
 			for _, penalty := range []int{5, 10, 20} {
 				m := pipeline.Model{FetchWidth: 4, MispredictPenalty: penalty, InstrPerBranch: 5}
 				c, err := m.Evaluate(r.Conditionals, r.Mispredicts)

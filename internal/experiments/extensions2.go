@@ -149,10 +149,10 @@ func runExtFlush(ctx *Context) (Renderable, error) {
 			fig.Xs = append(fig.Xs, x)
 			// Both organisations share one trace pass per interval (the
 			// flush schedule is part of Options, identical for both).
-			results, err := ctx.RunMany(fmt.Sprintf("ext-flush-iv%d/%s", iv, name), branches,
-				[]predictor.Predictor{
-					predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: histBits}),
-					predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: histBits}),
+			results, err := ctx.RunSpecs(fmt.Sprintf("ext-flush-iv%d/%s", iv, name), name,
+				[]predictor.Spec{
+					{Family: "gshare", N: 14, Hist: histBits},
+					{Family: "egskew", N: 12, Hist: histBits},
 				}, sim.Options{FlushEvery: iv})
 			if err != nil {
 				return nil, err
@@ -200,14 +200,12 @@ func runExtRivals(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	t := report.NewTable("1997 anti-aliasing proposals at ~24-34 Kbit (miss %, 8-bit history)",
 		"benchmark", "gshare 16k (32Kb)", "agree 16k (34Kb)", "bimode 2x8k+4k (40Kb)", "gskewed 3x4k (24Kb)", "egskew 3x4k (24Kb)")
-	rows, err := compareRows(ctx, "ext-rivals", func() []predictor.Predictor {
-		return []predictor.Predictor{
-			predictor.MustParseSpec("gshare:n=14,k=8,ctr=2"),
-			predictor.MustParseSpec("agree:n=14,k=8,bias=10,ctr=2"),
-			predictor.MustParseSpec("bimode:n=13,k=8,choice=11,ctr=2"),
-			predictor.MustParseSpec("gskewed:n=12,k=8,banks=3,ctr=2,policy=partial"),
-			predictor.MustParseSpec("egskew:n=12,k=8,ctr=2,policy=partial"),
-		}
+	rows, err := compareRows(ctx, "ext-rivals", []predictor.Spec{
+		specOf("gshare:n=14,k=8,ctr=2"),
+		specOf("agree:n=14,k=8,bias=10,ctr=2"),
+		specOf("bimode:n=13,k=8,choice=11,ctr=2"),
+		specOf("gskewed:n=12,k=8,banks=3,ctr=2,policy=partial"),
+		specOf("egskew:n=12,k=8,ctr=2,policy=partial"),
 	}, sim.Options{})
 	if err != nil {
 		return nil, err
@@ -230,12 +228,10 @@ func init() {
 func runExtEV8(ctx *Context) (Renderable, error) {
 	t := report.NewTable("2Bc-gskew (4x4k, h6/h14, 32 Kbit) vs its ancestors (miss %)",
 		"benchmark", "16k-gshare h8 (32Kb)", "3x4k-egskew h8 (24Kb)", "4x4k-2bcgskew h6/h14 (32Kb)")
-	rows, err := compareRows(ctx, "ext-ev8", func() []predictor.Predictor {
-		return []predictor.Predictor{
-			predictor.MustParseSpec("gshare:n=14,k=8,ctr=2"),
-			predictor.MustParseSpec("egskew:n=12,k=8,ctr=2,policy=partial"),
-			predictor.MustParseSpec("2bcgskew:n=12,ks=6,k=14"),
-		}
+	rows, err := compareRows(ctx, "ext-ev8", []predictor.Spec{
+		specOf("gshare:n=14,k=8,ctr=2"),
+		specOf("egskew:n=12,k=8,ctr=2,policy=partial"),
+		specOf("2bcgskew:n=12,ks=6,k=14"),
 	}, sim.Options{})
 	if err != nil {
 		return nil, err
@@ -261,34 +257,30 @@ func init() {
 // scale the optima sit a little lower than the paper's (aliasing
 // pressure is relatively higher); the egskew optimum must nonetheless
 // exceed the gskewed optimum. The full organisation x history cross
-// product of a benchmark (27 predictors) runs in one RunMany pass.
+// product of a benchmark (27 predictors) is one RunSpecs request.
 func runExtBestHist(ctx *Context) (Renderable, error) {
 	hists := []uint{0, 2, 4, 6, 8, 10, 12, 14, 16}
-	type org struct {
-		name  string
-		build func(k uint) predictor.Predictor
-	}
-	orgs := []org{
-		{"16k-gshare", func(k uint) predictor.Predictor {
-			return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: k})
+	orgs := []sweepOrg{
+		{"16k-gshare", func(k uint) predictor.Spec {
+			return predictor.Spec{Family: "gshare", N: 14, Hist: k}
 		}},
-		{"3x4k-gskewed", func(k uint) predictor.Predictor {
-			return predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: k})
+		{"3x4k-gskewed", func(k uint) predictor.Spec {
+			return predictor.Spec{Family: "gskewed", N: 12, Hist: k}
 		}},
-		{"3x4k-egskew", func(k uint) predictor.Predictor {
-			return predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: k})
+		{"3x4k-egskew", func(k uint) predictor.Spec {
+			return predictor.Spec{Family: "egskew", N: 12, Hist: k}
 		}},
 	}
 	t := report.NewTable("Best history length (argmin misprediction over h = 0..16)",
 		"benchmark", "gshare best h (miss %)", "gskewed best h (miss %)", "egskew best h (miss %)")
-	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
-		built := make([]predictor.Predictor, 0, len(orgs)*len(hists))
+	rows, err := mapBenchmarks(ctx, func(name string, _ []trace.Branch) ([]any, error) {
+		specs := make([]predictor.Spec, 0, len(orgs)*len(hists))
 		for _, o := range orgs {
 			for _, k := range hists {
-				built = append(built, o.build(k))
+				specs = append(specs, o.spec(k))
 			}
 		}
-		results, err := ctx.RunMany("ext-besthist/"+name, branches, built, sim.Options{})
+		results, err := ctx.RunSpecs("ext-besthist/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}

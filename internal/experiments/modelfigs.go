@@ -65,25 +65,27 @@ func runFig11(ctx *Context) (Renderable, error) {
 	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
 		// Pass 1: per-substream direction tally for the bias b (the
 		// density of static (address, history) pairs biased taken) and
-		// the last-use distance stream feeding the model.
+		// the last-use distance stream feeding the model. One interner
+		// gives each substream a dense ID that indexes both the tally
+		// and the stack-distance profiler.
 		type tally struct{ taken, total int }
-		substreams := make(map[uint64]*tally)
+		in := alias.NewInterner(len(branches) / 8)
+		var substreams []tally
 		sd := alias.NewStackDist(len(branches))
 		dists := make([]int, 0, len(branches)/2)
 		ghr := history.NewGlobal(histBits)
 		for _, b := range branches {
 			if b.Kind == trace.Conditional {
-				v := indexfn.Vector(b.PC, ghr.Bits(), histBits)
-				s := substreams[v]
-				if s == nil {
-					s = &tally{}
-					substreams[v] = s
+				id, first := in.ID(indexfn.Vector(b.PC, ghr.Bits(), histBits))
+				if first {
+					substreams = append(substreams, tally{})
 				}
+				s := &substreams[id]
 				s.total++
 				if b.Taken {
 					s.taken++
 				}
-				dists = append(dists, sd.Observe(v))
+				dists = append(dists, sd.ObserveID(id))
 			}
 			ghr.Shift(b.Taken)
 		}
@@ -140,18 +142,15 @@ func runFig12(ctx *Context) (Renderable, error) {
 	return historySweep(ctx, "fig12",
 		"Misprediction % of enhanced gskewed (3x4k) vs gskewed (3x4k) vs 32k gshare",
 		[]uint{0, 2, 4, 6, 8, 10, 12, 14, 16},
-		[]struct {
-			name  string
-			build func(k uint) predictor.Predictor
-		}{
-			{"32k-gshare", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 15, Hist: k})
+		[]sweepOrg{
+			{"32k-gshare", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gshare", N: 15, Hist: k}
 			}},
-			{"3x4k-gskewed", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: k})
+			{"3x4k-gskewed", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gskewed", N: 12, Hist: k}
 			}},
-			{"3x4k-egskew", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: k})
+			{"3x4k-egskew", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "egskew", N: 12, Hist: k}
 			}},
 		})
 }

@@ -71,46 +71,73 @@ func specLabel(p predictor.Predictor) string {
 // results, with the context's RunObs (when set) capturing the cell's
 // interval curves, manifest entry and progress line. cell names the
 // simulation cell, conventionally "<experiment>/<benchmark>".
+//
+// RunMany always simulates. Cells whose predictors all come from
+// specs and whose trace comes from Trace should use RunSpecs, which
+// simulates each distinct cell once per Context.
 func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, error) {
-	if opts.Segments == 0 {
-		// Cells that did not pick their own split inherit the
-		// context-wide segment-parallel default (-segments).
-		opts.Segments = c.Segments
-	}
-	o := c.Obs
-	if o == nil {
-		return sim.RunManyBranches(branches, preds, opts)
-	}
-	var rec *obs.Recorder
-	if o.Intervals > 0 {
-		labels := make([]string, len(preds))
+	var labels []string
+	if c.Obs != nil {
+		labels = make([]string, len(preds))
 		for i, p := range preds {
-			labels[i] = cell + "/" + specLabel(p)
+			labels[i] = specLabel(p)
 		}
-		rec = obs.NewRecorder(o.Intervals, labels...)
-		opts.Recorder = rec
 	}
 	start := time.Now()
-	results, err := sim.RunManyBranches(branches, preds, opts)
-	took := time.Since(start)
+	results, series, err := c.simulate(cell, labels, branches, preds, opts)
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		o.addSeries(rec.Series())
+	c.observe(cell, labels, nil, results, series, time.Since(start))
+	return results, nil
+}
+
+// simulate runs one cell through sim.RunManyBranches with the
+// context-wide defaults applied. When the context records interval
+// curves, labels (one per predictor) name them and the curves are
+// returned in predictor order.
+func (c *Context) simulate(cell string, labels []string, branches []trace.Branch, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, []*obs.Series, error) {
+	if opts.Segments == 0 {
+		// Cells that did not pick their own split inherit the
+		// context-wide default (-segments).
+		opts.Segments = c.Segments
+	}
+	var rec *obs.Recorder
+	if o := c.Obs; o != nil && o.Intervals > 0 {
+		full := make([]string, len(labels))
+		for i, l := range labels {
+			full[i] = cell + "/" + l
+		}
+		rec = obs.NewRecorder(o.Intervals, full...)
+		opts.Recorder = rec
+	}
+	results, err := sim.RunManyBranches(branches, preds, opts)
+	if err != nil || rec == nil {
+		return results, nil, err
+	}
+	return results, rec.Series(), nil
+}
+
+// observe hands a finished cell to the context's RunObs: its curves,
+// its manifest entry (memo marking which predictors were memo hits,
+// nil when none could be) and its progress line. A no-op without Obs.
+func (c *Context) observe(cell string, labels []string, memo []bool, results []sim.Result, series []*obs.Series, took time.Duration) {
+	o := c.Obs
+	if o == nil {
+		return
+	}
+	if series != nil {
+		o.addSeries(series)
 	}
 	if o.Manifest != nil {
-		specs := make([]string, len(preds))
-		for i, p := range preds {
-			specs[i] = specLabel(p)
-		}
 		conds := 0
 		if len(results) > 0 {
 			conds = results[0].Conditionals
 		}
 		o.addCell(obs.Cell{
 			ID:           cell,
-			Predictors:   specs,
+			Predictors:   labels,
+			MemoHits:     memo,
 			Conditionals: conds,
 			WallMS:       float64(took.Nanoseconds()) / float64(time.Millisecond),
 			Result:       results,
@@ -119,5 +146,4 @@ func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predicto
 	if o.Progress != nil {
 		o.Progress.Done(cell, took)
 	}
-	return results, nil
 }

@@ -41,19 +41,19 @@ func init() {
 // gshare table sizes 2^n for n in sizes, with a 3x2^(n-2)-entry
 // gskewed (75% of the gshare storage at the same x position) as the
 // paper's skewed counterpart. All configurations of a benchmark run in
-// one RunMany trace pass.
+// one trace pass.
 func runSizeSweep(ctx *Context, id string, histBits uint, sizes []uint) (Renderable, error) {
-	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
+	items, err := ctx.forEachBenchmark(func(name string, _ []trace.Branch) (Renderable, error) {
 		fig := report.NewFigure(fmt.Sprintf("%s (%d-bit history)", name, histBits),
 			"gshare entries", "miss %")
-		preds := make([]predictor.Predictor, 0, 2*len(sizes))
+		specs := make([]predictor.Spec, 0, 2*len(sizes))
 		for _, n := range sizes {
 			fig.Xs = append(fig.Xs, float64(uint64(1)<<n))
-			preds = append(preds,
-				predictor.MustSpec(predictor.Spec{Family: "gshare", N: n, Hist: histBits}),
-				predictor.MustSpec(predictor.Spec{Family: "gskewed", N: n - 2, Hist: histBits}))
+			specs = append(specs,
+				predictor.Spec{Family: "gshare", N: n, Hist: histBits},
+				predictor.Spec{Family: "gskewed", N: n - 2, Hist: histBits})
 		}
-		results, err := ctx.RunMany(id+"/"+name, branches, preds, sim.Options{})
+		results, err := ctx.RunSpecs(id+"/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -75,26 +75,29 @@ func runSizeSweep(ctx *Context, id string, histBits uint, sizes []uint) (Rendera
 	}, nil
 }
 
-// historySweep runs a set of predictor constructors across history
-// lengths and returns a per-benchmark bundle. The full (predictor,
-// history) cross product of a benchmark runs in one RunMany pass.
-func historySweep(ctx *Context, id, title string, hists []uint,
-	preds []struct {
-		name  string
-		build func(k uint) predictor.Predictor
-	}) (Renderable, error) {
-	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
+// sweepOrg is one organisation of a history sweep: a series name and
+// its spec at each history length.
+type sweepOrg struct {
+	name string
+	spec func(k uint) predictor.Spec
+}
+
+// historySweep runs a set of organisations across history lengths and
+// returns a per-benchmark bundle. The full (organisation, history)
+// cross product of a benchmark runs in one trace pass.
+func historySweep(ctx *Context, id, title string, hists []uint, preds []sweepOrg) (Renderable, error) {
+	items, err := ctx.forEachBenchmark(func(name string, _ []trace.Branch) (Renderable, error) {
 		fig := report.NewFigure(name, "history bits", "miss %")
 		for _, k := range hists {
 			fig.Xs = append(fig.Xs, float64(k))
 		}
-		built := make([]predictor.Predictor, 0, len(preds)*len(hists))
+		specs := make([]predictor.Spec, 0, len(preds)*len(hists))
 		for _, pd := range preds {
 			for _, k := range hists {
-				built = append(built, pd.build(k))
+				specs = append(specs, pd.spec(k))
 			}
 		}
-		results, err := ctx.RunMany(id+"/"+name, branches, built, sim.Options{})
+		results, err := ctx.RunSpecs(id+"/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -117,15 +120,12 @@ func runFig7(ctx *Context) (Renderable, error) {
 	return historySweep(ctx, "fig7",
 		"Misprediction % of 3x4k-gskewed vs 16k-gshare across history lengths",
 		[]uint{0, 2, 4, 6, 8, 10, 12, 14, 16},
-		[]struct {
-			name  string
-			build func(k uint) predictor.Predictor
-		}{
-			{"16k-gshare", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: k})
+		[]sweepOrg{
+			{"16k-gshare", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gshare", N: 14, Hist: k}
 			}},
-			{"3x4k-gskewed", func(k uint) predictor.Predictor {
-				return predictor.MustSpec(predictor.Spec{Family: "gskewed", N: 12, Hist: k})
+			{"3x4k-gskewed", func(k uint) predictor.Spec {
+				return predictor.Spec{Family: "gskewed", N: 12, Hist: k}
 			}},
 		})
 }
@@ -133,19 +133,17 @@ func runFig7(ctx *Context) (Renderable, error) {
 func runFig8(ctx *Context) (Renderable, error) {
 	const histBits = 4
 	sizes := []uint{8, 10, 12} // N = 256, 1k, 4k
-	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
+	items, err := ctx.forEachBenchmark(func(name string, _ []trace.Branch) (Renderable, error) {
 		fig := report.NewFigure(name, "N entries", "miss %")
-		preds := make([]predictor.Predictor, 0, 3*len(sizes))
+		specs := make([]predictor.Spec, 0, 3*len(sizes))
 		for _, n := range sizes {
 			fig.Xs = append(fig.Xs, float64(uint64(1)<<n))
-			preds = append(preds, predictor.MustSpec(predictor.Spec{
-				Family: "assoc-lru", Entries: 1 << n, Hist: histBits}))
+			specs = append(specs, predictor.Spec{Family: "assoc-lru", Entries: 1 << n, Hist: histBits})
 			for _, pol := range []predictor.UpdatePolicy{predictor.PartialUpdate, predictor.TotalUpdate} {
-				preds = append(preds, predictor.MustSpec(predictor.Spec{
-					Family: "gskewed", N: n, Hist: histBits, Policy: pol}))
+				specs = append(specs, predictor.Spec{Family: "gskewed", N: n, Hist: histBits, Policy: pol})
 			}
 		}
-		results, err := ctx.RunMany("fig8/"+name, branches, preds, sim.Options{})
+		results, err := ctx.RunSpecs("fig8/"+name, name, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}

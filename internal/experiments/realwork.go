@@ -101,7 +101,7 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 		row  []any
 		errs []error
 	}
-	valRows, err := mapStreams(ctx, realworkValidation(), func(s realworkStream, branches []trace.Branch) (valRow, error) {
+	valRows, err := mapStreams(ctx, realworkValidation(), func(s realworkStream, _ []trace.Branch) (valRow, error) {
 		spec, err := algotrace.ParseSpec(s.spec)
 		if err != nil {
 			return valRow{}, err
@@ -110,9 +110,9 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 		// (see workload.MaterializeAny); shift the analyzed spec the
 		// same way so oracle and stream describe the same instance.
 		spec.Seed += ctx.SeedOffset
-		results, err := ctx.RunMany("ext-realwork/val/"+s.label, branches, []predictor.Predictor{
-			predictor.MustParseSpec("bimodal:n=4,ctr=1"),
-			predictor.MustParseSpec("bimodal:n=4,ctr=2"),
+		results, err := ctx.RunSpecs("ext-realwork/val/"+s.label, s.spec, []predictor.Spec{
+			specOf("bimodal:n=4,ctr=1"),
+			specOf("bimodal:n=4,ctr=2"),
 		}, sim.Options{})
 		if err != nil {
 			return valRow{}, err
@@ -168,12 +168,12 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 		cols = append(cols, fmt.Sprintf("%s (%db)", c.label, bits))
 	}
 	contest := report.NewTable("Miss % at matched small budgets on recorded real algorithms", cols...)
-	contestRows, err := mapStreams(ctx, realworkContest(), func(s realworkStream, branches []trace.Branch) ([]any, error) {
-		preds := make([]predictor.Predictor, len(contenders))
+	contestRows, err := mapStreams(ctx, realworkContest(), func(s realworkStream, _ []trace.Branch) ([]any, error) {
+		specs := make([]predictor.Spec, len(contenders))
 		for i, c := range contenders {
-			preds[i] = predictor.MustParseSpec(c.spec)
+			specs[i] = specOf(c.spec)
 		}
-		results, err := ctx.RunMany("ext-realwork/contest/"+s.label, branches, preds, sim.Options{})
+		results, err := ctx.RunSpecs("ext-realwork/contest/"+s.label, s.spec, specs, sim.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -53,13 +53,11 @@ func runExtShootout(ctx *Context) (Renderable, error) {
 		cols = append(cols, fmt.Sprintf("%s (%.1fKb)", e.label, float64(bits)/1024))
 	}
 	miss := report.NewTable("Miss % at matched storage budgets", cols...)
-	rows, err := compareRows(ctx, "ext-shootout", func() []predictor.Predictor {
-		preds := make([]predictor.Predictor, len(entries))
-		for i, e := range entries {
-			preds[i] = predictor.MustParseSpec(e.spec)
-		}
-		return preds
-	}, sim.Options{})
+	specs := make([]predictor.Spec, len(entries))
+	for i, e := range entries {
+		specs[i] = specOf(e.spec)
+	}
+	rows, err := compareRows(ctx, "ext-shootout", specs, sim.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,9 @@ type Cell struct {
 	// composite predictors outside the Spec grammar) of the cell's
 	// predictors, in run order.
 	Predictors []string `json:"predictors"`
+	// MemoHits, when present, marks per predictor (in run order) the
+	// results served from the experiments memo instead of simulated.
+	MemoHits []bool `json:"memo_hits,omitempty"`
 	// Conditionals is the shared conditional-branch count of the cell.
 	Conditionals int `json:"conditionals,omitempty"`
 	// WallMS is the cell's wall-clock time in milliseconds. Per-cell

@@ -17,18 +17,21 @@ import (
 // compulsory references from misprediction accounting, as the paper
 // does.
 type Unaliased struct {
-	counters map[uint64]counter.Counter
+	// ids maps each substream's vector to its counter's slot; the
+	// counters themselves live in a slice, so a hit costs one map
+	// probe and trains its counter in place.
+	ids      map[uint64]int32
+	counters []counter.Counter
 	histBits uint
 	ctrBits  uint
 	addrs    map[uint64]struct{} // distinct branch addresses, for substream ratio
 
 	// Memoised lookup for the Seen/Predict/Update sequence the runner
-	// issues per branch: one map probe serves all three. Invalidated
-	// whenever the map changes.
-	lastVec  uint64
-	lastCtr  counter.Counter
-	lastSeen bool
-	lookOK   bool
+	// issues per branch: one map probe serves all three. Slots never
+	// move, so the memo survives training; Reset invalidates it.
+	lastVec uint64
+	lastIdx int32 // slot of lastVec, or -1 while it is unseen
+	lookOK  bool
 }
 
 // NewUnaliased returns an infinite table of counterBits-wide automata
@@ -38,7 +41,7 @@ func NewUnaliased(k, counterBits uint) *Unaliased {
 		counterBits = 2
 	}
 	return &Unaliased{
-		counters: make(map[uint64]counter.Counter),
+		ids:      make(map[uint64]int32),
 		histBits: k,
 		ctrBits:  counterBits,
 		addrs:    make(map[uint64]struct{}),
@@ -46,68 +49,74 @@ func NewUnaliased(k, counterBits uint) *Unaliased {
 }
 
 // lookup probes the substream map, reusing the memoised probe when the
-// reference repeats (the Seen/Predict/Update pattern of the runner).
-func (u *Unaliased) lookup(addr, hist uint64) (uint64, counter.Counter, bool) {
+// reference repeats (the Seen/Predict/Update pattern of the runner). It
+// returns the vector and its counter slot, or -1 for an unseen one.
+func (u *Unaliased) lookup(addr, hist uint64) (uint64, int32) {
 	v := indexfn.Vector(addr, hist, u.histBits)
 	if u.lookOK && u.lastVec == v {
-		return v, u.lastCtr, u.lastSeen
+		return v, u.lastIdx
 	}
-	c, ok := u.counters[v]
-	u.lastVec, u.lastCtr, u.lastSeen, u.lookOK = v, c, ok, true
-	return v, c, ok
+	idx, ok := u.ids[v]
+	if !ok {
+		idx = -1
+	}
+	u.lastVec, u.lastIdx, u.lookOK = v, idx, true
+	return v, idx
+}
+
+// insert allocates the slot of a fresh substream, first trained with
+// taken. The counter starts from the weak state agreeing with the
+// first outcome, the convention the paper's "do not count the first
+// occurrence" methodology implies.
+func (u *Unaliased) insert(addr, v uint64, taken bool) {
+	u.addrs[addr] = struct{}{}
+	c := counter.WeaklyNotTaken(u.ctrBits)
+	if taken {
+		c = counter.WeaklyTaken(u.ctrBits)
+	}
+	idx := int32(len(u.counters))
+	u.ids[v] = idx
+	u.counters = append(u.counters, c.Update(taken))
+	u.lastVec, u.lastIdx, u.lookOK = v, idx, true
 }
 
 // Predict implements Predictor. Unknown substreams predict taken (the
 // static fallback); the runner normally filters these out via Seen.
 func (u *Unaliased) Predict(addr, hist uint64) bool {
-	_, c, ok := u.lookup(addr, hist)
-	if !ok {
+	_, idx := u.lookup(addr, hist)
+	if idx < 0 {
 		return true
 	}
-	return c.Predict()
+	return u.counters[idx].Predict()
 }
 
 // Update implements Predictor.
 func (u *Unaliased) Update(addr, hist uint64, taken bool) {
-	v, c, ok := u.lookup(addr, hist)
-	if !ok {
-		u.addrs[addr] = struct{}{}
-		// A fresh substream starts from the weak state agreeing with
-		// its first outcome, the convention the paper's "do not count
-		// the first occurrence" methodology implies.
-		if taken {
-			c = counter.WeaklyTaken(u.ctrBits)
-		} else {
-			c = counter.WeaklyNotTaken(u.ctrBits)
-		}
+	v, idx := u.lookup(addr, hist)
+	if idx < 0 {
+		u.insert(addr, v, taken)
+		return
 	}
-	u.counters[v] = c.Update(taken)
-	u.lookOK = false // map changed
+	u.counters[idx] = u.counters[idx].Update(taken)
 }
 
 // Seen implements FirstUseTracker.
 func (u *Unaliased) Seen(addr, hist uint64) bool {
-	_, _, ok := u.lookup(addr, hist)
-	return ok
+	_, idx := u.lookup(addr, hist)
+	return idx >= 0
 }
 
 // Step implements Stepper: one map probe (often pre-warmed by Seen)
 // serves prediction and training.
 func (u *Unaliased) Step(addr, hist uint64, taken bool) bool {
-	v, c, ok := u.lookup(addr, hist)
-	pred := true
-	if ok {
-		pred = c.Predict()
-	} else {
-		u.addrs[addr] = struct{}{}
-		if taken {
-			c = counter.WeaklyTaken(u.ctrBits)
-		} else {
-			c = counter.WeaklyNotTaken(u.ctrBits)
-		}
+	v, idx := u.lookup(addr, hist)
+	if idx < 0 {
+		u.insert(addr, v, taken)
+		return true
 	}
-	u.counters[v] = c.Update(taken)
-	u.lookOK = false // map changed
+	c := &u.counters[idx]
+	pred := c.Predict()
+	*c = c.Update(taken)
 	return pred
 }
 
@@ -123,7 +132,8 @@ func (u *Unaliased) StorageBits() int { return len(u.counters) * int(u.ctrBits) 
 
 // Reset implements Predictor.
 func (u *Unaliased) Reset() {
-	clear(u.counters)
+	clear(u.ids)
+	u.counters = u.counters[:0]
 	clear(u.addrs)
 	u.lookOK = false
 }

@@ -202,3 +202,46 @@ func TestCellParallelBadKind(t *testing.T) {
 		t.Fatal("run did not take the cell-parallel path")
 	}
 }
+
+// TestAutoSameShapeCellsFormOneGroup64: 64 same-shape gshare cells
+// under Options{} are one work unit — a single bitsliced Group64 — so
+// auto mode runs them serially through that group (never segmented,
+// never a one-unit cell-parallel drain), with results equal to an
+// explicit serial run.
+func TestAutoSameShapeCellsFormOneGroup64(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	obs.Enable()
+	defer obs.Disable()
+	branches := manyTestTrace(1<<16 + 5000)
+	mk := func() []predictor.Predictor {
+		preds := make([]predictor.Predictor, 64)
+		for i := range preds {
+			preds[i] = predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2})
+		}
+		return preds
+	}
+	want, err := RunManyBranches(branches, mk(), Options{Segments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, lanes, par, seg := mGroups.Value(), mGroupLanes.Value(), mParRuns.Value(), mSegRuns.Value()
+	got, err := RunManyBranches(branches, mk(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d: auto %+v, serial %+v", i, got[i], want[i])
+		}
+	}
+	if g, l := mGroups.Value()-groups, mGroupLanes.Value()-lanes; g != 1 || l != 64 {
+		t.Errorf("auto formed %d groups over %d lanes, want one Group64", g, l)
+	}
+	if d := mParRuns.Value() - par; d != 0 {
+		t.Errorf("one work unit drained cell-parallel (%d runs)", d)
+	}
+	if d := mSegRuns.Value() - seg; d != 0 {
+		t.Errorf("auto run segmented (%d runs)", d)
+	}
+}

@@ -68,9 +68,8 @@ const (
 	// far past the point where 2-bit saturating counters and <=30-bit
 	// histories have forgotten the pre-window past on real traces.
 	defaultWarm = 4096
-	// autoMinBranches gates the automatic path: below this the staging
-	// plus reconcile overhead is not worth parallelising.
-	autoMinBranches = 1 << 16
+	// pooledSteps is the initial capacity of a pooled staging buffer.
+	pooledSteps = 1 << 16
 )
 
 // stagedTrace is one full decoding of a trace: every conditional with
@@ -90,7 +89,7 @@ type stagedTrace struct {
 // trace length. Only stageTrace-built buffers enter the pool —
 // SegmentSteps wraps caller-owned steps and never releases them.
 var stepPool = sync.Pool{
-	New: func() any { s := make([]kernel.Step, 0, autoMinBranches); return &s },
+	New: func() any { s := make([]kernel.Step, 0, pooledSteps); return &s },
 }
 
 // release returns a pooled steps buffer. Safe only after every worker
@@ -169,32 +168,21 @@ func (st *stagedTrace) hasFlushInside(lo, hi int) bool {
 }
 
 // segPlan decides whether this run takes the segmented path and, if
-// so, compiles the original predictors' kernels. ok is false when the
-// options ask for serial, the auto gate does not fire, or any
-// predictor is ineligible (no Spec, no compiled kernel, first-use
-// tracking, a Recorder, or NoKernel) — the caller then runs serially,
-// so a segment request degrades rather than fails.
-func segPlan(src trace.Source, preds []predictor.Predictor, opts Options) (k int, hists []uint, orig []kernel.StateKernel, ok bool) {
-	requested := true
-	switch {
-	case opts.Segments >= 2:
-		k = opts.Segments
-	case opts.Segments != 0:
-		return 0, nil, nil, false // 1 or negative: serial, not a fallback
-	default:
-		// Auto: only a materialised trace long enough to amortise
-		// staging, and only when there is real parallel hardware.
-		ss, isSlice := src.(*trace.SliceSource)
-		if !isSlice || ss.Len() < autoMinBranches || runtime.GOMAXPROCS(0) < 2 {
-			return 0, nil, nil, false
-		}
-		k = runtime.GOMAXPROCS(0)
-		requested = false
+// so, compiles the original predictors' kernels. Only an explicit
+// request (Segments >= 2) segments. ok is false when the options do
+// not ask for segments or any predictor is ineligible (no Spec, no
+// compiled kernel, first-use tracking, a Recorder, or NoKernel) — the
+// caller then runs serially, so a segment request degrades rather than
+// fails.
+func segPlan(preds []predictor.Predictor, opts Options) (k int, hists []uint, orig []kernel.StateKernel, ok bool) {
+	if opts.Segments < 2 {
+		// Serial (1 or negative) or auto (0): auto never segments; on
+		// single-unit runs it measured 1.2-10x slower than serial.
+		return 0, nil, nil, false
 	}
+	k = opts.Segments
 	fallback := func() (int, []uint, []kernel.StateKernel, bool) {
-		if requested {
-			mSegFallbacks.Inc()
-		}
+		mSegFallbacks.Inc()
 		return 0, nil, nil, false
 	}
 	if opts.NoKernel || opts.Recorder != nil {
@@ -462,7 +450,7 @@ func RunSegmentedNoReconcile(src trace.Source, preds []predictor.Predictor, opts
 			opts.Segments = 2
 		}
 	}
-	k, hists, orig, ok := segPlan(src, preds, opts)
+	k, hists, orig, ok := segPlan(preds, opts)
 	if !ok {
 		return nil, errors.New("sim: predictors not eligible for the segmented path")
 	}

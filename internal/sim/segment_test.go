@@ -162,29 +162,36 @@ func TestRunSegmentedPretrained(t *testing.T) {
 	}
 }
 
-// TestRunSegmentedAuto: with multiple procs and a long materialised
-// trace, Segments=0 takes the segmented path automatically, still
-// bit-identically.
+// TestRunSegmentedAuto: auto mode (Segments 0) never segments. A
+// single predictor over a long materialised trace on a multi-core host
+// — the case the old auto gate split into segments — runs serially,
+// bit-identically and with every sim.seg.* counter unchanged.
 func TestRunSegmentedAuto(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	obs.Enable()
 	defer obs.Disable()
-	branches := manyTestTrace(autoMinBranches + 5000)
+	branches := manyTestTrace(1<<16 + 5000)
 	want, err := RunBranches(branches, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2}), Options{Segments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := mSegRuns.Value()
+	segCounters := []*obs.Counter{mSegRuns, mSegSegments, mSegConverged, mSegReplayed, mSegFallbacks}
+	before := make([]int64, len(segCounters))
+	for i, c := range segCounters {
+		before[i] = c.Value()
+	}
 	got, err := RunBranches(branches, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("auto-segmented %+v, serial %+v", got, want)
+		t.Fatalf("auto %+v, serial %+v", got, want)
 	}
-	if mSegRuns.Value() == before {
-		t.Error("auto gate did not take the segmented path")
+	for i, c := range segCounters {
+		if d := c.Value() - before[i]; d != 0 {
+			t.Errorf("auto run moved %s by %d; it must stay serial", c.MetricName(), d)
+		}
 	}
 }
 

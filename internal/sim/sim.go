@@ -103,13 +103,13 @@ type Options struct {
 	// one ungrouped cell each) drains every staged block cell-parallel
 	// on up to GOMAXPROCS goroutines, provided no two cells can share
 	// mutable state (every predictor has a Spec and appears once);
-	// otherwise — a single predictor, say — a materialised trace long
-	// enough to amortise staging, on a multi-core host, splits into
-	// GOMAXPROCS segments (see segment.go). 1 (or negative) forces the
-	// fully serial path. Values >= 2 force the segmented engine with
-	// that many segments (capped at 64 and at the branch count).
-	// Results are bit-identical to serial in every case; ineligible
-	// predictors degrade to the serial path.
+	// any other run — a single predictor, or 64 same-shape cells that
+	// form one bitsliced group — takes the serial path. 1 (or
+	// negative) forces the fully serial path. Values >= 2 force the
+	// segmented engine with that many segments (capped at 64 and at the
+	// branch count; see segment.go). Results are bit-identical to
+	// serial in every case; ineligible predictors degrade to the serial
+	// path.
 	Segments int
 	// WarmBranches is the speculative warm-up window of the segmented
 	// path: each segment replica pre-runs this many branches of the
@@ -541,8 +541,8 @@ func (r *manyRunner) run(src trace.Source) ([]Result, error) {
 // With automatic segmentation (Options.Segments 0), a run of at least
 // two work units whose predictors cannot share state drains each block
 // cell-parallel on up to GOMAXPROCS goroutines: exact by construction,
-// since cells never interact. Otherwise the segmented engine's own
-// gate applies.
+// since cells never interact. Any other auto run is serial; only an
+// explicit Segments >= 2 reaches the segmented engine.
 func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
 	if len(preds) == 0 {
 		return nil, nil
@@ -556,7 +556,7 @@ func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Res
 			return r.run(src)
 		}
 	}
-	if k, hists, orig, ok := segPlan(src, preds, opts); ok {
+	if k, hists, orig, ok := segPlan(preds, opts); ok {
 		// Segment-parallel path: stage the trace once, run contiguous
 		// segments concurrently, reconcile at the boundaries. Results
 		// are bit-identical to the serial path below (see segment.go).
