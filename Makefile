@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunSegmented -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz=FuzzTAGEFoldedHistory -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
+	$(GO) test -fuzz=FuzzTAGEKernel -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
 
 bench:

@@ -368,6 +368,17 @@ func BenchmarkKernel2BcGSkew4x4k(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelTAGE4x512 is the kernel-vs-interface pair for the
+// ext-shootout TAGE configuration.
+func BenchmarkKernelTAGE4x512(b *testing.B) {
+	benchStepLoop(b, func() predictor.Predictor {
+		return predictor.MustSpec(benchTAGE4x512)
+	})
+}
+
+// benchTAGE4x512 is ext-shootout's "tage-4x512" entry.
+var benchTAGE4x512 = predictor.Spec{Family: "tage", N: 9, Hist: 20, HistMin: 4, Tables: 4, Tag: 8, Ctr: 3}
+
 // BenchmarkKernelStepBatch measures the compiled step loop alone — no
 // trace decoding, no history maintenance — on a prepared step block.
 // This is the ns/branch floor of the predictor inner loop.
@@ -385,6 +396,12 @@ func BenchmarkKernelStepBatch(b *testing.B) {
 		}},
 		{"egskew3x4k", func() predictor.Predictor {
 			return predictor.MustGSkewed(predictor.Config{BankBits: 12, HistoryBits: 12, Enhanced: true})
+		}},
+		{"2bcgskew4x4k", func() predictor.Predictor {
+			return predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 12, HistShort: 8, Hist: 16})
+		}},
+		{"tage4x512", func() predictor.Predictor {
+			return predictor.MustSpec(benchTAGE4x512)
 		}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

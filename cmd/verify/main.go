@@ -138,6 +138,7 @@ func selftestCells() []diff.Cell {
 		{Family: "gselect", N: 8, Hist: 4, Ctr: 2},
 		{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true},
 		{Family: "egskew", N: 6, Hist: 8, Ctr: 2},
+		{Family: "2bcgskew", N: 6, Short: 4, Hist: 10, Ctr: 2},
 		// History longer than both the index and tag widths, so the
 		// planted fold fault has chunks to misalign.
 		{Family: "tage", N: 6, Hist: 16, Ctr: 3, Tables: 4, Tag: 6},

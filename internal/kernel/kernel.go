@@ -11,6 +11,10 @@
 // saturating counters step through 256-entry next-state/predict
 // tables, and the whole predict-then-train loop for a block of
 // branches runs inside one concrete method with no interface calls.
+// The skewed loops are also branch-free (majority vote, partial update
+// and chooser training become arithmetic on 0/1 predictions and
+// all-or-nothing write masks), and TAGE's folded-history hashes, also
+// GF(2)-linear, come from per-chunk row tables (tage.go).
 //
 // Kernels share storage with the predictor they were compiled from:
 // the counter state arrays are the predictor's own backing cells, so a
@@ -18,12 +22,12 @@
 // interface path would have, and Reset on the predictor resets the
 // kernel too. Compile recognizes the paper's table-based organisations
 // (bimodal, gshare, gselect, gskewed and e-gskew under both update
-// policies, and 2Bc-gskew); anything else — tagged reference tables,
-// shared-hysteresis banks, five-bank skews, hybrids — reports ok ==
-// false and stays on the generic path. Bit-identical behaviour of
-// every compiled family is enforced by the differential harness
-// (internal/refmodel/diff, cmd/verify), which drives each kernel
-// against the executable paper specification.
+// policies), 2Bc-gskew and TAGE; anything else — the perceptron,
+// tagged reference tables, shared-hysteresis banks, five-bank skews,
+// hybrids — reports ok == false and stays on the generic path.
+// Bit-identical behaviour of every compiled family is enforced by the
+// differential harness (internal/refmodel/diff, cmd/verify), which
+// drives each kernel against the executable paper specification.
 package kernel
 
 import (
@@ -90,6 +94,10 @@ func Compile(p predictor.Predictor, histBits uint) (Kernel, bool) {
 		if t, ok := p.(*predictor.TwoBcGSkew); ok {
 			return compileTBC(t, runnerMask)
 		}
+	case "tage":
+		if t, ok := p.(*predictor.TAGE); ok {
+			return compileTAGE(t, runnerMask)
+		}
 	}
 	return nil, false
 }
@@ -104,8 +112,9 @@ func Invalidate(p predictor.Predictor) {
 	}
 }
 
-func takenBit(taken bool) uint16 {
-	if taken {
+// bit is b as 0/1; the compiler lowers it to a zero-extension.
+func bit(b bool) uint8 {
+	if b {
 		return 1
 	}
 	return 0
@@ -167,7 +176,7 @@ func (k *bimodalKernel) index(pc, _ uint64) uint64 { return pc & k.idxMask }
 func (k *bimodalKernel) step1(pc, _ uint64, taken bool) bool {
 	i := pc & k.idxMask
 	s := k.cells[i]
-	k.cells[i] = k.aut.next[uint16(s)<<1|takenBit(taken)]
+	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
 	return k.aut.pred[s]
 }
 
@@ -189,7 +198,7 @@ func (k *bimodalKernel) StepBatch(steps []Step) int {
 		s := &steps[i]
 		j := s.PC & m
 		c := cells[j]
-		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
 		if aut.pred[c] != s.Taken {
 			mis++
 		}
@@ -226,7 +235,7 @@ func (k *gshareKernel) index(pc, hist uint64) uint64 {
 func (k *gshareKernel) step1(pc, hist uint64, taken bool) bool {
 	i := k.index(pc, hist)
 	s := k.cells[i]
-	k.cells[i] = k.aut.next[uint16(s)<<1|takenBit(taken)]
+	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
 	return k.aut.pred[s]
 }
 
@@ -255,7 +264,7 @@ func (k *gshareKernel) StepBatch(steps []Step) int {
 			}
 			j := (s.PC ^ f) & m
 			c := cells[j]
-			cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+			cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
 			if aut.pred[c] != s.Taken {
 				mis++
 			}
@@ -266,7 +275,7 @@ func (k *gshareKernel) StepBatch(steps []Step) int {
 		s := &steps[i]
 		j := (s.PC ^ (s.Hist&histMask)<<shift) & m
 		c := cells[j]
-		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
 		if aut.pred[c] != s.Taken {
 			mis++
 		}
@@ -295,7 +304,7 @@ func (k *gselectKernel) index(pc, hist uint64) uint64 {
 func (k *gselectKernel) step1(pc, hist uint64, taken bool) bool {
 	i := k.index(pc, hist)
 	s := k.cells[i]
-	k.cells[i] = k.aut.next[uint16(s)<<1|takenBit(taken)]
+	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
 	return k.aut.pred[s]
 }
 
@@ -318,7 +327,7 @@ func (k *gselectKernel) StepBatch(steps []Step) int {
 		s := &steps[i]
 		j := ((s.Hist&hMask)<<shift | s.PC&aMask) & m
 		c := cells[j]
-		cells[j] = aut.next[uint16(c)<<1|takenBit(s.Taken)]
+		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
 		if aut.pred[c] != s.Taken {
 			mis++
 		}
@@ -397,7 +406,7 @@ func (k *skewKernel) step1(pc, hist uint64, taken bool) bool {
 	s0, s1, s2 := k.b0[i0], k.b1[i1], k.b2[i2]
 	p0, p1, p2 := k.aut.pred[s0], k.aut.pred[s1], k.aut.pred[s2]
 	maj := p0 && (p1 || p2) || p1 && p2
-	tb := takenBit(taken)
+	tb := uint16(bit(taken))
 	if k.partial && maj == taken {
 		// Partial update: the overall prediction was good, so banks
 		// that dissented keep serving their own substreams.
@@ -420,59 +429,61 @@ func (k *skewKernel) step1(pc, hist uint64, taken bool) bool {
 
 func (k *skewKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
 
-// StepBatch is step1 unrolled over a block with every slice hoisted
-// into a local and every index masked by that slice's own length, so
-// the compiler's prove pass can eliminate the bounds checks in the
-// loop body (each mask equals bankMask by construction: both packed
-// LUT halves and all banks have exactly 2^n entries).
+// StepBatch is step1 over a block, branch-free: the host branches a
+// data-dependent vote and partial update would take mispredict about
+// as often as the simulated predictor does. Every slice is hoisted
+// into a local, resliced to one length, and every index masked by
+// that length, so the compiler's prove pass can eliminate the bounds
+// checks in the loop body (the mask equals bankMask by construction:
+// both packed LUT halves and all banks have exactly 2^n entries).
+//
+// With 0/1 predictions p_j and outcome t, the majority is
+// (p0+p1+p2)>>1 and wrong is maj^t. Bank j skips training only under
+// partial update when the vote was right and p_j dissented, so its
+// train mask (all ones or zero) is (partial & ^wrong & (p_j^t)) - 1,
+// and every bank is written as s ^ ((s ^ next) & mask).
 func (k *skewKernel) StepBatch(steps []Step) int {
 	pa, pb := k.pa, k.pb
 	b0, b1, b2 := k.b0, k.b1, k.b2
-	// Nonempty-slice guard: without it the len-1 masks below could
-	// underflow, and the prover would have to keep every bounds check.
-	if len(pa) == 0 || len(pb) == 0 || len(b0) == 0 || len(b1) == 0 || len(b2) == 0 {
+	// All five slices hold 2^n entries. Reslicing them to one length
+	// lets a single mask, m, prove every index in range; the
+	// nonempty guard keeps len-1 from underflowing.
+	size := len(b0)
+	if size == 0 || len(pa) < size || len(pb) < size || len(b1) < size || len(b2) < size {
 		return 0
 	}
+	pa, pb, b1, b2 = pa[:size], pb[:size], b1[:size], b2[:size]
+	m := k.bankMask & uint64(size-1)
 	aut := &k.aut
-	kp, n, vHistMask, bankMask := k.kp, k.n, k.vHistMask, k.bankMask
-	enhanced, partial := k.enhanced, k.partial
+	// Shift counts masked to 63 compile to bare shifts.
+	kp, n, vHistMask := k.kp&63, k.n&63, k.vHistMask
+	// eMask selects bank 0's index: the PC in the enhanced form, the
+	// f0 field otherwise.
+	eMask := uint64(0)
+	if k.enhanced {
+		eMask = ^uint64(0)
+	}
+	partial := uint8(0)
+	if k.partial {
+		partial = 1
+	}
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
 		v := s.PC<<kp | s.Hist&vHistMask
-		v1 := v & bankMask
-		v2 := v >> n & bankMask
-		pk := pa[v1&uint64(len(pa)-1)] ^ pb[v2&uint64(len(pb)-1)]
-		i0 := pk & bankMask
-		if enhanced {
-			i0 = s.PC & bankMask
-		}
-		i0 &= uint64(len(b0) - 1)
-		i1 := pk >> lutField & bankMask & uint64(len(b1)-1)
-		i2 := pk >> (2 * lutField) & bankMask & uint64(len(b2)-1)
+		pk := pa[v&m] ^ pb[v>>n&m]
+		i0 := (pk&^eMask | s.PC&eMask) & m
+		i1 := pk >> lutField & m
+		i2 := pk >> (2 * lutField) & m
 		s0, s1, s2 := b0[i0], b1[i1], b2[i2]
-		p0, p1, p2 := aut.pred[s0], aut.pred[s1], aut.pred[s2]
-		taken := s.Taken
-		maj := p0 && (p1 || p2) || p1 && p2
-		tb := takenBit(taken)
-		if partial && maj == taken {
-			if p0 == taken {
-				b0[i0] = aut.next[uint16(s0)<<1|tb]
-			}
-			if p1 == taken {
-				b1[i1] = aut.next[uint16(s1)<<1|tb]
-			}
-			if p2 == taken {
-				b2[i2] = aut.next[uint16(s2)<<1|tb]
-			}
-		} else {
-			b0[i0] = aut.next[uint16(s0)<<1|tb]
-			b1[i1] = aut.next[uint16(s1)<<1|tb]
-			b2[i2] = aut.next[uint16(s2)<<1|tb]
-		}
-		if maj != taken {
-			mis++
-		}
+		p0, p1, p2 := aut.bit[s0], aut.bit[s1], aut.bit[s2]
+		t := bit(s.Taken)
+		wrong := (p0+p1+p2)>>1 ^ t
+		keep := partial &^ wrong
+		b0[i0] = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&(keep&(p0^t)-1)
+		b1[i1] = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&(keep&(p1^t)-1)
+		b2[i2] = s2 ^ (s2^aut.next[uint16(s2)<<1|uint16(t)])&(keep&(p2^t)-1)
+		mis += int(wrong)
 	}
 	return mis
 }
@@ -488,33 +499,37 @@ func compileTBC(t *predictor.TwoBcGSkew, runnerMask uint64) (Kernel, bool) {
 	luts := lutsFor(n)
 	k0, k1 := t.HistLengths()
 	return &tbcKernel{
-		aut:  automatonFor(bim.Bits()),
-		bim:  bim.Cells(),
-		g0:   g0.Cells(),
-		g1:   g1.Cells(),
-		meta: meta.Cells(),
-		l0a:  luts.a0, l0b: luts.b0,
-		l1a: luts.a1, l1b: luts.b1,
-		l2a: luts.a2, l2b: luts.b2,
-		idxMask: uint64(1)<<n - 1,
-		n:       n,
-		k0:      k0,
-		k1:      k1,
-		m0:      runnerMask & (uint64(1)<<k0 - 1),
-		m1:      runnerMask & (uint64(1)<<k1 - 1),
+		aut:      automatonFor(bim.Bits()),
+		bim:      bim.Cells(),
+		g0:       g0.Cells(),
+		g1:       g1.Cells(),
+		meta:     meta.Cells(),
+		pa:       luts.pa,
+		pb:       luts.pb,
+		idxMask:  uint64(1)<<n - 1,
+		n:        n,
+		k0:       k0,
+		k1:       k1,
+		m0:       runnerMask & (uint64(1)<<k0 - 1),
+		m1:       runnerMask & (uint64(1)<<k1 - 1),
+		metaFlip: bit(t.MetaInverted()),
 	}, true
 }
 
 type tbcKernel struct {
 	aut               automaton
 	bim, g0, g1, meta []uint8
-	l0a, l0b          []uint32
-	l1a, l1b          []uint32
-	l2a, l2b          []uint32
-	idxMask           uint64
-	n                 uint
-	k0, k1            uint   // short and long history lengths
-	m0, m1            uint64 // runner-combined history masks
+	// pa/pb are the packed LUT halves the skewed kernel uses: one pair
+	// of lookups on the short-history vector yields META's f0 and G0's
+	// f1 fields, one on the long-history vector G1's f2 field.
+	pa, pb  []uint64
+	idxMask uint64
+	n       uint
+	k0, k1  uint   // short and long history lengths
+	m0, m1  uint64 // runner-combined history masks
+	// metaFlip is 1 when the predictor carries the planted
+	// chooser-inversion fault (predictor.TamperTwoBcMeta), 0 otherwise.
+	metaFlip uint8
 }
 
 // indices returns the four table indices for one reference. G0 and
@@ -523,12 +538,12 @@ type tbcKernel struct {
 func (k *tbcKernel) indices(pc, hist uint64) (iBim, iG0, iG1, iMeta uint64) {
 	vA := pc<<k.k0 | hist&k.m0
 	vB := pc<<k.k1 | hist&k.m1
-	a1, a2 := vA&k.idxMask, vA>>k.n&k.idxMask
-	c1, c2 := vB&k.idxMask, vB>>k.n&k.idxMask
+	pkA := k.pa[vA&k.idxMask] ^ k.pb[vA>>k.n&k.idxMask]
+	pkB := k.pa[vB&k.idxMask] ^ k.pb[vB>>k.n&k.idxMask]
 	iBim = pc & k.idxMask
-	iG0 = uint64(k.l1a[a1] ^ k.l1b[a2])
-	iG1 = uint64(k.l2a[c1] ^ k.l2b[c2])
-	iMeta = uint64(k.l0a[a1] ^ k.l0b[a2])
+	iG0 = pkA >> lutField & k.idxMask
+	iG1 = pkB >> (2 * lutField) & k.idxMask
+	iMeta = pkA & k.idxMask
 	return iBim, iG0, iG1, iMeta
 }
 
@@ -543,7 +558,7 @@ func (k *tbcKernel) step1(pc, hist uint64, taken bool) bool {
 		if overall == taken {
 			// Majority in use and right: strengthen only the agreeing
 			// direction tables.
-			tb := takenBit(taken)
+			tb := uint16(bit(taken))
 			if pb == taken {
 				k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
 			}
@@ -554,13 +569,13 @@ func (k *tbcKernel) step1(pc, hist uint64, taken bool) bool {
 				k.g1[iG1] = k.aut.next[uint16(s1)<<1|tb]
 			}
 		} else {
-			tb := takenBit(taken)
+			tb := uint16(bit(taken))
 			k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
 			k.g0[iG0] = k.aut.next[uint16(s0)<<1|tb]
 			k.g1[iG1] = k.aut.next[uint16(s1)<<1|tb]
 		}
 	} else {
-		tb := takenBit(taken)
+		tb := uint16(bit(taken))
 		if overall == taken {
 			// Bimodal in use and right: train it alone.
 			k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
@@ -571,86 +586,100 @@ func (k *tbcKernel) step1(pc, hist uint64, taken bool) bool {
 		}
 	}
 	if (maj == taken) != (pb == taken) {
-		k.meta[iMeta] = k.aut.next[uint16(sM)<<1|takenBit(maj == taken)]
+		k.meta[iMeta] = k.aut.next[uint16(sM)<<1|uint16(bit(maj == taken))^uint16(k.metaFlip)]
 	}
 	return overall
 }
 
 func (k *tbcKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
 
+// StepBatch is step1 over a block, branch-free and hoisted like
+// skewKernel.StepBatch: the four tables and both packed LUT halves
+// (all 2^n entries) are resliced to one length so a single mask
+// proves every index in range. With 0/1 predictions pb, p0, p1,
+// chooser bit pm and outcome t, step1's rules become
+//
+//	maj     = (pb+p0+p1)>>1
+//	overall = pb ^ (pm & (maj^pb))   (the chooser picks maj or BIM)
+//	wrong   = overall ^ t
+//	BIM skips training iff pm & ^wrong & (pb^t)      (majority right, BIM dissented)
+//	Gj  skips training iff ^wrong & (^pm | (pj^t))   (right, and BIM in use or Gj dissented)
+//	META trains iff maj^pb, toward 1^maj^t           (the strategies differed)
+//
+// and each table is written as s ^ ((s ^ next) & mask) with mask =
+// skip-1 (META: 0-(maj^pb)).
 func (k *tbcKernel) StepBatch(steps []Step) int {
+	bim, g0, g1, meta := k.bim, k.g0, k.g1, k.meta
+	pa, pb := k.pa, k.pb
+	size := len(bim)
+	if size == 0 || len(g0) < size || len(g1) < size || len(meta) < size || len(pa) < size || len(pb) < size {
+		return 0
+	}
+	g0, g1, meta, pa, pb = g0[:size], g1[:size], meta[:size], pa[:size], pb[:size]
+	m := k.idxMask & uint64(size-1)
+	aut := &k.aut
+	k0, k1, n, m0, m1 := k.k0&63, k.k1&63, k.n&63, k.m0, k.m1
+	flip := k.metaFlip
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
-		if k.step1(s.PC, s.Hist, s.Taken) != s.Taken {
-			mis++
-		}
+		vA := s.PC<<k0 | s.Hist&m0
+		vB := s.PC<<k1 | s.Hist&m1
+		pkA := pa[vA&m] ^ pb[vA>>n&m]
+		pkB := pa[vB&m] ^ pb[vB>>n&m]
+		iBim, iMeta := s.PC&m, pkA&m
+		iG0, iG1 := pkA>>lutField&m, pkB>>(2*lutField)&m
+		sB, s0, s1, sM := bim[iBim], g0[iG0], g1[iG1], meta[iMeta]
+		bb, b0, b1, pm := aut.bit[sB], aut.bit[s0], aut.bit[s1], aut.bit[sM]
+		t := bit(s.Taken)
+		maj := (bb + b0 + b1) >> 1
+		wrong := bb ^ pm&(maj^bb) ^ t
+		right := wrong ^ 1
+		gSkip := right &^ pm
+		bim[iBim] = sB ^ (sB^aut.next[uint16(sB)<<1|uint16(t)])&(pm&right&(bb^t)-1)
+		g0[iG0] = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&((gSkip|right&(b0^t))-1)
+		g1[iG1] = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&((gSkip|right&(b1^t))-1)
+		meta[iMeta] = sM ^ (sM^aut.next[uint16(sM)<<1|uint16(1^maj^t^flip)])&-(maj^bb)
+		mis += int(wrong)
 	}
 	return mis
 }
 
 // Fault injection
 
-// TamperLUT XORs delta into one split-LUT entry of a compiled skewed
-// kernel: bank selects the index function (0..2), half selects the V1
-// (0) or V2 (1) table, entry the table slot. The kernel's LUT is
-// copied before the fault is planted, so the shared cache stays clean.
-// It exists for the differential harness's fault-injection self-test —
-// a verifier that cannot catch a planted LUT off-by-one cannot be
-// trusted to catch a real one — and returns an error for kernels
-// without LUTs.
+// TamperLUT XORs delta into one LUT entry of a compiled skewed or
+// 2Bc-gskew kernel: bank selects the index function (0..2), half
+// selects the V1 (0) or V2 (1) table, entry the table slot. Both
+// kernels store the packed form, so the fault lands in the selected
+// bank's 21-bit field of the selected half's entry — observationally
+// identical to flipping the same bits of a split table. The kernel's
+// LUT is copied before the fault is planted, so the shared cache stays
+// clean. It exists for the differential harness's fault-injection
+// self-test — a verifier that cannot catch a planted LUT off-by-one
+// cannot be trusted to catch a real one — and returns an error for
+// kernels without LUTs.
 func TamperLUT(k Kernel, bank, half int, entry uint64, delta uint32) error {
-	switch sk := k.(type) {
+	var pa, pb *[]uint64
+	switch kk := k.(type) {
 	case *skewKernel:
-		// The three-bank kernel stores the packed form; the fault
-		// lands in the selected bank's 21-bit field of the selected
-		// half's entry — observationally identical to flipping the
-		// same bits of a split table.
-		if bank < 0 || bank > 2 || half < 0 || half > 1 {
-			return fmt.Errorf("kernel: no LUT at bank %d half %d", bank, half)
-		}
-		slot := &sk.pa
-		if half == 1 {
-			slot = &sk.pb
-		}
-		if entry >= uint64(len(*slot)) {
-			return fmt.Errorf("kernel: LUT entry %d out of range [0,%d)", entry, len(*slot))
-		}
-		cp := append([]uint64(nil), *slot...)
-		cp[entry] ^= uint64(delta) << (uint(bank) * lutField)
-		*slot = cp
-		return nil
+		pa, pb = &kk.pa, &kk.pb
 	case *tbcKernel:
-		slot := lutSlot(&sk.l0a, &sk.l0b, &sk.l1a, &sk.l1b, &sk.l2a, &sk.l2b, bank, half)
-		if slot == nil {
-			return fmt.Errorf("kernel: no LUT at bank %d half %d", bank, half)
-		}
-		if entry >= uint64(len(*slot)) {
-			return fmt.Errorf("kernel: LUT entry %d out of range [0,%d)", entry, len(*slot))
-		}
-		cp := append([]uint32(nil), *slot...)
-		cp[entry] ^= delta
-		*slot = cp
-		return nil
+		pa, pb = &kk.pa, &kk.pb
 	default:
 		return fmt.Errorf("kernel: %T has no skew LUTs to tamper with", k)
 	}
-}
-
-func lutSlot(a0, b0, a1, b1, a2, b2 *[]uint32, bank, half int) *[]uint32 {
-	switch {
-	case bank == 0 && half == 0:
-		return a0
-	case bank == 0 && half == 1:
-		return b0
-	case bank == 1 && half == 0:
-		return a1
-	case bank == 1 && half == 1:
-		return b1
-	case bank == 2 && half == 0:
-		return a2
-	case bank == 2 && half == 1:
-		return b2
+	if bank < 0 || bank > 2 || half < 0 || half > 1 {
+		return fmt.Errorf("kernel: no LUT at bank %d half %d", bank, half)
 	}
+	slot := pa
+	if half == 1 {
+		slot = pb
+	}
+	if entry >= uint64(len(*slot)) {
+		return fmt.Errorf("kernel: LUT entry %d out of range [0,%d)", entry, len(*slot))
+	}
+	cp := append([]uint64(nil), *slot...)
+	cp[entry] ^= uint64(delta) << (uint(bank) * lutField)
+	*slot = cp
 	return nil
 }

@@ -210,9 +210,9 @@ func TestCompileRejectsUncompilableShapes(t *testing.T) {
 	}
 }
 
-// TestLUTsMatchSkewer: every split-LUT pair reproduces the skewing
-// functions exactly: fK(v) == aK[v1] ^ bK[v2] for exhaustive small
-// widths.
+// TestLUTsMatchSkewer: the packed LUT pair reproduces the skewing
+// functions exactly: field K of pa[v1] ^ pb[v2] is fK(v), for
+// exhaustive small widths.
 func TestLUTsMatchSkewer(t *testing.T) {
 	for _, n := range []uint{2, 3, 6, 8} {
 		sk := skewfn.New(n)
@@ -221,14 +221,11 @@ func TestLUTsMatchSkewer(t *testing.T) {
 		for v := uint64(0); v < size; v++ {
 			v1 := v & sk.Mask()
 			v2 := v >> n & sk.Mask()
-			if got, want := uint64(ls.a0[v1]^ls.b0[v2]), sk.F0(v); got != want {
-				t.Fatalf("n=%d v=%#x: f0 lut %#x, skewer %#x", n, v, got, want)
-			}
-			if got, want := uint64(ls.a1[v1]^ls.b1[v2]), sk.F1(v); got != want {
-				t.Fatalf("n=%d v=%#x: f1 lut %#x, skewer %#x", n, v, got, want)
-			}
-			if got, want := uint64(ls.a2[v1]^ls.b2[v2]), sk.F2(v); got != want {
-				t.Fatalf("n=%d v=%#x: f2 lut %#x, skewer %#x", n, v, got, want)
+			pk := ls.pa[v1] ^ ls.pb[v2]
+			for bank, want := range []uint64{sk.F0(v), sk.F1(v), sk.F2(v)} {
+				if got := pk >> (uint(bank) * lutField) & (1<<lutField - 1); got != want {
+					t.Fatalf("n=%d v=%#x: f%d lut %#x, skewer %#x", n, v, bank, got, want)
+				}
 			}
 		}
 	}

@@ -22,41 +22,33 @@ import (
 //
 //	f_k(V) = lutV1_k[V & mask] ^ lutV2_k[(V >> n) & mask]
 //
-// The tables below precompute the V1-side and V2-side images for each
-// of the three bank functions. Entries are uint32 (bank indices are at
-// most MaxLUTBits wide), so a full set for n-bit banks costs
-// 6 x 2^n x 4 bytes.
-//
-// For the three-bank skewed kernels — where all banks index with the
-// SAME vector V — the three per-bank images are additionally packed
-// into one uint64 per entry (21-bit fields: f0 | f1<<21 | f2<<42).
-// XOR distributes over the disjoint fields, so
+// The V1-side and V2-side images of the three bank functions are
+// packed into one uint64 per entry (21-bit fields: f0 | f1<<21 |
+// f2<<42). XOR distributes over the disjoint fields, so
 //
 //	packed(V) = pa[V1] ^ pb[V2]
 //
-// yields all three bank indices in two loads instead of six; at the
-// paper's bank sizes the six scattered uint32 tables overflow L1
-// while the two packed tables are two cache-line touches per branch.
-// 2Bc-gskew cannot use the packing (its banks hash different vectors)
-// and keeps the split tables.
+// yields all three bank indices of one vector in two loads instead of
+// six; at the paper's bank sizes six scattered per-function tables
+// overflow L1 while the two packed tables are two cache-line touches
+// per branch. The three-bank skewed kernels index every bank with the
+// same vector; 2Bc-gskew hashes two vectors (short history for G0 and
+// META, long for G1), so it makes one packed lookup pair per vector
+// and keeps the fields it needs from each.
 
 // MaxLUTBits bounds the bank index width the compiled kernels
 // support. At 18 bits (the paper's largest 256k-entry tables) one LUT
-// set costs 10 MiB split+packed; wider configurations fall back to
-// the generic predictor interface rather than trade memory for
-// dispatch. 3*MaxLUTBits must stay under 64 for the packing.
+// set costs 4 MiB; wider configurations fall back to the generic
+// predictor interface rather than trade memory for dispatch.
+// 3*MaxLUTBits must stay under 64 for the packing.
 const MaxLUTBits = 18
 
 // lutField is the bit width of one bank's field in a packed entry.
 const lutField = 21
 
-// lutSet holds the six split lookup tables for one index width, plus
-// the packed form. The aK table is indexed by V1, the bK table by V2;
-// fK = aK[V1] ^ bK[V2], and f0|f1<<21|f2<<42 = pa[V1] ^ pb[V2].
+// lutSet holds the packed lookup tables for one index width:
+// f0|f1<<21|f2<<42 = pa[V1] ^ pb[V2].
 type lutSet struct {
-	a0, b0 []uint32
-	a1, b1 []uint32
-	a2, b2 []uint32
 	pa, pb []uint64
 }
 
@@ -75,34 +67,28 @@ func lutsFor(n uint) *lutSet {
 	}
 	sk := skewfn.New(n)
 	size := uint64(1) << n
-	ls := &lutSet{
-		a0: make([]uint32, size), b0: make([]uint32, size),
-		a1: make([]uint32, size), b1: make([]uint32, size),
-		a2: make([]uint32, size), b2: make([]uint32, size),
-		pa: make([]uint64, size), pb: make([]uint64, size),
-	}
+	ls := &lutSet{pa: make([]uint64, size), pb: make([]uint64, size)}
 	for x := uint64(0); x < size; x++ {
 		h, hinv := sk.H(x), sk.Hinv(x)
-		ls.a0[x] = uint32(h)        // f0's V1 side: H(V1)
-		ls.b0[x] = uint32(hinv ^ x) // f0's V2 side: Hinv(V2) ^ V2
-		ls.a1[x] = uint32(h ^ x)    // f1's V1 side: H(V1) ^ V1
-		ls.b1[x] = uint32(hinv)     // f1's V2 side: Hinv(V2)
-		ls.a2[x] = uint32(hinv)     // f2's V1 side: Hinv(V1)
-		ls.b2[x] = uint32(h ^ x)    // f2's V2 side: H(V2) ^ V2
-		ls.pa[x] = uint64(ls.a0[x]) | uint64(ls.a1[x])<<lutField | uint64(ls.a2[x])<<(2*lutField)
-		ls.pb[x] = uint64(ls.b0[x]) | uint64(ls.b1[x])<<lutField | uint64(ls.b2[x])<<(2*lutField)
+		// V1 sides: f0 H(V1), f1 H(V1)^V1, f2 Hinv(V1).
+		ls.pa[x] = h | (h^x)<<lutField | hinv<<(2*lutField)
+		// V2 sides: f0 Hinv(V2)^V2, f1 Hinv(V2), f2 H(V2)^V2.
+		ls.pb[x] = hinv ^ x | hinv<<lutField | (h^x)<<(2*lutField)
 	}
 	actual, _ := lutCache.LoadOrStore(n, ls)
 	return actual.(*lutSet)
 }
 
-// automaton is a saturating counter lowered to transition tables: one
-// 256-entry predict table and a 512-entry next-state table indexed by
-// state<<1 | taken. Embedding it by value in each kernel keeps the
-// lookups one load away from the kernel's other fields.
+// automaton is a saturating counter lowered to transition tables: a
+// 256-entry predict table (as bool, and as a 0/1 byte for the
+// branch-free loops, which combine predictions arithmetically) and a
+// 512-entry next-state table indexed by state<<1 | taken. Embedding it
+// by value in each kernel keeps the lookups one load away from the
+// kernel's other fields.
 type automaton struct {
 	next [512]uint8
 	pred [256]bool
+	bit  [256]uint8 // pred as 0/1
 }
 
 // automata caches the (at most eight) distinct counter automata.
@@ -129,6 +115,9 @@ func automatonFor(bits uint) automaton {
 			st = max // states beyond max are unreachable; clamp anyway
 		}
 		a.pred[s] = st > mid
+		if a.pred[s] {
+			a.bit[s] = 1
+		}
 		dn, up := st, st
 		if dn > 0 {
 			dn--

@@ -1,10 +1,11 @@
 package kernel
 
-// StateKernel is the state-access surface every compiled kernel
-// implements: the counter banks the kernel trains (aliasing the
-// predictor's own storage, so reads and writes through them are reads
-// and writes of the predictor) and an index-only pass marking which
-// cells a block of steps touches.
+// StateKernel is the state-access surface every compiled
+// counter-table kernel implements (all but TAGE, whose tag-steered
+// state is not a set of counter banks): the counter banks the kernel
+// trains (aliasing the predictor's own storage, so reads and writes
+// through them are reads and writes of the predictor) and an
+// index-only pass marking which cells a block of steps touches.
 //
 // The segment-parallel runner (internal/sim) is built on two facts
 // this interface exposes. First, every bank index is a pure function

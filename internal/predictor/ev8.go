@@ -38,6 +38,11 @@ type TwoBcGSkew struct {
 	lastAddr, lastHist uint64
 	last               ev8State
 	lastOK             bool
+
+	// metaInverted is false in a correct predictor; TamperTwoBcMeta
+	// sets it for the verification selftest, inverting the direction
+	// META trains toward when the two strategies disagree.
+	metaInverted bool
 }
 
 // newTwoBcGSkew is the 2Bc-gskew implementation behind Spec.New.
@@ -153,7 +158,7 @@ func (t *TwoBcGSkew) train(s ev8State, taken bool) {
 		t.g1.Update(s.iG1, taken)
 	}
 	if (s.majority == taken) != (s.bim == taken) {
-		t.meta.Update(s.iMeta, s.majority == taken)
+		t.meta.Update(s.iMeta, (s.majority == taken) != t.metaInverted)
 	}
 }
 
@@ -194,6 +199,24 @@ func (t *TwoBcGSkew) Tables() (bim, g0, g1, meta *counter.Table) {
 // read state, which goes stale when the tables are trained without
 // going through Update (i.e. by a compiled kernel).
 func (t *TwoBcGSkew) InvalidateMemo() { t.lastOK = false }
+
+// MetaInverted reports whether the TamperTwoBcMeta fault is planted,
+// so a compiled kernel reproduces it.
+func (t *TwoBcGSkew) MetaInverted() bool { return t.metaInverted }
+
+// TamperTwoBcMeta plants a chooser fault into p: when BIM and the
+// majority differ in correctness, META trains toward the wrong one.
+// It exists for the differential harness's fault-injection selftest
+// and reports whether p is a 2Bc-gskew predictor the fault applies
+// to.
+func TamperTwoBcMeta(p Predictor) bool {
+	t, ok := p.(*TwoBcGSkew)
+	if !ok {
+		return false
+	}
+	t.metaInverted = true
+	return true
+}
 
 // String describes the configuration.
 func (t *TwoBcGSkew) String() string {

@@ -32,11 +32,13 @@ import (
 //     whose usefulness has decayed to zero, and usefulness counters
 //     age periodically so stale entries eventually free up.
 //
-// TAGE state is not a linear automaton over GF(2)-hashed indices —
-// tag-match steering and allocation are data-dependent — so the family
-// deliberately has no internal/kernel compiled form (kernel.Compile
-// reports false) and runs on the generic/Stepper paths of the
-// simulator.
+// The history halves of the index and tag hashes are GF(2)-linear
+// in the history, so internal/kernel compiles the family: it tabulates
+// them per history chunk (through this predictor's own fold, exposed
+// with the shared storage by KernelStorage) and runs resolve, train,
+// allocate and age over the same arrays. Tag-match steering and
+// allocation are data-dependent, so the kernel has no index-only
+// touch pass and the segmented runner keeps TAGE on its serial path.
 
 // tageMaxTables bounds the tagged-component chain; resolve uses
 // fixed-size scratch arrays so a prediction allocates nothing.
@@ -151,17 +153,27 @@ func (t *TAGE) fold(hist uint64, length, width uint) uint64 {
 // index returns component i's table index: branch address bits spread
 // per component XORed with the folded history.
 func (t *TAGE) index(addr, hist uint64, i int) uint64 {
-	f := t.fold(hist, t.lens[i], t.n)
-	return (addr ^ addr>>uint(i+1) ^ f) & (uint64(1)<<t.n - 1)
+	return (addr ^ addr>>uint(i+1) ^ t.indexFold(hist, i)) & (uint64(1)<<t.n - 1)
 }
 
 // tag returns component i's partial tag: the address XORed with two
 // differently-sized history folds (the second shifted up one bit, the
 // standard trick that decorrelates tag and index aliasing).
 func (t *TAGE) tag(addr, hist uint64, i int) uint64 {
-	f1 := t.fold(hist, t.lens[i], t.tagBits)
-	f2 := t.fold(hist, t.lens[i], t.tagBits-1)
-	return (addr ^ f1 ^ f2<<1) & (uint64(1)<<t.tagBits - 1)
+	return (addr ^ t.tagFold(hist, i)) & (uint64(1)<<t.tagBits - 1)
+}
+
+// indexFold and tagFold are the history halves of component i's index
+// and tag hashes.
+func (t *TAGE) indexFold(hist uint64, i int) uint64 { return t.fold(hist, t.lens[i], t.n) }
+
+func (t *TAGE) tagFold(hist uint64, i int) uint64 {
+	return t.fold(hist, t.lens[i], t.tagBits) ^ t.fold(hist, t.lens[i], t.tagBits-1)<<1
+}
+
+// histHash returns both history halves, for KernelStorage.
+func (t *TAGE) histHash(hist uint64, i int) (idx, tag uint64) {
+	return t.indexFold(hist, i), t.tagFold(hist, i)
 }
 
 // tageRef is the resolved per-reference picture: indices, tags, the
@@ -319,6 +331,57 @@ func (t *TAGE) String() string {
 func (t *TAGE) Spec() Spec {
 	return Spec{Family: "tage", N: t.n, Hist: t.k, HistMin: t.kmin,
 		Tables: len(t.comps), Tag: t.tagBits, Ctr: t.ctrBits}.Normalize()
+}
+
+// TAGEStorage is what a compiled TAGE kernel shares with its
+// predictor: the storage itself (so a kernel-driven run leaves the
+// predictor in exactly the state the interface path would, and Reset
+// resets the kernel too) and the history hashes the kernel tabulates.
+type TAGEStorage struct {
+	// N is the index width; TagBits and CtrBits are the tagged
+	// components' tag and counter widths (the base counters are 2-bit).
+	N, TagBits, CtrBits uint
+	// Lens[i] is component i's history length.
+	Lens []uint
+	// Base holds the base table's counter cells; Tags, Ctrs and Us
+	// hold each component's tags, counter cells and usefulness
+	// counters.
+	Base []uint8
+	Tags [][]uint32
+	Ctrs [][]uint8
+	Us   [][]uint8
+	// Updates points at the ageing counter, which every AgePeriod
+	// updates halves every usefulness counter.
+	Updates   *int
+	AgePeriod int
+	// HistHash returns the history halves of component i's index hash
+	// (XORed with addr ^ addr>>(i+1)) and tag hash (XORed with addr),
+	// both GF(2)-linear in hist, computed by the predictor's own fold.
+	HistHash func(hist uint64, i int) (idx, tag uint64)
+	// Exact is false when a planted selftest fault alters the fold,
+	// so tables built from HistHash must not be shared by geometry.
+	Exact bool
+}
+
+// KernelStorage exposes the predictor's storage and hashes, for the
+// compiled kernel layer (which shares them).
+func (t *TAGE) KernelStorage() TAGEStorage {
+	s := TAGEStorage{
+		N: t.n, TagBits: t.tagBits, CtrBits: t.ctrBits,
+		Lens:      t.lens,
+		Base:      t.base.Cells(),
+		Updates:   &t.updates,
+		AgePeriod: tageAgePeriod,
+		HistHash:  t.histHash,
+		Exact:     t.foldSkew == 0,
+	}
+	for i := range t.comps {
+		c := &t.comps[i]
+		s.Tags = append(s.Tags, c.tags)
+		s.Ctrs = append(s.Ctrs, c.ctrs.Cells())
+		s.Us = append(s.Us, c.us)
+	}
+	return s
 }
 
 // TamperTAGEFold plants an off-by-one into p's folded-history

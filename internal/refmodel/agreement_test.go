@@ -218,3 +218,32 @@ func TestSpecGSkewedMatchesImpl(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecTwoBcGSkewMatchesImpl: full predictor agreement for
+// 2Bc-gskew over short histories inside, equal to and wider than the
+// index, on both the Predict/Update and the fused Step paths.
+func TestSpecTwoBcGSkewMatchesImpl(t *testing.T) {
+	for _, h := range []struct{ short, long uint }{{3, 9}, {7, 7}, {10, 20}} {
+		for _, useStep := range []bool{false, true} {
+			impl := predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: h.short, Hist: h.long}).(*predictor.TwoBcGSkew)
+			spec := refmodel.NewSpecTwoBcGSkew(7, h.short, h.long)
+			step := 0
+			randomRefs(300+uint64(h.long), 20000, func(addr, hist uint64, taken bool) {
+				specPred := spec.Predict(addr, hist)
+				var implPred bool
+				if useStep {
+					implPred = impl.Step(addr, hist, taken)
+				} else {
+					implPred = impl.Predict(addr, hist)
+					impl.Update(addr, hist, taken)
+				}
+				if specPred != implPred {
+					t.Fatalf("2bcgskew(ks=%d,k=%d,step=%v) diverged at ref %d: spec %v impl %v",
+						h.short, h.long, useStep, step, specPred, implPred)
+				}
+				spec.Update(addr, hist, taken)
+				step++
+			})
+		}
+	}
+}

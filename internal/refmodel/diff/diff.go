@@ -69,16 +69,47 @@ func (p Path) String() string {
 	}
 }
 
+// Arm is the path's short name in sweep logs: pair, step, kernel,
+// seg or b64.
+func (p Path) Arm() string {
+	switch p {
+	case PathPair:
+		return "pair"
+	case PathSegmented:
+		return "seg"
+	case PathBatch64:
+		return "b64"
+	}
+	return p.String()
+}
+
+// Arms lists the short names of the paths that apply to the cell, in
+// check order, comma-separated.
+func (c Cell) Arms() string {
+	s := ""
+	for _, p := range Paths() {
+		if c.PathApplies(p) {
+			if s != "" {
+				s += ","
+			}
+			s += p.Arm()
+		}
+	}
+	return s
+}
+
 // Cell identifies one configuration point of the sweep.
 type Cell struct {
 	// Family is "bimodal", "gshare", "gselect", "gskewed", "egskew",
-	// "tage" or "perceptron".
+	// "2bcgskew", "tage" or "perceptron".
 	Family string
 	// N is the index width: 2^N entries (per bank/table/component for
 	// the multi-table families).
 	N uint
-	// Hist is the global-history length.
+	// Hist is the global-history length (2bcgskew: G1's long history).
 	Hist uint
+	// Short is 2bcgskew's short history length (G0 and META).
+	Short uint
 	// Ctr is the counter width in bits (the signed weight width for
 	// perceptron cells).
 	Ctr uint
@@ -106,6 +137,8 @@ func (c Cell) String() string {
 		} else {
 			s += "/total"
 		}
+	case "2bcgskew":
+		s += fmt.Sprintf("/s%d", c.Short)
 	case "tage":
 		s += fmt.Sprintf("/t%d/tag%d", c.Tables, c.Tag)
 	case "perceptron":
@@ -123,6 +156,8 @@ func (c Cell) Spec() (refmodel.Spec, error) {
 		return refmodel.NewSpecGSkewed(c.N, c.Hist, c.Ctr, c.Partial, false), nil
 	case "egskew":
 		return refmodel.NewSpecGSkewed(c.N, c.Hist, c.Ctr, c.Partial, true), nil
+	case "2bcgskew":
+		return refmodel.NewSpecTwoBcGSkew(c.N, c.Short, c.Hist), nil
 	case "tage":
 		return refmodel.NewSpecTAGE(c.N, c.Hist, cellTageKMin, uint(c.Tables), c.Tag, c.Ctr), nil
 	case "perceptron":
@@ -141,7 +176,7 @@ func (c Cell) Spec() (refmodel.Spec, error) {
 // path every tool and experiment uses.
 func (c Cell) Impl() (predictor.Predictor, error) {
 	switch c.Family {
-	case "bimodal", "gshare", "gselect", "gskewed", "egskew", "tage", "perceptron":
+	case "bimodal", "gshare", "gselect", "gskewed", "egskew", "2bcgskew", "tage", "perceptron":
 	default:
 		return nil, fmt.Errorf("diff: unknown family %q", c.Family)
 	}
@@ -152,6 +187,8 @@ func (c Cell) Impl() (predictor.Predictor, error) {
 		if c.Partial {
 			s.Policy = predictor.PartialUpdate
 		}
+	case "2bcgskew":
+		s.HistShort = c.Short
 	case "tage":
 		s.Tables = c.Tables
 		s.Tag = c.Tag
@@ -200,6 +237,16 @@ func DefaultSweep() []Cell {
 			}
 		}
 	}
+	// 2Bc-gskew: 3 configs spanning a short history inside the index,
+	// both vectors wider than one index (the long one past 2n bits, so
+	// its top history bits fall outside f2) and equal lengths.
+	for _, c := range []Cell{
+		{Family: "2bcgskew", N: 6, Short: 3, Hist: 9, Ctr: 2},
+		{Family: "2bcgskew", N: 8, Short: 10, Hist: 20, Ctr: 2},
+		{Family: "2bcgskew", N: 10, Short: 12, Hist: 12, Ctr: 2},
+	} {
+		cells = append(cells, c)
+	}
 	// Modern rivals: 3 configs each, spanning short chains where every
 	// component length fits the index, the folding regime (lengths well
 	// past index and tag widths) and both counter/weight widths.
@@ -227,20 +274,23 @@ func CellByName(name string) (Cell, error) {
 }
 
 // PathApplies reports whether the cell's family has an implementation
-// on the path. The tagged/neural families (tage, perceptron) are not
-// linear counter automata over hashed indices, so they have no
-// compiled kernel and no bitsliced group form; the bitsliced automaton
-// additionally exists only at 2-bit counter width. (The segmented path
-// applies everywhere: sim.RunSegmented degrades to the exact serial
-// runner for families without a state kernel, and the aggregate check
+// on the path. Every family but the perceptron compiles to a kernel
+// (internal/kernel). The bitsliced group form exists only for the
+// single-table and three-bank skewed families, and only at 2-bit
+// counter width. (The segmented path applies everywhere:
+// sim.RunSegmented degrades to the exact serial runner for families
+// without a state kernel, tage included, and the aggregate check
 // still pins that path against the spec.)
 func (c Cell) PathApplies(p Path) bool {
-	tagged := c.Family == "tage" || c.Family == "perceptron"
 	switch p {
 	case PathKernel:
-		return !tagged
+		return c.Family != "perceptron"
 	case PathBatch64:
-		return !tagged && c.Ctr == 2
+		switch c.Family {
+		case "bimodal", "gshare", "gselect", "gskewed", "egskew":
+			return c.Ctr == 2
+		}
+		return false
 	}
 	return true
 }
@@ -524,7 +574,7 @@ func Sweep(cells []Cell, opts Options) ([]CellResult, error) {
 			if res.Div != nil {
 				status = fmt.Sprintf("DIVERGED (%v; shrunk to %d records)", res.Div, len(res.Shrunk))
 			}
-			fmt.Fprintf(opts.Log, "%-28s seed=%-6d steps=%-8d %s\n", c, res.Seed, res.Steps, status)
+			fmt.Fprintf(opts.Log, "%-28s seed=%-6d steps=%-8d paths=%-26s %s\n", c, res.Seed, res.Steps, c.Arms(), status)
 		}
 		results = append(results, res)
 	}

@@ -24,6 +24,7 @@ func TestDefaultSweepShape(t *testing.T) {
 	for _, key := range []string{
 		"bimodal", "gshare", "gselect",
 		"gskewed/partial", "gskewed/total", "egskew/partial", "egskew/total",
+		"2bcgskew", "tage", "perceptron",
 	} {
 		if counts[key] < 3 {
 			t.Errorf("sweep has %d cells for %s, want >= 3", counts[key], key)
@@ -111,6 +112,8 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 		{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true},
 		{Family: "egskew", N: 6, Hist: 8, Ctr: 2, Partial: false},
 		{Family: "bimodal", N: 8, Ctr: 2},
+		{Family: "2bcgskew", N: 6, Short: 4, Hist: 10, Ctr: 2},
+		{Family: "tage", N: 6, Hist: 16, Ctr: 3, Tables: 4, Tag: 6},
 	}
 	var log bytes.Buffer
 	results, err := SelfTest(cells, 4000, 2, 50, &log)
@@ -120,11 +123,22 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("selftest ran zero injections")
 	}
+	seen := map[string]bool{}
 	for _, r := range results {
+		seen[r.Mutant] = true
 		if !r.Caught {
 			t.Errorf("%s/%s escaped the harness", r.Cell, r.Mutant)
 		} else if r.ShrunkLen == 0 || r.ShrunkLen > 50 {
 			t.Errorf("%s/%s shrunk to %d records, want 1..50", r.Cell, r.Mutant, r.ShrunkLen)
+		}
+	}
+	// Planted faults are checked on the compiled kernels too.
+	for _, name := range []string{
+		"2bcgskew-meta-flip", "2bcgskew-meta-flip/kernel",
+		"tage-fold-off-by-one", "tage-fold-off-by-one/kernel",
+	} {
+		if !seen[name] {
+			t.Errorf("selftest never injected %s", name)
 		}
 	}
 }

@@ -45,6 +45,11 @@ type Mutant struct {
 	Name string
 	// Build constructs the faulty implementation for a cell.
 	Build ImplBuilder
+	// Planted marks a fault planted inside the implementation (not
+	// wrapped around its calls). Compiled kernels read the predictor's
+	// own state and hashes, so the selftest also checks such a fault
+	// on the kernel arm of cells that have one.
+	Planted bool
 }
 
 // Mutants returns the standard injected-fault set. A Build returns
@@ -78,7 +83,7 @@ func Mutants() []Mutant {
 		// internal detail, and both its read and write paths see the
 		// flip — exactly the shape of an implementation bug, which only
 		// the independent specification can expose.
-		return Mutant{Name: name, Build: func(c Cell) (predictor.Predictor, error) {
+		return Mutant{Name: name, Planted: true, Build: func(c Cell) (predictor.Predictor, error) {
 			if c.Family != family {
 				return nil, errMutantInapplicable
 			}
@@ -96,6 +101,7 @@ func Mutants() []Mutant {
 		{Name: "addr-off-by-one", Build: wrap("addr-off-by-one")},
 		{Name: "hist-off-by-one", Build: wrap("hist-off-by-one")},
 		tamper("tage-fold-off-by-one", "tage", predictor.TamperTAGEFold),
+		tamper("2bcgskew-meta-flip", "2bcgskew", predictor.TamperTwoBcMeta),
 		tamper("perceptron-theta-sign-flip", "perceptron", predictor.TamperPerceptronTraining),
 		{Name: "policy-flip", Build: func(c Cell) (predictor.Predictor, error) {
 			// The implementation silently uses the other update policy
@@ -206,11 +212,12 @@ func ShrinkSegmentedSkippedReconcile(tr []trace.Branch, c Cell) []trace.Branch {
 
 // SelfTest injects every applicable mutant into a representative cell
 // subset and verifies the harness both catches the fault and shrinks
-// the witness trace to at most maxShrunk records. Interface-level
-// mutants (wrapped Update faults) run on the predict/update path;
-// skewed cells additionally get a LUT off-by-one planted into their
-// compiled kernel, checked on the kernel path. It returns an error
-// listing every escape (a mutant the harness failed to catch) or any
+// the witness trace to at most maxShrunk records. Every mutant runs on
+// the predict/update path; planted mutants also run on the kernel path
+// of cells that compile (reported as "<name>/kernel"), and skewed
+// cells additionally get a LUT off-by-one planted into their compiled
+// kernel, checked on the kernel path. It returns an error listing
+// every escape (a mutant the harness failed to catch) or any
 // counterexample that failed to shrink below the bound.
 func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Writer) ([]SelfTestResult, error) {
 	var results []SelfTestResult
@@ -229,7 +236,7 @@ func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Wri
 			if res.Caught {
 				status = fmt.Sprintf("caught, shrunk to %d records", res.ShrunkLen)
 			}
-			fmt.Fprintf(log, "%-28s %-22s %s\n", c, name, status)
+			fmt.Fprintf(log, "%-28s %-27s %s\n", c, name, status)
 		}
 	}
 	for i, c := range cells {
@@ -241,15 +248,25 @@ func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Wri
 			if _, err := m.Build(c); err == errMutantInapplicable {
 				continue
 			}
-			div, err := CheckBuilt(tr, c, m.Build, PathPair)
-			if err != nil {
-				return results, fmt.Errorf("diff: selftest %s/%s: %w", c, m.Name, err)
+			paths := []Path{PathPair}
+			if m.Planted && c.PathApplies(PathKernel) {
+				paths = append(paths, PathKernel)
 			}
-			res := SelfTestResult{Cell: c, Mutant: m.Name, Caught: div != nil}
-			if div != nil {
-				res.ShrunkLen = len(ShrinkBuilt(tr, c, m.Build, PathPair))
+			for _, path := range paths {
+				name := m.Name
+				if path == PathKernel {
+					name += "/kernel"
+				}
+				div, err := CheckBuilt(tr, c, m.Build, path)
+				if err != nil {
+					return results, fmt.Errorf("diff: selftest %s/%s: %w", c, name, err)
+				}
+				res := SelfTestResult{Cell: c, Mutant: name, Caught: div != nil}
+				if div != nil {
+					res.ShrunkLen = len(ShrinkBuilt(tr, c, m.Build, path))
+				}
+				record(c, name, res)
 			}
-			record(c, m.Name, res)
 		}
 		if kernelFaultApplies(c) {
 			div, err := CheckKernelTampered(tr, c, kernelLUTFault)

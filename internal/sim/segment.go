@@ -171,9 +171,9 @@ func (st *stagedTrace) hasFlushInside(lo, hi int) bool {
 // so, compiles the original predictors' kernels. Only an explicit
 // request (Segments >= 2) segments. ok is false when the options do
 // not ask for segments or any predictor is ineligible (no Spec, no
-// compiled kernel, first-use tracking, a Recorder, or NoKernel) — the
-// caller then runs serially, so a segment request degrades rather than
-// fails.
+// compiled state kernel — TAGE's kernel has none — first-use
+// tracking, a Recorder, or NoKernel) — the caller then runs serially,
+// so a segment request degrades rather than fails.
 func segPlan(preds []predictor.Predictor, opts Options) (k int, hists []uint, orig []kernel.StateKernel, ok bool) {
 	if opts.Segments < 2 {
 		// Serial (1 or negative) or auto (0): auto never segments; on

@@ -195,6 +195,18 @@ var (
 // mParRuns counts runs that drained their blocks on several goroutines.
 var mParRuns = obs.NewCounter("sim.par.runs")
 
+// Path provenance: once per cell per run, the path that stepped it — a
+// bitsliced group lane, a compiled kernel (serial, cell-parallel or
+// segmented), the fused Stepper or the generic Predict/Update pair —
+// plus cellpar for every cell of a cell-parallel run.
+var (
+	mPathGroup   = obs.NewCounter("sim.path.group")
+	mPathKernel  = obs.NewCounter("sim.path.kernel")
+	mPathStepper = obs.NewCounter("sim.path.stepper")
+	mPathGeneric = obs.NewCounter("sim.path.generic")
+	mPathCellPar = obs.NewCounter("sim.path.cellpar")
+)
+
 // minGroupLanes is the grouping threshold: below 8 lanes the transpose
 // overhead of the bitsliced path is not worth it over per-cell kernels.
 const minGroupLanes = 8
@@ -521,8 +533,29 @@ func (r *manyRunner) results() []Result {
 	return out
 }
 
+// countPaths records each cell's path in the sim.path counters.
+func (r *manyRunner) countPaths() {
+	for i := range r.cells {
+		c := &r.cells[i]
+		switch {
+		case c.grouped:
+			mPathGroup.Inc()
+		case c.kern != nil:
+			mPathKernel.Inc()
+		case c.stepper != nil && c.tracker == nil:
+			mPathStepper.Inc()
+		default:
+			mPathGeneric.Inc()
+		}
+	}
+	if r.start != nil {
+		mPathCellPar.Add(int64(len(r.cells)))
+	}
+}
+
 // run streams src through the runner and returns the results.
 func (r *manyRunner) run(src trace.Source) ([]Result, error) {
+	r.countPaths()
 	if err := r.stageSource(src, r); err != nil {
 		return nil, err
 	}
@@ -566,6 +599,7 @@ func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Res
 		}
 		res := runSegmentedMany(st, preds, hists, orig, opts, k, true)
 		st.release()
+		mPathKernel.Add(int64(len(preds)))
 		return res, nil
 	}
 	if r == nil {
