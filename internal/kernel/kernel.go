@@ -177,7 +177,7 @@ func (k *bimodalKernel) step1(pc, _ uint64, taken bool) bool {
 	i := pc & k.idxMask
 	s := k.cells[i]
 	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
-	return k.aut.pred[s]
+	return k.aut.bit[s] != 0
 }
 
 func (k *bimodalKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
@@ -199,7 +199,7 @@ func (k *bimodalKernel) StepBatch(steps []Step) int {
 		j := s.PC & m
 		c := cells[j]
 		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
-		if aut.pred[c] != s.Taken {
+		if aut.bit[c] != bit(s.Taken) {
 			mis++
 		}
 	}
@@ -236,7 +236,7 @@ func (k *gshareKernel) step1(pc, hist uint64, taken bool) bool {
 	i := k.index(pc, hist)
 	s := k.cells[i]
 	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
-	return k.aut.pred[s]
+	return k.aut.bit[s] != 0
 }
 
 func (k *gshareKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
@@ -265,7 +265,7 @@ func (k *gshareKernel) StepBatch(steps []Step) int {
 			j := (s.PC ^ f) & m
 			c := cells[j]
 			cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
-			if aut.pred[c] != s.Taken {
+			if aut.bit[c] != bit(s.Taken) {
 				mis++
 			}
 		}
@@ -276,7 +276,7 @@ func (k *gshareKernel) StepBatch(steps []Step) int {
 		j := (s.PC ^ (s.Hist&histMask)<<shift) & m
 		c := cells[j]
 		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
-		if aut.pred[c] != s.Taken {
+		if aut.bit[c] != bit(s.Taken) {
 			mis++
 		}
 	}
@@ -305,7 +305,7 @@ func (k *gselectKernel) step1(pc, hist uint64, taken bool) bool {
 	i := k.index(pc, hist)
 	s := k.cells[i]
 	k.cells[i] = k.aut.next[uint16(s)<<1|uint16(bit(taken))]
-	return k.aut.pred[s]
+	return k.aut.bit[s] != 0
 }
 
 func (k *gselectKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
@@ -328,7 +328,7 @@ func (k *gselectKernel) StepBatch(steps []Step) int {
 		j := ((s.Hist&hMask)<<shift | s.PC&aMask) & m
 		c := cells[j]
 		cells[j] = aut.next[uint16(c)<<1|uint16(bit(s.Taken))]
-		if aut.pred[c] != s.Taken {
+		if aut.bit[c] != bit(s.Taken) {
 			mis++
 		}
 	}
@@ -385,8 +385,8 @@ type skewKernel struct {
 }
 
 // indices returns the three bank indices for one reference — a pure
-// function of (pc, hist), shared by the step path, the touch pass and
-// the bitsliced lanes.
+// function of (pc, hist), shared by the touch pass and the bitsliced
+// lanes.
 func (k *skewKernel) indices(pc, hist uint64) (i0, i1, i2 uint64) {
 	v := pc<<k.kp | hist&k.vHistMask
 	v1 := v & k.bankMask
@@ -401,37 +401,19 @@ func (k *skewKernel) indices(pc, hist uint64) (i0, i1, i2 uint64) {
 	return i0, i1, i2
 }
 
-func (k *skewKernel) step1(pc, hist uint64, taken bool) bool {
-	i0, i1, i2 := k.indices(pc, hist)
-	s0, s1, s2 := k.b0[i0], k.b1[i1], k.b2[i2]
-	p0, p1, p2 := k.aut.pred[s0], k.aut.pred[s1], k.aut.pred[s2]
-	maj := p0 && (p1 || p2) || p1 && p2
-	tb := uint16(bit(taken))
-	if k.partial && maj == taken {
-		// Partial update: the overall prediction was good, so banks
-		// that dissented keep serving their own substreams.
-		if p0 == taken {
-			k.b0[i0] = k.aut.next[uint16(s0)<<1|tb]
-		}
-		if p1 == taken {
-			k.b1[i1] = k.aut.next[uint16(s1)<<1|tb]
-		}
-		if p2 == taken {
-			k.b2[i2] = k.aut.next[uint16(s2)<<1|tb]
-		}
-	} else {
-		k.b0[i0] = k.aut.next[uint16(s0)<<1|tb]
-		k.b1[i1] = k.aut.next[uint16(s1)<<1|tb]
-		k.b2[i2] = k.aut.next[uint16(s2)<<1|tb]
-	}
-	return maj
+// Step is a one-element StepBatch, so interface sessions and the
+// differential harness drive the same transcription batch runs do.
+func (k *skewKernel) Step(pc, hist uint64, taken bool) bool {
+	s := [1]Step{{PC: pc, Hist: hist, Taken: taken}}
+	return (k.StepBatch(s[:]) == 0) == taken
 }
 
-func (k *skewKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
-
-// StepBatch is step1 over a block, branch-free: the host branches a
-// data-dependent vote and partial update would take mispredict about
-// as often as the simulated predictor does. Every slice is hoisted
+// StepBatch predicts each step by the majority of the three banks and
+// trains them under the kernel's update policy (total: every bank;
+// partial: when the vote was right, only the banks that agreed with
+// it). It is branch-free: the host branches a data-dependent vote and
+// partial update would take mispredict about as often as the
+// simulated predictor does. Every slice is hoisted
 // into a local, resliced to one length, and every index masked by
 // that length, so the compiler's prove pass can eliminate the bounds
 // checks in the loop body (the mask equals bankMask by construction:
@@ -547,57 +529,23 @@ func (k *tbcKernel) indices(pc, hist uint64) (iBim, iG0, iG1, iMeta uint64) {
 	return iBim, iG0, iG1, iMeta
 }
 
-func (k *tbcKernel) step1(pc, hist uint64, taken bool) bool {
-	iBim, iG0, iG1, iMeta := k.indices(pc, hist)
-	sB, s0, s1, sM := k.bim[iBim], k.g0[iG0], k.g1[iG1], k.meta[iMeta]
-	pb, p0, p1 := k.aut.pred[sB], k.aut.pred[s0], k.aut.pred[s1]
-	maj := pb && (p0 || p1) || p0 && p1
-	overall := pb
-	if useMaj := k.aut.pred[sM]; useMaj {
-		overall = maj
-		if overall == taken {
-			// Majority in use and right: strengthen only the agreeing
-			// direction tables.
-			tb := uint16(bit(taken))
-			if pb == taken {
-				k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
-			}
-			if p0 == taken {
-				k.g0[iG0] = k.aut.next[uint16(s0)<<1|tb]
-			}
-			if p1 == taken {
-				k.g1[iG1] = k.aut.next[uint16(s1)<<1|tb]
-			}
-		} else {
-			tb := uint16(bit(taken))
-			k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
-			k.g0[iG0] = k.aut.next[uint16(s0)<<1|tb]
-			k.g1[iG1] = k.aut.next[uint16(s1)<<1|tb]
-		}
-	} else {
-		tb := uint16(bit(taken))
-		if overall == taken {
-			// Bimodal in use and right: train it alone.
-			k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
-		} else {
-			k.bim[iBim] = k.aut.next[uint16(sB)<<1|tb]
-			k.g0[iG0] = k.aut.next[uint16(s0)<<1|tb]
-			k.g1[iG1] = k.aut.next[uint16(s1)<<1|tb]
-		}
-	}
-	if (maj == taken) != (pb == taken) {
-		k.meta[iMeta] = k.aut.next[uint16(sM)<<1|uint16(bit(maj == taken))^uint16(k.metaFlip)]
-	}
-	return overall
+// Step is a one-element StepBatch (see skewKernel.Step).
+func (k *tbcKernel) Step(pc, hist uint64, taken bool) bool {
+	s := [1]Step{{PC: pc, Hist: hist, Taken: taken}}
+	return (k.StepBatch(s[:]) == 0) == taken
 }
 
-func (k *tbcKernel) Step(pc, hist uint64, taken bool) bool { return k.step1(pc, hist, taken) }
-
-// StepBatch is step1 over a block, branch-free and hoisted like
-// skewKernel.StepBatch: the four tables and both packed LUT halves
-// (all 2^n entries) are resliced to one length so a single mask
-// proves every index in range. With 0/1 predictions pb, p0, p1,
-// chooser bit pm and outcome t, step1's rules become
+// StepBatch runs 2Bc-gskew's rules (Seznec et al., ISCA 2002; see
+// ev8.go) over a block. META picks between BIM and the majority of
+// BIM, G0 and G1. When the majority is in use and right, only the
+// direction tables that agreed with it train; when BIM is in use and
+// right, BIM alone trains; on a mispredict all three train. META trains
+// only when the two strategies differed, toward the one that was right.
+//
+// The loop is branch-free and hoisted like skewKernel.StepBatch: the
+// four tables and both packed LUT halves (all 2^n entries) are
+// resliced to one length so a single mask proves every index in range.
+// With 0/1 predictions pb, p0, p1, chooser bit pm and outcome t:
 //
 //	maj     = (pb+p0+p1)>>1
 //	overall = pb ^ (pm & (maj^pb))   (the chooser picks maj or BIM)

@@ -239,8 +239,8 @@ func TestAutomatonMatchesCounter(t *testing.T) {
 		max := uint8(1)<<bits - 1
 		for s := uint8(0); ; s++ {
 			c := counter.New(bits, s)
-			if a.pred[s] != c.Predict() {
-				t.Fatalf("bits=%d state=%d: pred %v, counter %v", bits, s, a.pred[s], c.Predict())
+			if (a.bit[s] != 0) != c.Predict() {
+				t.Fatalf("bits=%d state=%d: bit %d, counter %v", bits, s, a.bit[s], c.Predict())
 			}
 			if got, want := a.next[uint16(s)<<1|1], c.Update(true).Value(); got != want {
 				t.Fatalf("bits=%d state=%d taken: next %d, counter %d", bits, s, got, want)

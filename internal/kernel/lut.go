@@ -80,15 +80,14 @@ func lutsFor(n uint) *lutSet {
 }
 
 // automaton is a saturating counter lowered to transition tables: a
-// 256-entry predict table (as bool, and as a 0/1 byte for the
-// branch-free loops, which combine predictions arithmetically) and a
-// 512-entry next-state table indexed by state<<1 | taken. Embedding it
-// by value in each kernel keeps the lookups one load away from the
-// kernel's other fields.
+// 256-entry predict table (a 0/1 byte, so the branch-free loops can
+// combine predictions arithmetically) and a 512-entry next-state
+// table indexed by state<<1 | taken. Embedding it by value in each
+// kernel keeps the lookups one load away from the kernel's other
+// fields.
 type automaton struct {
 	next [512]uint8
-	pred [256]bool
-	bit  [256]uint8 // pred as 0/1
+	bit  [256]uint8 // 1 when the state predicts taken
 }
 
 // automata caches the (at most eight) distinct counter automata.
@@ -114,8 +113,7 @@ func automatonFor(bits uint) automaton {
 		if st > max {
 			st = max // states beyond max are unreachable; clamp anyway
 		}
-		a.pred[s] = st > mid
-		if a.pred[s] {
+		if st > mid {
 			a.bit[s] = 1
 		}
 		dn, up := st, st
