@@ -1,6 +1,8 @@
 package algotrace
 
 import (
+	"math/bits"
+
 	"gskew/internal/rng"
 	"gskew/internal/trace"
 )
@@ -102,7 +104,7 @@ func recordStringMatch(rec *Recorder, t Spec) {
 	pat := genPattern(r, t.M, t.Sigma, t.Pat)
 	text := genText(r, t.N, t.Sigma, t.Dist, t.P)
 	wf := weakFail(pat)
-	rec.Grow(5*t.N + 8)
+	rec.Grow(reserve(t))
 	if t.Name == "kmp" {
 		recordMatch(rec, kmpSites, text, pat, strongFail(pat), wf[t.M])
 	} else {
@@ -131,7 +133,7 @@ func recordBinsearch(rec *Recorder, t Spec) {
 	r := rng.NewXoshiro256(t.Seed)
 	a := genSortedValues(t.N)
 	s := bsSites
-	rec.Grow(t.Queries * 24)
+	rec.Grow(reserve(t))
 	found := 0
 	for q := 0; q < t.Queries; q++ {
 		// Probes land uniformly in [0, 2n): half present, half absent.
@@ -301,6 +303,7 @@ func recordScanMax(rec *Recorder, t Spec) {
 	r := rng.NewXoshiro256(t.Seed)
 	s := smSites
 	a := make([]int, t.N)
+	rec.Grow(reserve(t))
 	for run := 0; run < t.Runs; run++ {
 		// A uniform permutation: the running max advances ~H_n times.
 		r.Perm(a)
@@ -315,6 +318,31 @@ func recordScanMax(rec *Recorder, t Spec) {
 }
 
 // ---------------------------------------------------------------- dispatch
+
+// reserve bounds the records a spec records, for the families whose
+// stream length has a tight bound, so Record fills one allocation and
+// never grows it; it returns 0 for the sorts, whose length depends on
+// the data (quicksort's worst case is quadratic).
+//
+//   - mp/kmp: the call, n+1 outer tests and per character at most two
+//     records ending the inner loop plus the match test; every failure
+//     step adds a guard and a compare, and j rises by one per
+//     character and never falls below -1, so there are at most n+1
+//     failure steps in all: 1 + (n+1) + 3n + 2(n+1) = 6n+4.
+//   - binsearch: per query the call, at most bits.Len(n) halvings of
+//     two records each, the loop exit and the two bound checks.
+//   - scanmax: per run the call, n loop tests and n-1 max tests.
+func reserve(t Spec) int {
+	switch t.Name {
+	case "mp", "kmp":
+		return 6*t.N + 4
+	case "binsearch":
+		return t.Queries * (2*bits.Len(uint(t.N)) + 4)
+	case "scanmax":
+		return t.Runs * 2 * t.N
+	}
+	return 0
+}
 
 func recordInto(t Spec, rec *Recorder) {
 	switch t.Name {
@@ -342,6 +370,53 @@ func Record(spec Spec) ([]trace.Branch, error) {
 		return nil, err
 	}
 	return rec.Branches(), nil
+}
+
+// Stream is a recorded-algorithm workload as a push-side trace
+// (trace.Producer): each Produce call runs the algorithm afresh and
+// hands its branches over in trace.BlockLen-record blocks while it
+// runs, so the stream is never held whole. Re-recording costs less
+// than keeping a long stream or reading it back from a pool, which is
+// why a trace read once is streamed.
+//
+// Stream is also a trace.Source for consumers that pull: the first
+// Next or NextBatch records the whole stream once and serves it from
+// memory. Produce always pushes the whole stream, whatever was pulled.
+type Stream struct {
+	spec   Spec
+	pulled *trace.SliceSource
+}
+
+// NewStream validates spec and returns its stream; nothing is recorded
+// until the stream is read.
+func NewStream(spec Spec) (*Stream, error) {
+	t := spec.Normalize()
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return &Stream{spec: t}, nil
+}
+
+// Produce implements trace.Producer.
+func (s *Stream) Produce(yield func([]trace.Branch) error) error {
+	rec := NewBlockRecorder(trace.BlockLen, yield)
+	recordInto(s.spec, rec)
+	return rec.Close()
+}
+
+// Next implements trace.Source.
+func (s *Stream) Next() (trace.Branch, error) { return s.pull().Next() }
+
+// NextBatch implements trace.BatchSource.
+func (s *Stream) NextBatch(dst []trace.Branch) (int, error) { return s.pull().NextBatch(dst) }
+
+func (s *Stream) pull() *trace.SliceSource {
+	if s.pulled == nil {
+		rec := NewRecorder()
+		recordInto(s.spec, rec)
+		s.pulled = trace.NewSliceSource(rec.Branches())
+	}
+	return s.pulled
 }
 
 // RecordInto is Record against a caller-supplied recorder. It exists

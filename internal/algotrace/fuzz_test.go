@@ -6,6 +6,27 @@ import (
 	"gskew/internal/trace"
 )
 
+// algoSpecSeeds is FuzzAlgoSpec's seed corpus: a canonical spec per
+// family plus spellings the grammar must reject or normalise.
+var algoSpecSeeds = []string{
+	"algo:mp",
+	"algo:kmp,n=2000,m=4,sigma=2,dist=uniform,pat=rand,seed=7",
+	"algo:mp,n=300000,m=6,dist=bern,p=0.7,pat=alt,seed=7",
+	"algo:binsearch,n=256,q=500,seed=7",
+	"algo:insertion,n=128,runs=2,sorted=0.5,seed=7",
+	"algo:quick,n=256,runs=2,sorted=0,seed=7",
+	"algo:heap,n=256,runs=2,sorted=1,seed=7",
+	"algo:scanmax,n=1024,runs=2,seed=7",
+	"algo: kmp , n = 10 ",
+	"algo:kmp,n=10,n=11",
+	"algo:mp,q=5",
+	"algo:bogosort",
+	"algo:mp,dist=zipf",
+	"algo:mp,p=1.5",
+	"algo:",
+	"",
+}
+
 // FuzzAlgoSpec checks the algo: grammar's core contract on arbitrary
 // input: ParseSpec never panics, and anything it accepts canonicalises
 // to a fixed point — ParseSpec(s.String()) == s == s.Normalize(). The
@@ -13,24 +34,7 @@ import (
 // canonical spec strings, so a spelling that parsed but drifted under
 // re-canonicalisation would silently split or corrupt cache cells.
 func FuzzAlgoSpec(f *testing.F) {
-	for _, seed := range []string{
-		"algo:mp",
-		"algo:kmp,n=2000,m=4,sigma=2,dist=uniform,pat=rand,seed=7",
-		"algo:mp,n=300000,m=6,dist=bern,p=0.7,pat=alt,seed=7",
-		"algo:binsearch,n=256,q=500,seed=7",
-		"algo:insertion,n=128,runs=2,sorted=0.5,seed=7",
-		"algo:quick,n=256,runs=2,sorted=0,seed=7",
-		"algo:heap,n=256,runs=2,sorted=1,seed=7",
-		"algo:scanmax,n=1024,runs=2,seed=7",
-		"algo: kmp , n = 10 ",
-		"algo:kmp,n=10,n=11",
-		"algo:mp,q=5",
-		"algo:bogosort",
-		"algo:mp,dist=zipf",
-		"algo:mp,p=1.5",
-		"algo:",
-		"",
-	} {
+	for _, seed := range algoSpecSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

@@ -97,39 +97,55 @@ func (p *Program) Site(label string) SiteID {
 }
 
 // Recorder accumulates the dynamic branch stream of an instrumented
-// run. The zero value is ready to use.
+// run. The zero value (and NewRecorder) records without limit, the
+// form Record returns; NewBlockRecorder instead hands the stream to a
+// sink in fixed-size blocks as it is recorded, so it never exists
+// whole. Both forms share one Branch/Jump path.
 type Recorder struct {
 	branches []trace.Branch
+
+	// limit is the block length at which Branch and Jump hand the
+	// buffer to sink. Zero, the unlimited form, is never reached: the
+	// buffer holds at least one record after an append.
+	limit int
+	sink  func([]trace.Branch) error
+	err   error // the first error sink returned
 
 	// collideSites is the planted selftest fault: when set, every
 	// site's low PC bit is dropped, mapping adjacent site pairs onto
 	// one PC. The recorded directions are untouched, so the tampered
 	// stream still decodes, simulates and summarises plausibly — it is
 	// caught only by its content hash diverging from the clean
-	// recording (and by the static-site count collapsing).
+	// recording (and by the static-site count collapsing). It is
+	// applied as records are handed out (Branches, each sink block),
+	// keeping Branch and Jump small enough to inline.
 	collideSites bool
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder without a block limit.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Grow pre-allocates capacity for n further branch records.
+// NewBlockRecorder returns a recorder that hands every limit records
+// to sink as soon as they are recorded, then reuses the block's memory
+// for the next ones, so a block is valid only during the sink call.
+// Once sink returns an error, no further block is handed over: later
+// records are dropped and Close returns that error. Close hands over
+// the last, partial block.
+func NewBlockRecorder(limit int, sink func([]trace.Branch) error) *Recorder {
+	if limit < 1 {
+		panic(fmt.Sprintf("algotrace: block limit %d < 1", limit))
+	}
+	return &Recorder{branches: make([]trace.Branch, 0, limit), limit: limit, sink: sink}
+}
+
+// Grow pre-allocates capacity for n further branch records. A block
+// recorder's buffer is already its full block, so Grow leaves it be.
 func (r *Recorder) Grow(n int) {
-	if cap(r.branches)-len(r.branches) < n {
+	if r.sink == nil && cap(r.branches)-len(r.branches) < n {
 		grown := make([]trace.Branch, len(r.branches), len(r.branches)+n)
 		copy(grown, r.branches)
 		r.branches = grown
 	}
-}
-
-// pc maps a site to the PC recorded for it, applying the planted
-// collision fault when armed.
-func (r *Recorder) pc(s SiteID) uint64 {
-	pc := uint64(s)
-	if r.collideSites {
-		pc &^= 1
-	}
-	return pc
 }
 
 // Branch records one conditional branch outcome at a site and returns
@@ -142,7 +158,12 @@ func (r *Recorder) pc(s SiteID) uint64 {
 // drift from the control flow that produced it. Taken means the
 // condition held (the convention the analytic side model shares).
 func (r *Recorder) Branch(s SiteID, taken bool) bool {
-	r.branches = append(r.branches, trace.Branch{PC: r.pc(s), Taken: taken, Kind: trace.Conditional})
+	// Kind is left zero, trace.Conditional: spelling it out costs two
+	// units of inlining budget, and Branch would no longer inline.
+	r.branches = append(r.branches, trace.Branch{PC: uint64(s), Taken: taken})
+	if len(r.branches) == r.limit {
+		r.flush()
+	}
 	return taken
 }
 
@@ -151,18 +172,52 @@ func (r *Recorder) Branch(s SiteID, taken bool) bool {
 // global history in the simulator but are excluded from prediction
 // accounting, mirroring how the synthetic workloads use them.
 func (r *Recorder) Jump(s SiteID) {
-	r.branches = append(r.branches, trace.Branch{PC: r.pc(s), Taken: true, Kind: trace.Unconditional})
+	r.branches = append(r.branches, trace.Branch{PC: uint64(s), Taken: true, Kind: trace.Unconditional})
+	if len(r.branches) == r.limit {
+		r.flush()
+	}
 }
 
-// Len returns the number of recorded events.
+// flush hands the full block to the sink, unless the sink has already
+// failed, and empties it.
+func (r *Recorder) flush() {
+	if r.err == nil {
+		r.err = r.sink(r.out())
+	}
+	r.branches = r.branches[:0]
+}
+
+// Close hands a block recorder's last, partial block to the sink and
+// returns the first error the sink returned. It is a no-op returning
+// nil for an unlimited recorder.
+func (r *Recorder) Close() error {
+	if r.sink != nil && len(r.branches) > 0 {
+		r.flush()
+	}
+	return r.err
+}
+
+// out returns the buffered records with the planted site collision
+// applied when armed (dropping the low PC bit is idempotent).
+func (r *Recorder) out() []trace.Branch {
+	if r.collideSites {
+		for i := range r.branches {
+			r.branches[i].PC &^= 1
+		}
+	}
+	return r.branches
+}
+
+// Len returns the number of buffered events: every recorded event for
+// an unlimited recorder, the current block's for a block recorder.
 func (r *Recorder) Len() int { return len(r.branches) }
 
 // Branches returns the recorded stream. The slice is owned by the
 // recorder; callers that keep recording afterwards should copy it.
-func (r *Recorder) Branches() []trace.Branch { return r.branches }
+func (r *Recorder) Branches() []trace.Branch { return r.out() }
 
 // TamperRecorderSiteCollision arms the planted site-ID-collision fault
-// on r: every subsequent Branch/Jump drops the low PC bit, mapping
+// on r: every record it hands out drops the low PC bit, mapping
 // adjacent site pairs onto a single PC. Exported for the verification
 // harness's fault-injection selftest only (cmd/verify -selftest),
 // which requires the fault to be caught as a content-hash divergence

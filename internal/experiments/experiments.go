@@ -78,7 +78,7 @@ func (b *Bundle) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Context carries run-wide configuration, the materialised-trace cache,
+// Context carries run-wide configuration, the benchmark-trace cache,
 // the memo of simulated cells (see RunSpecs) and the scheduler that
 // bounds concurrent simulation cells.
 //
@@ -117,6 +117,7 @@ type Context struct {
 	// regenerated, and fresh materialisations are written through, so
 	// repeated experiment runs sharing a -trace-pool directory (or a
 	// pool shared with the HTTP service) skip workload generation.
+	// Recorded algorithms (algo: specs) stream and never touch it.
 	Pool *tracepool.Pool
 
 	schedOnce    sync.Once
@@ -163,13 +164,24 @@ func (c *Context) BenchmarkNames() []string {
 }
 
 // Trace returns the materialised trace for a workload — a benchmark
-// name or a recorded-algorithm spec ("algo:...") — generating it on
-// first use. It is safe for concurrent use: per-key sync.Once
-// guarantees each benchmark trace is generated exactly once per
-// Context even when many goroutines race for it, and the map lock is
-// never held during generation, so distinct benchmarks materialise
+// name or a recorded-algorithm spec ("algo:...").
+//
+// A benchmark trace is generated on first use and cached: the six
+// benchmark traces are shared by most experiments, and they are the
+// only traces the cache holds. It is safe for concurrent use: per-key
+// sync.Once guarantees each benchmark trace is generated exactly once
+// per Context even when many goroutines race for it, and the map lock
+// is never held during generation, so distinct benchmarks materialise
 // concurrently.
+//
+// An algo spec is recorded afresh on every call, bypassing the cache
+// and the pool: each experiment reads such a stream once or twice, and
+// streams it instead (see source), since re-recording costs less than
+// holding the stream or reading it back from the pool.
 func (c *Context) Trace(name string) ([]trace.Branch, error) {
+	if workload.IsAlgo(name) {
+		return workload.MaterializeAny(name, c.workloadConfig())
+	}
 	c.mu.Lock()
 	if c.cache == nil {
 		c.cache = make(map[string]*traceEntry)
@@ -188,8 +200,7 @@ func (c *Context) Trace(name string) ([]trace.Branch, error) {
 				return
 			}
 		}
-		e.branches, e.err = workload.MaterializeAny(name,
-			workload.Config{Scale: c.scale(), SeedOffset: c.SeedOffset})
+		e.branches, e.err = workload.MaterializeAny(name, c.workloadConfig())
 		if e.err == nil && c.Pool != nil {
 			// Write-through; a pool failure only costs re-materialisation
 			// on the next run.
@@ -199,14 +210,32 @@ func (c *Context) Trace(name string) ([]trace.Branch, error) {
 	return e.branches, e.err
 }
 
+// source returns workload name as a trace.Source for one simulation
+// pass: the cached benchmark trace, or for an algo spec a fresh
+// algotrace.Stream, which the simulator consumes block by block while
+// the algorithm runs, so the stream is never held.
+func (c *Context) source(name string) (trace.Source, error) {
+	if workload.IsAlgo(name) {
+		return workload.OpenAny(name, c.workloadConfig())
+	}
+	branches, err := c.Trace(name)
+	if err != nil {
+		return nil, err
+	}
+	return trace.NewSliceSource(branches), nil
+}
+
+func (c *Context) workloadConfig() workload.Config {
+	return workload.Config{Scale: c.scale(), SeedOffset: c.SeedOffset}
+}
+
 // traceID is the identity of a workload's trace in this Context, the
 // (name, scale, seed) triple Trace materialises it from. It keys the
-// trace pool and the simulation-cell memo.
+// trace pool (benchmarks only) and the simulation-cell memo.
 func (c *Context) traceID(name string) string {
 	if workload.IsAlgo(name) {
-		// Scale does not apply to recorded algorithms; keeping the
-		// identity scale-free lets CLI and service ingests of the same
-		// spec share one pool entry.
+		// Scale does not apply to recorded algorithms, so it is not
+		// part of their identity.
 		return fmt.Sprintf("%s|%d", name, c.SeedOffset)
 	}
 	return fmt.Sprintf("%s|%g|%d", name, c.scale(), c.SeedOffset)

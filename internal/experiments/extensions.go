@@ -106,7 +106,7 @@ func runExtHybrid(ctx *Context) (Renderable, error) {
 		bimodal := func() predictor.Predictor {
 			return predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 12})
 		}
-		hybrids, err := ctx.RunMany("ext-hybrid/"+name+"/hybrids", branches, []predictor.Predictor{
+		hybrids, err := ctx.RunMany("ext-hybrid/"+name+"/hybrids", trace.NewSliceSource(branches), []predictor.Predictor{
 			predictor.MustHybrid(bimodal(),
 				predictor.MustSpec(predictor.Spec{Family: "gshare", N: 13, Hist: k}), 12),
 			predictor.MustHybrid(bimodal(),

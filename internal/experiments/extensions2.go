@@ -74,7 +74,8 @@ func runExtInterference(ctx *Context) (Renderable, error) {
 // misprediction for a fixed 16k gshare (h=8) — finer interleaving
 // means more cross-process conflicts, the OS effect motivating the
 // paper's interest in large workloads. Each quantum is an independent
-// scheduler cell (its trace is not the cached benchmark trace).
+// scheduler cell; its trace is not the cached benchmark trace, and
+// streams from its generator straight into the simulator.
 func runExtQuantum(ctx *Context) (Renderable, error) {
 	const histBits = 8
 	spec, err := workload.ByName("gs") // 3 processes: most interleaving
@@ -93,11 +94,7 @@ func runExtQuantum(ctx *Context) (Renderable, error) {
 		if err != nil {
 			return err
 		}
-		branches, err := trace.Collect(workload.NewTake(g, g.Length()))
-		if err != nil {
-			return err
-		}
-		results, err := ctx.RunMany(fmt.Sprintf("ext-quantum/q%d", quanta[i]), branches,
+		results, err := ctx.RunMany(fmt.Sprintf("ext-quantum/q%d", quanta[i]), workload.NewTake(g, g.Length()),
 			[]predictor.Predictor{
 				predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: histBits}),
 				predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: histBits}),

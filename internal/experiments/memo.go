@@ -38,15 +38,18 @@ type memoEntry struct {
 	err    error
 }
 
-// RunSpecs simulates the predictors specs describe over the Context
-// trace of workload name and returns their results in spec order,
-// exactly as RunMany over freshly built predictors would. Each
-// distinct (trace, spec, result-changing options) cell is simulated
-// once per Context: later requests for it, from any experiment, are
-// served from the memo.
+// RunSpecs simulates the predictors specs describe over workload name
+// and returns their results in spec order, exactly as RunMany over
+// freshly built predictors would. A benchmark is read from the Context
+// trace cache; an algo spec is streamed (see Context.source): the
+// algorithm runs during the pass and its branches are simulated block
+// by block, never held, and never read from or written to the trace
+// pool. Each distinct (trace, spec, result-changing options) cell is
+// simulated once per Context: later requests for it, from any
+// experiment, are served from the memo.
 //
 // Concurrent calls share work single-flight. A call claims the keys
-// nobody holds, runs all of them in one sim.RunManyBranches pass, and
+// nobody holds, runs all of them in one sim.RunMany pass, and
 // publishes them before it waits on keys another call claimed; since
 // no call waits while holding an unpublished claim, calls never
 // deadlock. A failed run releases its claims, so the keys are retried
@@ -123,10 +126,11 @@ func (c *Context) RunSpecs(cell, name string, specs []predictor.Spec, opts sim.O
 	return results, nil
 }
 
-// runClaimed simulates the claimed specs in one pass over the trace
-// and publishes their entries.
+// runClaimed simulates the claimed specs in one pass over the trace —
+// the cached benchmark slice or a fresh algo stream — and publishes
+// their entries.
 func (c *Context) runClaimed(cell, name string, specs []predictor.Spec, labels []string, claimed []int, entries []*memoEntry, opts sim.Options) error {
-	branches, err := c.Trace(name)
+	src, err := c.source(name)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
@@ -139,7 +143,7 @@ func (c *Context) runClaimed(cell, name string, specs []predictor.Spec, labels [
 		}
 		preds[j], runLabels[j] = p, labels[i]
 	}
-	results, series, err := c.simulate(cell, runLabels, branches, preds, opts)
+	results, series, err := c.simulate(cell, runLabels, src, preds, opts)
 	if err != nil {
 		return err
 	}

@@ -67,15 +67,17 @@ func specLabel(p predictor.Predictor) string {
 	return fmt.Sprintf("%v", p)
 }
 
-// RunMany is the observed version of sim.RunManyBranches: identical
-// results, with the context's RunObs (when set) capturing the cell's
-// interval curves, manifest entry and progress line. cell names the
-// simulation cell, conventionally "<experiment>/<benchmark>".
+// RunMany is the observed version of sim.RunMany: identical results,
+// with the context's RunObs (when set) capturing the cell's interval
+// curves, manifest entry and progress line. cell names the simulation
+// cell, conventionally "<experiment>/<benchmark>". src is consumed:
+// a trace derived for one cell (a workload.Take over a reseeded
+// generator) streams through it without being collected.
 //
 // RunMany always simulates. Cells whose predictors all come from
 // specs and whose trace comes from Trace should use RunSpecs, which
 // simulates each distinct cell once per Context.
-func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, error) {
+func (c *Context) RunMany(cell string, src trace.Source, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, error) {
 	var labels []string
 	if c.Obs != nil {
 		labels = make([]string, len(preds))
@@ -84,7 +86,7 @@ func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predicto
 		}
 	}
 	start := time.Now()
-	results, series, err := c.simulate(cell, labels, branches, preds, opts)
+	results, series, err := c.simulate(cell, labels, src, preds, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -92,11 +94,11 @@ func (c *Context) RunMany(cell string, branches []trace.Branch, preds []predicto
 	return results, nil
 }
 
-// simulate runs one cell through sim.RunManyBranches with the
-// context-wide defaults applied. When the context records interval
-// curves, labels (one per predictor) name them and the curves are
-// returned in predictor order.
-func (c *Context) simulate(cell string, labels []string, branches []trace.Branch, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, []*obs.Series, error) {
+// simulate runs one cell through sim.RunMany with the context-wide
+// defaults applied. When the context records interval curves, labels
+// (one per predictor) name them and the curves are returned in
+// predictor order.
+func (c *Context) simulate(cell string, labels []string, src trace.Source, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, []*obs.Series, error) {
 	if opts.Segments == 0 {
 		// Cells that did not pick their own split inherit the
 		// context-wide default (-segments).
@@ -111,7 +113,7 @@ func (c *Context) simulate(cell string, labels []string, branches []trace.Branch
 		rec = obs.NewRecorder(o.Intervals, full...)
 		opts.Recorder = rec
 	}
-	results, err := sim.RunManyBranches(branches, preds, opts)
+	results, err := sim.RunMany(src, preds, opts)
 	if err != nil || rec == nil {
 		return results, nil, err
 	}

@@ -61,17 +61,15 @@ func realworkContest() []realworkStream {
 	}
 }
 
-// mapStreams is mapBenchmarks over an explicit stream list: each
-// stream is one scheduler cell, results return in list order so
-// rendered output is deterministic across -jobs.
-func mapStreams[T any](ctx *Context, streams []realworkStream, fn func(s realworkStream, branches []trace.Branch) (T, error)) ([]T, error) {
+// mapStreams runs fn once per stream as independent scheduler cells
+// and returns the results in list order, so rendered output is
+// deterministic across -jobs. fn reads its stream itself (through
+// RunSpecs or Context.source): each pass re-records the algorithm and
+// streams it, so no recorded stream is held.
+func mapStreams[T any](ctx *Context, streams []realworkStream, fn func(s realworkStream) (T, error)) ([]T, error) {
 	results := make([]T, len(streams))
 	err := ctx.sched().Map(len(streams), func(i int) error {
-		branches, err := ctx.Trace(streams[i].spec)
-		if err != nil {
-			return fmt.Errorf("%s: %w", streams[i].spec, err)
-		}
-		r, err := fn(streams[i], branches)
+		r, err := fn(streams[i])
 		if err != nil {
 			return fmt.Errorf("%s: %w", streams[i].spec, err)
 		}
@@ -101,7 +99,7 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 		row  []any
 		errs []error
 	}
-	valRows, err := mapStreams(ctx, realworkValidation(), func(s realworkStream, _ []trace.Branch) (valRow, error) {
+	valRows, err := mapStreams(ctx, realworkValidation(), func(s realworkStream) (valRow, error) {
 		spec, err := algotrace.ParseSpec(s.spec)
 		if err != nil {
 			return valRow{}, err
@@ -168,7 +166,7 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 		cols = append(cols, fmt.Sprintf("%s (%db)", c.label, bits))
 	}
 	contest := report.NewTable("Miss % at matched small budgets on recorded real algorithms", cols...)
-	contestRows, err := mapStreams(ctx, realworkContest(), func(s realworkStream, _ []trace.Branch) ([]any, error) {
+	contestRows, err := mapStreams(ctx, realworkContest(), func(s realworkStream) ([]any, error) {
 		specs := make([]predictor.Spec, len(contenders))
 		for i, c := range contenders {
 			specs[i] = specOf(c.spec)
@@ -197,14 +195,24 @@ func runExtRealwork(ctx *Context) (Renderable, error) {
 	// conflict/capacity split becomes visible on real code.
 	threec := report.NewTable("Three-Cs decomposition, 64-entry gshare index (n=6, h=8)",
 		"stream", "compulsory %", "capacity %", "conflict %", "total aliased %")
-	crows, err := mapStreams(ctx, realworkContest(), func(s realworkStream, branches []trace.Branch) ([]any, error) {
+	crows, err := mapStreams(ctx, realworkContest(), func(s realworkStream) ([]any, error) {
+		src, err := ctx.source(s.spec)
+		if err != nil {
+			return nil, err
+		}
 		cl := alias.NewClassifier(indexfn.NewGShare(6, 8))
 		ghr := history.NewGlobal(8)
-		for _, b := range branches {
-			if b.Kind == trace.Conditional {
-				cl.Observe(b.PC, ghr.Bits())
+		err = trace.Blocks(src, func(block []trace.Branch) error {
+			for _, b := range block {
+				if b.Kind == trace.Conditional {
+					cl.Observe(b.PC, ghr.Bits())
+				}
+				ghr.Shift(b.Taken)
 			}
-			ghr.Shift(b.Taken)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		st := cl.Stats()
 		return []any{s.label,

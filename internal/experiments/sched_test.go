@@ -234,7 +234,7 @@ func TestRunObsManifestConcurrent(t *testing.T) {
 	}
 	err = ctx.sched().Map(cells, func(i int) error {
 		preds := []predictor.Predictor{predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: uint(i % 8), Ctr: 2})}
-		_, err := ctx.RunMany(fmt.Sprintf("cell/%d", i), branches, preds, sim.Options{})
+		_, err := ctx.RunMany(fmt.Sprintf("cell/%d", i), trace.NewSliceSource(branches), preds, sim.Options{})
 		return err
 	})
 	if err != nil {

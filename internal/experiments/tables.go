@@ -65,7 +65,7 @@ func runTable2(ctx *Context) (Renderable, error) {
 			// Both counter widths share one trace pass.
 			u1 := predictor.MustSpec(predictor.Spec{Family: "unaliased", Hist: k, Ctr: 1}).(*predictor.Unaliased)
 			u2 := predictor.MustSpec(predictor.Spec{Family: "unaliased", Hist: k, Ctr: 2}).(*predictor.Unaliased)
-			results, err := ctx.RunMany(fmt.Sprintf("table2-h%d/%s", k, name), branches,
+			results, err := ctx.RunMany(fmt.Sprintf("table2-h%d/%s", k, name), trace.NewSliceSource(branches),
 				[]predictor.Predictor{u1, u2}, sim.Options{SkipFirstUse: true})
 			if err != nil {
 				return table2Cells{}, err

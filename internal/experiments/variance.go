@@ -7,7 +7,6 @@ import (
 	"gskew/internal/report"
 	"gskew/internal/sim"
 	"gskew/internal/stats"
-	"gskew/internal/trace"
 	"gskew/internal/workload"
 )
 
@@ -33,7 +32,8 @@ func runExtVariance(ctx *Context) (Renderable, error) {
 		"benchmark", "gshare", "egskew", "delta (gshare − egskew)", "significant?")
 	// Each (benchmark, replicate) is an independent scheduler cell: the
 	// replicate traces are seed-perturbed regenerations, not the cached
-	// benchmark traces, so they bypass the Context cache on purpose.
+	// benchmark traces, so they bypass the Context cache on purpose and
+	// stream from their generators straight into the simulator.
 	names := ctx.BenchmarkNames()
 	gsh := make([][]float64, len(names))
 	egs := make([][]float64, len(names))
@@ -54,11 +54,7 @@ func runExtVariance(ctx *Context) (Renderable, error) {
 		if err != nil {
 			return err
 		}
-		branches, err := trace.Collect(workload.NewTake(g, g.Length()))
-		if err != nil {
-			return err
-		}
-		results, err := ctx.RunMany(fmt.Sprintf("ext-variance/%s-r%d", names[bi], rep), branches,
+		results, err := ctx.RunMany(fmt.Sprintf("ext-variance/%s-r%d", names[bi], rep), workload.NewTake(g, g.Length()),
 			[]predictor.Predictor{
 				predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: histBits}),
 				predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: histBits}),

@@ -48,11 +48,18 @@ import (
 	"gskew/internal/tracepool"
 )
 
+// latencyBoundsUS are server.latency_us's bucket bounds. A cached
+// read takes ~0.2 ms, so they start at 50 µs and step 1-2.5-5 per
+// decade up to 10 s.
+var latencyBoundsUS = []int64{
+	50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
+	100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000}
+
 // Server telemetry, registered in the default obs registry.
 var (
 	mRequests    = obs.NewCounter("server.requests")
 	mErrors      = obs.NewCounter("server.errors")
-	mLatencyMS   = obs.NewHistogram("server.latency_ms", []int64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000})
+	mLatencyUS   = obs.NewHistogram("server.latency_us", latencyBoundsUS)
 	mSimRequests = obs.NewCounter("server.simulate.requests")
 	mSimCells    = obs.NewCounter("server.simulate.cells")
 	mCacheHits   = obs.NewCounter("server.simulate.cache_hits")
@@ -202,6 +209,9 @@ func apiErrorf(status int, code, format string, args ...any) error {
 	return api.Errorf(status, code, format, args...)
 }
 
+// observeLatency records one request's latency in server.latency_us.
+func observeLatency(d time.Duration) { mLatencyUS.Observe(d.Microseconds()) }
+
 // instrument wraps a handler with the request counters, the latency
 // histogram and uniform error-envelope rendering.
 func (s *Server) instrument(fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
@@ -214,7 +224,7 @@ func (s *Server) instrument(fn func(w http.ResponseWriter, r *http.Request) erro
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		err := fn(w, r)
 		if !start.IsZero() {
-			mLatencyMS.Observe(time.Since(start).Milliseconds())
+			observeLatency(time.Since(start))
 		}
 		if err == nil {
 			return

@@ -19,6 +19,7 @@ import (
 	"gskew/internal/client"
 	"gskew/internal/experiments"
 	"gskew/internal/kernel"
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
 	"gskew/internal/store"
@@ -673,4 +674,34 @@ func TestSchedTimeoutReturns503(t *testing.T) {
 		t.Errorf("saturated scheduler: status %d, want 503 (%s)", status, body)
 	}
 	wantCode(t, "queue full", body, api.CodeQueueFull)
+}
+
+// TestLatencyBucketsMicroseconds: server.latency_us resolves the
+// sub-millisecond requests a cached read makes — 240 µs lands in the
+// (100, 250] bucket, not in a catch-all first one.
+func TestLatencyBucketsMicroseconds(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	bounds := latencyBoundsUS
+	bucket := -1
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i-1] == 100 && bounds[i] == 250 {
+			bucket = i
+		}
+	}
+	if bucket < 0 {
+		t.Fatalf("server.latency_us bounds %v have no (100, 250] bucket", bounds)
+	}
+	before := mLatencyUS.Buckets()
+	observeLatency(240 * time.Microsecond)
+	after := mLatencyUS.Buckets()
+	for i := range after {
+		want := before[i]
+		if i == bucket {
+			want++
+		}
+		if after[i] != want {
+			t.Errorf("bucket %d: %d observations, want %d", i, after[i], want)
+		}
+	}
 }

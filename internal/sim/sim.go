@@ -5,8 +5,9 @@
 // (optionally, for ideal-table experiments) first uses of a substream
 // are excluded from the misprediction count.
 //
-// The runner is batched: trace events are pulled in blocks (via
-// trace.BatchSource when the source supports it), conditional branches
+// The runner is batched: trace events arrive in blocks (trace.Blocks:
+// pulled through trace.BatchSource, or pushed by a trace.Producer such
+// as a recorded algorithm, which is never held whole), conditional branches
 // are staged into a buffer of (PC, history, outcome) steps, and each
 // predictor consumes whole blocks at a time. Predictors whose
 // organisation internal/kernel recognizes are driven through a
@@ -132,8 +133,8 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-// batchSize is the number of trace events pulled per source read and
-// the capacity of the staged conditional-step buffer. 4096 steps keep
+// batchSize is the capacity of the staged conditional-step buffer
+// (trace records arrive in trace.Blocks' blocks). 4096 steps keep
 // the buffer (100KB) comfortably cache-resident while amortising the
 // per-block bookkeeping to nothing.
 const batchSize = 4096

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"gskew/internal/kernel"
 	"gskew/internal/trace"
@@ -138,24 +136,11 @@ func badKind(branches []trace.Branch) error {
 	panic("sim: badKind called without a bad record")
 }
 
-// stageSource feeds all of src to the stager. A SliceSource is staged
-// straight from its backing slice; any other source is read a batch at
-// a time.
+// stageSource feeds all of src to the stager through trace.Blocks: a
+// SliceSource is staged straight from its backing slice, a
+// trace.Producer (a recorded algorithm) straight from each block it
+// pushes, which is never copied or kept, and any other source a batch
+// at a time.
 func (s *stager) stageSource(src trace.Source, sink stageSink) error {
-	if ss, ok := src.(*trace.SliceSource); ok {
-		return s.feed(ss.Drain(), sink)
-	}
-	buf := make([]trace.Branch, batchSize)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if serr := s.feed(buf[:n], sink); serr != nil {
-			return serr
-		}
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("sim: reading trace: %w", err)
-		}
-	}
+	return trace.Blocks(src, func(b []trace.Branch) error { return s.feed(b, sink) })
 }

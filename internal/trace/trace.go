@@ -88,6 +88,50 @@ func ReadBatch(src Source, dst []Branch) (int, error) {
 	return len(dst), nil
 }
 
+// Producer is a push-side trace: Produce hands the whole stream to
+// yield in program order, one block at a time, and returns the first
+// error yield returns — after which it hands over no further block —
+// or its own. A block is valid only during the yield call: the
+// producer reuses its memory for the next block, so a consumer that
+// keeps records must copy them. A trace that is read once can flow
+// through a consumer this way without ever existing whole.
+type Producer interface {
+	Produce(yield func([]Branch) error) error
+}
+
+// BlockLen is the block length of Blocks' pull loop and of the
+// producers in this repository: 4096 records (64KB), large enough to
+// amortise the per-block call, small enough to stay cache-resident.
+const BlockLen = 4096
+
+// Blocks hands src to yield one block at a time, in program order: a
+// Producer pushes its own blocks, a SliceSource's unread slice is one
+// block, and any other source is read BlockLen records at a time into
+// one reused buffer. As with Producer, a block is valid only during
+// the yield call. Blocks returns the first error yield returns, or the
+// error reading src.
+func Blocks(src Source, yield func([]Branch) error) error {
+	switch s := src.(type) {
+	case *SliceSource:
+		return yield(s.Drain())
+	case Producer:
+		return s.Produce(yield)
+	}
+	buf := make([]Branch, BlockLen)
+	for {
+		n, err := ReadBatch(src, buf)
+		if yerr := yield(buf[:n]); yerr != nil {
+			return yerr
+		}
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("trace: reading: %w", err)
+		}
+	}
+}
+
 // SliceSource adapts a []Branch into a Source.
 type SliceSource struct {
 	branches []Branch

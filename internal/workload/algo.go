@@ -39,16 +39,23 @@ func MaterializeAny(name string, c Config) ([]trace.Branch, error) {
 }
 
 // OpenAny returns a bounded trace.Source for a workload name of
-// either kind. Synthetic benchmarks stream lazily; algo workloads are
-// recorded up front (running the real algorithm is the generator) and
-// served from memory.
+// either kind, with the seed offset applied as MaterializeAny applies
+// it. Synthetic benchmarks are generated lazily as they are pulled;
+// algo workloads are an algotrace.Stream, which the simulator consumes
+// as a trace.Producer — the algorithm runs while it is simulated, one
+// block at a time — and which records itself whole only if pulled.
 func OpenAny(name string, c Config) (trace.Source, error) {
 	if algotrace.IsSpec(name) {
-		branches, err := MaterializeAny(name, c)
+		spec, err := algotrace.ParseSpec(name)
 		if err != nil {
 			return nil, err
 		}
-		return trace.NewSliceSource(branches), nil
+		spec.Seed += c.SeedOffset
+		st, err := algotrace.NewStream(spec)
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
 	}
 	spec, err := ByName(name)
 	if err != nil {
