@@ -99,17 +99,62 @@ func recordMatch(rec *Recorder, s matchSites, text, pat []byte, loopFail []int, 
 	return matches
 }
 
+// matchRecords returns exactly the number of records recordMatch makes
+// over text, whose symbols lie in [0, sigma). The count depends on the
+// data (4.5n to 5.5n on the validation streams, up to 6n+4 on an
+// all-'a' text), so no bound from the spec alone fits a kept recording
+// without leaving up to a quarter of it unused. The matcher's step from
+// state j on symbol c is tabulated once — its next state, and its
+// records: the outer test, a guard and a compare per failure step, the
+// guard alone (j < 0) or the guard and the compare that end the inner
+// loop, and the match test — so counting costs one table load per
+// character and no data-dependent branch. A step holds its next
+// state's row offset, keeping the multiply off the load chain.
+func matchRecords(text, pat []byte, sigma int, loopFail []int, restart int) int {
+	type step struct{ row, records int32 }
+	m := len(pat)
+	delta := make([]step, m*sigma)
+	for j := 0; j < m; j++ {
+		for c := 0; c < sigma; c++ {
+			k, records := j, int32(2)
+			for k >= 0 && pat[k] != byte(c) {
+				k = loopFail[k]
+				records += 2
+			}
+			if k >= 0 {
+				records += 2
+			} else {
+				records++
+			}
+			if k++; k == m {
+				k = restart
+			}
+			delta[j*sigma+c] = step{int32(k * sigma), records}
+		}
+	}
+	count, row := 2, 0 // the call and the final outer test; state 0
+	for _, c := range text {
+		st := delta[row+int(c)]
+		row, count = int(st.row), count+int(st.records)
+	}
+	return count
+}
+
 func recordStringMatch(rec *Recorder, t Spec) {
 	r := rng.NewXoshiro256(t.Seed)
 	pat := genPattern(r, t.M, t.Sigma, t.Pat)
 	text := genText(r, t.N, t.Sigma, t.Dist, t.P)
 	wf := weakFail(pat)
-	rec.Grow(reserve(t))
+	sites, loopFail := mpSites, wf
 	if t.Name == "kmp" {
-		recordMatch(rec, kmpSites, text, pat, strongFail(pat), wf[t.M])
-	} else {
-		recordMatch(rec, mpSites, text, pat, wf, wf[t.M])
+		sites, loopFail = kmpSites, strongFail(pat)
 	}
+	if rec.sink == nil {
+		// Record's slice: reserve it exactly. A block recorder reuses
+		// one block, so it skips the counting pass.
+		rec.Grow(matchRecords(text, pat, t.Sigma, loopFail, wf[t.M]))
+	}
+	recordMatch(rec, sites, text, pat, loopFail, wf[t.M])
 }
 
 // ---------------------------------------------------------------- binsearch
@@ -320,22 +365,17 @@ func recordScanMax(rec *Recorder, t Spec) {
 // ---------------------------------------------------------------- dispatch
 
 // reserve bounds the records a spec records, for the families whose
-// stream length has a tight bound, so Record fills one allocation and
-// never grows it; it returns 0 for the sorts, whose length depends on
-// the data (quicksort's worst case is quadratic).
+// stream length has a tight bound in the spec alone, so Record fills
+// one allocation and never grows it. MP/KMP reserve their exact count
+// instead (matchRecords); reserve returns 0 for them and for the
+// sorts, whose length depends on the data (quicksort's worst case is
+// quadratic).
 //
-//   - mp/kmp: the call, n+1 outer tests and per character at most two
-//     records ending the inner loop plus the match test; every failure
-//     step adds a guard and a compare, and j rises by one per
-//     character and never falls below -1, so there are at most n+1
-//     failure steps in all: 1 + (n+1) + 3n + 2(n+1) = 6n+4.
 //   - binsearch: per query the call, at most bits.Len(n) halvings of
 //     two records each, the loop exit and the two bound checks.
 //   - scanmax: per run the call, n loop tests and n-1 max tests.
 func reserve(t Spec) int {
 	switch t.Name {
-	case "mp", "kmp":
-		return 6*t.N + 4
 	case "binsearch":
 		return t.Queries * (2*bits.Len(uint(t.N)) + 4)
 	case "scanmax":

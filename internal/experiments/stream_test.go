@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"gskew/internal/algotrace"
 	"gskew/internal/predictor"
@@ -62,10 +63,11 @@ func TestStreamedRunSpecsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed[0].Conditionals+streamed[0].Unconditionals < 1_500_000 {
-		t.Fatalf("stream holds %d records, want >= 1.5M", streamed[0].Conditionals+streamed[0].Unconditionals)
+	records := streamed[0].Conditionals + streamed[0].Unconditionals
+	if records < 1_500_000 {
+		t.Fatalf("stream holds %d records, want >= 1.5M", records)
 	}
-	if got >= 2<<20 {
+	if got >= 2_000_000 {
 		t.Errorf("streamed RunSpecs allocated %d bytes, want < 2 MB", got)
 	}
 	var held []sim.Result
@@ -82,8 +84,8 @@ func TestStreamedRunSpecsAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("streamed RunSpecs allocated %d bytes, the materialised run %d", got, heldBytes)
-	if heldBytes < 24<<20 {
-		t.Errorf("materialised run allocated %d bytes, want >= 24 MB", heldBytes)
+	if stream := uint64(records) * uint64(unsafe.Sizeof(trace.Branch{})); heldBytes < stream {
+		t.Errorf("materialised run allocated %d bytes, want at least the %d-byte stream", heldBytes, stream)
 	}
 	if !reflect.DeepEqual(streamed, held) {
 		t.Errorf("streamed %v, materialised %v", streamed, held)
