@@ -37,7 +37,7 @@ test: build
 
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/obs
+	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/obs ./internal/trace
 	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
 	$(GO) test -race -count=5 -run 'Memo' ./internal/experiments
 
@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzColumnarRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzColumnarUnpack -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzColumnarEncode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzAlgoSpec -fuzztime=$(FUZZTIME) ./internal/algotrace
 	$(GO) test -fuzz=FuzzRecorder -fuzztime=$(FUZZTIME) ./internal/algotrace

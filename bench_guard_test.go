@@ -177,3 +177,16 @@ func TestBenchSnapshotTraceCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchSnapshotTraceEncode: columnar encoding through a reused
+// ColumnarWriter must not allocate — the block writer's PC table,
+// dictionary and payload scratch are reused across blocks.
+func TestBenchSnapshotTraceEncode(t *testing.T) {
+	_, allocs := loadSnapshotFull(t, "BENCH_trace.json")
+	const name = "TraceCodec/encode-columnar"
+	if n, ok := allocs[name]; !ok {
+		t.Errorf("snapshot missing %q; regenerate with `make bench`", name)
+	} else if n != 0 {
+		t.Errorf("%s allocates %d allocs/op; the columnar writer must be allocation-free per record", name, n)
+	}
+}

@@ -701,6 +701,10 @@ func BenchmarkTraceDecode(b *testing.B) {
 //   - columnar-next: the per-record path over the same stream
 //   - mmap-varint / mmap-columnar: NextBatch through the zero-copy
 //     mapped reader over a real file
+//   - encode-columnar: Write through one reused ColumnarWriter into
+//     io.Discard (the tracegen and trace-file path); ns/op is per
+//     encoded record
+//   - hash: HashBranches over the trace; ns/op is per hashed record
 func BenchmarkTraceCodec(b *testing.B) {
 	branches := simBenchTrace(b)
 	varint := encodeBench(b, branches, false)
@@ -791,7 +795,39 @@ func BenchmarkTraceCodec(b *testing.B) {
 			return m, func() { m.Close() }, nil
 		})
 	})
+	b.Run("encode-columnar", func(b *testing.B) {
+		w, err := trace.NewColumnarWriter(io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, j := 0, 0; i < b.N; i++ {
+			if err := w.Write(branches[j]); err != nil {
+				b.Fatal(err)
+			}
+			if j++; j == len(branches) {
+				j = 0
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; {
+			n := min(b.N-done, len(branches))
+			hashSink = trace.HashBranches(branches[:n])
+			done += n
+		}
+	})
 }
+
+// hashSink keeps BenchmarkTraceCodec's hash arm from being optimised
+// away.
+var hashSink string
 
 // encodeBench serialises branches through one of the binary writers.
 func encodeBench(b *testing.B, branches []trace.Branch, columnar bool) []byte {

@@ -201,7 +201,7 @@ func (s *Server) resolveWorkload(ctx context.Context, req *api.SimulateRequest) 
 		}
 		// Put-through: an inlined trace becomes poolable by hash, so a
 		// client can upload once and sweep by trace_sha256 thereafter.
-		hash, _, err := s.pool.Put(branches)
+		hash, _, err := s.pool.PutEncoded(branches, raw)
 		if err != nil {
 			return nil, "", api.WorkloadInfo{}, fmt.Errorf("pooling trace: %w", err)
 		}
@@ -289,9 +289,12 @@ func (c *traceCache) get(bench string, scale float64, seed uint64) (*materialise
 		}
 		mt.branches, mt.err = workload.MaterializeAny(bench, workload.Config{Scale: scale, SeedOffset: seed})
 		if mt.err == nil {
-			mt.hash = trace.HashBranches(mt.branches)
-			// Write-through; a pool failure only costs re-materialisation.
-			c.pool.PutNamed(key, mt.branches)
+			// Write-through; a pool failure only costs re-materialisation
+			// and hashing here.
+			var err error
+			if mt.hash, err = c.pool.PutNamed(key, mt.branches); err != nil {
+				mt.hash = trace.HashBranches(mt.branches)
+			}
 		}
 	})
 	if mt.err != nil {

@@ -25,7 +25,8 @@ import (
 // replica set, so a later trace_sha256 simulation landing on any node
 // can fetch it from an owner instead of failing with no_such_trace.
 
-// handleTraceIngest decodes the uploaded trace and pools it.
+// handleTraceIngest decodes the uploaded trace and pools it; a
+// columnar body is kept as the segment's disk blob without re-encoding.
 func (s *Server) handleTraceIngest(w http.ResponseWriter, r *http.Request) error {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -35,7 +36,7 @@ func (s *Server) handleTraceIngest(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return apiErrorf(http.StatusBadRequest, api.CodeBadTrace, "decoding trace: %v", err)
 	}
-	hash, created, err := s.pool.Put(branches)
+	hash, created, err := s.pool.PutEncoded(branches, body)
 	if err != nil {
 		return fmt.Errorf("pooling trace: %w", err)
 	}

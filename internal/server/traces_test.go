@@ -402,3 +402,89 @@ func TestBenchWorkloadsArePooled(t *testing.T) {
 		t.Errorf("by-hash simulate of pooled benchmark: status %d: %s", status, byHash)
 	}
 }
+
+// TestTraceIngestBlobs: a columnar ingest is pooled as the uploaded
+// bytes themselves (no re-encode), while a varint ingest is encoded
+// into a columnar blob of the same content. GET serves the canonical
+// encoding either way, even when the uploaded columnar stream is laid
+// out in short blocks and so differs from it.
+func TestTraceIngestBlobs(t *testing.T) {
+	dir := t.TempDir()
+	pool, err := tracepool.Open(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Pool: pool})
+	ingest := func(body []byte) string {
+		t.Helper()
+		status, out := postRaw(t, ts.URL+"/v1/traces", body)
+		if status != http.StatusOK {
+			t.Fatalf("ingest status %d: %s", status, out)
+		}
+		var resp api.TraceIngestResponse
+		if err := json.Unmarshal([]byte(out), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.TraceSHA256
+	}
+	blob := func(hash string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, hash+".ctrace"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	// Columnar body in 700-record blocks: valid, but not the canonical
+	// (full-block) layout.
+	branches := testTrace(1500)
+	var buf bytes.Buffer
+	w, err := trace.NewColumnarWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range branches {
+		if err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if i%700 == 699 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	canonical, err := trace.EncodeColumnar(branches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(body, canonical) {
+		t.Fatal("short-block body equals the canonical encoding; the test cannot tell a re-encode apart")
+	}
+	hash := ingest(body)
+	if hash != trace.HashBranches(branches) {
+		t.Fatalf("columnar ingest hash %s, want %s", hash, trace.HashBranches(branches))
+	}
+	if !bytes.Equal(blob(hash), body) {
+		t.Error("columnar ingest's blob is not the uploaded body")
+	}
+	if _, served, _ := getRaw(t, ts.URL+"/v1/traces/"+hash); !bytes.Equal(served, canonical) {
+		t.Error("GET of a short-block ingest is not the canonical columnar encoding")
+	}
+
+	// Varint body: the blob is a fresh columnar encoding of the same
+	// content.
+	other := testTrace(900)
+	hash = ingest(encodeVarintTest(t, other))
+	got, err := trace.DecodeBytes(blob(hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.HashBranches(got) != hash || hash != trace.HashBranches(other) {
+		t.Error("varint ingest's blob decodes to different content")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Block-columnar format
@@ -60,6 +61,16 @@ import (
 // densely interleaved blocks, where per-run varints would cost more
 // bytes than the bitvector and far more decode time.
 //
+// The writer makes one pass over a block's records: each PC is interned
+// through a reused open-addressed PC table (cleared per block by a
+// generation stamp, not by zeroing) that hands out dense ids in order
+// of first appearance, while the same pass packs the direction and kind
+// bitvectors and costs the raw escape. Only the distinct PCs are then
+// sorted into the dictionary, and each packed index is one lookup of
+// its record's dense id in a rank table. The bytes are those of the
+// straightforward sort-and-binary-search writer, which the tests keep
+// as a reference encoder (FuzzColumnarEncode).
+//
 // Every block is independently decodable: the dictionary is absolute,
 // the mode-1 delta chain restarts at zero, and the count/length header
 // lets a reader skip or parallelise blocks without decoding them.
@@ -91,6 +102,12 @@ const (
 // magicColumnar identifies the columnar container.
 var magicColumnar = [4]byte{'G', 'S', 'K', 'C'}
 
+// IsColumnar reports whether data opens with the columnar file header
+// (magic and version); it does not validate the blocks.
+func IsColumnar(data []byte) bool {
+	return len(data) >= 16 && [4]byte(data[:4]) == magicColumnar && data[4] == columnarVersion
+}
+
 // ErrCorrupt marks undecodable columnar data: a truncated block, a
 // checksum mismatch, a forged header or an inconsistent stream. Every
 // decode failure past the file header wraps it, so callers can treat
@@ -113,10 +130,7 @@ func uvarintLen(v uint64) int {
 type ColumnarWriter struct {
 	w   *bufio.Writer
 	buf []Branch // pending records of the open block
-
-	// Per-block scratch, reused across flushes.
-	dict    []uint64
-	payload []byte
+	enc *columnarEncoder
 
 	// tamperWidth plants the verify selftest's bitpack-width
 	// off-by-one: dictionary indices are packed one bit narrower than
@@ -128,17 +142,22 @@ type ColumnarWriter struct {
 // NewColumnarWriter returns a ColumnarWriter and emits the file header.
 func NewColumnarWriter(w io.Writer) (*ColumnarWriter, error) {
 	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	copy(hdr[:4], magicColumnar[:])
-	hdr[4] = columnarVersion
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := bw.Write(appendColumnarHeader(nil)); err != nil {
 		return nil, fmt.Errorf("trace: writing columnar header: %w", err)
 	}
 	return &ColumnarWriter{
-		w:    bw,
-		buf:  make([]Branch, 0, ColumnarBlockSize),
-		dict: make([]uint64, 0, ColumnarBlockSize),
+		w:   bw,
+		buf: make([]Branch, 0, ColumnarBlockSize),
+		enc: new(columnarEncoder),
 	}, nil
+}
+
+// appendColumnarHeader appends the 16-byte file header to dst.
+func appendColumnarHeader(dst []byte) []byte {
+	var hdr [16]byte
+	copy(hdr[:4], magicColumnar[:])
+	hdr[4] = columnarVersion
+	return append(dst, hdr[:]...)
 }
 
 // TamperColumnarBitpackWidth plants a bitpack-width off-by-one fault
@@ -174,90 +193,173 @@ func (w *ColumnarWriter) Flush() error {
 
 // flushBlock encodes and emits the pending records as one block.
 func (w *ColumnarWriter) flushBlock() error {
-	recs := w.buf
-	count := len(recs)
-
-	// Dictionary: the block's distinct PCs, sorted.
-	w.dict = w.dict[:0]
-	for i := range recs {
-		w.dict = append(w.dict, recs[i].PC)
+	blk, err := w.enc.appendBlock(w.enc.out[:0], w.buf, w.tamperWidth)
+	w.enc.out = blk
+	if err != nil {
+		return err
 	}
-	slices.Sort(w.dict)
-	w.dict = slices.Compact(w.dict)
-	dictCount := len(w.dict)
+	if _, err := w.w.Write(blk); err != nil {
+		return fmt.Errorf("trace: writing block: %w", err)
+	}
+	w.buf = w.buf[:0]
+	return nil
+}
+
+// pcTableBits sizes the encoder's open-addressed PC table: 2^13 slots
+// keep a block of ColumnarBlockSize distinct PCs at most half full.
+const pcTableBits = 13
+
+// pcSlot is one entry of the encoder's PC table. It is live only while
+// gen equals the encoder's current generation, so the table is cleared
+// per block by bumping the generation instead of zeroing it.
+type pcSlot struct {
+	pc  uint64
+	gen uint32
+	id  uint16 // dense id: order of first appearance in the block
+}
+
+// columnarEncoder is the block writer's scratch, reused across blocks:
+// one pass over the records interns each PC through the PC table
+// (giving every record a dense id), builds the direction and kind
+// bitvectors and costs the raw escape; then only the distinct PCs are
+// sorted, and each record's dictionary index is one lookup of its
+// dense id's rank. It carries no fault-injection state, so pooled
+// encoders are always clean.
+type columnarEncoder struct {
+	table [1 << pcTableBits]pcSlot
+	gen   uint32
+	n     int                       // distinct PCs interned this block
+	ids   [ColumnarBlockSize]uint16 // per record: dense id of its PC
+	rank  [ColumnarBlockSize]uint16 // per dense id: dictionary index
+	dict  [ColumnarBlockSize]uint64 // distinct PCs, sorted once interned
+	dirs  [ColumnarBlockSize / 64]uint64
+	kinds [ColumnarBlockSize / 64]uint64
+	runs  [ColumnarBlockSize + 1]uint16 // kind run lengths
+	out   []byte                        // encoded output scratch
+}
+
+// encoderPool recycles EncodeColumnar's scratch. Only EncodeColumnar
+// draws from it, and it never tampers, so no pooled encoder is ever
+// used for a faulted stream.
+var encoderPool = sync.Pool{New: func() any { return new(columnarEncoder) }}
+
+// maxPooledOut caps the output scratch a pooled encoder keeps, so one
+// large trace does not pin its encoding in the pool.
+const maxPooledOut = 1 << 20
+
+// b2u is 1 for true and 0 for false, compiled without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// intern returns pc's dense id in the current block, assigning the
+// next one (and recording pc in dict) on first sight.
+func (e *columnarEncoder) intern(pc uint64) uint16 {
+	const mask = 1<<pcTableBits - 1
+	s := uint32(pc*0x9E3779B97F4A7C15>>(64-pcTableBits)) & mask
+	for {
+		sl := &e.table[s]
+		if sl.gen != e.gen {
+			id := uint16(e.n)
+			*sl = pcSlot{pc: pc, gen: e.gen, id: id}
+			e.dict[id] = pc
+			e.n++
+			return id
+		}
+		if sl.pc == pc {
+			return sl.id
+		}
+		s = (s + 1) & mask
+	}
+}
+
+// appendBlock appends recs (1..ColumnarBlockSize records) to dst as
+// one block, header and payload.
+func (e *columnarEncoder) appendBlock(dst []byte, recs []Branch, tamperWidth bool) ([]byte, error) {
+	count := len(recs)
+	if e.gen++; e.gen == 0 {
+		clear(e.table[:])
+		e.gen = 1
+	}
+	e.n = 0
+
+	// One pass: intern PCs, pack directions and kinds, cost the raw
+	// escape's zig-zag deltas.
+	rawCost := 0
+	prev := uint64(0)
+	var kindOr Kind
+	for w0 := 0; w0 < count; w0 += 64 {
+		grp := recs[w0:min(w0+64, count)]
+		ids := e.ids[w0 : w0+len(grp)]
+		var dw, kw uint64
+		for j := range grp {
+			b := &grp[j]
+			rawCost += uvarintLen(zigzag(int64(b.PC) - int64(prev)))
+			prev = b.PC
+			ids[j] = e.intern(b.PC)
+			dw |= b2u(b.Taken) << j
+			kw |= uint64(b.Kind&1) << j
+			kindOr |= b.Kind
+		}
+		e.dirs[w0>>6], e.kinds[w0>>6] = dw, kw
+	}
+	if kindOr > Unconditional {
+		for i := range recs {
+			if recs[i].Kind > Unconditional {
+				return dst, fmt.Errorf("trace: invalid kind %d", recs[i].Kind)
+			}
+		}
+	}
+
+	// Dictionary: sort only the distinct PCs, then map each dense id to
+	// its rank through the table.
+	dictCount := e.n
+	dict := e.dict[:dictCount]
+	slices.Sort(dict)
+	for r, pc := range dict {
+		e.rank[e.intern(pc)] = uint16(r)
+	}
 	width := bits.Len(uint(dictCount - 1))
 
 	// Cost both PC encodings. The raw escape must be at least a quarter
 	// smaller to displace the dictionary's straight-line decode.
-	dictCost := uvarintLen(uint64(dictCount)) + uvarintLen(w.dict[0])
+	dictCost := uvarintLen(uint64(dictCount)) + uvarintLen(dict[0])
 	for i := 1; i < dictCount; i++ {
-		dictCost += uvarintLen(w.dict[i] - w.dict[i-1])
+		dictCost += uvarintLen(dict[i] - dict[i-1])
 	}
 	dictCost += 1 + (count*width+7)/8
-	rawCost := 0
-	prev := uint64(0)
-	for i := range recs {
-		rawCost += uvarintLen(zigzag(int64(recs[i].PC) - int64(prev)))
-		prev = recs[i].PC
-	}
 
-	w.payload = w.payload[:0]
-	var vbuf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(vbuf[:], v)
-		w.payload = append(w.payload, vbuf[:n]...)
-	}
-
+	hdrAt := len(dst)
+	dst = append(dst, make([]byte, columnarBlockHeaderSize)...)
 	mode := byte(0)
 	if rawCost*4 < dictCost*3 {
 		mode = 1
 		prev = 0
 		for i := range recs {
-			putUvarint(zigzag(int64(recs[i].PC) - int64(prev)))
+			dst = binary.AppendUvarint(dst, zigzag(int64(recs[i].PC)-int64(prev)))
 			prev = recs[i].PC
 		}
 	} else {
-		putUvarint(uint64(dictCount))
-		putUvarint(w.dict[0])
+		dst = binary.AppendUvarint(dst, uint64(dictCount))
+		dst = binary.AppendUvarint(dst, dict[0])
 		for i := 1; i < dictCount; i++ {
-			putUvarint(w.dict[i] - w.dict[i-1])
+			dst = binary.AppendUvarint(dst, dict[i]-dict[i-1])
 		}
 		packWidth := width
-		if w.tamperWidth && packWidth > 0 {
+		if tamperWidth && packWidth > 0 {
 			packWidth--
 		}
-		w.payload = append(w.payload, byte(packWidth))
-		mask := uint64(1)<<packWidth - 1
-		var acc uint64
-		accBits := 0
-		for i := range recs {
-			idx, _ := slices.BinarySearch(w.dict, recs[i].PC)
-			acc |= (uint64(idx) & mask) << accBits
-			accBits += packWidth
-			for accBits >= 8 {
-				w.payload = append(w.payload, byte(acc))
-				acc >>= 8
-				accBits -= 8
-			}
-		}
-		if accBits > 0 {
-			w.payload = append(w.payload, byte(acc))
-		}
+		dst = append(dst, byte(packWidth))
+		dst = e.appendPacked(dst, count, packWidth)
 	}
 
 	// Direction bitvector.
-	var word uint64
-	for i := range recs {
-		if recs[i].Taken {
-			word |= 1 << (i & 63)
-		}
-		if i&63 == 63 {
-			w.payload = binary.LittleEndian.AppendUint64(w.payload, word)
-			word = 0
-		}
-	}
-	if count&63 != 0 {
-		w.payload = binary.LittleEndian.AppendUint64(w.payload, word)
+	words := (count + 63) / 64
+	for _, w := range e.dirs[:words] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 
 	// Kind stream: run-lengths when kinds are near-constant, a raw
@@ -265,56 +367,82 @@ func (w *ColumnarWriter) flushBlock() error {
 	// runs would cost more than the bitvector — the same decode-cost
 	// escape hatch the PC stream has, since the bitvector decodes as a
 	// straight word copy while dense runs pay a varint each.
+	runs := e.kindRuns(count)
 	runCost := 0
-	runKind := Conditional
-	for i := 0; i < count; runKind ^= 1 {
-		run := 0
-		for i+run < count && recs[i+run].Kind == runKind {
-			run++
-		}
-		runCost += uvarintLen(uint64(run))
-		i += run
+	for _, r := range runs {
+		runCost += uvarintLen(uint64(r))
 	}
-	words := (count + 63) / 64
 	if runCost <= words*8 {
-		w.payload = append(w.payload, kindStreamRuns)
-		runKind = Conditional
-		for i := 0; i < count; runKind ^= 1 {
-			run := 0
-			for i+run < count && recs[i+run].Kind == runKind {
-				run++
-			}
-			putUvarint(uint64(run))
-			i += run
+		dst = append(dst, kindStreamRuns)
+		for _, r := range runs {
+			dst = binary.AppendUvarint(dst, uint64(r))
 		}
 	} else {
-		w.payload = append(w.payload, kindStreamBits)
-		word = 0
-		for i := range recs {
-			word |= uint64(recs[i].Kind) << (i & 63)
-			if i&63 == 63 {
-				w.payload = binary.LittleEndian.AppendUint64(w.payload, word)
-				word = 0
-			}
-		}
-		if count&63 != 0 {
-			w.payload = binary.LittleEndian.AppendUint64(w.payload, word)
+		dst = append(dst, kindStreamBits)
+		for _, w := range e.kinds[:words] {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 	}
 
-	var hdr [columnarBlockHeaderSize]byte
+	hdr := dst[hdrAt : hdrAt+columnarBlockHeaderSize]
+	payload := dst[hdrAt+columnarBlockHeaderSize:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(count))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(w.payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(w.payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
 	hdr[12] = mode
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("trace: writing block header: %w", err)
+	return dst, nil
+}
+
+// appendPacked appends the block's count dictionary indices (each
+// record's dense id mapped to its rank), width bits each, LSB first.
+// Indices are masked to width, so a tampered (narrower) width aliases
+// high entries onto low ones.
+func (e *columnarEncoder) appendPacked(dst []byte, count, width int) []byte {
+	packedLen := (count*width + 7) / 8
+	dst = slices.Grow(dst, packedLen)
+	out := dst[len(dst) : len(dst)+packedLen]
+	mask := uint64(1)<<width - 1
+	var acc uint64
+	accBits, o := 0, 0
+	for _, id := range e.ids[:count] {
+		acc |= (uint64(e.rank[id]) & mask) << accBits
+		// accBits stays below 32+12, so acc never overflows.
+		if accBits += width; accBits >= 32 {
+			binary.LittleEndian.PutUint32(out[o:], uint32(acc))
+			o += 4
+			acc >>= 32
+			accBits -= 32
+		}
 	}
-	if _, err := w.w.Write(w.payload); err != nil {
-		return fmt.Errorf("trace: writing block payload: %w", err)
+	for ; accBits > 0; accBits -= 8 {
+		out[o] = byte(acc)
+		o++
+		acc >>= 8
 	}
-	w.buf = w.buf[:0]
-	return nil
+	return dst[:len(dst)+packedLen]
+}
+
+// kindRuns returns the block's alternating kind run lengths, starting
+// with a Conditional run (zero when the block opens unconditional):
+// each set bit of kinds XOR (kinds shifted up one record) is a run
+// boundary.
+func (e *columnarEncoder) kindRuns(count int) []uint16 {
+	runs := e.runs[:0]
+	start := 0
+	carry := uint64(0) // the previous record's kind; Conditional before the block
+	for w, k := range e.kinds[:(count+63)/64] {
+		t := k ^ (k<<1 | carry)
+		carry = k >> 63
+		if rem := count - w*64; rem < 64 {
+			t &= 1<<rem - 1
+		}
+		for ; t != 0; t &= t - 1 {
+			at := w*64 + bits.TrailingZeros64(t)
+			runs = append(runs, uint16(at-start))
+			start = at
+		}
+	}
+	return append(runs, uint16(count-start))
 }
 
 // columnarBlockHeader is one parsed block header.
@@ -685,20 +813,27 @@ func (r *ColumnarReader) Next() (Branch, error) {
 	return b, nil
 }
 
-// EncodeColumnar renders branches as one in-memory columnar stream.
+// EncodeColumnar renders branches as one in-memory columnar stream,
+// byte-identical to a ColumnarWriter fed the same records. It encodes
+// blocks straight from branches with pooled scratch; the returned
+// slice is freshly allocated at its exact length.
 func EncodeColumnar(branches []Branch) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := NewColumnarWriter(&buf)
-	if err != nil {
-		return nil, err
+	e := encoderPool.Get().(*columnarEncoder)
+	out := appendColumnarHeader(e.out[:0])
+	var err error
+	for rest := branches; len(rest) > 0 && err == nil; {
+		n := min(len(rest), ColumnarBlockSize)
+		out, err = e.appendBlock(out, rest[:n], false)
+		rest = rest[n:]
 	}
-	for i := range branches {
-		if err := w.Write(branches[i]); err != nil {
-			return nil, err
-		}
+	var enc []byte
+	if err == nil {
+		enc = bytes.Clone(out)
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
+	if cap(out) > maxPooledOut {
+		out = nil
 	}
-	return buf.Bytes(), nil
+	e.out = out[:0]
+	encoderPool.Put(e)
+	return enc, err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -372,6 +373,78 @@ func TestMappedBatchZeroAlloc(t *testing.T) {
 		}
 		m.Close()
 	}
+}
+
+// TestColumnarEncodeZeroAllocPerBlock: encoding through a reused
+// ColumnarWriter allocates nothing per block, on the dictionary, raw
+// escape and kind-bitvector paths alike, and EncodeColumnar allocates
+// only the slice it returns.
+func TestColumnarEncodeZeroAllocPerBlock(t *testing.T) {
+	for name, branches := range map[string][]Branch{
+		"dictionary":  genBranches(5, 3*ColumnarBlockSize+100),
+		"raw escape":  encodeFuzzBranches(nil, 2*ColumnarBlockSize+7, 2),
+		"kind bitvec": encodeFuzzBranches([]byte("kinds"), 2*ColumnarBlockSize, 2<<2),
+	} {
+		w, err := NewColumnarWriter(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encode := func() {
+			for _, b := range branches {
+				if err := w.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode() // warm the block scratch
+		if allocs := testing.AllocsPerRun(10, encode); allocs != 0 {
+			t.Errorf("%s: ColumnarWriter allocates %.1f objects per %d-record encode, want 0", name, allocs, len(branches))
+		}
+		if raceEnabled {
+			continue
+		}
+		encodeColumnarT(t, branches) // warm the pool
+		if allocs := testing.AllocsPerRun(10, func() { encodeColumnarT(t, branches) }); allocs > 1 {
+			t.Errorf("%s: EncodeColumnar allocates %.1f objects per call, want 1 (its result)", name, allocs)
+		}
+	}
+}
+
+// TestEncodeColumnarConcurrent: EncodeColumnar's pooled scratch is
+// shared by concurrent callers, and each must still get exactly the
+// bytes a sequential encode gives.
+func TestEncodeColumnarConcurrent(t *testing.T) {
+	traces := make([][]Branch, 8)
+	want := make([][]byte, len(traces))
+	for i := range traces {
+		traces[i] = genBranches(uint64(100+i), (i+1)*1500)
+		want[i] = referenceEncodeColumnar(traces[i], false)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i := range traces {
+					i := (i + g) % len(traces)
+					got, err := EncodeColumnar(traces[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Errorf("goroutine %d: trace %d encodes differently under concurrency", g, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestColumnarEmptyAndHeader: degenerate containers.

@@ -268,3 +268,108 @@ func FuzzColumnarUnpack(f *testing.F) {
 		}
 	})
 }
+
+// encodeFuzzBranches derives count records from data and shape. shape
+// bits 0-1 pick the PC pattern (0: a small hot set drawn from data, 1:
+// a permutation of 4096 closely spaced PCs, every one distinct within
+// a block but dictionary-encoded, 2: ascending PCs, which take the raw
+// escape, 3: wide pseudo-random PCs), bits 2-3 the kind pattern (0:
+// from data, 1: all conditional, 2: alternating, which takes the kind
+// bitvector escape, 3: long runs opening unconditional) and bits 5-7 a
+// right shift narrowing the PCs.
+func encodeFuzzBranches(data []byte, count int, shape uint8) []Branch {
+	x := uint64(len(data))*0x9E3779B97F4A7C15 + 1
+	for _, c := range data {
+		x = (x ^ uint64(c)) * 0xBF58476D1CE4E5B9
+	}
+	next := func() uint64 {
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+	at := func(i int) byte {
+		if len(data) == 0 {
+			return byte(next())
+		}
+		return data[i%len(data)] ^ byte(i/len(data))
+	}
+	base := next() >> 20
+	shift := uint(shape >> 5)
+	out := make([]Branch, count)
+	for i := range out {
+		var pc uint64
+		switch shape & 3 {
+		case 0:
+			pc = base + uint64(at(i))
+		case 1:
+			pc = base + uint64(i*2654435761)%ColumnarBlockSize
+		case 2:
+			pc = base + uint64(i)
+		case 3:
+			pc = next()
+		}
+		b := Branch{PC: pc >> shift, Taken: next()&1 != 0}
+		switch shape >> 2 & 3 {
+		case 0:
+			b.Kind = Kind(at(i+7) & 1)
+		case 2:
+			b.Kind = Kind(i & 1)
+		case 3:
+			b.Kind = Kind(1 - i/300&1)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// FuzzColumnarEncode requires the production columnar writer — both
+// EncodeColumnar and a ColumnarWriter, clean and tampered — to emit
+// exactly the bytes of the sort-and-search reference encoder
+// (columnar_ref_test.go). shape bit 4 plants the bitpack-width
+// tamper in the writer and the reference alike.
+func FuzzColumnarEncode(f *testing.F) {
+	f.Add([]byte{}, uint16(ColumnarBlockSize), uint8(1))                  // 4096 distinct PCs, width 12
+	f.Add([]byte{1, 2, 3}, uint16(ColumnarBlockSize+1000), uint8(2))      // raw escape, partial final block
+	f.Add([]byte("kinds"), uint16(ColumnarBlockSize), uint8(2<<2))        // kind bitvector escape
+	f.Add([]byte("runs"), uint16(3*ColumnarBlockSize-5), uint8(3<<2))     // runs opening unconditional
+	f.Add([]byte("hot set"), uint16(2*ColumnarBlockSize+77), uint8(1<<4)) // tampered writer
+	f.Add([]byte{0xff}, uint16(1), uint8(3))                              // one wide record
+	f.Add([]byte{9, 9}, uint16(130), uint8(3|5<<5))                       // narrowed random PCs
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, shape uint8) {
+		branches := encodeFuzzBranches(data, int(n)%(3*ColumnarBlockSize+1), shape)
+		tamper := shape&(1<<4) != 0
+		want := referenceEncodeColumnar(branches, tamper)
+
+		var buf bytes.Buffer
+		w, err := NewColumnarWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tamper {
+			TamperColumnarBitpackWidth(w)
+		}
+		for _, b := range branches {
+			if err := w.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("ColumnarWriter (tamper %v): %d bytes differ from the reference's %d", tamper, buf.Len(), len(want))
+		}
+		if tamper {
+			return
+		}
+		got, err := EncodeColumnar(branches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeColumnar: %d bytes differ from the reference's %d", len(got), len(want))
+		}
+	})
+}

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Content hashing
@@ -27,32 +29,28 @@ const hashRecordSize = 9
 // hashChunk is how many records are staged per digest write.
 const hashChunk = 512
 
-// appendHashRecord encodes one branch in the canonical hash form.
-func appendHashRecord(dst []byte, b *Branch) []byte {
-	var rec [hashRecordSize]byte
-	pc := b.PC
-	for i := 0; i < 8; i++ {
-		rec[i] = byte(pc >> (8 * i))
+// appendHashRecords encodes recs in the canonical hash form, appending
+// to dst; each record's PC is one little-endian word store.
+func appendHashRecords(dst []byte, recs []Branch) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, len(recs)*hashRecordSize)[:at+len(recs)*hashRecordSize]
+	for i := range recs {
+		rec := dst[at+i*hashRecordSize : at+(i+1)*hashRecordSize]
+		binary.LittleEndian.PutUint64(rec, recs[i].PC)
+		rec[8] = byte(recs[i].Kind)&1 | byte(b2u(recs[i].Taken))<<1
 	}
-	rec[8] = byte(b.Kind) & 1
-	if b.Taken {
-		rec[8] |= 2
-	}
-	return append(dst, rec[:]...)
+	return dst
 }
 
 // HashBranches returns the hex content hash of an in-memory trace.
 func HashBranches(branches []Branch) string {
 	h := sha256.New()
 	buf := make([]byte, 0, hashChunk*hashRecordSize)
-	for i := range branches {
-		buf = appendHashRecord(buf, &branches[i])
-		if len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
+	for len(branches) > 0 {
+		n := min(len(branches), hashChunk)
+		h.Write(appendHashRecords(buf, branches[:n]))
+		branches = branches[n:]
 	}
-	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -65,11 +63,7 @@ func HashSource(src Source) (hash string, n int, err error) {
 	enc := make([]byte, 0, hashChunk*hashRecordSize)
 	for {
 		k, err := ReadBatch(src, buf)
-		enc = enc[:0]
-		for i := 0; i < k; i++ {
-			enc = appendHashRecord(enc, &buf[i])
-		}
-		h.Write(enc)
+		h.Write(appendHashRecords(enc, buf[:k]))
 		n += k
 		if errors.Is(err, io.EOF) {
 			return hex.EncodeToString(h.Sum(nil)), n, nil

@@ -204,6 +204,17 @@ func TestWriterRejectsBadKind(t *testing.T) {
 	if err := w.Write(Branch{Kind: Kind(7)}); err == nil {
 		t.Error("Write accepted invalid kind")
 	}
+	cw, _ := NewColumnarWriter(&bytes.Buffer{})
+	if err := cw.Write(Branch{Kind: Kind(7)}); err == nil {
+		t.Error("ColumnarWriter.Write accepted invalid kind")
+	}
+	// EncodeColumnar checks kinds in its block pass, including in a
+	// later block than the first.
+	branches := genBranches(3, ColumnarBlockSize+10)
+	branches[ColumnarBlockSize+5].Kind = Kind(2)
+	if _, err := EncodeColumnar(branches); err == nil || !strings.Contains(err.Error(), "invalid kind 2") {
+		t.Errorf("EncodeColumnar of an invalid kind: err %v, want invalid kind 2", err)
+	}
 }
 
 func TestZigzag(t *testing.T) {

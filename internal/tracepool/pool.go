@@ -141,6 +141,15 @@ func (p *Pool) Len() int {
 // hit. The branch slice is retained by the memory tier, so callers
 // must not mutate it afterwards.
 func (p *Pool) Put(branches []trace.Branch) (hash string, created bool, err error) {
+	return p.PutEncoded(branches, nil)
+}
+
+// PutEncoded is Put for a segment that arrived serialised: data must
+// be the bytes branches were decoded from. A columnar data becomes the
+// disk blob as it is, skipping the re-encode; any other data (varint,
+// or nil) is encoded afresh. Either way a later Get re-validates the
+// blob against its address.
+func (p *Pool) PutEncoded(branches []trace.Branch, data []byte) (hash string, created bool, err error) {
 	hash = trace.HashBranches(branches)
 	if p.resident(hash) || p.onDisk(hash) {
 		p.insertMem(hash, branches)
@@ -148,11 +157,12 @@ func (p *Pool) Put(branches []trace.Branch) (hash string, created bool, err erro
 		return hash, false, nil
 	}
 	if p.dir != "" {
-		enc, err := trace.EncodeColumnar(branches)
-		if err != nil {
-			return "", false, fmt.Errorf("tracepool: encoding %s: %w", hash, err)
+		if !trace.IsColumnar(data) {
+			if data, err = trace.EncodeColumnar(branches); err != nil {
+				return "", false, fmt.Errorf("tracepool: encoding %s: %w", hash, err)
+			}
 		}
-		if err := p.writeBlob(p.blobPath(hash), enc); err != nil {
+		if err := p.writeBlob(p.blobPath(hash), data); err != nil {
 			return "", false, err
 		}
 	}

@@ -9,6 +9,8 @@
 #   - a byte-identical regeneration proves the writers are
 #     deterministic (the columnar file is canonical bytes for a given
 #     branch sequence — the property the trace pool's GET depends on),
+#     and a pinned SHA-256 of the columnar file proves the bytes are
+#     the format's, so a writer rewrite that changes any byte fails,
 #   - the columnar file stays within 1.25x of the varint file (the
 #     format trades a little size for ~2.5x decode speed; this bounds
 #     the trade).
@@ -33,6 +35,14 @@ scale=0.02
 
 cmp "$workdir/t.ctrace" "$workdir/t2.ctrace"
 echo "trace-smoke: columnar writer is deterministic"
+
+want_sha=3e48252960d86fde7ca28cc5eec1550b1aed1b035d1a848b1cb7bdfb4428b3fd
+got_sha=$(sha256sum "$workdir/t.ctrace" | cut -d' ' -f1)
+if [[ "$got_sha" != "$want_sha" ]]; then
+    echo "trace-smoke: columnar file SHA-256 $got_sha, pinned $want_sha: the writer changed the format's bytes" >&2
+    exit 1
+fi
+echo "trace-smoke: columnar file matches the pinned SHA-256"
 
 varint_size=$(wc -c <"$workdir/t.trace")
 columnar_size=$(wc -c <"$workdir/t.ctrace")
