@@ -7,10 +7,12 @@
 # experiments cell memo's single-flight tests. `make verify` is
 # the differential tier: the optimized predictors against the
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
-# runs each fuzz target for FUZZTIME. `make bench` runs the compiled
-# kernel vs interface comparison BENCHCOUNT times and snapshots the
-# best runs to BENCH_kernel.json, then the whole-trace segmented and
-# bitsliced comparison into BENCH_sim.json, then the trace codec
+# runs each fuzz target for FUZZTIME, among them the cell-parallel
+# drain against the serial one (FuzzRunCellParallel). `make bench`
+# runs the compiled kernel vs interface comparison BENCHCOUNT times and
+# snapshots the best runs to BENCH_kernel.json, then the whole-trace
+# serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
+# BENCH_sim.json, then the trace codec
 # comparison (varint vs columnar vs mmap) into BENCH_trace.json, then
 # a predload zipfian sweep against an in-process server into
 # BENCH_serve.json (latency quantiles + cache-hit curve, guarded by
@@ -69,7 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzAlgoSpec -fuzztime=$(FUZZTIME) ./internal/algotrace
 	$(GO) test -fuzz=FuzzRecorder -fuzztime=$(FUZZTIME) ./internal/algotrace
-	$(GO) test -fuzz=FuzzRunSegmented -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -fuzz=FuzzRunCellParallel -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz=FuzzTAGEFoldedHistory -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzTAGEKernel -fuzztime=$(FUZZTIME) ./internal/refmodel/diff

@@ -7,11 +7,12 @@ import (
 )
 
 // The committed benchmark snapshots are artifacts with claims
-// attached: the block decoder is faster than the per-record one, and
-// the bitsliced group kernel beats the scalar kernels per lane. These
-// tests re-assert those relations from the snapshots themselves, so a
-// regression that survives into a regenerated BENCH_*.json fails the
-// suite rather than silently shipping. All comparisons are within one
+// attached: the block decoder is faster than the per-record one, the
+// bitsliced group kernel beats the scalar kernels per lane, and a
+// cell-parallel sweep beats the serial one. These tests re-assert
+// those relations from the snapshots themselves, so a regression that
+// survives into a regenerated BENCH_*.json fails the suite rather
+// than silently shipping. All comparisons are within one
 // snapshot (one machine, one run), never across files.
 
 // benchSnapshot mirrors the cmd/benchjson document shape.
@@ -82,18 +83,14 @@ func TestBenchSnapshotStepBatch64(t *testing.T) {
 	}
 }
 
-// TestBenchSnapshotSim: the whole-trace snapshot must carry the
-// segmented wall-clock sweep and show the bitsliced sweep beating the
-// scalar-kernel sweep per branch per predictor.
+// TestBenchSnapshotSim: the whole-trace snapshot must show the
+// automatic (cell-parallel) mixed-geometry sweep beating the serial
+// one, and the bitsliced sweep beating the scalar-kernel sweep, per
+// branch per predictor. No one-predictor relation: with one predictor
+// auto and serial run identical code, so it would compare noise.
 func TestBenchSnapshotSim(t *testing.T) {
 	ns := loadSnapshot(t, "BENCH_sim.json")
-	for _, name := range []string{
-		"SimSegmented/K1", "SimSegmented/K2", "SimSegmented/K4", "SimSegmented/K8",
-	} {
-		if _, ok := ns[name]; !ok {
-			t.Errorf("snapshot missing %q; regenerate with `make bench`", name)
-		}
-	}
+	faster(t, ns, "SimAuto/auto", "SimAuto/serial")
 	faster(t, ns, "SimBitsliced/lanes64", "SimBitsliced/lanes1")
 }
 

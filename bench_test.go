@@ -540,17 +540,14 @@ func BenchmarkKernelStepBatch64(b *testing.B) {
 	}
 }
 
-// Segment-parallel and bitsliced whole-trace benchmarks. `make bench`
-// snapshots these (the ^BenchmarkSim pattern) into BENCH_sim.json:
-// wall-clock for one trace at segment counts K=1/2/4/8, and for a
-// 64-predictor sweep with the bitsliced group path off and on. On a
-// single-core host the segmented numbers document parity rather than
-// speedup — the engine's value there is that it is bit-identical, not
-// faster.
+// Whole-trace sweep benchmarks. `make bench` snapshots these (the
+// ^BenchmarkSim pattern) into BENCH_sim.json: a mixed-geometry sweep
+// run serially and automatically (cell-parallel), and a 64-predictor
+// sweep with the bitsliced group path off and on. On a single-core
+// host the auto arm has no helpers and matches serial.
 
 // simBenchTrace materialises the longer trace the whole-trace
-// benchmarks run on; long enough that segment warm-up (default 4096
-// branches per boundary) is amortised.
+// benchmarks run on.
 func simBenchTrace(b *testing.B) []trace.Branch {
 	b.Helper()
 	spec, err := workload.ByName("verilog")
@@ -564,25 +561,48 @@ func simBenchTrace(b *testing.B) []trace.Branch {
 	return branches
 }
 
-// BenchmarkSimSegmented runs one gshare predictor over the whole
-// trace with segment-parallel simulation forced to K segments; ns/op
-// is per branch. K1 is the serial baseline (Segments=1 bypasses the
-// segmented engine entirely).
-func BenchmarkSimSegmented(b *testing.B) {
+// simAutoCells is the mixed-geometry sweep of BenchmarkSimAuto: eight
+// cells of six families and several sizes, no two sharing a bitsliced
+// lane shape, so each is its own work unit.
+var simAutoCells = []string{
+	"gshare:n=14,k=12",
+	"gshare:n=12,k=10",
+	"gskewed:n=12,k=8",
+	"egskew:n=11,k=10",
+	"bimodal:n=14",
+	"gselect:n=13,k=6",
+	"2bcgskew:n=12,ks=6,k=13",
+	"gskewed:n=10,k=12,policy=total",
+}
+
+// BenchmarkSimAuto runs simAutoCells over the whole trace serially
+// (Segments 1) and automatically (Segments 0, which drains the cells
+// cell-parallel on up to GOMAXPROCS goroutines); ns/op is per branch
+// per predictor.
+func BenchmarkSimAuto(b *testing.B) {
 	branches := simBenchTrace(b)
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run("K"+strconv.Itoa(k), func(b *testing.B) {
-			p := predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: 12, Ctr: 2})
-			opts := sim.Options{Segments: k}
+	for _, arm := range []struct {
+		name     string
+		segments int
+	}{
+		{"serial", 1},
+		{"auto", 0},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			preds := make([]predictor.Predictor, len(simAutoCells))
+			for i, spec := range simAutoCells {
+				preds[i] = predictor.MustParseSpec(spec)
+			}
+			opts := sim.Options{Segments: arm.segments}
 			b.ReportAllocs()
 			b.ResetTimer()
 			done := 0
 			for done < b.N {
-				chunk := len(branches)
+				chunk := len(branches) * len(preds)
 				if b.N-done < chunk {
 					chunk = b.N - done
 				}
-				if _, err := sim.RunManyBranches(branches[:chunk], []predictor.Predictor{p}, opts); err != nil {
+				if _, err := sim.RunManyBranches(branches[:(chunk+len(preds)-1)/len(preds)], preds, opts); err != nil {
 					b.Fatal(err)
 				}
 				done += chunk

@@ -16,12 +16,11 @@
 // timing lines go to stderr, so stdout is byte-identical across -jobs
 // settings.
 //
-// -segments additionally splits each cell's trace into N contiguous
-// segments simulated concurrently by the segment-parallel engine
-// (sim.Options.Segments); -segments 0 lets each cell choose, draining
-// multi-predictor cells cell-parallel. Either is an execution
-// strategy, not a model change: results — and therefore stdout — are
-// byte-identical across -segments settings too.
+// -segments 0 (auto) drains each multi-predictor cell's predictors
+// cell-parallel within the cell; -segments 1 (the default) steps them
+// serially (sim.Options.Segments). Either is an execution strategy,
+// not a model change: results — and therefore stdout — are
+// byte-identical across the two. Any other value is a usage error.
 //
 // Run telemetry is opt-in and never touches stdout:
 //
@@ -60,7 +59,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text, csv or plot (ASCII charts)")
 		seed     = flag.Uint64("seed", 0, "seed offset for workload generation")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulation cells (0 = GOMAXPROCS; 1 = serial)")
-		segments = flag.Int("segments", 1, "parallel split per simulation cell, bit-identical results: N >= 2 segments the trace; 0 = auto (multi-predictor cells drain cell-parallel, other cells run serially; auto never segments); 1 = serial")
+		segments = flag.Int("segments", 1, "per-cell execution, bit-identical results: 0 = auto (multi-predictor cells drain cell-parallel, other cells run serially); 1 = serial")
 		poolDir  = flag.String("trace-pool", "", "content-addressed trace pool directory: reuse pooled workload traces across runs and processes (empty = off)")
 
 		progress     = flag.Bool("progress", false, "print live per-cell progress lines to stderr")
@@ -71,6 +70,11 @@ func main() {
 	)
 	prof.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if *segments >= 2 {
+		fmt.Fprintf(os.Stderr, "experiments: -segments %d: want 0 (auto) or 1 (serial)\n", *segments)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
 	}

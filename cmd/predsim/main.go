@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ctrBits   = fs.Uint("counter", 2, "counter width in bits")
 		policy    = fs.String("policy", "partial", "gskewed update policy: partial or total")
 		skipFirst = fs.Bool("skip-first-use", false, "exclude first-time (address,history) references (ideal-table accounting)")
-		segments  = fs.Int("segments", 1, "parallel simulation, bit-identical to serial: N >= 2 splits the trace into N segments simulated concurrently; 0 = auto (several predictors drain cell-parallel, anything else runs serially; auto never segments); 1 = serial")
 		top       = fs.Int("top", 0, "also report the top-N mispredicting branch addresses")
 
 		asJSON       = fs.Bool("json", false, "emit the result as JSON (sim.Result serialization) instead of text")
@@ -101,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	label := specLabel(p)
 	var rec *obs.Recorder
-	opts := sim.Options{SkipFirstUse: *skipFirst, Segments: *segments}
+	opts := sim.Options{SkipFirstUse: *skipFirst}
 	if *intervals > 0 {
 		obs.Enable()
 		rec = obs.NewRecorder(*intervals, label)

@@ -90,25 +90,3 @@ func TestOutputStableOnFixedSeed(t *testing.T) {
 		t.Errorf("output not byte-stable on a fixed seed:\n%q\nvs\n%q", a, b)
 	}
 }
-
-// TestSegmentsOutputByteIdentical: -segments is a pure execution
-// strategy; stdout must be byte-identical across every segment count,
-// including auto (0), for both a single-table and a skewed family.
-func TestSegmentsOutputByteIdentical(t *testing.T) {
-	for _, pred := range []string{"gshare:n=9,k=7,ctr=2", "egskew:n=7,k=8,ctr=2"} {
-		base := []string{"-bench", "verilog", "-pred", pred, "-scale", "0.01", "-seed", "7"}
-		want, _, err := runPredsim(t, append(base, "-segments", "1")...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, segs := range []string{"0", "2", "5", "64"} {
-			got, _, err := runPredsim(t, append(base, "-segments", segs)...)
-			if err != nil {
-				t.Fatalf("%s -segments %s: %v", pred, segs, err)
-			}
-			if got != want {
-				t.Errorf("%s: -segments %s output differs from serial:\n%q\nvs\n%q", pred, segs, got, want)
-			}
-		}
-	}
-}

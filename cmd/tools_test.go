@@ -111,6 +111,20 @@ func TestExperimentsRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestExperimentsRejectsSegmentsAboveOne: a cell runs serially (1) or
+// automatically (0); any other -segments is a usage error (exit 2)
+// that names the flag.
+func TestExperimentsRejectsSegmentsAboveOne(t *testing.T) {
+	out, err := run(t, "experiments", "-id", "table1", "-scale", "0.005", "-segments", "2")
+	exit, ok := err.(*exec.ExitError)
+	if !ok || exit.ExitCode() != 2 {
+		t.Fatalf("-segments 2: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(out, "-segments 2") {
+		t.Errorf("usage error does not name the flag:\n%s", out)
+	}
+}
+
 func TestPredsimOnBenchmark(t *testing.T) {
 	out, err := run(t, "predsim",
 		"-bench", "verilog", "-pred", "gskewed", "-entries", "1024",

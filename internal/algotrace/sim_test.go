@@ -1,22 +1,23 @@
 package algotrace_test
 
 // Integration properties of recorded real-algorithm streams against
-// the simulation engine: segment-parallel simulation must be
-// bit-identical to the serial run on recorded streams, for every
-// predictor family the realwork experiment races. This lives in an
+// the simulation engine: the automatic multi-predictor run (drained
+// cell-parallel) must be bit-identical to serial runs on recorded
+// streams, for every predictor family the realwork experiment races. This lives in an
 // external test package so algotrace itself keeps its tiny dependency
 // surface (rng + trace only).
 
 import (
+	"runtime"
 	"testing"
 
 	"gskew/internal/algotrace"
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
-	"gskew/internal/trace"
 )
 
-func TestRunSegmentedMatchesSerialOnRecordedStreams(t *testing.T) {
+func TestRunAutoMatchesSerialOnRecordedStreams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // helpers for the cell-parallel drain
 	streams := []string{
 		"algo:mp,n=20000,m=6,seed=3",
 		"algo:kmp,n=20000,m=6,pat=uni,seed=3",
@@ -45,26 +46,23 @@ func TestRunSegmentedMatchesSerialOnRecordedStreams(t *testing.T) {
 		}
 		serial := make([]sim.Result, len(ps))
 		for i, p := range ps {
-			r, err := sim.RunBranches(branches, p, sim.Options{})
+			r, err := sim.RunBranches(branches, p, sim.Options{Segments: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			serial[i] = r
 		}
-		for _, segments := range []int{2, 7} {
-			ps := make([]predictor.Predictor, len(preds))
-			for i, p := range preds {
-				ps[i] = predictor.MustParseSpec(p)
-			}
-			got, err := sim.RunSegmented(trace.NewSliceSource(branches), ps, sim.Options{Segments: segments})
-			if err != nil {
-				t.Fatalf("%s segments=%d: %v", s, segments, err)
-			}
-			for i := range ps {
-				if got[i] != serial[i] {
-					t.Errorf("%s pred=%s segments=%d: %+v != serial %+v",
-						s, preds[i], segments, got[i], serial[i])
-				}
+		ps = make([]predictor.Predictor, len(preds))
+		for i, p := range preds {
+			ps[i] = predictor.MustParseSpec(p)
+		}
+		got, err := sim.RunManyBranches(branches, ps, sim.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		for i := range ps {
+			if got[i] != serial[i] {
+				t.Errorf("%s pred=%s: auto %+v != serial %+v", s, preds[i], got[i], serial[i])
 			}
 		}
 	}

@@ -101,11 +101,11 @@ type Context struct {
 	// cells of this context. Nil selects a default GOMAXPROCS-wide
 	// scheduler on first use; NewSched(1) forces fully serial runs.
 	Sched *Sched
-	// Segments is the default segment-parallel split for every
-	// simulation cell driven through Context.RunMany (sim.Options.
-	// Segments; results are bit-identical to serial at any value). It
-	// applies only to cells that did not set their own split; 0 leaves
-	// the simulator's own default in place.
+	// Segments is the default execution of every simulation cell
+	// driven through Context.RunMany (sim.Options.Segments: 0 auto,
+	// 1 serial; results are bit-identical either way). It applies only
+	// to cells that did not set their own; 0 leaves the simulator's
+	// auto default in place.
 	Segments int
 	// Obs, when non-nil, collects run telemetry (interval curves,
 	// manifest cells, progress lines) from every simulation cell driven

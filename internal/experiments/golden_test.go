@@ -51,8 +51,8 @@ func TestShootoutGolden(t *testing.T) {
 }
 
 // TestShootoutDeterministicAcrossExecution reruns the shoot-out with
-// a serial scheduler and with segment-parallel cells: the rendered
-// output must match the default-parallel run byte for byte —
+// a serial scheduler and with serial cells (Segments 1): the rendered
+// output must match the default auto run byte for byte —
 // execution strategy is not allowed to leak into results.
 func TestShootoutDeterministicAcrossExecution(t *testing.T) {
 	render := func(ctx *Context) string {
@@ -77,10 +77,10 @@ func TestShootoutDeterministicAcrossExecution(t *testing.T) {
 	if got := render(serial); got != base {
 		t.Errorf("serial scheduler changed output:\n--- jobs=1 ---\n%s--- default ---\n%s", got, base)
 	}
-	seg := testCtx()
-	seg.Segments = 5
-	if got := render(seg); got != base {
-		t.Errorf("segmented execution changed output:\n--- segments=5 ---\n%s--- serial ---\n%s", got, base)
+	serialCells := testCtx()
+	serialCells.Segments = 1
+	if got := render(serialCells); got != base {
+		t.Errorf("serial cells changed output:\n--- segments=1 ---\n%s--- auto ---\n%s", got, base)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestRealworkGolden(t *testing.T) {
 }
 
 // TestRealworkDeterministicAcrossExecution reruns ext-realwork with a
-// serial scheduler and with segment-parallel simulation; the rendered
-// output must be byte-identical either way.
+// serial scheduler and with serial cells (Segments 1); the rendered
+// output must match the default auto run byte for byte.
 func TestRealworkDeterministicAcrossExecution(t *testing.T) {
 	render := func(ctx *Context) string {
 		t.Helper()
@@ -145,10 +145,10 @@ func TestRealworkDeterministicAcrossExecution(t *testing.T) {
 	if got := render(serial); got != base {
 		t.Errorf("serial scheduler changed output:\n--- jobs=1 ---\n%s--- default ---\n%s", got, base)
 	}
-	seg := testCtx()
-	seg.Segments = 5
-	if got := render(seg); got != base {
-		t.Errorf("segmented execution changed output:\n--- segments=5 ---\n%s--- serial ---\n%s", got, base)
+	serialCells := testCtx()
+	serialCells.Segments = 1
+	if got := render(serialCells); got != base {
+		t.Errorf("serial cells changed output:\n--- segments=1 ---\n%s--- auto ---\n%s", got, base)
 	}
 }
 

@@ -100,7 +100,7 @@ func (c *Context) RunMany(cell string, src trace.Source, preds []predictor.Predi
 // predictor order.
 func (c *Context) simulate(cell string, labels []string, src trace.Source, preds []predictor.Predictor, opts sim.Options) ([]sim.Result, []*obs.Series, error) {
 	if opts.Segments == 0 {
-		// Cells that did not pick their own split inherit the
+		// Cells that did not pick their own execution inherit the
 		// context-wide default (-segments).
 		opts.Segments = c.Segments
 	}

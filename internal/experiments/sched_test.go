@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,10 +181,11 @@ func TestRunAllDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestRunAllDeterministicAcrossSegments is the same contract for
-// -segments: the segment-parallel engine is an execution strategy, so
-// a representative suite slice rendered with Segments 1 and a forced
-// multi-segment split must be byte-identical.
+// -segments: cell-parallel draining is an execution strategy, so a
+// representative suite slice rendered with Segments 1 (serial) and 0
+// (auto) must be byte-identical.
 func TestRunAllDeterministicAcrossSegments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // auto needs helpers to drain cell-parallel
 	ids := []string{"table1", "fig3", "ext-flush", "ablation-counters"}
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
@@ -215,10 +217,10 @@ func TestRunAllDeterministicAcrossSegments(t *testing.T) {
 		return buf.Bytes()
 	}
 	serial := render(1)
-	segmented := render(5)
-	if !bytes.Equal(serial, segmented) {
-		t.Errorf("rendered output differs between -segments 1 (%d bytes) and -segments 5 (%d bytes)",
-			len(serial), len(segmented))
+	auto := render(0)
+	if !bytes.Equal(serial, auto) {
+		t.Errorf("rendered output differs between -segments 1 (%d bytes) and -segments 0 (%d bytes)",
+			len(serial), len(auto))
 	}
 }
 

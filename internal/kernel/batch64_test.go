@@ -348,48 +348,3 @@ func TestStepBatch64ZeroAllocs(t *testing.T) {
 		})
 	}
 }
-
-// TestTouchBatch: the touched-cell marks must cover every cell the
-// same block mutates, and the marking pass itself must not disturb
-// counter state or allocate.
-func TestTouchBatch(t *testing.T) {
-	steps := mkSteps(8000, 23)
-	for _, tc := range cases() {
-		t.Run(tc.name, func(t *testing.T) {
-			kern, ok := Compile(tc.mk(), tc.hist)
-			if !ok {
-				t.Fatal("did not compile")
-			}
-			sk, ok := kern.(StateKernel)
-			if !ok {
-				t.Fatal("compiled kernel does not expose StateKernel")
-			}
-			banks := sk.Banks()
-			before := make([][]uint8, len(banks))
-			marks := make([][]uint8, len(banks))
-			for b, cells := range banks {
-				before[b] = append([]uint8(nil), cells...)
-				marks[b] = make([]uint8, len(cells))
-			}
-			sk.TouchBatch(steps, marks)
-			for b, cells := range banks {
-				for i := range cells {
-					if cells[i] != before[b][i] {
-						t.Fatalf("TouchBatch mutated bank %d cell %d", b, i)
-					}
-				}
-			}
-			if allocs := testing.AllocsPerRun(10, func() { sk.TouchBatch(steps, marks) }); allocs != 0 {
-				t.Errorf("TouchBatch allocates %.1f objects per call, want 0", allocs)
-			}
-			kern.StepBatch(steps)
-			for b, cells := range banks {
-				for i := range cells {
-					if cells[i] != before[b][i] && marks[b][i] == 0 {
-						t.Errorf("bank %d cell %d changed but was not marked touched", b, i)
-					}
-				}
-			}
-		})
-	}
-}

@@ -171,8 +171,6 @@ type bimodalKernel struct {
 	ctrBits uint
 }
 
-func (k *bimodalKernel) index(pc, _ uint64) uint64 { return pc & k.idxMask }
-
 func (k *bimodalKernel) step1(pc, _ uint64, taken bool) bool {
 	i := pc & k.idxMask
 	s := k.cells[i]
@@ -384,23 +382,6 @@ type skewKernel struct {
 	ctrBits   uint
 }
 
-// indices returns the three bank indices for one reference — a pure
-// function of (pc, hist), shared by the touch pass and the bitsliced
-// lanes.
-func (k *skewKernel) indices(pc, hist uint64) (i0, i1, i2 uint64) {
-	v := pc<<k.kp | hist&k.vHistMask
-	v1 := v & k.bankMask
-	v2 := v >> k.n & k.bankMask
-	pk := k.pa[v1] ^ k.pb[v2]
-	i0 = pk & k.bankMask
-	if k.enhanced {
-		i0 = pc & k.bankMask
-	}
-	i1 = pk >> lutField & k.bankMask
-	i2 = pk >> (2 * lutField) & k.bankMask
-	return i0, i1, i2
-}
-
 // Step is a one-element StepBatch, so interface sessions and the
 // differential harness drive the same transcription batch runs do.
 func (k *skewKernel) Step(pc, hist uint64, taken bool) bool {
@@ -512,21 +493,6 @@ type tbcKernel struct {
 	// metaFlip is 1 when the predictor carries the planted
 	// chooser-inversion fault (predictor.TamperTwoBcMeta), 0 otherwise.
 	metaFlip uint8
-}
-
-// indices returns the four table indices for one reference. G0 and
-// META index the short-history vector through f1 and f0; G1 indexes
-// the long-history vector through f2 (see ev8.go).
-func (k *tbcKernel) indices(pc, hist uint64) (iBim, iG0, iG1, iMeta uint64) {
-	vA := pc<<k.k0 | hist&k.m0
-	vB := pc<<k.k1 | hist&k.m1
-	pkA := k.pa[vA&k.idxMask] ^ k.pb[vA>>k.n&k.idxMask]
-	pkB := k.pa[vB&k.idxMask] ^ k.pb[vB>>k.n&k.idxMask]
-	iBim = pc & k.idxMask
-	iG0 = pkA >> lutField & k.idxMask
-	iG1 = pkB >> (2 * lutField) & k.idxMask
-	iMeta = pkA & k.idxMask
-	return iBim, iG0, iG1, iMeta
 }
 
 // Step is a one-element StepBatch (see skewKernel.Step).

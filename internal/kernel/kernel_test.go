@@ -147,7 +147,7 @@ func requireSameBanks(t *testing.T, path string, kern Kernel, twin predictor.Pre
 	if !ok {
 		t.Fatalf("Compile(%s) not supported", twin.Name())
 	}
-	got, want := kern.(StateKernel).Banks(), tk.(StateKernel).Banks()
+	got, want := banksOf(t, kern), banksOf(t, tk)
 	for b := range want {
 		for i := range want[b] {
 			if got[b][i] != want[b][i] {
@@ -155,6 +155,27 @@ func requireSameBanks(t *testing.T, path string, kern Kernel, twin predictor.Pre
 			}
 		}
 	}
+}
+
+// banksOf returns a counter-table kernel's banks in a fixed order
+// (single-table kernels: one bank; skewed: banks 0..2; 2Bc-gskew:
+// BIM, G0, G1, META). They alias the predictor's own storage.
+func banksOf(t *testing.T, k Kernel) [][]uint8 {
+	t.Helper()
+	switch k := k.(type) {
+	case *bimodalKernel:
+		return [][]uint8{k.cells}
+	case *gshareKernel:
+		return [][]uint8{k.cells}
+	case *gselectKernel:
+		return [][]uint8{k.cells}
+	case *skewKernel:
+		return [][]uint8{k.b0, k.b1, k.b2}
+	case *tbcKernel:
+		return [][]uint8{k.bim, k.g0, k.g1, k.meta}
+	}
+	t.Fatalf("kernel %T has no counter banks", k)
+	return nil
 }
 
 // TestKernelSharesStorage: a kernel trains the predictor's own tables,

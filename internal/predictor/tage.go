@@ -36,9 +36,7 @@ import (
 // in the history, so internal/kernel compiles the family: it tabulates
 // them per history chunk (through this predictor's own fold, exposed
 // with the shared storage by KernelStorage) and runs resolve, train,
-// allocate and age over the same arrays. Tag-match steering and
-// allocation are data-dependent, so the kernel has no index-only
-// touch pass and the segmented runner keeps TAGE on its serial path.
+// allocate and age over the same arrays.
 
 // tageMaxTables bounds the tagged-component chain; resolve uses
 // fixed-size scratch arrays so a prediction allocates nothing.

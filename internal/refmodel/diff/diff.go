@@ -38,9 +38,6 @@ const (
 	PathStep
 	// PathKernel is the compiled kernel of internal/kernel.
 	PathKernel
-	// PathSegmented is the segment-parallel whole-trace runner of
-	// internal/sim (an aggregate check: total counts plus final state).
-	PathSegmented
 	// PathBatch64 is the 64-lane bitsliced group kernel, checked with
 	// 8 independent lanes per step (2-bit cells only).
 	PathBatch64
@@ -48,7 +45,7 @@ const (
 
 // Paths lists every implementation path, in check order.
 func Paths() []Path {
-	return []Path{PathPair, PathStep, PathKernel, PathSegmented, PathBatch64}
+	return []Path{PathPair, PathStep, PathKernel, PathBatch64}
 }
 
 // String names the path the way counterexample headers spell it.
@@ -60,8 +57,6 @@ func (p Path) String() string {
 		return "step"
 	case PathKernel:
 		return "kernel"
-	case PathSegmented:
-		return "segmented"
 	case PathBatch64:
 		return "bitsliced"
 	default:
@@ -69,14 +64,12 @@ func (p Path) String() string {
 	}
 }
 
-// Arm is the path's short name in sweep logs: pair, step, kernel,
-// seg or b64.
+// Arm is the path's short name in sweep logs: pair, step, kernel or
+// b64.
 func (p Path) Arm() string {
 	switch p {
 	case PathPair:
 		return "pair"
-	case PathSegmented:
-		return "seg"
 	case PathBatch64:
 		return "b64"
 	}
@@ -277,10 +270,7 @@ func CellByName(name string) (Cell, error) {
 // on the path. Every family but the perceptron compiles to a kernel
 // (internal/kernel). The bitsliced group form exists only for the
 // single-table and three-bank skewed families, and only at 2-bit
-// counter width. (The segmented path applies everywhere:
-// sim.RunSegmented degrades to the exact serial runner for families
-// without a state kernel, tage included, and the aggregate check
-// still pins that path against the spec.)
+// counter width.
 func (c Cell) PathApplies(p Path) bool {
 	switch p {
 	case PathKernel:
@@ -311,28 +301,11 @@ type Divergence struct {
 	// registers disagreed (a runner-level bug rather than a predictor
 	// one); the predictions then refer to each side's own history.
 	HistMismatch bool
-	// Aggregate marks a whole-trace divergence (the segmented arm):
-	// either the total mispredict counts disagreed (SpecCount vs
-	// ImplCount) or — when the counts match — a final-state probe at
-	// (Record.PC, Hist) predicted differently. Step is the last record
-	// index, so shrinking never truncates an aggregate witness.
-	Aggregate bool
-	// SpecCount and ImplCount are the whole-trace mispredict totals of
-	// an aggregate check.
-	SpecCount, ImplCount int
 }
 
 func (d *Divergence) String() string {
 	if d.HistMismatch {
 		return fmt.Sprintf("step %d pc=%#x: history registers diverged", d.Step, d.Record.PC)
-	}
-	if d.Aggregate {
-		if d.SpecCount != d.ImplCount {
-			return fmt.Sprintf("aggregate over %d records: spec counted %d mispredicts, impl %d",
-				d.Step+1, d.SpecCount, d.ImplCount)
-		}
-		return fmt.Sprintf("final state at pc=%#x hist=%#x: spec predicts %v, impl predicts %v",
-			d.Record.PC, d.Hist, d.SpecPred, d.ImplPred)
 	}
 	return fmt.Sprintf("step %d pc=%#x hist=%#x taken=%v: spec predicts %v, impl predicts %v",
 		d.Step, d.Record.PC, d.Hist, d.Record.Taken, d.SpecPred, d.ImplPred)
@@ -373,10 +346,7 @@ func CheckKernelTampered(tr []trace.Branch, c Cell, fault KernelFault) (*Diverge
 }
 
 func check(tr []trace.Branch, c Cell, build ImplBuilder, path Path, fault *KernelFault) (*Divergence, error) {
-	switch path {
-	case PathSegmented:
-		return checkSegmented(tr, c, build, segArmSegments, segArmWarm, true)
-	case PathBatch64:
+	if path == PathBatch64 {
 		return checkBatch64(tr, c, build)
 	}
 	spec, err := c.Spec()

@@ -150,66 +150,6 @@ func kernelFaultApplies(c Cell) bool {
 	return c.Family == "gskewed" || c.Family == "egskew"
 }
 
-// segFaultSegments/segFaultWarm shape the skipped-reconcile fault: 4
-// segments put boundaries inside the trace's alternating suffix, and
-// a tiny warm-up window guarantees a boundary replica cannot see back
-// to the saturated prefix.
-const (
-	segFaultSegments = 4
-	segFaultWarm     = 8
-)
-
-// segFaultApplies restricts the skipped-reconcile fault to cells
-// where SegmentFaultTrace provably defeats speculative warm-up:
-// bimodal 2-bit counters, whose single counter per PC carries the
-// non-recoverable saturated hysteresis. History-indexed families
-// spread the alternating suffix across counters that a short warm-up
-// happens to train identically, so the blind acceptance is
-// (legitimately) count-preserving there and no divergence exists to
-// catch.
-func segFaultApplies(c Cell) bool {
-	return c.Family == "bimodal" && c.Ctr == 2
-}
-
-// SegmentFaultTrace defeats speculative warm-up by construction: a
-// long saturating prefix pins the counter at 3, then a strict
-// alternation starting not-taken makes the exact counter oscillate
-// 3<->2 (mispredicting only the not-taken steps) while a replica
-// warmed only inside the alternation oscillates 2<->1 and mispredicts
-// every step. No bounded warm-up starting from the weakly-taken reset
-// state recovers the saturated hysteresis, so accepting the
-// speculative segments without the convergence check must change the
-// total count.
-func SegmentFaultTrace() []trace.Branch {
-	const pc = 5
-	out := make([]trace.Branch, 0, 1041)
-	for i := 0; i < 640; i++ {
-		out = append(out, trace.Branch{PC: pc, Taken: true, Kind: trace.Conditional})
-	}
-	for i := 0; i < 401; i++ {
-		out = append(out, trace.Branch{PC: pc, Taken: i%2 == 1, Kind: trace.Conditional})
-	}
-	return out
-}
-
-// CheckSegmentedSkippedReconcile replays tr with the segmented
-// runner's boundary convergence check disabled — the planted fault of
-// the segmented arm. A sound harness must report a divergence on
-// SegmentFaultTrace for every cell segFaultApplies admits.
-func CheckSegmentedSkippedReconcile(tr []trace.Branch, c Cell) (*Divergence, error) {
-	return checkSegmented(tr, c, Cell.Impl, segFaultSegments, segFaultWarm, false)
-}
-
-// ShrinkSegmentedSkippedReconcile is Shrink for the skipped-reconcile
-// fault; each candidate re-runs the no-reconcile engine (segment
-// boundaries move as the trace shrinks, so every candidate is a full
-// re-check).
-func ShrinkSegmentedSkippedReconcile(tr []trace.Branch, c Cell) []trace.Branch {
-	return shrinkWith(tr, func(cand []trace.Branch) (*Divergence, error) {
-		return CheckSegmentedSkippedReconcile(cand, c)
-	})
-}
-
 // SelfTest injects every applicable mutant into a representative cell
 // subset and verifies the harness both catches the fault and shrinks
 // the witness trace to at most maxShrunk records. Every mutant runs on
@@ -278,22 +218,6 @@ func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Wri
 				res.ShrunkLen = len(ShrinkKernelTampered(tr, c, kernelLUTFault))
 			}
 			record(c, "kernel-lut-off-by-one", res)
-		}
-		if segFaultApplies(c) {
-			// The segmented-arm fault runs on its purpose-built trace,
-			// not the random one: the random streams rarely leave
-			// non-recoverable state at a segment boundary, which is
-			// exactly why the convergence check exists.
-			ktr := SegmentFaultTrace()
-			div, err := CheckSegmentedSkippedReconcile(ktr, c)
-			if err != nil {
-				return results, fmt.Errorf("diff: selftest %s/segment-skipped-reconcile: %w", c, err)
-			}
-			res := SelfTestResult{Cell: c, Mutant: "segment-skipped-reconcile", Caught: div != nil}
-			if div != nil {
-				res.ShrunkLen = len(ShrinkSegmentedSkippedReconcile(ktr, c))
-			}
-			record(c, "segment-skipped-reconcile", res)
 		}
 	}
 	if len(failures) > 0 {

@@ -2,14 +2,12 @@ package server
 
 import (
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
 	"gskew/internal/api"
 	"gskew/internal/kernel"
 	"gskew/internal/predictor"
-	"gskew/internal/sim"
 )
 
 // The wire shapes of /v1/predict (api.PredictRequest, api.Branch,
@@ -28,7 +26,6 @@ type session struct {
 	p        predictor.Predictor
 	kern     kernel.Kernel     // non-nil when the organisation compiles
 	stepper  predictor.Stepper // non-nil fused fast path
-	hist     uint              // runner history bits the kernel compiled against
 	mask     uint64
 	ghr      uint64
 	steps    []kernel.Step // reused staging buffer for the kernel path
@@ -107,7 +104,6 @@ func (t *sessionTable) acquire(id, spec string) (*session, error) {
 	s := &session{
 		spec:     canon,
 		p:        p,
-		hist:     k,
 		mask:     uint64(1)<<k - 1,
 		lastUsed: time.Now(),
 	}
@@ -143,28 +139,9 @@ func (t *sessionTable) remove(id string) bool {
 	return ok
 }
 
-// segmentPredictMin is the staged-batch size below which
-// segment-parallel execution is not worth its warm-up and reconcile
-// overhead.
-const segmentPredictMin = 1 << 15
-
-// segmentSteps routes a large staged batch through the
-// segment-parallel engine (bit-identical to the serial StepBatch; the
-// caller still invalidates). ok is false when the batch is small, the
-// host is single-core, or the organisation is ineligible — callers
-// then take the serial kernel path.
-func (s *Server) segmentSteps(sess *session) (int, bool) {
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 2 || len(sess.steps) < segmentPredictMin {
-		return 0, false
-	}
-	return sim.SegmentSteps(sess.p, sess.hist, sess.steps, procs, 0)
-}
-
 // handlePredict appends one batch of branches to a session. The
 // default path stages conditionals and drives the compiled kernel one
-// StepBatch call per batch — segment-parallel across cores when the
-// batch is large enough (segmentSteps); when the client wants
+// StepBatch call per batch; when the client wants
 // per-branch predictions (or the organisation has no kernel) the
 // batch runs through the generic fused-step path instead. All paths
 // are bit-identical, mirroring the sim runner's contract.
@@ -204,11 +181,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 				sess.ghr = sess.ghr << 1
 			}
 		}
-		if n, ok := s.segmentSteps(sess); ok {
-			resp.Mispredicts = n
-		} else {
-			resp.Mispredicts = sess.kern.StepBatch(sess.steps)
-		}
+		resp.Mispredicts = sess.kern.StepBatch(sess.steps)
 		// The kernel trains the predictor's tables directly; invalidate
 		// any memoised read state so a later generic batch (or a spec
 		// inspection) observes the trained tables.

@@ -97,12 +97,6 @@ type Config struct {
 	// also pooled through it. Nil selects a fresh memory-only pool of
 	// DefaultPoolEntries segments.
 	Pool *tracepool.Pool
-	// Segments is the segment-parallel split applied to simulate
-	// passes (sim.Options.Segments). Results are bit-identical at any
-	// value, so it is a server tuning knob rather than part of the
-	// request or the result-cache key. 0 keeps the simulator's own
-	// auto default; 1 forces serial.
-	Segments int
 	// Cluster is this node's view of a static-topology cluster. Nil
 	// (the default) runs standalone: no internal endpoints, no peer
 	// fill. Responses are byte-identical either way.

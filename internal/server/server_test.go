@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,7 +18,6 @@ import (
 	"gskew/internal/api"
 	"gskew/internal/client"
 	"gskew/internal/experiments"
-	"gskew/internal/kernel"
 	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
@@ -291,49 +290,40 @@ func TestRequestBodyLimit(t *testing.T) {
 	wantCode(t, "oversized body", body, api.CodeBodyTooLarge)
 }
 
-// TestPredictSegmentedBatch: a staged batch crossing segmentPredictMin
-// must route through the segment-parallel engine on a multi-core host
-// and report exactly the serial kernel's count, leaving the session
-// predictor in the serially-trained state.
-func TestPredictSegmentedBatch(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := New(Config{})
+// TestPredictLargeBatchMatchesGeneric: a 40k-branch batch on the
+// default kernel path (one StepBatch call) must report exactly the
+// mispredicts of the same batch on the return_predictions generic
+// path, and leave the session in the same trained state: a follow-up
+// batch read through the generic path predicts identically in both
+// sessions.
+func TestPredictLargeBatchMatchesGeneric(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	c, _ := testClient(t, ts.URL)
 	const spec = "gshare:n=9,k=7"
-	sess, err := s.sessions.acquire("seg", spec)
-	if err != nil {
-		t.Fatal(err)
+	batch := make([]api.Branch, 0, 40000)
+	for i := 0; len(batch) < cap(batch); i++ {
+		batch = append(batch, api.Branch{PC: 0x40 + uint64(i%113)*4, Taken: (i*i+i/3)%3 != 0, Uncond: i%17 == 0})
 	}
-	twin, ok := kernel.Compile(predictor.MustParseSpec(spec), 7)
-	if !ok {
-		t.Fatal("twin did not compile")
-	}
-	ghr := uint64(0)
-	for i := 0; i < segmentPredictMin+5000; i++ {
-		taken := (i*i+i/3)%3 != 0
-		sess.steps = append(sess.steps, kernel.Step{PC: 0x40 + uint64(i%113)*4, Hist: ghr, Taken: taken})
-		ghr <<= 1
-		if taken {
-			ghr |= 1
+	predict := func(session string, branches []api.Branch, generic bool) *api.PredictResponse {
+		t.Helper()
+		resp, err := c.Predict(context.Background(), &api.PredictRequest{
+			Session: session, Spec: spec, Branches: branches, ReturnPredictions: generic,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return resp
 	}
-	want := twin.StepBatch(sess.steps)
-	got, ok := s.segmentSteps(sess)
-	if !ok {
-		t.Fatal("large batch did not take the segmented route")
+	kern, gen := predict("kernel", batch, false), predict("generic", batch, true)
+	if kern.Conditionals != gen.Conditionals || kern.Mispredicts != gen.Mispredicts {
+		t.Fatalf("kernel batch cond=%d mispred=%d, generic cond=%d mispred=%d",
+			kern.Conditionals, kern.Mispredicts, gen.Conditionals, gen.Mispredicts)
 	}
-	kernel.Invalidate(sess.p)
-	if got != want {
-		t.Errorf("segmented batch counted %d mispredicts, serial kernel %d", got, want)
-	}
-	// The trained state must match too: a serial continuation over the
-	// same tail block has to agree with the twin's.
-	if g, w := sess.kern.StepBatch(sess.steps[:4096]), twin.StepBatch(sess.steps[:4096]); g != w {
-		t.Errorf("post-segmented continuation counted %d, twin %d", g, w)
-	}
-	// Below the threshold the serial path is kept.
-	sess.steps = sess.steps[:100]
-	if _, ok := s.segmentSteps(sess); ok {
-		t.Error("small batch took the segmented route")
+	tail := batch[:4096]
+	kt, gt := predict("kernel", tail, true), predict("generic", tail, true)
+	if kt.Mispredicts != gt.Mispredicts || !slices.Equal(kt.Predictions, gt.Predictions) {
+		t.Errorf("after the large batch the kernel session predicts differently (mispred %d vs %d)",
+			kt.Mispredicts, gt.Mispredicts)
 	}
 }
 

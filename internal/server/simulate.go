@@ -150,11 +150,6 @@ func (s *Server) runGated(ctx context.Context, branches []trace.Branch, preds []
 		return nil, apiErrorf(http.StatusServiceUnavailable, api.CodeQueueFull, "simulation queue full: %v", err)
 	}
 	defer s.sched.Release()
-	if opts.Segments == 0 {
-		// Server-wide segment-parallel default; never in the cache key
-		// because results are bit-identical at any split.
-		opts.Segments = s.cfg.Segments
-	}
 	results, err := sim.RunMany(trace.NewSliceSource(branches), preds, opts)
 	if err != nil {
 		return nil, fmt.Errorf("simulating: %w", err)

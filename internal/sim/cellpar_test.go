@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"testing"
 
 	"gskew/internal/obs"
@@ -91,7 +92,7 @@ func TestCellParallelMatchesSerial(t *testing.T) {
 					preds := tc.mk()
 					labels := make([]string, len(preds))
 					for i := range labels {
-						labels[i] = itoa(i)
+						labels[i] = strconv.Itoa(i)
 					}
 					o := opts
 					o.Segments = segments
@@ -205,9 +206,8 @@ func TestCellParallelBadKind(t *testing.T) {
 
 // TestAutoSameShapeCellsFormOneGroup64: 64 same-shape gshare cells
 // under Options{} are one work unit — a single bitsliced Group64 — so
-// auto mode runs them serially through that group (never segmented,
-// never a one-unit cell-parallel drain), with results equal to an
-// explicit serial run.
+// auto mode runs them serially through that group (never a one-unit
+// cell-parallel drain), with results equal to an explicit serial run.
 func TestAutoSameShapeCellsFormOneGroup64(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -225,7 +225,7 @@ func TestAutoSameShapeCellsFormOneGroup64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, lanes, par, seg := mGroups.Value(), mGroupLanes.Value(), mParRuns.Value(), mSegRuns.Value()
+	groups, lanes, par := mGroups.Value(), mGroupLanes.Value(), mParRuns.Value()
 	got, err := RunManyBranches(branches, mk(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +240,5 @@ func TestAutoSameShapeCellsFormOneGroup64(t *testing.T) {
 	}
 	if d := mParRuns.Value() - par; d != 0 {
 		t.Errorf("one work unit drained cell-parallel (%d runs)", d)
-	}
-	if d := mSegRuns.Value() - seg; d != 0 {
-		t.Errorf("auto run segmented (%d runs)", d)
 	}
 }

@@ -1,25 +1,39 @@
-package sim_test
+package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"strconv"
 	"testing"
 
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
-	"gskew/internal/sim"
 	"gskew/internal/trace"
 )
 
-// FuzzRunSegmented drives the segment-parallel runner against the
-// serial path over arbitrary traces and arbitrary segmentation shapes
-// (segment count, warm-up window, flush period, predictor family) and
-// requires bit-identical results. The trace is the fuzz input's bytes:
-// two bits per branch (taken, unconditional), PC drawn from a small
-// window of each byte so aliasing is heavy.
-func FuzzRunSegmented(f *testing.F) {
-	f.Add([]byte{}, uint(2), uint(0), uint(0), uint(0))
-	f.Add([]byte{0xFF, 0x00, 0xAA}, uint(3), uint(4), uint(7), uint(1))
-	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A}, uint(100000), uint(1), uint(13), uint(2))
-	f.Add([]byte{0xC3, 0xC3, 0xC3, 0xC3}, uint(2), uint(100000), uint(0), uint(3))
-	f.Fuzz(func(t *testing.T, data []byte, segments, warmup, flush, fam uint) {
+// FuzzRunCellParallel drives the automatic path (Segments 0) against
+// the serial one over arbitrary traces and arbitrary sweeps of 2–8
+// Spec'd cells of mixed family and geometry, with and without
+// FlushEvery and a Recorder, and requires bit-identical results and
+// interval curves. The trace is the data bytes: two bits per branch
+// (taken, unconditional), PC drawn from a small window of each byte so
+// aliasing is heavy. Each byte of cells picks one cell's family and
+// geometry; dup passes the last predictor twice, the shape
+// cellParallelSafe must send to the serial drain. A bitsliced group
+// takes at least eight lanes, so a sweep of fewer than eight cells has
+// one work unit per cell and must drain cell-parallel.
+func FuzzRunCellParallel(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 1}, uint(0), false, false)
+	f.Add([]byte{0xFF, 0x00, 0xAA}, []byte{3, 4, 5}, uint(7), true, false)
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A}, []byte{1, 9, 17, 25, 33, 41, 49, 57}, uint(13), true, false)
+	f.Add([]byte{0xC3, 0xC3, 0xC3, 0xC3}, []byte{2, 6, 7}, uint(0), false, true)
+	f.Add([]byte{0x5A, 0xA5, 0x0F, 0xF0, 0x33}, []byte{8, 16, 24, 32, 40, 48, 56, 64}, uint(5), true, false)
+	prev := runtime.GOMAXPROCS(4) // helpers even on a one-core host
+	defer runtime.GOMAXPROCS(prev)
+	obs.Enable()
+	defer obs.Disable()
+	f.Fuzz(func(t *testing.T, data, cells []byte, flush uint, record, dup bool) {
 		branches := make([]trace.Branch, 0, 4*len(data))
 		for _, b := range data {
 			for j := 0; j < 4; j++ {
@@ -35,41 +49,82 @@ func FuzzRunSegmented(f *testing.F) {
 				})
 			}
 		}
-		mk := func() predictor.Predictor {
-			switch fam % 4 {
-			case 0:
-				return predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 4, Ctr: 2})
-			case 1:
-				return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 5, Hist: 4, Ctr: 2})
-			case 2:
-				return predictor.MustGSkewed(predictor.Config{BankBits: 4, HistoryBits: 4})
-			default:
-				return predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 4, HistShort: 2, Hist: 5})
+		if len(cells) < 2 {
+			cells = append(cells, 1, 2)
+		}
+		cells = cells[:min(len(cells), 8)]
+		mk := func() []predictor.Predictor {
+			preds := make([]predictor.Predictor, len(cells))
+			for i, c := range cells {
+				preds[i] = fuzzCell(c)
+			}
+			if dup {
+				preds = append(preds, preds[len(preds)-1])
+			}
+			return preds
+		}
+		labels := make([]string, len(cells)+1)
+		for i := range labels {
+			labels[i] = strconv.Itoa(i)
+		}
+		run := func(segments int) ([]Result, []byte) {
+			opts := Options{Segments: segments, FlushEvery: int(flush % 97)}
+			if record {
+				opts.Recorder = obs.NewRecorder(7, labels...)
+			}
+			res, err := RunManyBranches(branches, mk(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !record {
+				return res, nil
+			}
+			curves, err := json.Marshal(opts.Recorder.Series())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, curves
+		}
+		want, wantCurves := run(1)
+		before := mParRuns.Value()
+		got, gotCurves := run(0)
+		if par := mParRuns.Value() != before; !dup && len(cells) < 8 && !par {
+			t.Fatalf("cells %v: auto run did not drain cell-parallel", cells)
+		} else if dup && par {
+			t.Fatalf("cells %v: a predictor passed twice drained cell-parallel", cells)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cells %v flush=%d cell %d: auto %+v, serial %+v", cells, flush%97, i, got[i], want[i])
 			}
 		}
-		opts := fuzzOpts(segments, warmup, flush)
-		want, err := sim.RunBranches(branches, mk(), sim.Options{
-			Segments: 1, FlushEvery: opts.FlushEvery,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.RunSegmented(trace.NewSliceSource(branches), []predictor.Predictor{mk()}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != want {
-			t.Fatalf("segments=%d warm=%d flush=%d fam=%d: segmented %+v, serial %+v",
-				opts.Segments, opts.WarmBranches, opts.FlushEvery, fam%4, got[0], want)
+		if !bytes.Equal(gotCurves, wantCurves) {
+			t.Fatalf("cells %v flush=%d: interval curves differ from the serial run", cells, flush%97)
 		}
 	})
 }
 
-// fuzzOpts folds the fuzzed shape parameters into bounded sim.Options.
-func fuzzOpts(segments, warmup, flush uint) sim.Options {
-	return sim.Options{
-		Segments:     2 + int(segments%200),
-		WarmBranches: int(warmup % 5000),
-		FlushEvery:   int(flush % 97),
+// fuzzCell builds one small cell from a byte: the low three bits pick
+// the family, the rest its geometry.
+func fuzzCell(c byte) predictor.Predictor {
+	n := 3 + uint(c>>3)%5
+	k := 2 + uint(c>>5)%6
+	switch c % 8 {
+	case 0:
+		return predictor.MustSpec(predictor.Spec{Family: "bimodal", N: n, Ctr: 1 + uint(c>>6)%2})
+	case 1:
+		return predictor.MustSpec(predictor.Spec{Family: "gshare", N: n, Hist: k, Ctr: 2})
+	case 2:
+		return predictor.MustSpec(predictor.Spec{Family: "gselect", N: n + 1, Hist: min(k, n), Ctr: 2})
+	case 3:
+		return predictor.MustGSkewed(predictor.Config{BankBits: n, HistoryBits: k, Policy: predictor.UpdatePolicy(c >> 7)})
+	case 4:
+		return predictor.MustGSkewed(predictor.Config{BankBits: n, HistoryBits: k, Enhanced: true})
+	case 5:
+		return predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: n, HistShort: k / 2, Hist: k})
+	case 6:
+		return predictor.MustParseSpec("tage:n=5,k=20,kmin=4,tables=4,tag=8,ctr=3")
+	default:
+		return predictor.MustParseSpec("perceptron:n=6,k=10,tables=3,ctr=6")
 	}
 }

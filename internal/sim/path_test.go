@@ -18,8 +18,8 @@ func pathCounts() [5]int64 {
 // the path that stepped it — eight same-shape gshare lanes on a
 // bitsliced group, gskewed and TAGE on compiled kernels, the
 // perceptron on its Stepper and a first-use-tracking reference table
-// on the generic pair — and a cell-parallel run adds each of its cells
-// to cellpar.
+// on the generic pair — a cell-parallel run adds each of its cells
+// to cellpar, and a one-predictor auto run does not.
 func TestPathCountersOnePerCell(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -61,6 +61,20 @@ func TestPathCountersOnePerCell(t *testing.T) {
 	for i, name := range []string{"group", "kernel", "stepper", "generic", "cellpar"} {
 		if got := after[i] - before[i]; got != want[i] {
 			t.Errorf("cell-parallel run: sim.path.%s rose by %d, want %d", name, got, want[i])
+		}
+	}
+
+	// One predictor is one work unit: auto runs it on the serial
+	// kernel path, exactly as Segments 1 does.
+	before = pathCounts()
+	if _, err := RunBranches(branches, predictor.MustParseSpec("gshare:n=10,k=8,ctr=2"), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	after = pathCounts()
+	want = [5]int64{0, 1, 0, 0, 0}
+	for i, name := range []string{"group", "kernel", "stepper", "generic", "cellpar"} {
+		if got := after[i] - before[i]; got != want[i] {
+			t.Errorf("one-predictor auto run: sim.path.%s rose by %d, want %d", name, got, want[i])
 		}
 	}
 }

@@ -116,7 +116,7 @@ func specSources(t *testing.T, branches []trace.Branch) []struct {
 }
 
 // specReplayTrace is a recorded-shape workload long enough for many
-// 4096-step blocks and for the automatic segmented path, with every
+// 4096-step blocks, with every
 // other unconditional recorded not-taken: the binary formats carry
 // that direction, and the runner must still shift a 1 for it.
 func specReplayTrace(t *testing.T) []trace.Branch {
@@ -130,7 +130,7 @@ func specReplayTrace(t *testing.T) []trace.Branch {
 		t.Fatal(err)
 	}
 	if len(branches) < 1<<16 {
-		t.Fatalf("trace has %d records, want at least 65536 to reach the automatic segmented path", len(branches))
+		t.Fatalf("trace has %d records, want at least 65536 (16 full blocks)", len(branches))
 	}
 	notTaken := 0
 	for i := range branches {
@@ -148,8 +148,8 @@ func specReplayTrace(t *testing.T) []trace.Branch {
 // TestRunMatchesSpecReplay: the optimized runner produces the same
 // result as replaying the trace against the paper spec with a
 // spec-level history register — from every source kind, serial
-// (Segments 1), automatic (0) and segmented (3), with and without
-// flushes, one predictor at a time and all together through RunMany.
+// (Segments 1) and automatic (0), with and without flushes, one
+// predictor at a time and all together through RunMany.
 func TestRunMatchesSpecReplay(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // helpers for the automatic paths
 	defer runtime.GOMAXPROCS(prev)
@@ -206,7 +206,7 @@ func TestRunMatchesSpecReplay(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, flush := range flushes {
 				for _, src := range sources {
-					for _, segments := range []int{1, 0, 3} {
+					for _, segments := range []int{1, 0} {
 						opts := sim.Options{Segments: segments, FlushEvery: flush}
 						got := run(t, []predictor.Predictor{c.impl()}, src.open, opts)
 						if ref := want[flush][ci]; got[0] != ref {
@@ -224,7 +224,7 @@ func TestRunMatchesSpecReplay(t *testing.T) {
 	t.Run("runmany", func(t *testing.T) {
 		for _, flush := range flushes {
 			for _, src := range sources {
-				for _, segments := range []int{1, 0, 3} {
+				for _, segments := range []int{1, 0} {
 					preds := make([]predictor.Predictor, len(cases))
 					for i, c := range cases {
 						preds[i] = c.impl()
@@ -256,7 +256,7 @@ func TestSpecReplayFlushTiming(t *testing.T) {
 		if wantFlushes := (4 - 1) / flush; want.Flushes != wantFlushes {
 			t.Fatalf("flush=%d: spec counted %d flushes, want %d", flush, want.Flushes, wantFlushes)
 		}
-		for _, segments := range []int{1, 3} {
+		for _, segments := range []int{1, 0} {
 			p := predictor.MustSpec(predictor.Spec{Family: "gshare", N: 4, Hist: 3, Ctr: 2})
 			got, err := sim.RunBranches(branches, p, sim.Options{Segments: segments, FlushEvery: flush})
 			if err != nil {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"io"
 	"testing"
 
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/trace"
 )
@@ -290,5 +292,119 @@ func TestKernelRunLeavesPredictorConsistent(t *testing.T) {
 				t.Fatalf("trained state differs at pc=%#x hist=%#x", pc, h)
 			}
 		}
+	}
+}
+
+// probePredictors asserts two predictors give identical predictions
+// over a grid of (pc, history) probes.
+func probePredictors(t *testing.T, want, got predictor.Predictor) {
+	t.Helper()
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 2000; i++ {
+		state ^= state >> 12
+		state ^= state << 25
+		state ^= state >> 27
+		r := state * 0x2545f4914f6cdd1d
+		pc := 0x400000 + (r>>8)%257*4
+		h := r & 0x3fff
+		if want.Predict(pc, h) != got.Predict(pc, h) {
+			t.Fatalf("post-run state differs at probe %d (pc=%#x hist=%#x)", i, pc, h)
+		}
+	}
+}
+
+// TestRunManyBitsliced pins the grouping policy: RunMany forms a
+// bitsliced group only from lanes that share one index function (the
+// transposed uniform layout). A mixed-geometry sweep of groupable
+// families must form none; replicated and partial/total-mixed
+// same-geometry sweeps must form one group per shape. Either way the
+// results must match the same sweep with grouping disabled, cell for
+// cell, including under flushes (lanes alias predictor storage, so
+// Reset must be visible to the group).
+func TestRunManyBitsliced(t *testing.T) {
+	branches := manyTestTrace(9000)
+	mixed := func() []predictor.Predictor {
+		var preds []predictor.Predictor
+		for n := uint(6); n < 12; n++ {
+			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: n, Hist: 6, Ctr: 2}))
+			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: n, Ctr: 2}))
+		}
+		for bb := uint(5); bb < 9; bb++ {
+			preds = append(preds, predictor.MustGSkewed(predictor.Config{BankBits: bb, HistoryBits: 6}))
+			preds = append(preds, predictor.MustGSkewed(predictor.Config{
+				BankBits: bb, HistoryBits: 6, Enhanced: true,
+			}))
+		}
+		return preds
+	}
+	uniform := func() []predictor.Predictor {
+		var preds []predictor.Predictor
+		for i := 0; i < 10; i++ {
+			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 9, Hist: 6, Ctr: 2}))
+			pol := predictor.PartialUpdate
+			if i%2 == 1 {
+				pol = predictor.TotalUpdate
+			}
+			preds = append(preds, predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, Policy: pol}))
+		}
+		return preds
+	}
+	// Oddballs that must stay scalar inside either sweep.
+	oddballs := func(preds []predictor.Predictor) []predictor.Predictor {
+		return append(preds,
+			predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}),
+			predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 3, Hist: 9}))
+	}
+	obs.Enable()
+	defer obs.Disable()
+	for _, tc := range []struct {
+		name          string
+		mk            func() []predictor.Predictor
+		groups, lanes int64
+	}{
+		{"mixed", func() []predictor.Predictor { return oddballs(mixed()) }, 0, 0},
+		{"uniform", func() []predictor.Predictor { return oddballs(uniform()) }, 2, 20},
+		// The mixed half's gshare n=9 and partial gskewed n=6 cells share
+		// the uniform shapes, so each group absorbs one more lane.
+		{"uniform+mixed", func() []predictor.Predictor { return oddballs(append(uniform(), mixed()...)) }, 2, 22},
+	} {
+		for _, flush := range []int{0, 301} {
+			groups, lanes := mGroups.Value(), mGroupLanes.Value()
+			got, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush, Segments: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, l := mGroups.Value()-groups, mGroupLanes.Value()-lanes; g != tc.groups || l != tc.lanes {
+				t.Errorf("%s flush=%d: formed %d groups over %d lanes, want %d over %d",
+					tc.name, flush, g, l, tc.groups, tc.lanes)
+			}
+			want, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush, Segments: 1, NoBitslice: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s flush=%d cell %d: bitsliced %+v, scalar %+v", tc.name, flush, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentsAboveOneRejected: a run is serial or automatic, never
+// split in time, so Segments >= 2 is an error from Run and RunMany
+// that leaves the predictors untouched.
+func TestSegmentsAboveOneRejected(t *testing.T) {
+	branches := manyTestTrace(2000)
+	for _, segments := range []int{2, 5} {
+		p := predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: 6, Ctr: 2})
+		if _, err := RunBranches(branches, p, Options{Segments: segments}); !errors.Is(err, ErrSegments) {
+			t.Errorf("Run with Segments %d: err %v, want ErrSegments", segments, err)
+		}
+		preds := []predictor.Predictor{p, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 2})}
+		if _, err := RunManyBranches(branches, preds, Options{Segments: segments}); !errors.Is(err, ErrSegments) {
+			t.Errorf("RunMany with Segments %d: err %v, want ErrSegments", segments, err)
+		}
+		probePredictors(t, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: 6, Ctr: 2}), p)
 	}
 }

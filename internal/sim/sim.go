@@ -19,6 +19,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -99,24 +100,16 @@ type Options struct {
 	// identical either way; the flag exists for benchmarking the two
 	// paths against each other and for differential tests.
 	NoKernel bool
-	// Segments controls how one run spreads over cores. 0 is
-	// automatic: a run of at least two work units (a bitsliced group or
-	// one ungrouped cell each) drains every staged block cell-parallel
-	// on up to GOMAXPROCS goroutines, provided no two cells can share
-	// mutable state (every predictor has a Spec and appears once);
-	// any other run — a single predictor, or 64 same-shape cells that
-	// form one bitsliced group — takes the serial path. 1 (or
-	// negative) forces the fully serial path. Values >= 2 force the
-	// segmented engine with that many segments (capped at 64 and at the
-	// branch count; see segment.go). Results are bit-identical to
-	// serial in every case; ineligible predictors degrade to the serial
-	// path.
+	// Segments selects how one run uses cores. 0 is automatic: a run
+	// of at least two work units (a bitsliced group or one ungrouped
+	// cell each) drains every staged block cell-parallel on up to
+	// GOMAXPROCS goroutines, provided no two cells can share mutable
+	// state (every predictor has a Spec and appears once); any other
+	// run — a single predictor, or 64 same-shape cells that form one
+	// bitsliced group — takes the serial path. 1 (or negative) forces
+	// the serial path. Results are bit-identical either way. Any other
+	// value is rejected with ErrSegments.
 	Segments int
-	// WarmBranches is the speculative warm-up window of the segmented
-	// path: each segment replica pre-runs this many branches of the
-	// preceding segment before its boundary convergence check. Zero
-	// means the 4096-branch default.
-	WarmBranches int
 	// NoBitslice disables the 64-lane bitsliced group path that RunMany
 	// otherwise uses when at least 8 2-bit cells share one index
 	// function (same family and geometry; the skewed update policy may
@@ -132,6 +125,10 @@ type Options struct {
 	// does not perturb the compiled-kernel fast path.
 	Recorder *obs.Recorder
 }
+
+// ErrSegments is returned by Run and RunMany for Options.Segments >= 2:
+// a run is serial (1) or automatic (0), never split in time.
+var ErrSegments = errors.New("sim: Options.Segments must be 0 (auto) or 1 (serial)")
 
 // batchSize is the capacity of the staged conditional-step buffer
 // (trace records arrive in trace.Blocks' blocks). 4096 steps keep
@@ -197,9 +194,9 @@ var (
 var mParRuns = obs.NewCounter("sim.par.runs")
 
 // Path provenance: once per cell per run, the path that stepped it — a
-// bitsliced group lane, a compiled kernel (serial, cell-parallel or
-// segmented), the fused Stepper or the generic Predict/Update pair —
-// plus cellpar for every cell of a cell-parallel run.
+// bitsliced group lane, a compiled kernel, the fused Stepper or the
+// generic Predict/Update pair — plus cellpar for every cell of a
+// cell-parallel run.
 var (
 	mPathGroup   = obs.NewCounter("sim.path.group")
 	mPathKernel  = obs.NewCounter("sim.path.kernel")
@@ -399,9 +396,6 @@ func (r *manyRunner) claimUnits() {
 	}
 }
 
-// stepsFull drains the full step buffer.
-func (r *manyRunner) stepsFull() { r.drain() }
-
 // flushNow trains every cell up to the flush boundary, exactly as the
 // per-event path would, then wipes predictor state.
 func (r *manyRunner) flushNow() {
@@ -557,7 +551,7 @@ func (r *manyRunner) countPaths() {
 // run streams src through the runner and returns the results.
 func (r *manyRunner) run(src trace.Source) ([]Result, error) {
 	r.countPaths()
-	if err := r.stageSource(src, r); err != nil {
+	if err := r.stageSource(src); err != nil {
 		return nil, err
 	}
 	r.finish()
@@ -572,39 +566,24 @@ func (r *manyRunner) run(src trace.Source) ([]Result, error) {
 // plus the predictors' own work — O(events + predictors x events_cond)
 // instead of O(predictors x events).
 //
-// With automatic segmentation (Options.Segments 0), a run of at least
-// two work units whose predictors cannot share state drains each block
-// cell-parallel on up to GOMAXPROCS goroutines: exact by construction,
-// since cells never interact. Any other auto run is serial; only an
-// explicit Segments >= 2 reaches the segmented engine.
+// With Options.Segments 0 (auto), a run of at least two work units
+// whose predictors cannot share state drains each block cell-parallel
+// on up to GOMAXPROCS goroutines: exact by construction, since cells
+// never interact. Any other run is serial. Segments >= 2 returns
+// ErrSegments.
 func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
+	if opts.Segments >= 2 {
+		return nil, ErrSegments
+	}
 	if len(preds) == 0 {
 		return nil, nil
 	}
-	var r *manyRunner
+	r := newManyRunner(preds, opts)
 	if opts.Segments == 0 && len(preds) > 1 && cellParallelSafe(preds) {
-		r = newManyRunner(preds, opts)
 		if workers := min(runtime.GOMAXPROCS(0), len(r.units)); workers >= 2 {
 			r.startWorkers(workers)
 			defer r.stopWorkers()
-			return r.run(src)
 		}
-	}
-	if k, hists, orig, ok := segPlan(preds, opts); ok {
-		// Segment-parallel path: stage the trace once, run contiguous
-		// segments concurrently, reconcile at the boundaries. Results
-		// are bit-identical to the serial path below (see segment.go).
-		st, err := stageTrace(src, opts, maskFromHists(hists))
-		if err != nil {
-			return nil, err
-		}
-		res := runSegmentedMany(st, preds, hists, orig, opts, k, true)
-		st.release()
-		mPathKernel.Add(int64(len(preds)))
-		return res, nil
-	}
-	if r == nil {
-		r = newManyRunner(preds, opts)
 	}
 	return r.run(src)
 }

@@ -209,7 +209,7 @@ func TestCompare(t *testing.T) {
 // TestRunRejectsBadKind places an invalid record first, in the middle
 // of a block, after a full 4096-step block has drained, and among the
 // unconditionals that follow a flush boundary, and requires the error
-// on the serial, segmented and cell-parallel paths, from a slice and
+// on the serial, auto and cell-parallel paths, from a slice and
 // from a streaming source.
 func TestRunRejectsBadKind(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
@@ -249,7 +249,7 @@ func TestRunRejectsBadKind(t *testing.T) {
 			one := func() []predictor.Predictor {
 				return []predictor.Predictor{predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: 6, Ctr: 2})}
 			}
-			for _, segments := range []int{1, 3} {
+			for _, segments := range []int{1, 0} {
 				opts := Options{Segments: segments, FlushEvery: pl.flush}
 				_, err := RunMany(trace.NewSliceSource(branches), one(), opts)
 				check(fmt.Sprintf("segments %d, slice", segments), err)

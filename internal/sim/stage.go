@@ -7,24 +7,11 @@ import (
 	"gskew/internal/trace"
 )
 
-// Trace staging, shared by the serial (and cell-parallel) runner and
-// the segmented engine: every trace record becomes a (PC, history,
-// outcome) step of one global-history register that unconditional
-// branches also shift (the paper's section 3.1), and only conditional
-// steps are kept.
-
-// stageSink receives the two events staging cannot handle itself.
-type stageSink interface {
-	// stepsFull makes room in a full step buffer: the serial runner
-	// drains it, the segmented engine grows it. It is called only when
-	// more records remain to be staged.
-	stepsFull()
-	// flushNow resets predictor state at a FlushEvery boundary. It is
-	// called when the first conditional after the boundary arrives,
-	// before that conditional is staged; a boundary with no later
-	// conditional never reaches it.
-	flushNow()
-}
+// Trace staging: every trace record becomes a (PC, history, outcome)
+// step of one global-history register that unconditional branches
+// also shift (the paper's section 3.1), and only conditional steps are
+// kept. The runner drains the step buffer whenever it fills and at
+// every FlushEvery boundary.
 
 // stager is the staging state of one run. steps holds the staged
 // conditionals not yet consumed, and its capacity bounds how many a
@@ -75,11 +62,13 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// feed stages branches, calling sink when the buffer fills or a flush
-// takes effect. A flush takes effect when the next conditional
-// arrives: unconditionals between the boundary and that conditional
-// shift a history the flush then wipes.
-func (s *stager) feed(branches []trace.Branch, sink stageSink) error {
+// feed stages branches, draining the buffer when it fills and
+// flushing the predictors when a flush takes effect. A flush takes
+// effect when the next conditional arrives: unconditionals between the
+// boundary and that conditional shift a history the flush then wipes,
+// and a boundary with no later conditional never flushes.
+func (r *manyRunner) feed(branches []trace.Branch) error {
+	s := &r.stager
 	for len(branches) > 0 {
 		if s.pending {
 			j := 0
@@ -96,13 +85,14 @@ func (s *stager) feed(branches []trace.Branch, sink stageSink) error {
 			if len(branches) == 0 {
 				return nil
 			}
-			sink.flushNow()
+			r.flushNow()
 			s.flushes++
 			s.ghr = 0
 			s.pending = false
 		}
 		if len(s.steps) == cap(s.steps) {
-			sink.stepsFull()
+			// Called only when more records remain to be staged.
+			r.drain()
 		}
 		limit := cap(s.steps)
 		if s.flush > 0 {
@@ -136,11 +126,11 @@ func badKind(branches []trace.Branch) error {
 	panic("sim: badKind called without a bad record")
 }
 
-// stageSource feeds all of src to the stager through trace.Blocks: a
+// stageSource feeds all of src to the runner through trace.Blocks: a
 // SliceSource is staged straight from its backing slice, a
 // trace.Producer (a recorded algorithm) straight from each block it
 // pushes, which is never copied or kept, and any other source a batch
 // at a time.
-func (s *stager) stageSource(src trace.Source, sink stageSink) error {
-	return trace.Blocks(src, func(b []trace.Branch) error { return s.feed(b, sink) })
+func (r *manyRunner) stageSource(src trace.Source) error {
+	return trace.Blocks(src, r.feed)
 }

@@ -40,10 +40,9 @@ func streamPreds() []predictor.Predictor {
 }
 
 // TestStreamedRunMatchesRecord: for every algo family, simulating the
-// pushed stream gives exactly the results of RunManyBranches over
-// Record — serial and auto (cell-parallel on four helpers) with their
-// interval curves, and segmented (three segments, which stage the
-// stream whole and record no curves) — with and without flushes.
+// pushed stream, serial and auto (cell-parallel on four helpers),
+// gives exactly the results and interval curves of a serial
+// RunManyBranches over Record, with and without flushes.
 func TestStreamedRunMatchesRecord(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -55,20 +54,13 @@ func TestStreamedRunMatchesRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, segments := range []int{1, 0, 3} {
+		for _, segments := range []int{1, 0} {
 			for _, flush := range []int{0, 301} {
 				label := fmt.Sprintf("%s segments=%d flush=%d", name, segments, flush)
-				preds := streamPreds
-				var wantRec, gotRec *obs.Recorder
-				if segments == 3 {
-					// The segmented engine takes compiled kernels only.
-					preds = func() []predictor.Predictor { return streamPreds()[:3] }
-				} else {
-					wantRec = obs.NewRecorder(500, "a", "b", "c", "d", "e")
-					gotRec = obs.NewRecorder(500, "a", "b", "c", "d", "e")
-				}
-				opts := Options{Segments: segments, FlushEvery: flush, Recorder: wantRec}
-				want, err := RunManyBranches(branches, preds(), opts)
+				wantRec := obs.NewRecorder(500, "a", "b", "c", "d", "e")
+				gotRec := obs.NewRecorder(500, "a", "b", "c", "d", "e")
+				want, err := RunManyBranches(branches, streamPreds(),
+					Options{Segments: 1, FlushEvery: flush, Recorder: wantRec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,23 +68,19 @@ func TestStreamedRunMatchesRecord(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.Recorder = gotRec
-				cellpar, segRuns := mPathCellPar.Value(), mSegRuns.Value()
-				got, err := RunMany(stream, preds(), opts)
+				cellpar := mPathCellPar.Value()
+				got, err := RunMany(stream, streamPreds(), Options{Segments: segments, FlushEvery: flush, Recorder: gotRec})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: streamed %v, recorded %v", label, got, want)
 				}
-				if gotRec != nil && !reflect.DeepEqual(gotRec.Series(), wantRec.Series()) {
+				if !reflect.DeepEqual(gotRec.Series(), wantRec.Series()) {
 					t.Errorf("%s: streamed interval curves differ from the recorded run's", label)
 				}
 				if segments == 0 && mPathCellPar.Value() == cellpar {
 					t.Errorf("%s: auto run did not drain cell-parallel", label)
-				}
-				if segments == 3 && mSegRuns.Value() == segRuns {
-					t.Errorf("%s: run did not take the segmented engine", label)
 				}
 			}
 		}
