@@ -16,7 +16,7 @@ import (
 	"gskew/internal/sim"
 )
 
-func TestRunAutoMatchesSerialOnRecordedStreams(t *testing.T) {
+func TestRunSegmentedMatchesSerialOnRecordedStreams(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // helpers for the cell-parallel drain
 	streams := []string{
 		"algo:mp,n=20000,m=6,seed=3",

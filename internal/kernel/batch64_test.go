@@ -348,3 +348,47 @@ func TestStepBatch64ZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestTouchBatch: the cells a batch touches. A block whose steps name
+// only a few (pc, hist) pairs may change at most that many cells in
+// each bank — a stray write anywhere else in the tables fails — and
+// it must change some cell, so the check is not vacuous.
+func TestTouchBatch(t *testing.T) {
+	pairs := mkSteps(3, 29)
+	steps := make([]Step, 8000)
+	r := rng.NewXoshiro256(31)
+	for i := range steps {
+		p := pairs[r.Uint64()%uint64(len(pairs))]
+		steps[i] = Step{PC: p.PC, Hist: p.Hist, Taken: r.Uint64()&1 == 0}
+	}
+	for _, tc := range cases() {
+		t.Run(tc.name, func(t *testing.T) {
+			kern, ok := Compile(tc.mk(), tc.hist)
+			if !ok {
+				t.Fatal("did not compile")
+			}
+			banks := banksOf(t, kern)
+			before := make([][]uint8, len(banks))
+			for b, cells := range banks {
+				before[b] = append([]uint8(nil), cells...)
+			}
+			kern.StepBatch(steps)
+			total := 0
+			for b, cells := range banks {
+				changed := 0
+				for i := range cells {
+					if cells[i] != before[b][i] {
+						changed++
+					}
+				}
+				if changed > len(pairs) {
+					t.Errorf("bank %d: %d cells changed, but the block names only %d (pc, hist) pairs", b, changed, len(pairs))
+				}
+				total += changed
+			}
+			if total == 0 {
+				t.Error("the block changed no cell")
+			}
+		})
+	}
+}

@@ -290,13 +290,13 @@ func TestRequestBodyLimit(t *testing.T) {
 	wantCode(t, "oversized body", body, api.CodeBodyTooLarge)
 }
 
-// TestPredictLargeBatchMatchesGeneric: a 40k-branch batch on the
-// default kernel path (one StepBatch call) must report exactly the
+// TestPredictSegmentedBatch: a 40k-branch batch (a size the route
+// once split into segments) on the default kernel path (one StepBatch call) must report exactly the
 // mispredicts of the same batch on the return_predictions generic
 // path, and leave the session in the same trained state: a follow-up
 // batch read through the generic path predicts identically in both
 // sessions.
-func TestPredictLargeBatchMatchesGeneric(t *testing.T) {
+func TestPredictSegmentedBatch(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	c, _ := testClient(t, ts.URL)
 	const spec = "gshare:n=9,k=7"

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"strconv"
 	"testing"
@@ -127,4 +128,71 @@ func fuzzCell(c byte) predictor.Predictor {
 	default:
 		return predictor.MustParseSpec("perceptron:n=6,k=10,tables=3,ctr=6")
 	}
+}
+
+// FuzzRunSegmented drives arbitrary Options.Segments values over
+// arbitrary traces and cells: 0 (auto), 1 and any negative value must
+// run and match the serial Run and RunMany results and trained state;
+// any value of 2 or more must return ErrSegments from both and leave
+// the predictors untrained. The trace bytes and cell bytes are read as
+// in FuzzRunCellParallel.
+func FuzzRunSegmented(f *testing.F) {
+	f.Add([]byte{0x0F, 0xF0}, byte(1), byte(3), int64(0), uint(0))
+	f.Add([]byte{0xFF, 0x00, 0xAA, 0x55}, byte(12), byte(29), int64(2), uint(7))
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A}, byte(5), byte(6), int64(-3), uint(13))
+	f.Add([]byte{0xC3, 0x3C, 0xC3}, byte(44), byte(20), int64(1<<20), uint(0))
+	prev := runtime.GOMAXPROCS(4) // helpers even on a one-core host
+	defer runtime.GOMAXPROCS(prev)
+	f.Fuzz(func(t *testing.T, data []byte, c0, c1 byte, segments int64, flush uint) {
+		branches := make([]trace.Branch, 0, 4*len(data))
+		for _, b := range data {
+			for j := 0; j < 4; j++ {
+				bits := b >> (2 * j)
+				kind := trace.Conditional
+				if bits&2 != 0 && j == 3 {
+					kind = trace.Unconditional
+				}
+				branches = append(branches, trace.Branch{
+					PC:    uint64(0x40 + (b>>2)%29),
+					Taken: bits&1 != 0,
+					Kind:  kind,
+				})
+			}
+		}
+		segs := int(max(min(segments, 1<<30), -1<<30))
+		flushEvery := int(flush % 97)
+		serial := []predictor.Predictor{fuzzCell(c0), fuzzCell(c1)}
+		want, err := RunManyBranches(branches, serial, Options{Segments: 1, FlushEvery: flushEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := fuzzCell(c0)
+		res, err := RunBranches(branches, one, Options{Segments: segs, FlushEvery: flushEvery})
+		preds := []predictor.Predictor{fuzzCell(c0), fuzzCell(c1)}
+		got, errMany := RunManyBranches(branches, preds, Options{Segments: segs, FlushEvery: flushEvery})
+		if segs >= 2 {
+			if !errors.Is(err, ErrSegments) || !errors.Is(errMany, ErrSegments) {
+				t.Fatalf("Segments %d: Run err %v, RunMany err %v, want ErrSegments", segs, err, errMany)
+			}
+			probePredictors(t, fuzzCell(c0), one)
+			probePredictors(t, fuzzCell(c0), preds[0])
+			probePredictors(t, fuzzCell(c1), preds[1])
+			return
+		}
+		if err != nil || errMany != nil {
+			t.Fatalf("Segments %d: Run err %v, RunMany err %v", segs, err, errMany)
+		}
+		if res != want[0] {
+			t.Fatalf("Segments %d: Run %+v, serial %+v", segs, res, want[0])
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Segments %d cell %d: RunMany %+v, serial %+v", segs, i, got[i], want[i])
+			}
+		}
+		probePredictors(t, serial[0], one)
+		for i := range serial {
+			probePredictors(t, serial[i], preds[i])
+		}
+	})
 }
