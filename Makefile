@@ -8,8 +8,10 @@
 # the differential tier: the optimized predictors against the
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME, among them the cell-parallel
-# drain against the serial one (FuzzRunCellParallel) and every
-# Options.Segments value against its contract (FuzzRunSegmented). `make bench`
+# drain against the serial one (FuzzRunCellParallel), every
+# Options.Segments value against its contract (FuzzRunSegmented) and
+# the compiled workload walker against the tree-walking reference
+# (FuzzWalkerCompiled). `make bench`
 # runs the compiled kernel vs interface comparison BENCHCOUNT times and
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
 # serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
@@ -44,11 +46,17 @@ check:
 	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
 	$(GO) test -race -count=5 -run 'Memo' ./internal/experiments
 
-# Lint tier: vet always; staticcheck when installed (CI installs it,
-# see .github/workflows/ci.yml; locally `go install
+# Lint tier: gofmt must list no Go file outside hidden directories
+# (the benchmark's .bench_build can hold generated sources); vet
+# always; staticcheck when installed (CI installs it, see
+# .github/workflows/ci.yml; locally `go install
 # honnef.co/go/tools/cmd/staticcheck@latest`). Configured by
 # staticcheck.conf.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files are not formatted:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -78,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzTAGEKernel -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
+	$(GO) test -fuzz=FuzzWalkerCompiled -fuzztime=$(FUZZTIME) ./internal/cfg
 
 bench:
 	$(GO) test -bench='Kernel|TraceDecode' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \

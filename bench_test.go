@@ -195,6 +195,37 @@ func BenchmarkExtEV8(b *testing.B)          { runExperiment(b, "ext-ev8") }
 func BenchmarkExtBestHist(b *testing.B)     { runExperiment(b, "ext-besthist") }
 func BenchmarkExtSetAssoc(b *testing.B)     { runExperiment(b, "ext-setassoc") }
 
+// BenchmarkGenerate times the synthetic workload generator alone:
+// one op is a trace.BlockLen-record NextBatch from a warm generator,
+// so ns/record is generation without encoding or simulation, and a
+// warm generator allocates nothing.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range workload.Names() {
+		b.Run(name, func(b *testing.B) {
+			spec, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := workload.New(spec, workload.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]trace.Branch, trace.BlockLen)
+			if _, err := g.NextBatch(buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.NextBatch(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/record")
+		})
+	}
+}
+
 // Single-pass vs sequential simulation: the same predictor set driven
 // over the same trace by N sim.RunBranches calls versus one
 // sim.RunManyBranches call. The /Many variant decodes the trace and

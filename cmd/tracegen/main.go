@@ -102,18 +102,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		n := 0
+		buf := make([]trace.Branch, trace.BlockLen)
 		for {
-			b, err := src.Next()
+			k, err := trace.ReadBatch(src, buf)
+			for _, b := range buf[:k] {
+				if err := bw.Write(b); err != nil {
+					return err
+				}
+			}
+			n += k
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return err
 			}
-			if err := bw.Write(b); err != nil {
-				return err
-			}
-			n++
 		}
 		if err := bw.Flush(); err != nil {
 			return err

@@ -229,8 +229,8 @@ func AnalyzeMatch(spec Spec, ctrBits uint) (Analytic, error) {
 	pack := func(j, g, cm, mt int) int { return ((j*S+g)*S+cm)*S + mt }
 
 	type edge struct {
-		next            int
-		prob            float64
+		next             int
+		prob             float64
 		misses, branches float64
 	}
 	edges := make([][]edge, nStates)
@@ -254,9 +254,9 @@ func AnalyzeMatch(spec Spec, ctrBits uint) (Analytic, error) {
 							ctrs[ev.site] = ctr.update(ctrs[ev.site], ev.taken)
 						}
 						es = append(es, edge{
-							next:    pack(nexts[j*t.Sigma+c], ctrs[siteGuard], ctrs[siteCmp], ctrs[siteMatch]),
-							prob:    probs[c],
-							misses:  float64(misses),
+							next:     pack(nexts[j*t.Sigma+c], ctrs[siteGuard], ctrs[siteCmp], ctrs[siteMatch]),
+							prob:     probs[c],
+							misses:   float64(misses),
 							branches: float64(len(w)) + 1, // + the outer-loop branch
 						})
 					}

@@ -14,7 +14,16 @@
 //
 // Programs are immutable once built; all mutable execution state lives
 // in a Walker, so one Program can drive many concurrent experiment
-// runs.
+// runs. NewWalker compiles the tree once into a flat op stream (one op
+// per conditional, loop entry, backedge, call, return, jump and arm
+// end), and the walker keeps only that stream, so a caller may drop
+// the Program as soon as its walkers are built. Fill runs the stream a
+// block of records at a time. Compiling changes no record: every op
+// draws from the walker's generator exactly when, and as often as,
+// walking the tree would — Biased, Correlated and Alternating sites
+// are decided inline with integer thresholds that agree with
+// rng.Bool draw for draw, and any other Behavior is still asked
+// through Decide.
 package cfg
 
 import (

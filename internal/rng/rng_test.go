@@ -33,6 +33,24 @@ func TestMix64MatchesSplitMixStep(t *testing.T) {
 	}
 }
 
+func TestXoshiroKnownValues(t *testing.T) {
+	// xoshiro256** seeded through splitmix64 from 0; pins the stream
+	// every synthetic workload is built from.
+	want := []uint64{
+		0x99ec5f36cb75f2b4,
+		0xbf6e1f784956452a,
+		0x1a5f849d4933e6e0,
+		0x6aa594f1262d2d2c,
+		0xbba5ad4a1f842e59,
+	}
+	x := NewXoshiro256(0)
+	for i, w := range want {
+		if got := x.Uint64(); got != w {
+			t.Errorf("Xoshiro256(0) output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
 func TestXoshiroDeterminism(t *testing.T) {
 	a := NewXoshiro256(42)
 	b := NewXoshiro256(42)
@@ -182,7 +200,7 @@ func TestGeometricMinimumIsOne(t *testing.T) {
 }
 
 func TestGeometricPanicsOnBadP(t *testing.T) {
-	for _, p := range []float64{0, -1, 1.1} {
+	for _, p := range []float64{0, -1, 1.1, math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -191,6 +209,101 @@ func TestGeometricPanicsOnBadP(t *testing.T) {
 			}()
 			NewXoshiro256(1).Geometric(p)
 		}()
+	}
+}
+
+// geometricFloat is Geometric as a loop of Bool(p) trials: the
+// float form the integer threshold replaced.
+func geometricFloat(x *Xoshiro256, p float64) int {
+	n := 1
+	for !x.Bool(p) {
+		n++
+		if n >= 1<<20 {
+			break
+		}
+	}
+	return n
+}
+
+// TestThresholdMatchesFloat64: comparing a draw's top 53 bits with
+// Threshold(p) must give what Float64() < p gives, so Chance.Bool,
+// Hit, Chance.Geometric and Geometric return what Bool(p) and its
+// trial loop return and leave the generator in the same state.
+func TestThresholdMatchesFloat64(t *testing.T) {
+	ps := []float64{
+		0x1p-60, 0x1p-53, 0x1p-52,
+		math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
+		1 - 0x1p-53, 1 - 0x1p-52,
+		0, -0.5, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	src := NewXoshiro256(3)
+	for i := 0; i < 32; i++ {
+		ps = append(ps, src.Float64())
+	}
+	// A draw exactly at the threshold misses; one below it hits.
+	for i := 0; i < 100; i++ {
+		peek := *src
+		k := peek.Uint64() >> 11
+		if hit, _ := src.Hit(k); hit {
+			t.Fatalf("draw %d hit threshold %d, equal to it", i, k)
+		}
+		if hit, _ := src.Hit(k + 1); !hit {
+			t.Fatalf("draw %d missed threshold %d, above it", i, k+1)
+		}
+		src.Uint64()
+	}
+	for _, p := range ps {
+		// At the boundary: integer draws k next to the threshold fall
+		// on the side Float64 puts them.
+		if th := Threshold(p); p > 0 && p < 1 {
+			for k := th - 2; k <= th+1; k++ {
+				if k >= 1<<53 {
+					continue
+				}
+				if float64(k)/(1<<53) < p != (k < th) {
+					t.Errorf("p=%v: draw %d: float and threshold disagree (threshold %d)", p, k, th)
+				}
+			}
+		}
+
+		c := NewChance(p)
+		ref, got, below := NewXoshiro256(7), NewXoshiro256(7), NewXoshiro256(7)
+		for i := 0; i < 5000; i++ {
+			want := ref.Bool(p)
+			if c.Bool(got) != want {
+				t.Fatalf("p=%v draw %d: Chance.Bool disagrees with Bool", p, i)
+			}
+			if p > 0 && p < 1 {
+				var hit bool
+				if hit, *below = below.Hit(Threshold(p)); hit != want {
+					t.Fatalf("p=%v draw %d: Hit disagrees with Bool", p, i)
+				}
+			}
+		}
+		if *got != *ref || (p > 0 && p < 1 && *below != *ref) {
+			t.Fatalf("p=%v: generator state differs after Bool", p)
+		}
+
+		if !(p > 0 && p <= 1) && !math.IsNaN(p) {
+			continue // Geometric panics; TestGeometricPanicsOnBadP
+		}
+		samples := 200
+		if p < 0x1p-20 || math.IsNaN(p) {
+			samples = 2 // every sample runs to the 1<<20 cap
+		}
+		ref, got, viaP := NewXoshiro256(9), NewXoshiro256(9), NewXoshiro256(9)
+		for i := 0; i < samples; i++ {
+			want := geometricFloat(ref, p)
+			if g := c.Geometric(got); g != want {
+				t.Fatalf("p=%v sample %d: Chance.Geometric %d, trial loop %d", p, i, g, want)
+			}
+			if g := viaP.Geometric(p); g != want {
+				t.Fatalf("p=%v sample %d: Geometric %d, trial loop %d", p, i, g, want)
+			}
+		}
+		if *got != *ref || *viaP != *ref {
+			t.Fatalf("p=%v: generator state differs after Geometric", p)
+		}
 	}
 }
 

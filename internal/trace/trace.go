@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -180,19 +181,24 @@ func (s *SliceSource) Drain() []Branch {
 // Len returns the total number of branches in the underlying slice.
 func (s *SliceSource) Len() int { return len(s.branches) }
 
-// Collect drains a Source into a slice. It stops at io.EOF and returns
-// any other error encountered.
+// Collect drains a Source into a slice, reading it in blocks straight
+// into the result's spare capacity, which grows by at least BlockLen
+// records when full. It stops at io.EOF and returns any other error
+// encountered.
 func Collect(src Source) ([]Branch, error) {
 	var out []Branch
 	for {
-		b, err := src.Next()
+		if len(out) == cap(out) {
+			out = slices.Grow(out, BlockLen)
+		}
+		n, err := ReadBatch(src, out[len(out):cap(out)])
+		out = out[:len(out)+n]
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, b)
 	}
 }
 

@@ -18,8 +18,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"gskew/internal/cfg"
@@ -148,6 +150,10 @@ type Generator struct {
 	kernel    *cfg.Walker
 	sched     *rng.Xoshiro256
 
+	// The scheduler's draws: kernel entry per schedule, and the
+	// geometric lengths of a kernel burst and of a user quantum.
+	kernelEntry, burstLen, quantumLen rng.Chance
+
 	current   int // index into processes, or -1 for kernel
 	remaining int // branches left in the current quantum
 	inKernel  bool
@@ -165,10 +171,18 @@ func New(spec Spec, c Config) (*Generator, error) {
 		procs = 1
 	}
 
+	// Kernel bursts are kernelBurstRatio times shorter than user
+	// quanta, so to make the kernel's *dynamic share* equal
+	// KernelFraction the per-schedule entry probability must be
+	// derated: p = r*f / ((r-1)*f + 1).
+	f := spec.KernelFraction
 	g := &Generator{
-		spec:   spec,
-		sched:  rng.NewXoshiro256(rng.Mix64(spec.Seed + c.SeedOffset + 0xABCD)),
-		length: int(float64(spec.DynamicBranches) * scale),
+		spec:        spec,
+		sched:       rng.NewXoshiro256(rng.Mix64(spec.Seed + c.SeedOffset + 0xABCD)),
+		kernelEntry: rng.NewChance(kernelBurstRatio * f / ((kernelBurstRatio-1)*f + 1)),
+		burstLen:    rng.NewChance(1.0 / float64(spec.Quantum/kernelBurstRatio+1)),
+		quantumLen:  rng.NewChance(1.0 / float64(spec.Quantum+1)),
+		length:      int(float64(spec.DynamicBranches) * scale),
 	}
 
 	// User processes split the static budget: the first process gets
@@ -239,52 +253,41 @@ func (g *Generator) Spec() Spec { return g.spec }
 const kernelBurstRatio = 4
 
 func (g *Generator) scheduleNext() {
-	// Kernel bursts are kernelBurstRatio times shorter than user
-	// quanta, so to make the kernel's *dynamic share* equal
-	// KernelFraction the per-schedule entry probability must be
-	// derated: p = r*f / ((r-1)*f + 1).
-	f := g.spec.KernelFraction
-	p := kernelBurstRatio * f / ((kernelBurstRatio-1)*f + 1)
-	if g.sched.Bool(p) {
+	if g.kernelEntry.Bool(g.sched) {
 		g.inKernel = true
-		g.remaining = 1 + g.sched.Geometric(1.0/float64(g.spec.Quantum/kernelBurstRatio+1))
+		g.remaining = 1 + g.burstLen.Geometric(g.sched)
 		return
 	}
 	g.inKernel = false
 	g.current = g.sched.Intn(len(g.processes))
-	g.remaining = 1 + g.sched.Geometric(1.0/float64(g.spec.Quantum+1))
+	g.remaining = 1 + g.quantumLen.Geometric(g.sched)
 }
 
-// Next implements trace.Source.
+// Next implements trace.Source: a one-record NextBatch.
 func (g *Generator) Next() (trace.Branch, error) {
-	if g.remaining <= 0 {
-		g.scheduleNext()
-	}
-	g.remaining--
-	if g.inKernel {
-		return g.kernel.Next()
-	}
-	return g.processes[g.current].Next()
+	var b [1]trace.Branch
+	g.NextBatch(b[:])
+	return b[0], nil
 }
 
 // NextBatch implements trace.BatchSource. The generator is endless,
-// so every call fills dst completely; the quantum scheduler fires at
-// exactly the same event positions as the per-event path.
+// so every call fills dst completely: each scheduler quantum, or the
+// part of it that fits, is one Fill of the walker it runs, and the
+// scheduler fires at exactly the same event positions as the
+// per-event path.
 func (g *Generator) NextBatch(dst []trace.Branch) (int, error) {
-	for i := range dst {
+	for rest := dst; len(rest) > 0; {
 		if g.remaining <= 0 {
 			g.scheduleNext()
 		}
-		g.remaining--
-		var err error
-		if g.inKernel {
-			dst[i], err = g.kernel.Next()
-		} else {
-			dst[i], err = g.processes[g.current].Next()
+		w := g.kernel
+		if !g.inKernel {
+			w = g.processes[g.current]
 		}
-		if err != nil {
-			return i, err
-		}
+		n := min(g.remaining, len(rest))
+		w.Fill(rest[:n])
+		g.remaining -= n
+		rest = rest[n:]
 	}
 	return len(dst), nil
 }
@@ -339,7 +342,9 @@ func (t *Take) NextBatch(dst []trace.Branch) (int, error) {
 	return n, err
 }
 
-// Materialize generates the full bounded trace for spec into memory.
+// Materialize generates the full bounded trace for spec into memory,
+// pulling it from the generator in blocks straight into the result's
+// spare capacity.
 func Materialize(spec Spec, c Config) ([]trace.Branch, error) {
 	g, err := New(spec, c)
 	if err != nil {
@@ -348,11 +353,17 @@ func Materialize(spec Spec, c Config) ([]trace.Branch, error) {
 	t := NewTake(g, g.Length())
 	branches := make([]trace.Branch, 0, g.Length()*5/4)
 	for {
-		b, err := t.Next()
-		if err != nil {
+		if len(branches) == cap(branches) {
+			branches = slices.Grow(branches, trace.BlockLen)
+		}
+		n, err := t.NextBatch(branches[len(branches):cap(branches)])
+		branches = branches[:len(branches)+n]
+		if errors.Is(err, io.EOF) {
 			return branches, nil
 		}
-		branches = append(branches, b)
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
