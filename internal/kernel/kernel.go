@@ -11,10 +11,11 @@
 // saturating counters step through 256-entry next-state/predict
 // tables, and the whole predict-then-train loop for a block of
 // branches runs inside one concrete method with no interface calls.
-// The skewed loops are also branch-free (majority vote, partial update
-// and chooser training become arithmetic on 0/1 predictions and
-// all-or-nothing write masks), and TAGE's folded-history hashes, also
-// GF(2)-linear, come from per-chunk row tables (tage.go).
+// The skewed loops are also branch-free: the majority vote, partial
+// update and chooser training of a step are one load from a joint
+// transition table indexed by the banks' states and the outcome
+// (joint.go), and TAGE's folded-history hashes, also GF(2)-linear,
+// come from per-chunk row tables (tage.go).
 //
 // Kernels share storage with the predictor they were compiled from:
 // the counter state arrays are the predictor's own backing cells, so a
@@ -24,7 +25,8 @@
 // (bimodal, gshare, gselect, gskewed and e-gskew under both update
 // policies), 2Bc-gskew and TAGE; anything else — the perceptron,
 // tagged reference tables, shared-hysteresis banks, five-bank skews,
-// hybrids — reports ok == false and stays on the generic path.
+// skews with counters wider than MaxSkewCtrBits, hybrids — reports
+// ok == false and stays on the generic path.
 // Bit-identical behaviour of every compiled family is enforced by the
 // differential harness (internal/refmodel/diff, cmd/verify), which
 // drives each kernel against the executable paper specification.
@@ -343,31 +345,35 @@ func compileSkew(g *predictor.GSkewed, runnerMask uint64) (Kernel, bool) {
 		// three-bank LUT family.
 		return nil, false
 	}
-	n := g.BankBits()
-	if n > MaxLUTBits {
+	n, w := g.BankBits(), tabs[0].Bits()
+	if n > MaxLUTBits || w > MaxSkewCtrBits {
 		return nil, false
 	}
 	luts := lutsFor(n)
 	kp := g.HistoryBits()
+	partial := g.Policy() == predictor.PartialUpdate
 	k := &skewKernel{
-		aut: automatonFor(tabs[0].Bits()),
-		b0:  tabs[0].Cells(),
-		b1:  tabs[1].Cells(),
-		b2:  tabs[2].Cells(),
-		pa:  luts.pa, pb: luts.pb,
+		joint:     skewJointFor(w, partial),
+		b0:        tabs[0].Cells(),
+		b1:        tabs[1].Cells(),
+		b2:        tabs[2].Cells(),
+		pa:        luts.pa,
+		pb:        luts.pb,
 		bankMask:  uint64(1)<<n - 1,
 		n:         n,
 		kp:        kp,
 		vHistMask: runnerMask & (uint64(1)<<kp - 1),
-		partial:   g.Policy() == predictor.PartialUpdate,
+		partial:   partial,
 		enhanced:  g.Enhanced(),
-		ctrBits:   tabs[0].Bits(),
+		ctrBits:   w,
 	}
 	return k, true
 }
 
 type skewKernel struct {
-	aut automaton
+	// joint is the shared joint transition table for the kernel's
+	// counter width and update policy (skewJointFor).
+	joint *[skewJointLen]uint32
 	// b0..b2 alias the predictor's own bank cells.
 	b0, b1, b2 []uint8
 	// pa is indexed by V1, pb by V2; pa[V1]^pb[V2] yields all three
@@ -392,32 +398,31 @@ func (k *skewKernel) Step(pc, hist uint64, taken bool) bool {
 // StepBatch predicts each step by the majority of the three banks and
 // trains them under the kernel's update policy (total: every bank;
 // partial: when the vote was right, only the banks that agreed with
-// it). It is branch-free: the host branches a data-dependent vote and
-// partial update would take mispredict about as often as the
-// simulated predictor does. Every slice is hoisted
-// into a local, resliced to one length, and every index masked by
-// that length, so the compiler's prove pass can eliminate the bounds
-// checks in the loop body (the mask equals bankMask by construction:
-// both packed LUT halves and all banks have exactly 2^n entries).
-//
-// With 0/1 predictions p_j and outcome t, the majority is
-// (p0+p1+p2)>>1 and wrong is maj^t. Bank j skips training only under
-// partial update when the vote was right and p_j dissented, so its
-// train mask (all ones or zero) is (partial & ^wrong & (p_j^t)) - 1,
-// and every bank is written as s ^ ((s ^ next) & mask).
+// it). Per step it makes the two packed-LUT loads, the three bank
+// loads and one load from the joint transition table (skewJointFor),
+// whose entry holds every bank's next state and the miss bit; it
+// stores all three banks and adds the miss bit. There is no branch:
+// the host branches a data-dependent vote and partial update would
+// take mispredict about as often as the simulated predictor does.
+// Every slice is hoisted into a local, resliced to one length, and
+// every index masked by that length, so the compiler's prove pass can
+// eliminate the bounds checks in the loop body (the mask equals
+// bankMask by construction: both packed LUT halves and all banks have
+// exactly 2^n entries; the joint index is masked to its array's
+// length).
 func (k *skewKernel) StepBatch(steps []Step) int {
 	pa, pb := k.pa, k.pb
 	b0, b1, b2 := k.b0, k.b1, k.b2
+	joint := k.joint
 	// All five slices hold 2^n entries. Reslicing them to one length
 	// lets a single mask, m, prove every index in range; the
 	// nonempty guard keeps len-1 from underflowing.
 	size := len(b0)
-	if size == 0 || len(pa) < size || len(pb) < size || len(b1) < size || len(b2) < size {
+	if size == 0 || joint == nil || len(pa) < size || len(pb) < size || len(b1) < size || len(b2) < size {
 		return 0
 	}
 	pa, pb, b1, b2 = pa[:size], pb[:size], b1[:size], b2[:size]
 	m := k.bankMask & uint64(size-1)
-	aut := &k.aut
 	// Shift counts masked to 63 compile to bare shifts.
 	kp, n, vHistMask := k.kp&63, k.n&63, k.vHistMask
 	// eMask selects bank 0's index: the PC in the enhanced form, the
@@ -425,10 +430,6 @@ func (k *skewKernel) StepBatch(steps []Step) int {
 	eMask := uint64(0)
 	if k.enhanced {
 		eMask = ^uint64(0)
-	}
-	partial := uint8(0)
-	if k.partial {
-		partial = 1
 	}
 	mis := 0
 	for i := range steps {
@@ -438,15 +439,9 @@ func (k *skewKernel) StepBatch(steps []Step) int {
 		i0 := (pk&^eMask | s.PC&eMask) & m
 		i1 := pk >> lutField & m
 		i2 := pk >> (2 * lutField) & m
-		s0, s1, s2 := b0[i0], b1[i1], b2[i2]
-		p0, p1, p2 := aut.bit[s0], aut.bit[s1], aut.bit[s2]
-		t := bit(s.Taken)
-		wrong := (p0+p1+p2)>>1 ^ t
-		keep := partial &^ wrong
-		b0[i0] = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&(keep&(p0^t)-1)
-		b1[i1] = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&(keep&(p1^t)-1)
-		b2[i2] = s2 ^ (s2^aut.next[uint16(s2)<<1|uint16(t)])&(keep&(p2^t)-1)
-		mis += int(wrong)
+		e := joint[(uint(b0[i0])|uint(b1[i1])<<4|uint(b2[i2])<<8|uint(bit(s.Taken))<<12)&(skewJointLen-1)]
+		b0[i0], b1[i1], b2[i2] = uint8(e), uint8(e>>8), uint8(e>>16)
+		mis += int(e >> skewMissShift)
 	}
 	return mis
 }
@@ -459,28 +454,35 @@ func compileTBC(t *predictor.TwoBcGSkew, runnerMask uint64) (Kernel, bool) {
 		return nil, false
 	}
 	bim, g0, g1, meta := t.Tables()
+	for _, tab := range []interface{ Bits() uint }{bim, g0, g1, meta} {
+		if tab.Bits() != 2 {
+			return nil, false // the joint table is built for 2-bit counters
+		}
+	}
 	luts := lutsFor(n)
 	k0, k1 := t.HistLengths()
 	return &tbcKernel{
-		aut:      automatonFor(bim.Bits()),
-		bim:      bim.Cells(),
-		g0:       g0.Cells(),
-		g1:       g1.Cells(),
-		meta:     meta.Cells(),
-		pa:       luts.pa,
-		pb:       luts.pb,
-		idxMask:  uint64(1)<<n - 1,
-		n:        n,
-		k0:       k0,
-		k1:       k1,
-		m0:       runnerMask & (uint64(1)<<k0 - 1),
-		m1:       runnerMask & (uint64(1)<<k1 - 1),
-		metaFlip: bit(t.MetaInverted()),
+		joint:   tbcJointFor(bit(t.MetaInverted())),
+		bim:     bim.Cells(),
+		g0:      g0.Cells(),
+		g1:      g1.Cells(),
+		meta:    meta.Cells(),
+		pa:      luts.pa,
+		pb:      luts.pb,
+		idxMask: uint64(1)<<n - 1,
+		n:       n,
+		k0:      k0,
+		k1:      k1,
+		m0:      runnerMask & (uint64(1)<<k0 - 1),
+		m1:      runnerMask & (uint64(1)<<k1 - 1),
 	}, true
 }
 
 type tbcKernel struct {
-	aut               automaton
+	// joint is the shared joint transition table for the predictor's
+	// chooser flip (tbcJointFor): nonzero flip is the planted
+	// chooser-inversion fault (predictor.TamperTwoBcMeta).
+	joint             *[512]uint64
 	bim, g0, g1, meta []uint8
 	// pa/pb are the packed LUT halves the skewed kernel uses: one pair
 	// of lookups on the short-history vector yields META's f0 and G0's
@@ -490,9 +492,6 @@ type tbcKernel struct {
 	n       uint
 	k0, k1  uint   // short and long history lengths
 	m0, m1  uint64 // runner-combined history masks
-	// metaFlip is 1 when the predictor carries the planted
-	// chooser-inversion fault (predictor.TamperTwoBcMeta), 0 otherwise.
-	metaFlip uint8
 }
 
 // Step is a one-element StepBatch (see skewKernel.Step).
@@ -502,38 +501,27 @@ func (k *tbcKernel) Step(pc, hist uint64, taken bool) bool {
 }
 
 // StepBatch runs 2Bc-gskew's rules (Seznec et al., ISCA 2002; see
-// ev8.go) over a block. META picks between BIM and the majority of
-// BIM, G0 and G1. When the majority is in use and right, only the
-// direction tables that agreed with it train; when BIM is in use and
-// right, BIM alone trains; on a mispredict all three train. META trains
-// only when the two strategies differed, toward the one that was right.
-//
-// The loop is branch-free and hoisted like skewKernel.StepBatch: the
-// four tables and both packed LUT halves (all 2^n entries) are
-// resliced to one length so a single mask proves every index in range.
-// With 0/1 predictions pb, p0, p1, chooser bit pm and outcome t:
-//
-//	maj     = (pb+p0+p1)>>1
-//	overall = pb ^ (pm & (maj^pb))   (the chooser picks maj or BIM)
-//	wrong   = overall ^ t
-//	BIM skips training iff pm & ^wrong & (pb^t)      (majority right, BIM dissented)
-//	Gj  skips training iff ^wrong & (^pm | (pj^t))   (right, and BIM in use or Gj dissented)
-//	META trains iff maj^pb, toward 1^maj^t           (the strategies differed)
-//
-// and each table is written as s ^ ((s ^ next) & mask) with mask =
-// skip-1 (META: 0-(maj^pb)).
+// ev8.go and tbcJointFor) over a block: META picks between BIM and the
+// majority of BIM, G0 and G1, and the direction tables and META train
+// by partial update. Per step it makes two packed-LUT load pairs (one
+// per history vector), the four table loads and one load from the
+// joint transition table, whose entry holds all four next states and
+// the miss bit; it stores all four tables and adds the miss bit. The
+// loop is branch-free and hoisted like skewKernel.StepBatch: the four
+// tables and both packed LUT halves (all 2^n entries) are resliced to
+// one length so a single mask proves every index in range, and the
+// 9-bit joint index fits its 512-entry array.
 func (k *tbcKernel) StepBatch(steps []Step) int {
 	bim, g0, g1, meta := k.bim, k.g0, k.g1, k.meta
 	pa, pb := k.pa, k.pb
+	joint := k.joint
 	size := len(bim)
-	if size == 0 || len(g0) < size || len(g1) < size || len(meta) < size || len(pa) < size || len(pb) < size {
+	if size == 0 || joint == nil || len(g0) < size || len(g1) < size || len(meta) < size || len(pa) < size || len(pb) < size {
 		return 0
 	}
 	g0, g1, meta, pa, pb = g0[:size], g1[:size], meta[:size], pa[:size], pb[:size]
 	m := k.idxMask & uint64(size-1)
-	aut := &k.aut
 	k0, k1, n, m0, m1 := k.k0&63, k.k1&63, k.n&63, k.m0, k.m1
-	flip := k.metaFlip
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
@@ -543,18 +531,9 @@ func (k *tbcKernel) StepBatch(steps []Step) int {
 		pkB := pa[vB&m] ^ pb[vB>>n&m]
 		iBim, iMeta := s.PC&m, pkA&m
 		iG0, iG1 := pkA>>lutField&m, pkB>>(2*lutField)&m
-		sB, s0, s1, sM := bim[iBim], g0[iG0], g1[iG1], meta[iMeta]
-		bb, b0, b1, pm := aut.bit[sB], aut.bit[s0], aut.bit[s1], aut.bit[sM]
-		t := bit(s.Taken)
-		maj := (bb + b0 + b1) >> 1
-		wrong := bb ^ pm&(maj^bb) ^ t
-		right := wrong ^ 1
-		gSkip := right &^ pm
-		bim[iBim] = sB ^ (sB^aut.next[uint16(sB)<<1|uint16(t)])&(pm&right&(bb^t)-1)
-		g0[iG0] = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&((gSkip|right&(b0^t))-1)
-		g1[iG1] = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&((gSkip|right&(b1^t))-1)
-		meta[iMeta] = sM ^ (sM^aut.next[uint16(sM)<<1|uint16(1^maj^t^flip)])&-(maj^bb)
-		mis += int(wrong)
+		e := joint[(uint(bim[iBim])|uint(g0[iG0])<<2|uint(g1[iG1])<<4|uint(meta[iMeta])<<6|uint(bit(s.Taken))<<8)&511]
+		bim[iBim], g0[iG0], g1[iG1], meta[iMeta] = uint8(e), uint8(e>>8), uint8(e>>16), uint8(e>>24)
+		mis += int(e >> tbcMissShift)
 	}
 	return mis
 }
@@ -595,5 +574,59 @@ func TamperLUT(k Kernel, bank, half int, entry uint64, delta uint32) error {
 	cp := append([]uint64(nil), *slot...)
 	cp[entry] ^= uint64(delta) << (uint(bank) * lutField)
 	*slot = cp
+	return nil
+}
+
+// TamperJoint XORs delta into one field of one entry of a compiled
+// skewed or 2Bc-gskew kernel's joint transition table (see joint.go
+// for the index and entry layouts). Field j below the kernel's table
+// count selects table j's next state (skewed: banks 0..2; 2Bc-gskew:
+// BIM, G0, G1, META), and delta must fit the counter width; field j
+// equal to the table count selects the miss bit, and delta must be 1.
+// The kernel's joint table is copied before the fault is planted, so
+// the shared cache stays clean, as in TamperLUT. It exists for the
+// differential harness's fault-injection self-test and returns an
+// error for kernels without a joint table.
+func TamperJoint(k Kernel, entry uint64, field int, delta uint8) error {
+	var (
+		entries     uint64
+		tables      int
+		width, miss uint
+	)
+	switch kk := k.(type) {
+	case *skewKernel:
+		entries, tables, width, miss = skewJointLen, 3, kk.ctrBits, skewMissShift
+	case *tbcKernel:
+		entries, tables, width, miss = uint64(len(kk.joint)), 4, 2, tbcMissShift
+	default:
+		return fmt.Errorf("kernel: %T has no joint transition table to tamper with", k)
+	}
+	if entry >= entries {
+		return fmt.Errorf("kernel: joint entry %d out of range [0,%d)", entry, entries)
+	}
+	shift := miss
+	switch {
+	case field >= 0 && field < tables:
+		if delta == 0 || delta >= 1<<width {
+			return fmt.Errorf("kernel: delta %#x does not fit a %d-bit counter", delta, width)
+		}
+		shift = uint(field) * 8
+	case field == tables:
+		if delta != 1 {
+			return fmt.Errorf("kernel: the miss bit takes delta 1, got %d", delta)
+		}
+	default:
+		return fmt.Errorf("kernel: no joint field %d (tables 0..%d, miss bit %d)", field, tables-1, tables)
+	}
+	switch kk := k.(type) {
+	case *skewKernel:
+		cp := *kk.joint
+		cp[entry] ^= uint32(delta) << shift
+		kk.joint = &cp
+	case *tbcKernel:
+		cp := *kk.joint
+		cp[entry] ^= uint64(delta) << shift
+		kk.joint = &cp
+	}
 	return nil
 }

@@ -221,6 +221,12 @@ func TestCompileRejectsUncompilableShapes(t *testing.T) {
 	if _, ok := Compile(shared, 6); ok {
 		t.Error("shared-hysteresis gskewed compiled; SplitTable banks have no flat cell array")
 	}
+	for w := uint(MaxSkewCtrBits + 1); w <= 8; w++ {
+		wide := predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, CounterBits: w, Enhanced: w%2 == 0})
+		if _, ok := Compile(wide, 6); ok {
+			t.Errorf("gskewed with %d-bit counters compiled; joint tables stop at %d bits", w, MaxSkewCtrBits)
+		}
+	}
 	unal := predictor.NewUnaliased(8, 2)
 	if _, ok := Compile(unal, 8); ok {
 		t.Error("unaliased reference table compiled")

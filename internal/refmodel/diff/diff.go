@@ -196,7 +196,8 @@ func (c Cell) Impl() (predictor.Predictor, error) {
 // predictor family, each update policy where the family has one, and
 // at least three configurations per (family, policy) pair spanning
 // history lengths (shorter, equal and longer than the index), bank
-// widths and both counter widths.
+// widths and counter widths (1 and 2 bits, and 3 and 4 for the skewed
+// family).
 func DefaultSweep() []Cell {
 	var cells []Cell
 	// Single-table baselines: 3 configs each. gshare configs cover the
@@ -216,13 +217,17 @@ func DefaultSweep() []Cell {
 	} {
 		cells = append(cells, c)
 	}
-	// Skewed family: both policies x 3 configs, plain and enhanced.
+	// Skewed family: both policies x 5 configs, plain and enhanced.
+	// The 3- and 4-bit cells check the widest joint transition tables
+	// the compiled kernels build.
 	for _, fam := range []string{"gskewed", "egskew"} {
 		for _, partial := range []bool{true, false} {
 			for _, cfg := range []struct{ n, h, ctr uint }{
 				{6, 6, 2},
 				{8, 10, 2},
 				{10, 14, 1},
+				{7, 9, 3},
+				{8, 12, 4},
 			} {
 				cells = append(cells, Cell{
 					Family: fam, N: cfg.n, Hist: cfg.h, Ctr: cfg.ctr, Partial: partial,
@@ -316,10 +321,15 @@ func (d *Divergence) String() string {
 // with deliberately injected faults.
 type ImplBuilder func(c Cell) (predictor.Predictor, error)
 
-// KernelFault locates one split-LUT entry of a compiled skewed kernel
-// to XOR a delta into, for fault-injection self-tests (see
-// kernel.TamperLUT).
+// KernelFault locates one entry of a compiled skewed or 2Bc-gskew
+// kernel's tables to XOR a delta into, for fault-injection self-tests.
+// By default it is a split-LUT entry: Bank and Half select the table
+// (see kernel.TamperLUT). With Joint set it is an entry of the joint
+// transition table, and Field selects a table's next state or the miss
+// bit (see kernel.TamperJoint).
 type KernelFault struct {
+	Joint      bool
+	Field      int
 	Bank, Half int
 	Entry      uint64
 	Delta      uint32
@@ -375,7 +385,13 @@ func check(tr []trace.Branch, c Cell, build ImplBuilder, path Path, fault *Kerne
 			return nil, fmt.Errorf("diff: %s implementation does not compile to a kernel", c)
 		}
 		if fault != nil {
-			if err := kernel.TamperLUT(kern, fault.Bank, fault.Half, fault.Entry, fault.Delta); err != nil {
+			var err error
+			if fault.Joint {
+				err = kernel.TamperJoint(kern, fault.Entry, fault.Field, uint8(fault.Delta))
+			} else {
+				err = kernel.TamperLUT(kern, fault.Bank, fault.Half, fault.Entry, fault.Delta)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("diff: planting kernel fault in %s: %w", c, err)
 			}
 		}

@@ -235,15 +235,23 @@ func TestVerifyCellCoversAllPaths(t *testing.T) {
 }
 
 // TestKernelFaultCaughtAndShrunk pins the kernel arm's fault-injection
-// contract directly: a LUT off-by-one planted into a compiled skewed
-// kernel must diverge from the specification, and the witness must
-// shrink to a small 1-minimal counterexample that still reproduces.
+// contract directly: a LUT off-by-one or a joint-table miss flip
+// planted into a compiled skewed or 2Bc-gskew kernel must diverge from
+// the specification, and the witness must shrink to a small 1-minimal
+// counterexample that still reproduces.
 func TestKernelFaultCaughtAndShrunk(t *testing.T) {
-	fault := KernelFault{Bank: 1, Half: 0, Entry: 0, Delta: 1}
-	for _, c := range []Cell{
-		{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true},
-		{Family: "egskew", N: 6, Hist: 8, Ctr: 2},
+	lut := KernelFault{Bank: 1, Half: 0, Entry: 0, Delta: 1}
+	for _, tc := range []struct {
+		c     Cell
+		fault KernelFault
+	}{
+		{Cell{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true}, lut},
+		{Cell{Family: "egskew", N: 6, Hist: 8, Ctr: 2}, lut},
+		{Cell{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true}, kernelJointFault(Cell{Ctr: 2})},
+		{Cell{Family: "egskew", N: 7, Hist: 9, Ctr: 3}, kernelJointFault(Cell{Ctr: 3})},
+		{Cell{Family: "2bcgskew", N: 6, Short: 4, Hist: 10, Ctr: 2}, kernelJointFault(Cell{Family: "2bcgskew"})},
 	} {
+		c, fault := tc.c, tc.fault
 		tr, err := TraceFor(2, 4000)
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +261,7 @@ func TestKernelFaultCaughtAndShrunk(t *testing.T) {
 			t.Fatalf("%s: %v", c, err)
 		}
 		if div == nil {
-			t.Fatalf("%s: planted LUT fault escaped the kernel arm", c)
+			t.Fatalf("%s: planted fault %+v escaped the kernel arm", c, fault)
 		}
 		shrunk := ShrinkKernelTampered(tr, c, fault)
 		if len(shrunk) == 0 || len(shrunk) > 50 {

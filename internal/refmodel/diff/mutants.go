@@ -143,22 +143,54 @@ type SelfTestResult struct {
 // state every biased workload reaches.
 var kernelLUTFault = KernelFault{Bank: 1, Half: 0, Entry: 0, Delta: 1}
 
-// kernelFaultApplies reports whether the kernel LUT fault can be
-// planted into the cell's compiled form (only the skewed families
-// carry split LUTs).
-func kernelFaultApplies(c Cell) bool {
-	return c.Family == "gskewed" || c.Family == "egskew"
+// kernelJointFault is the fault planted into a compiled kernel's joint
+// transition table: the miss bit flipped in the entry a taken-biased
+// branch settles in — every direction counter saturated taken
+// (2Bc-gskew's META at its initial weakly-taken state, choosing the
+// majority) and the outcome taken — so the kernel counts a mispredict
+// where the vote was right. The index layouts are documented in
+// internal/kernel/joint.go.
+func kernelJointFault(c Cell) KernelFault {
+	if c.Family == "2bcgskew" {
+		return KernelFault{Joint: true, Field: 4, Entry: 3 | 3<<2 | 3<<4 | 2<<6 | 1<<8, Delta: 1}
+	}
+	max := uint64(1)<<c.Ctr - 1
+	return KernelFault{Joint: true, Field: 3, Entry: max | max<<4 | max<<8 | 1<<12, Delta: 1}
+}
+
+// namedKernelFault is one fault planted into a compiled kernel.
+type namedKernelFault struct {
+	name  string
+	fault KernelFault
+}
+
+// kernelFaults lists the faults the selftest plants into the cell's
+// compiled form: the LUT off-by-one for the three-bank skewed
+// families, and the joint-table miss flip for every family with a
+// joint transition table.
+func kernelFaults(c Cell) []namedKernelFault {
+	switch c.Family {
+	case "gskewed", "egskew":
+		return []namedKernelFault{
+			{"kernel-lut-off-by-one", kernelLUTFault},
+			{"kernel-joint-miss-flip", kernelJointFault(c)},
+		}
+	case "2bcgskew":
+		return []namedKernelFault{{"kernel-joint-miss-flip", kernelJointFault(c)}}
+	}
+	return nil
 }
 
 // SelfTest injects every applicable mutant into a representative cell
 // subset and verifies the harness both catches the fault and shrinks
 // the witness trace to at most maxShrunk records. Every mutant runs on
 // the predict/update path; planted mutants also run on the kernel path
-// of cells that compile (reported as "<name>/kernel"), and skewed
-// cells additionally get a LUT off-by-one planted into their compiled
-// kernel, checked on the kernel path. It returns an error listing
-// every escape (a mutant the harness failed to catch) or any
-// counterexample that failed to shrink below the bound.
+// of cells that compile (reported as "<name>/kernel"), and skewed and
+// 2Bc-gskew cells additionally get faults planted into their compiled
+// kernel's tables (kernelFaults), checked on the kernel path. It
+// returns an error listing every escape (a mutant the harness failed
+// to catch) or any counterexample that failed to shrink below the
+// bound.
 func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Writer) ([]SelfTestResult, error) {
 	var results []SelfTestResult
 	var failures []string
@@ -208,16 +240,16 @@ func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Wri
 				record(c, name, res)
 			}
 		}
-		if kernelFaultApplies(c) {
-			div, err := CheckKernelTampered(tr, c, kernelLUTFault)
+		for _, kf := range kernelFaults(c) {
+			div, err := CheckKernelTampered(tr, c, kf.fault)
 			if err != nil {
-				return results, fmt.Errorf("diff: selftest %s/kernel-lut-off-by-one: %w", c, err)
+				return results, fmt.Errorf("diff: selftest %s/%s: %w", c, kf.name, err)
 			}
-			res := SelfTestResult{Cell: c, Mutant: "kernel-lut-off-by-one", Caught: div != nil}
+			res := SelfTestResult{Cell: c, Mutant: kf.name, Caught: div != nil}
 			if div != nil {
-				res.ShrunkLen = len(ShrinkKernelTampered(tr, c, kernelLUTFault))
+				res.ShrunkLen = len(ShrinkKernelTampered(tr, c, kf.fault))
 			}
-			record(c, "kernel-lut-off-by-one", res)
+			record(c, kf.name, res)
 		}
 	}
 	if len(failures) > 0 {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"gskew/internal/kernel"
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/refmodel"
 	"gskew/internal/sim"
@@ -240,6 +242,48 @@ func TestRunMatchesSpecReplay(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWideSkewCountersRunOnInterfacePath: skewed predictors with
+// counters wider than kernel.MaxSkewCtrBits (5 to 8 bits) have no
+// joint transition table, so they do not compile. The runner steps
+// them on the interface path — the predictor's fused Step, since
+// GSkewed is a predictor.Stepper, so sim.path.stepper counts each cell
+// and sim.path.kernel none — and every result equals the spec replay.
+func TestWideSkewCountersRunOnInterfacePath(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	branches := specReplayTrace(t)
+	count := func(name string) int64 { return obs.Default().Snapshot()["sim.path."+name].(int64) }
+	for w := uint(kernel.MaxSkewCtrBits + 1); w <= 8; w++ {
+		for _, c := range []struct {
+			family            string
+			partial, enhanced bool
+		}{{"gskewed", true, false}, {"egskew", false, true}} {
+			spec := predictor.Spec{Family: c.family, N: 7, Hist: 9, Ctr: w, Policy: predictor.TotalUpdate}
+			if c.partial {
+				spec.Policy = predictor.PartialUpdate
+			}
+			p := predictor.MustSpec(spec)
+			if _, ok := kernel.Compile(p, 9); ok {
+				t.Fatalf("%s compiled", spec)
+			}
+			kern0, step0, gen0 := count("kernel"), count("stepper"), count("generic")
+			got, err := sim.RunBranches(branches, p, sim.Options{Segments: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dk, ds, dg := count("kernel")-kern0, count("stepper")-step0, count("generic")-gen0; dk != 0 || ds != 1 || dg != 0 {
+				t.Errorf("%s: path counters rose kernel %d, stepper %d, generic %d; want 0, 1, 0", spec, dk, ds, dg)
+			}
+			want := specReplay(branches, func() refmodel.Spec {
+				return refmodel.NewSpecGSkewed(7, 9, w, c.partial, c.enhanced)
+			}, 0)
+			if got != want {
+				t.Errorf("%s: runner %+v, spec %+v", spec, got, want)
+			}
+		}
+	}
 }
 
 // TestSpecReplayFlushTiming pins the flush rule specReplay and the

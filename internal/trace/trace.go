@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -210,17 +211,11 @@ type Stats struct {
 	StaticUncond  int // distinct unconditional branch PCs
 	TakenCond     int // taken conditional branches
 	total         int
-	condPCs       map[uint64]struct{}
-	uncondPCs     map[uint64]struct{}
+	pcs           pcSet // every PC seen, with the kinds it was seen as
 }
 
 // NewStats returns an empty accumulator.
-func NewStats() *Stats {
-	return &Stats{
-		condPCs:   make(map[uint64]struct{}),
-		uncondPCs: make(map[uint64]struct{}),
-	}
-}
+func NewStats() *Stats { return &Stats{} }
 
 // Observe accounts one branch.
 func (s *Stats) Observe(b Branch) {
@@ -231,15 +226,13 @@ func (s *Stats) Observe(b Branch) {
 		if b.Taken {
 			s.TakenCond++
 		}
-		if _, ok := s.condPCs[b.PC]; !ok {
-			s.condPCs[b.PC] = struct{}{}
-			s.Static = len(s.condPCs)
+		if s.pcs.mark(b.PC, seenCond) {
+			s.Static++
 		}
 	case Unconditional:
 		s.DynamicUncond++
-		if _, ok := s.uncondPCs[b.PC]; !ok {
-			s.uncondPCs[b.PC] = struct{}{}
-			s.StaticUncond = len(s.uncondPCs)
+		if s.pcs.mark(b.PC, seenUncond) {
+			s.StaticUncond++
 		}
 	}
 }
@@ -256,20 +249,79 @@ func (s *Stats) TakenRatio() float64 {
 	return float64(s.TakenCond) / float64(s.Dynamic)
 }
 
-// Measure drains a Source and returns its statistics.
+// Measure drains a Source a block at a time and returns its
+// statistics.
 func Measure(src Source) (*Stats, error) {
 	st := NewStats()
-	for {
-		b, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return st, nil
+	err := Blocks(src, func(blk []Branch) error {
+		for _, b := range blk {
+			st.Observe(b)
 		}
-		if err != nil {
-			return st, err
+		return nil
+	})
+	return st, err
+}
+
+// The kinds a pcSet slot records, as bits; a slot with no bit set is
+// empty, so every PC, 0 included, is an ordinary key.
+const (
+	seenCond uint8 = 1 << iota
+	seenUncond
+)
+
+// pcSet is an open-addressed, linearly probed set of PCs in which each
+// PC carries the branch kinds it was seen as: one table serves both of
+// Stats' distinct-PC counts. It doubles at half load.
+type pcSet struct {
+	pcs   []uint64
+	kinds []uint8 // 0: empty slot
+	used  int
+	shift uint // 64 - log2(len(pcs))
+}
+
+// mark records pc as seen with kind and reports whether that is new
+// for the (pc, kind) pair.
+func (p *pcSet) mark(pc uint64, kind uint8) bool {
+	if 2*(p.used+1) > len(p.pcs) {
+		p.grow()
+	}
+	mask := uint64(len(p.pcs) - 1)
+	for i := pcHash(pc, p.shift); ; i = (i + 1) & mask {
+		k := p.kinds[i]
+		if k == 0 {
+			p.pcs[i], p.kinds[i] = pc, kind
+			p.used++
+			return true
 		}
-		st.Observe(b)
+		if p.pcs[i] == pc {
+			p.kinds[i] = k | kind
+			return k&kind == 0
+		}
 	}
 }
+
+// grow doubles the table (from 1024 slots) and reinserts every PC.
+func (p *pcSet) grow() {
+	size := max(2*len(p.pcs), 1024)
+	old, oldKinds := p.pcs, p.kinds
+	p.pcs, p.kinds = make([]uint64, size), make([]uint8, size)
+	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for j, k := range oldKinds {
+		if k == 0 {
+			continue
+		}
+		i := pcHash(old[j], p.shift)
+		for p.kinds[i] != 0 {
+			i = (i + 1) & mask
+		}
+		p.pcs[i], p.kinds[i] = old[j], k
+	}
+}
+
+// pcHash is Fibonacci hashing: the top bits of pc times 2^64/φ, so
+// word-aligned and strided PCs spread over the whole table.
+func pcHash(pc uint64, shift uint) uint64 { return pc * 0x9E3779B97F4A7C15 >> (shift & 63) }
 
 // Binary format
 //
@@ -437,29 +489,32 @@ func (r *Reader) NextBatch(dst []Branch) (int, error) {
 // Comment lines start with '#'. The text format exists for debugging
 // and for hand-written fixture traces in tests.
 
-// WriteText writes branches from src to w in the text format.
+// WriteText writes branches from src to w in the text format, reading
+// src a block at a time.
 func WriteText(w io.Writer, src Source) error {
 	bw := bufio.NewWriter(w)
-	for {
-		b, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return bw.Flush()
+	var line []byte
+	err := Blocks(src, func(blk []Branch) error {
+		for _, b := range blk {
+			dir := byte('N')
+			if b.Taken {
+				dir = 'T'
+			}
+			kind := byte('c')
+			if b.Kind == Unconditional {
+				kind = 'u'
+			}
+			line = append(strconv.AppendUint(line[:0], b.PC, 16), ' ', dir, ' ', kind, '\n')
+			if _, err := bw.Write(line); err != nil {
+				return fmt.Errorf("trace: writing text record: %w", err)
+			}
 		}
-		if err != nil {
-			return err
-		}
-		dir := byte('N')
-		if b.Taken {
-			dir = 'T'
-		}
-		kind := byte('c')
-		if b.Kind == Unconditional {
-			kind = 'u'
-		}
-		if _, err := fmt.Fprintf(bw, "%x %c %c\n", b.PC, dir, kind); err != nil {
-			return fmt.Errorf("trace: writing text record: %w", err)
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	return bw.Flush()
 }
 
 // ReadText parses a text-format trace.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -304,6 +305,49 @@ func TestStats(t *testing.T) {
 	}
 	if got := st.TakenRatio(); got < 0.66 || got > 0.67 {
 		t.Errorf("TakenRatio = %f, want 2/3", got)
+	}
+}
+
+// TestMeasureAndWriteTextAcrossBlocks: over a trace several blocks
+// long, Measure and WriteText give the same result whether the source
+// is a slice, a batch source or a plain per-record one, and WriteText
+// writes each record as "%x %c %c".
+func TestMeasureAndWriteTextAcrossBlocks(t *testing.T) {
+	in := randomTrace(11, 3*BlockLen+17)
+	var want bytes.Buffer
+	wantSt := NewStats()
+	for _, b := range in {
+		dir, kind := 'N', 'c'
+		if b.Taken {
+			dir = 'T'
+		}
+		if b.Kind == Unconditional {
+			kind = 'u'
+		}
+		fmt.Fprintf(&want, "%x %c %c\n", b.PC, dir, kind)
+		wantSt.Observe(b)
+	}
+	sources := map[string]func() Source{
+		"slice": func() Source { return NewSliceSource(in) },
+		"batch": func() Source { return struct{ BatchSource }{NewSliceSource(in)} },
+		"plain": func() Source { return nextOnly{NewSliceSource(in)} },
+	}
+	for name, open := range sources {
+		var got bytes.Buffer
+		if err := WriteText(&got, open()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteText output differs from the per-record format", name)
+		}
+		st, err := Measure(open())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Dynamic != wantSt.Dynamic || st.Static != wantSt.Static || st.DynamicUncond != wantSt.DynamicUncond ||
+			st.StaticUncond != wantSt.StaticUncond || st.TakenCond != wantSt.TakenCond || st.Total() != wantSt.Total() {
+			t.Errorf("%s: Measure %+v, per-record Observe %+v", name, *st, *wantSt)
+		}
 	}
 }
 
