@@ -77,7 +77,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzColumnarRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzColumnarUnpack -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzColumnarEncode -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -fuzz=FuzzStatsPCSet -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzAlgoSpec -fuzztime=$(FUZZTIME) ./internal/algotrace
 	$(GO) test -fuzz=FuzzRecorder -fuzztime=$(FUZZTIME) ./internal/algotrace

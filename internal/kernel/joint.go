@@ -25,9 +25,9 @@ import "sync"
 // the rest hold the automaton's clamped transitions.
 //
 // The builders evaluate the rules branch-free on 0/1 predictions and
-// all-or-nothing write masks; joint_test.go keeps the same arithmetic
-// as per-step reference loops that the tables and the table-driven
-// loops are checked against.
+// all-or-nothing write masks; joint_test.go states the same rules in
+// the executable specification's terms (refmodel.SpecCounter) and
+// checks the tables and the table-driven loops against them.
 
 // MaxSkewCtrBits is the widest counter the three-bank skewed kernels
 // accept: the joint index gives each state 4 bits, so a table has

@@ -4,48 +4,100 @@ import (
 	"testing"
 
 	"gskew/internal/predictor"
+	"gskew/internal/refmodel"
 	"gskew/internal/rng"
 )
 
-// The arithmetic reference: the vote-and-train rules as the skewed
-// step loops evaluated them per step before the joint transition
-// tables replaced them — majority and update masks computed on 0/1
-// predictions, one automaton load per bank. The joint tables must
+// The reference: the vote-and-train rules written in the executable
+// specification's terms (internal/refmodel) rather than the builders'
+// branch-free arithmetic — each bank a refmodel.SpecCounter, the
+// majority counted as votes, the update rules as the spec states them
+// (SpecGSkewed.Update, SpecTwoBcGSkew.Update). The joint tables must
 // reproduce it entry for entry, and the table-driven loops step for
-// step.
+// step, so a wrong majority, keep mask or META target in joint.go
+// shows here as well as in the diff harness.
 
-// refSkewTransition is one skewed step on bank states s0..s2 under
-// outcome t (partial is 1 under partial update).
-func refSkewTransition(aut *automaton, partial, s0, s1, s2, t uint8) (n0, n1, n2, wrong uint8) {
-	p0, p1, p2 := aut.bit[s0], aut.bit[s1], aut.bit[s2]
-	wrong = (p0+p1+p2)>>1 ^ t
-	keep := partial &^ wrong
-	n0 = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&(keep&(p0^t)-1)
-	n1 = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&(keep&(p1^t)-1)
-	n2 = s2 ^ (s2^aut.next[uint16(s2)<<1|uint16(t)])&(keep&(p2^t)-1)
-	return n0, n1, n2, wrong
+// specCounter is a w-bit spec counter in state s.
+func specCounter(w uint, s uint8) refmodel.SpecCounter {
+	c := refmodel.NewSpecCounter(w)
+	c.State = int(s)
+	return c
+}
+
+// refSkewTransition is one skewed step on bank states s under outcome
+// taken: the prediction is the majority of the banks; total update
+// trains every bank, partial update skips a dissenting bank when the
+// majority was right.
+func refSkewTransition(w uint, partial bool, s [3]uint8, taken bool) (next [3]uint8, wrong bool) {
+	var per [3]bool
+	ayes := 0
+	for b, st := range s {
+		per[b] = specCounter(w, st).Predict()
+		if per[b] {
+			ayes++
+		}
+	}
+	overall := ayes >= 2
+	for b, st := range s {
+		next[b] = st
+		if partial && overall == taken && per[b] != taken {
+			continue
+		}
+		next[b] = uint8(specCounter(w, st).Update(taken).State)
+	}
+	return next, overall != taken
 }
 
 // refTBCTransition is one 2Bc-gskew step on BIM, G0, G1 and META
-// states under outcome t (flip is the planted chooser inversion).
-func refTBCTransition(aut *automaton, flip, sB, s0, s1, sM, t uint8) (nB, n0, n1, nM, wrong uint8) {
-	bb, b0, b1, pm := aut.bit[sB], aut.bit[s0], aut.bit[s1], aut.bit[sM]
-	maj := (bb + b0 + b1) >> 1
-	wrong = bb ^ pm&(maj^bb) ^ t
-	right := wrong ^ 1
-	gSkip := right &^ pm
-	nB = sB ^ (sB^aut.next[uint16(sB)<<1|uint16(t)])&(pm&right&(bb^t)-1)
-	n0 = s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&((gSkip|right&(b0^t))-1)
-	n1 = s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&((gSkip|right&(b1^t))-1)
-	nM = sM ^ (sM^aut.next[uint16(sM)<<1|uint16(1^maj^t^flip)])&-(maj^bb)
-	return nB, n0, n1, nM, wrong
+// states s under outcome taken. META picks the majority of BIM, G0
+// and G1 or BIM alone; a mispredict trains the three direction
+// tables, a right majority those that agreed with it, a right BIM
+// BIM alone; META trains when the two strategies differed, toward the
+// one that was right (toward the wrong one under flip, the planted
+// chooser inversion).
+func refTBCTransition(flip bool, s [4]uint8, taken bool) (next [4]uint8, wrong bool) {
+	const bim, g0, g1, meta = 0, 1, 2, 3
+	var per [4]bool
+	for b, st := range s {
+		per[b] = specCounter(2, st).Predict()
+	}
+	ayes := 0
+	for _, p := range per[:meta] {
+		if p {
+			ayes++
+		}
+	}
+	egskew := ayes >= 2
+	final := per[bim]
+	if per[meta] {
+		final = egskew
+	}
+	next = s
+	train := func(b int, dir bool) { next[b] = uint8(specCounter(2, s[b]).Update(dir).State) }
+	switch {
+	case final != taken:
+		train(bim, taken)
+		train(g0, taken)
+		train(g1, taken)
+	case per[meta]:
+		for _, b := range []int{bim, g0, g1} {
+			if per[b] == taken {
+				train(b, taken)
+			}
+		}
+	default:
+		train(bim, taken)
+	}
+	if per[bim] != egskew {
+		train(meta, (egskew == taken) != flip)
+	}
+	return next, final != taken
 }
 
-// refSkewStepBatch is skewKernel.StepBatch in the arithmetic form.
+// refSkewStepBatch is skewKernel.StepBatch with refSkewTransition in
+// place of the joint table.
 func refSkewStepBatch(k *skewKernel, steps []Step) int {
-	aut := automatonFor(k.ctrBits)
 	m := k.bankMask
-	partial := bit(k.partial)
 	mis := 0
 	for i := range steps {
 		s := &steps[i]
@@ -56,16 +108,16 @@ func refSkewStepBatch(k *skewKernel, steps []Step) int {
 			i0 = s.PC & m
 		}
 		i1, i2 := pk>>lutField&m, pk>>(2*lutField)&m
-		n0, n1, n2, wrong := refSkewTransition(&aut, partial, k.b0[i0], k.b1[i1], k.b2[i2], bit(s.Taken))
-		k.b0[i0], k.b1[i1], k.b2[i2] = n0, n1, n2
-		mis += int(wrong)
+		n, wrong := refSkewTransition(k.ctrBits, k.partial, [3]uint8{k.b0[i0], k.b1[i1], k.b2[i2]}, s.Taken)
+		k.b0[i0], k.b1[i1], k.b2[i2] = n[0], n[1], n[2]
+		mis += int(bit(wrong))
 	}
 	return mis
 }
 
-// refTBCStepBatch is tbcKernel.StepBatch in the arithmetic form.
-func refTBCStepBatch(k *tbcKernel, flip uint8, steps []Step) int {
-	aut := automatonFor(2)
+// refTBCStepBatch is tbcKernel.StepBatch with refTBCTransition in
+// place of the joint table.
+func refTBCStepBatch(k *tbcKernel, flip bool, steps []Step) int {
 	m := k.idxMask
 	mis := 0
 	for i := range steps {
@@ -76,23 +128,22 @@ func refTBCStepBatch(k *tbcKernel, flip uint8, steps []Step) int {
 		pkB := k.pa[vB&m] ^ k.pb[vB>>k.n&m]
 		iBim, iMeta := s.PC&m, pkA&m
 		iG0, iG1 := pkA>>lutField&m, pkB>>(2*lutField)&m
-		nB, n0, n1, nM, wrong := refTBCTransition(&aut, flip,
-			k.bim[iBim], k.g0[iG0], k.g1[iG1], k.meta[iMeta], bit(s.Taken))
-		k.bim[iBim], k.g0[iG0], k.g1[iG1], k.meta[iMeta] = nB, n0, n1, nM
-		mis += int(wrong)
+		n, wrong := refTBCTransition(flip, [4]uint8{k.bim[iBim], k.g0[iG0], k.g1[iG1], k.meta[iMeta]}, s.Taken)
+		k.bim[iBim], k.g0[iG0], k.g1[iG1], k.meta[iMeta] = n[0], n[1], n[2], n[3]
+		mis += int(bit(wrong))
 	}
 	return mis
 }
 
-// TestSkewJointTablesMatchArithmetic: every entry of every cached
-// skewed joint table — counter widths 1 to MaxSkewCtrBits under both
-// policies — holds the arithmetic reference's next states and miss
-// bit for the states and outcome its index encodes (fields beyond a
-// narrow counter's range included: the automaton clamps them), and no
-// table exceeds 32 KiB.
-func TestSkewJointTablesMatchArithmetic(t *testing.T) {
+// TestSkewJointTablesMatchSpec: every entry of every cached skewed
+// joint table — counter widths 1 to MaxSkewCtrBits under both policies
+// — whose fields hold valid w-bit states holds the spec reference's
+// next states and miss bit for the states and outcome its index
+// encodes, and no table exceeds 32 KiB. Entries with a field beyond a
+// narrow counter's range are never indexed (bank states stay in
+// range), so they are not checked.
+func TestSkewJointTablesMatchSpec(t *testing.T) {
 	for w := uint(1); w <= MaxSkewCtrBits; w++ {
-		aut := automatonFor(w)
 		for _, partial := range []bool{false, true} {
 			tab := skewJointFor(w, partial)
 			if bytes := len(tab) * 4; bytes > 32<<10 {
@@ -101,43 +152,44 @@ func TestSkewJointTablesMatchArithmetic(t *testing.T) {
 			if skewJointFor(w, partial) != tab {
 				t.Errorf("w=%d partial=%v: table rebuilt instead of cached", w, partial)
 			}
-			reached := 0
+			checked := 0
 			for j := range tab {
-				s0, s1, s2, tk := uint8(j&15), uint8(j>>4&15), uint8(j>>8&15), uint8(j>>12)
-				n0, n1, n2, wrong := refSkewTransition(&aut, bit(partial), s0, s1, s2, tk)
-				want := uint32(n0) | uint32(n1)<<8 | uint32(n2)<<16 | uint32(wrong)<<skewMissShift
+				s := [3]uint8{uint8(j & 15), uint8(j >> 4 & 15), uint8(j >> 8 & 15)}
+				tk := j>>12 == 1
+				if max(s[0], s[1], s[2]) >= 1<<w {
+					continue
+				}
+				n, wrong := refSkewTransition(w, partial, s, tk)
+				want := uint32(n[0]) | uint32(n[1])<<8 | uint32(n[2])<<16 | uint32(bit(wrong))<<skewMissShift
 				if tab[j] != want {
-					t.Fatalf("w=%d partial=%v states (%d,%d,%d) t=%d: entry %#x, reference %#x",
-						w, partial, s0, s1, s2, tk, tab[j], want)
+					t.Fatalf("w=%d partial=%v states %v taken=%v: entry %#x, spec %#x",
+						w, partial, s, tk, tab[j], want)
 				}
-				if max(s0, s1, s2) < 1<<w {
-					reached++
-				}
+				checked++
 			}
-			if want := 1 << (3*w + 1); reached != want {
-				t.Fatalf("w=%d: %d entries with valid states, want %d", w, reached, want)
+			if want := 1 << (3*w + 1); checked != want {
+				t.Fatalf("w=%d: checked %d entries with valid states, want %d", w, checked, want)
 			}
 		}
 	}
 }
 
-// TestTBCJointTablesMatchArithmetic: the same for both cached
-// 2Bc-gskew tables (metaFlip 0 and 1), over every 2-bit state of BIM,
-// G0, G1 and META and both outcomes.
-func TestTBCJointTablesMatchArithmetic(t *testing.T) {
-	aut := automatonFor(2)
+// TestTBCJointTablesMatchSpec: the same for both cached 2Bc-gskew
+// tables (metaFlip 0 and 1), over every 2-bit state of BIM, G0, G1 and
+// META and both outcomes.
+func TestTBCJointTablesMatchSpec(t *testing.T) {
 	for flip := uint8(0); flip <= 1; flip++ {
 		tab := tbcJointFor(flip)
 		if tbcJointFor(flip) != tab {
 			t.Errorf("flip=%d: table rebuilt instead of cached", flip)
 		}
 		for j := range tab {
-			sB, s0, s1, sM, tk := uint8(j&3), uint8(j>>2&3), uint8(j>>4&3), uint8(j>>6&3), uint8(j>>8)
-			nB, n0, n1, nM, wrong := refTBCTransition(&aut, flip, sB, s0, s1, sM, tk)
-			want := uint64(nB) | uint64(n0)<<8 | uint64(n1)<<16 | uint64(nM)<<24 | uint64(wrong)<<tbcMissShift
+			s := [4]uint8{uint8(j & 3), uint8(j >> 2 & 3), uint8(j >> 4 & 3), uint8(j >> 6 & 3)}
+			tk := j>>8 == 1
+			n, wrong := refTBCTransition(flip == 1, s, tk)
+			want := uint64(n[0]) | uint64(n[1])<<8 | uint64(n[2])<<16 | uint64(n[3])<<24 | uint64(bit(wrong))<<tbcMissShift
 			if tab[j] != want {
-				t.Fatalf("flip=%d states (%d,%d,%d,%d) t=%d: entry %#x, reference %#x",
-					flip, sB, s0, s1, sM, tk, tab[j], want)
+				t.Fatalf("flip=%d states %v taken=%v: entry %#x, spec %#x", flip, s, tk, tab[j], want)
 			}
 		}
 	}
@@ -146,16 +198,16 @@ func TestTBCJointTablesMatchArithmetic(t *testing.T) {
 	}
 }
 
-// TestJointStepBatchMatchesArithmeticLoop: the table-driven loops and
-// the arithmetic reference loops, driven over the same random blocks
+// TestJointStepBatchMatchesSpecLoop: the table-driven loops and the
+// spec reference loops, driven over the same random blocks
 // on twin predictors, count the same mispredicts per block and leave
 // identical tables — every skewed width under both policies, plain and
 // enhanced, and 2Bc-gskew with and without the planted chooser flip.
-func TestJointStepBatchMatchesArithmeticLoop(t *testing.T) {
+func TestJointStepBatchMatchesSpecLoop(t *testing.T) {
 	type twin struct {
 		name string
 		mk   func() predictor.Predictor
-		flip uint8
+		flip bool
 	}
 	var twins []twin
 	for w := uint(1); w <= MaxSkewCtrBits; w++ {
@@ -169,10 +221,10 @@ func TestJointStepBatchMatchesArithmeticLoop(t *testing.T) {
 			}
 		}
 	}
-	for flip := uint8(0); flip <= 1; flip++ {
+	for _, flip := range []bool{false, true} {
 		twins = append(twins, twin{name: "2bcgskew", flip: flip, mk: func() predictor.Predictor {
 			p := predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 5, Hist: 12})
-			if flip == 1 && !predictor.TamperTwoBcMeta(p) {
+			if flip && !predictor.TamperTwoBcMeta(p) {
 				t.Fatal("TamperTwoBcMeta refused a 2bcgskew")
 			}
 			return p
@@ -202,14 +254,14 @@ func TestJointStepBatchMatchesArithmeticLoop(t *testing.T) {
 				w = refTBCStepBatch(k, tw.flip, steps)
 			}
 			if g = got.StepBatch(steps); g != w {
-				t.Fatalf("%s #%d: block at step %d: joint loop %d mispredicts, arithmetic loop %d", tw.name, i, done, g, w)
+				t.Fatalf("%s #%d: block at step %d: joint loop %d mispredicts, spec loop %d", tw.name, i, done, g, w)
 			}
 		}
 		gb, wb := banksOf(t, got), banksOf(t, want)
 		for b := range wb {
 			for c := range wb[b] {
 				if gb[b][c] != wb[b][c] {
-					t.Fatalf("%s #%d: table %d cell %d is %d, arithmetic loop left %d", tw.name, i, b, c, gb[b][c], wb[b][c])
+					t.Fatalf("%s #%d: table %d cell %d is %d, spec loop left %d", tw.name, i, b, c, gb[b][c], wb[b][c])
 				}
 			}
 		}

@@ -26,7 +26,8 @@
 // policies), 2Bc-gskew and TAGE; anything else — the perceptron,
 // tagged reference tables, shared-hysteresis banks, five-bank skews,
 // skews with counters wider than MaxSkewCtrBits, hybrids — reports
-// ok == false and stays on the generic path.
+// ok == false and stays on the interface path: the predictor's own
+// Step where it is a predictor.Stepper, Predict and Update otherwise.
 // Bit-identical behaviour of every compiled family is enforced by the
 // differential harness (internal/refmodel/diff, cmd/verify), which
 // drives each kernel against the executable paper specification.
@@ -69,7 +70,7 @@ type Kernel interface {
 //
 // ok is false when p's organisation is not one of the compiled
 // families (or its geometry is out of LUT range); callers then use the
-// generic interface path.
+// interface path.
 func Compile(p predictor.Predictor, histBits uint) (Kernel, bool) {
 	if histBits > 63 {
 		return nil, false
@@ -78,7 +79,7 @@ func Compile(p predictor.Predictor, histBits uint) (Kernel, bool) {
 	// Recognition is by reported Spec family: every compilable
 	// organisation describes itself through the unified construction
 	// surface, so a predictor that cannot state its Spec (hybrids,
-	// custom index functions) stays on the generic path.
+	// custom index functions) stays on the interface path.
 	sp, ok := p.(predictor.Speccer)
 	if !ok {
 		return nil, false

@@ -82,9 +82,10 @@ func lutsFor(n uint) *lutSet {
 // automaton is a saturating counter lowered to transition tables: a
 // 256-entry predict table (a 0/1 byte, so the branch-free loops can
 // combine predictions arithmetically) and a 512-entry next-state
-// table indexed by state<<1 | taken. Embedding it by value in each
-// kernel keeps the lookups one load away from the kernel's other
-// fields.
+// table indexed by state<<1 | taken. The single-table kernels
+// (bimodal, gshare, gselect) and TAGE embed it by value, which keeps
+// the lookups one load away from the kernel's other fields; the skewed
+// kernels step through joint tables built from it (joint.go).
 type automaton struct {
 	next [512]uint8
 	bit  [256]uint8 // 1 when the state predicts taken

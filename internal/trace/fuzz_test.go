@@ -373,93 +373,3 @@ func FuzzColumnarEncode(f *testing.F) {
 		}
 	})
 }
-
-// mapStats is Stats as it was defined before the open-addressed PC
-// set: two Go maps of distinct PCs, one per branch kind.
-type mapStats struct {
-	dynamic, dynamicUncond, takenCond, total int
-	cond, uncond                             map[uint64]struct{}
-}
-
-func (m *mapStats) observe(b Branch) {
-	m.total++
-	switch b.Kind {
-	case Conditional:
-		m.dynamic++
-		if b.Taken {
-			m.takenCond++
-		}
-		m.cond[b.PC] = struct{}{}
-	case Unconditional:
-		m.dynamicUncond++
-		m.uncond[b.PC] = struct{}{}
-	}
-}
-
-// statsFuzzTrace expands fuzz bytes into records. Each byte pair
-// (a, b) picks a kind and direction from a and a PC shape from a>>2:
-// b itself, b in the top and bottom bytes, PC 0, the same PC in both
-// kinds, or a burst of 300 word-strided PCs (so the set grows past
-// its first size several times over a long input).
-func statsFuzzTrace(data []byte) []Branch {
-	var out []Branch
-	for i := 0; i+1 < len(data); i += 2 {
-		a, b := data[i], uint64(data[i+1])
-		kind := Conditional
-		if a&1 != 0 {
-			kind = Unconditional
-		}
-		rec := Branch{Kind: kind, Taken: a&2 != 0}
-		switch a >> 2 % 5 {
-		case 0:
-			rec.PC = b
-		case 1:
-			rec.PC = b<<56 | b
-		case 2:
-			rec.PC = 0
-		case 3:
-			rec.PC = b << 2
-			out = append(out, rec)
-			rec.Kind = 1 - kind
-		case 4:
-			for j := range uint64(300) {
-				out = append(out, Branch{PC: b<<20 + j*4, Kind: kind, Taken: j&1 != 0})
-			}
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// FuzzStatsPCSet checks Stats against the map version after every
-// record and through Measure, PC 0 included.
-func FuzzStatsPCSet(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 8, 0, 9, 0})
-	f.Add([]byte{4, 7, 5, 7, 12, 3, 16, 1, 17, 1, 18, 2})
-	f.Add(bytes.Repeat([]byte{16, 1, 17, 2, 0, 9}, 20))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := statsFuzzTrace(data)
-		want := &mapStats{cond: map[uint64]struct{}{}, uncond: map[uint64]struct{}{}}
-		got := NewStats()
-		for i, b := range tr {
-			want.observe(b)
-			got.Observe(b)
-			if got.Static != len(want.cond) || got.StaticUncond != len(want.uncond) {
-				t.Fatalf("record %d (%+v): static %d/%d, map version %d/%d",
-					i, b, got.Static, got.StaticUncond, len(want.cond), len(want.uncond))
-			}
-		}
-		st, err := Measure(NewSliceSource(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*Stats{got, st} {
-			if s.Dynamic != want.dynamic || s.DynamicUncond != want.dynamicUncond ||
-				s.TakenCond != want.takenCond || s.Total() != want.total ||
-				s.Static != len(want.cond) || s.StaticUncond != len(want.uncond) {
-				t.Fatalf("stats %+v (total %d), map version %+v", *s, s.Total(), *want)
-			}
-		}
-	})
-}

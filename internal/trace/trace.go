@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -211,11 +210,17 @@ type Stats struct {
 	StaticUncond  int // distinct unconditional branch PCs
 	TakenCond     int // taken conditional branches
 	total         int
-	pcs           pcSet // every PC seen, with the kinds it was seen as
+	condPCs       map[uint64]struct{}
+	uncondPCs     map[uint64]struct{}
 }
 
 // NewStats returns an empty accumulator.
-func NewStats() *Stats { return &Stats{} }
+func NewStats() *Stats {
+	return &Stats{
+		condPCs:   make(map[uint64]struct{}),
+		uncondPCs: make(map[uint64]struct{}),
+	}
+}
 
 // Observe accounts one branch.
 func (s *Stats) Observe(b Branch) {
@@ -226,13 +231,15 @@ func (s *Stats) Observe(b Branch) {
 		if b.Taken {
 			s.TakenCond++
 		}
-		if s.pcs.mark(b.PC, seenCond) {
-			s.Static++
+		if _, ok := s.condPCs[b.PC]; !ok {
+			s.condPCs[b.PC] = struct{}{}
+			s.Static = len(s.condPCs)
 		}
 	case Unconditional:
 		s.DynamicUncond++
-		if s.pcs.mark(b.PC, seenUncond) {
-			s.StaticUncond++
+		if _, ok := s.uncondPCs[b.PC]; !ok {
+			s.uncondPCs[b.PC] = struct{}{}
+			s.StaticUncond = len(s.uncondPCs)
 		}
 	}
 }
@@ -261,67 +268,6 @@ func Measure(src Source) (*Stats, error) {
 	})
 	return st, err
 }
-
-// The kinds a pcSet slot records, as bits; a slot with no bit set is
-// empty, so every PC, 0 included, is an ordinary key.
-const (
-	seenCond uint8 = 1 << iota
-	seenUncond
-)
-
-// pcSet is an open-addressed, linearly probed set of PCs in which each
-// PC carries the branch kinds it was seen as: one table serves both of
-// Stats' distinct-PC counts. It doubles at half load.
-type pcSet struct {
-	pcs   []uint64
-	kinds []uint8 // 0: empty slot
-	used  int
-	shift uint // 64 - log2(len(pcs))
-}
-
-// mark records pc as seen with kind and reports whether that is new
-// for the (pc, kind) pair.
-func (p *pcSet) mark(pc uint64, kind uint8) bool {
-	if 2*(p.used+1) > len(p.pcs) {
-		p.grow()
-	}
-	mask := uint64(len(p.pcs) - 1)
-	for i := pcHash(pc, p.shift); ; i = (i + 1) & mask {
-		k := p.kinds[i]
-		if k == 0 {
-			p.pcs[i], p.kinds[i] = pc, kind
-			p.used++
-			return true
-		}
-		if p.pcs[i] == pc {
-			p.kinds[i] = k | kind
-			return k&kind == 0
-		}
-	}
-}
-
-// grow doubles the table (from 1024 slots) and reinserts every PC.
-func (p *pcSet) grow() {
-	size := max(2*len(p.pcs), 1024)
-	old, oldKinds := p.pcs, p.kinds
-	p.pcs, p.kinds = make([]uint64, size), make([]uint8, size)
-	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	mask := uint64(size - 1)
-	for j, k := range oldKinds {
-		if k == 0 {
-			continue
-		}
-		i := pcHash(old[j], p.shift)
-		for p.kinds[i] != 0 {
-			i = (i + 1) & mask
-		}
-		p.pcs[i], p.kinds[i] = old[j], k
-	}
-}
-
-// pcHash is Fibonacci hashing: the top bits of pc times 2^64/φ, so
-// word-aligned and strided PCs spread over the whole table.
-func pcHash(pc uint64, shift uint) uint64 { return pc * 0x9E3779B97F4A7C15 >> (shift & 63) }
 
 // Binary format
 //
