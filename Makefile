@@ -9,9 +9,12 @@
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME, among them the cell-parallel
 # drain against the serial one (FuzzRunCellParallel), every
-# Options.Segments value against its contract (FuzzRunSegmented) and
-# the compiled workload walker against the tree-walking reference
-# (FuzzWalkerCompiled). `make bench`
+# Options.Segments value against its contract (FuzzRunSegmented), the
+# compiled workload walker against the tree-walking reference
+# (FuzzWalkerCompiled), the dense-ID aliasing tables against their
+# map- and vector-keyed references (FuzzAliasDense) and the dense-ID
+# fully-associative LRU predictor against its lru.Cache reference
+# (FuzzAssocLRUDense). `make bench`
 # runs the compiled kernel vs interface comparison BENCHCOUNT times and
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
 # serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
@@ -86,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzTAGEKernel -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
+	$(GO) test -fuzz=FuzzAssocLRUDense -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzWalkerCompiled -fuzztime=$(FUZZTIME) ./internal/cfg
 
 bench:

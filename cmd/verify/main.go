@@ -130,7 +130,8 @@ func summarise(stdout io.Writer, results []diff.CellResult) error {
 }
 
 // selftestCells is the representative subset faults are injected into:
-// one cell per family, covering both skewed policies.
+// one cell per family and reference predictor, covering both skewed
+// policies.
 func selftestCells() []diff.Cell {
 	return []diff.Cell{
 		{Family: "bimodal", N: 8, Ctr: 2},
@@ -143,5 +144,10 @@ func selftestCells() []diff.Cell {
 		// planted fold fault has chunks to misalign.
 		{Family: "tage", N: 6, Hist: 16, Ctr: 3, Tables: 4, Tag: 6},
 		{Family: "perceptron", N: 6, Hist: 12, Ctr: 8, Tables: 4},
+		{Family: "unaliased", Hist: 8, Ctr: 2},
+		// Eight entries keyed by address alone: the table fills (and
+		// the planted eviction fault shows) within the shrink bound,
+		// and the program walk's loops re-reference resident entries.
+		{Family: "assoc-lru", N: 3, Ctr: 2},
 	}
 }

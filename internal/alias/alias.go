@@ -17,14 +17,21 @@ import (
 	"fmt"
 
 	"gskew/internal/indexfn"
+	"gskew/internal/lru"
 )
 
 // TaggedDM is a direct-mapped tagged table: entry i remembers the last
 // information vector that mapped to i under the given index function.
+//
+// The table is keyed by dense vector IDs (see indexfn.Interner): it
+// computes each ID's index once, on the ID's first reference, and
+// stores ID+1 as the entry's tag (0 marks an empty entry), so a
+// reference costs two slice loads and no index-function call.
 type TaggedDM struct {
 	fn       indexfn.Func
-	tags     []uint64
-	valid    []bool
+	in       *indexfn.Interner // owned interner behind Observe (nil until used)
+	index    []int32           // ID -> entry, -1 until computed
+	tags     []int32           // entry -> ID+1 of the last reference to it
 	accesses int
 	misses   int
 }
@@ -32,23 +39,67 @@ type TaggedDM struct {
 // NewTaggedDM returns a tagged direct-mapped table mirroring a
 // predictor table that uses fn.
 func NewTaggedDM(fn indexfn.Func) *TaggedDM {
-	n := 1 << fn.Bits()
-	return &TaggedDM{fn: fn, tags: make([]uint64, n), valid: make([]bool, n)}
+	return &TaggedDM{fn: fn, tags: make([]int32, 1<<fn.Bits())}
 }
 
 // Observe records a reference and reports whether it aliased (the
-// entry held a different vector, or was empty — i.e. a "miss").
+// entry held a different vector, or was empty — i.e. a "miss"). A
+// table is fed either through Observe, which interns through the
+// table's own interner, or through ObserveID and ObserveIDs with IDs a
+// caller has interned, never both.
 func (t *TaggedDM) Observe(addr, hist uint64) bool {
-	v := indexfn.Vector(addr, hist, t.fn.HistoryBits())
-	i := t.fn.Index(addr, hist)
+	if t.in == nil {
+		t.in = indexfn.NewInterner(len(t.tags))
+	}
+	id, _ := t.in.ID(indexfn.Vector(addr, hist, t.fn.HistoryBits()))
+	return t.ObserveID(id, addr, hist)
+}
+
+// ObserveID records a reference to the vector with dense ID id, whose
+// (address, history) is (addr, hist), and reports whether it aliased.
+// The address and history are read only on the ID's first reference.
+func (t *TaggedDM) ObserveID(id int32, addr, hist uint64) bool {
+	if int(id) >= len(t.index) {
+		t.index = indexfn.GrowIDs(t.index, id, -1)
+	}
+	i := t.index[id]
+	if i < 0 {
+		i = int32(t.fn.Index(addr, hist))
+		t.index[id] = i
+	}
 	t.accesses++
-	if t.valid[i] && t.tags[i] == v {
+	if t.tags[i] == id+1 {
 		return false
 	}
-	t.valid[i] = true
-	t.tags[i] = v
+	t.tags[i] = id + 1
 	t.misses++
 	return true
+}
+
+// ObserveIDs records a whole interned reference stream: ids holds the
+// references in order, and addrs[id], hists[id] the (address, history)
+// of each ID. It is ObserveID over ids, with every ID's index computed
+// up front.
+func (t *TaggedDM) ObserveIDs(ids []int32, addrs, hists []uint64) {
+	if len(addrs) > len(t.index) {
+		t.index = indexfn.GrowIDs(t.index, int32(len(addrs)-1), -1)
+	}
+	for id, addr := range addrs {
+		if t.index[id] < 0 {
+			t.index[id] = int32(t.fn.Index(addr, hists[id]))
+		}
+	}
+	index, tags := t.index, t.tags
+	misses := 0
+	for _, id := range ids {
+		i := index[id]
+		if tags[i] != id+1 {
+			tags[i] = id + 1
+			misses++
+		}
+	}
+	t.accesses += len(ids)
+	t.misses += misses
 }
 
 // Accesses returns the number of references observed.
@@ -75,11 +126,12 @@ func (t *TaggedDM) Name() string { return t.fn.Name() + "-dm" }
 // Its miss ratio is compulsory + capacity aliasing; the difference
 // between a TaggedDM and a TaggedFA of equal size is conflict aliasing.
 //
-// The recency list is threaded through per-ID slots (see Interner), so
-// a reference costs one interner probe and O(1) slice work.
+// The recency list is threaded through per-ID slots (see
+// indexfn.Interner and lru.IDSet), so a reference costs one interner
+// probe and O(1) slice work.
 type TaggedFA struct {
-	in       *Interner
-	lru      idLRU
+	in       *indexfn.Interner
+	lru      *lru.IDSet
 	histBits uint
 	accesses int
 	misses   int
@@ -88,14 +140,14 @@ type TaggedFA struct {
 // NewTaggedFA returns an n-entry fully-associative LRU tagged table
 // keyed by (address, k-bit history).
 func NewTaggedFA(entries int, histBits uint) *TaggedFA {
-	return newTaggedFA(entries, histBits, NewInterner(entries))
+	return newTaggedFA(entries, histBits, indexfn.NewInterner(entries))
 }
 
-func newTaggedFA(entries int, histBits uint, in *Interner) *TaggedFA {
+func newTaggedFA(entries int, histBits uint, in *indexfn.Interner) *TaggedFA {
 	if entries <= 0 {
 		panic(fmt.Sprintf("alias: capacity %d must be positive", entries))
 	}
-	return &TaggedFA{in: in, lru: idLRU{capacity: entries, head: -1, tail: -1}, histBits: histBits}
+	return &TaggedFA{in: in, lru: lru.NewIDSet(entries), histBits: histBits}
 }
 
 // Observe records a reference and reports whether it missed.
@@ -106,7 +158,7 @@ func (t *TaggedFA) Observe(addr, hist uint64) bool {
 
 func (t *TaggedFA) observeID(id int32) bool {
 	t.accesses++
-	if t.lru.touch(id) {
+	if t.lru.Touch(id) {
 		return false
 	}
 	t.misses++
@@ -128,70 +180,7 @@ func (t *TaggedFA) MissRatio() float64 {
 }
 
 // Entries returns the table capacity.
-func (t *TaggedFA) Entries() int { return t.lru.capacity }
-
-// idLRU is a fixed-capacity LRU set over dense IDs: a doubly-linked
-// recency list whose links live in per-ID slots (-1 ends the list;
-// notResident marks an ID outside the set).
-type idLRU struct {
-	prev, next []int32
-	capacity   int
-	size       int
-	head, tail int32 // most and least recently used
-}
-
-const notResident = -2
-
-// touch inserts id as most recently used, evicting the least recently
-// used ID when full, or refreshes it; it reports whether id was
-// resident.
-func (l *idLRU) touch(id int32) bool {
-	if int(id) >= len(l.prev) {
-		l.prev = growIDs(l.prev, id, notResident)
-		l.next = growIDs(l.next, id, notResident)
-	}
-	if l.prev[id] != notResident {
-		if l.head != id {
-			l.unlink(id)
-			l.pushFront(id)
-		}
-		return true
-	}
-	if l.size == l.capacity {
-		victim := l.tail
-		l.unlink(victim)
-		l.prev[victim], l.next[victim] = notResident, notResident
-	} else {
-		l.size++
-	}
-	l.pushFront(id)
-	return false
-}
-
-func (l *idLRU) unlink(id int32) {
-	p, n := l.prev[id], l.next[id]
-	if p >= 0 {
-		l.next[p] = n
-	} else {
-		l.head = n
-	}
-	if n >= 0 {
-		l.prev[n] = p
-	} else {
-		l.tail = p
-	}
-}
-
-func (l *idLRU) pushFront(id int32) {
-	l.prev[id] = -1
-	l.next[id] = l.head
-	if l.head >= 0 {
-		l.prev[l.head] = id
-	} else {
-		l.tail = id
-	}
-	l.head = id
-}
+func (t *TaggedFA) Entries() int { return t.lru.Capacity() }
 
 // Classifier decomposes the aliasing of a direct-mapped organisation
 // into the three Cs by running, side by side on the same reference
@@ -204,12 +193,12 @@ func (l *idLRU) pushFront(id int32) {
 // Per reference: compulsory if never seen before; else capacity if the
 // FA table missed; else conflict if the DM table missed.
 //
-// One interner serves the FA table and the first-use detector, so a
-// reference pays a single hash probe.
+// One interner serves all three tables and the first-use detector, so
+// a reference pays a single hash probe.
 type Classifier struct {
 	dm   *TaggedDM
 	fa   *TaggedFA
-	in   *Interner
+	in   *indexfn.Interner
 	cold int
 }
 
@@ -253,7 +242,7 @@ func (c ThreeC) String() string {
 // NewClassifier builds a classifier for the direct-mapped organisation
 // using fn. The FA reference table has the same entry count.
 func NewClassifier(fn indexfn.Func) *Classifier {
-	in := NewInterner(1 << fn.Bits())
+	in := indexfn.NewInterner(1 << fn.Bits())
 	return &Classifier{
 		dm: NewTaggedDM(fn),
 		fa: newTaggedFA(1<<fn.Bits(), fn.HistoryBits(), in),
@@ -276,7 +265,7 @@ const (
 // using the priority rule compulsory > capacity > conflict.
 func (c *Classifier) Observe(addr, hist uint64) RefClass {
 	id, first := c.in.ID(indexfn.Vector(addr, hist, c.dm.fn.HistoryBits()))
-	dmMiss := c.dm.Observe(addr, hist)
+	dmMiss := c.dm.ObserveID(id, addr, hist)
 	faMiss := c.fa.observeID(id)
 	if first {
 		c.cold++

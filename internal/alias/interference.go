@@ -83,6 +83,10 @@ func (s InterferenceStats) ConstructiveRatio() float64 { return ratio(s.Construc
 //   - the finite predictor under study (index function + counters),
 //   - a tagged table detecting whether each access was aliased,
 //   - an unaliased oracle giving the aliasing-free prediction.
+//
+// The oracle's counter slots key the tagged table, so a reference pays
+// one interner probe and the table's index is computed once per
+// substream.
 type Interference struct {
 	finite *predictor.Single
 	tags   *TaggedDM
@@ -105,13 +109,18 @@ func NewInterference(fn indexfn.Func, counterBits uint) *Interference {
 func (n *Interference) Observe(addr, hist uint64, taken bool) InterferenceKind {
 	n.stats.References++
 
-	finitePred := n.finite.Predict(addr, hist)
-	oracleSeen := n.oracle.Seen(addr, hist)
-	oraclePred := n.oracle.Predict(addr, hist)
-	aliased := n.tags.Observe(addr, hist) // also refreshes the tag
-
-	n.finite.Update(addr, hist, taken)
-	n.oracle.Update(addr, hist, taken)
+	// The oracle trains on every reference, so its counter slots are
+	// the substreams' dense IDs in first-use order. The three
+	// structures are independent, so each predicts and trains in one
+	// fused step.
+	id := n.oracle.Slot(addr, hist)
+	oracleSeen := id >= 0
+	oraclePred := n.oracle.Step(addr, hist, taken)
+	if !oracleSeen {
+		id = n.oracle.Slot(addr, hist) // the slot Step allocated
+	}
+	aliased := n.tags.ObserveID(id, addr, hist) // also refreshes the tag
+	finitePred := n.finite.Step(addr, hist, taken)
 
 	kind := Unaliased
 	switch {

@@ -3,6 +3,8 @@ package alias
 import (
 	"fmt"
 	"math"
+
+	"gskew/internal/indexfn"
 )
 
 // This file implements Belady's OPT (furthest-next-use) replacement
@@ -30,7 +32,7 @@ func OptMissRatio(refs []uint64, n int) float64 {
 
 // OptMisses returns the miss count of an n-entry OPT table over refs.
 func OptMisses(refs []uint64, n int) int {
-	ids, u := Intern(refs)
+	ids, u := indexfn.Intern(refs)
 	return NewOptStream(ids, u).Misses(n)
 }
 

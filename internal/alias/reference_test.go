@@ -6,13 +6,46 @@ import (
 	"gskew/internal/counter"
 	"gskew/internal/indexfn"
 	"gskew/internal/lru"
+	"gskew/internal/predictor"
 )
 
-// This file keeps the map-based implementations the dense-ID
-// structures replaced. They share no per-vector state layout with the
-// package code — every table is keyed by the raw vector in a Go map (or
-// the lru package's set) — so they serve as the independent reference
-// the dense versions are diffed against (FuzzAliasDense).
+// This file keeps the map- and vector-keyed implementations the
+// dense-ID structures replaced. They share no per-vector state layout
+// with the package code — every table is keyed by the raw vector, in a
+// Go map, the lru package's Set or a vector-tagged array — so they
+// serve as the independent reference the dense versions are diffed
+// against (FuzzAliasDense).
+
+// vecTaggedDM is the direct-mapped tagged table that stores each
+// entry's last information vector and recomputes the index function at
+// every reference.
+type vecTaggedDM struct {
+	fn       indexfn.Func
+	tags     []uint64
+	valid    []bool
+	accesses int
+	misses   int
+}
+
+func newVecTaggedDM(fn indexfn.Func) *vecTaggedDM {
+	n := 1 << fn.Bits()
+	return &vecTaggedDM{fn: fn, tags: make([]uint64, n), valid: make([]bool, n)}
+}
+
+// Observe records a reference and reports whether it aliased (the
+// entry held a different vector, or was empty — i.e. a "miss").
+func (t *vecTaggedDM) Observe(addr, hist uint64) bool {
+	v := indexfn.Vector(addr, hist, t.fn.HistoryBits())
+	i := t.fn.Index(addr, hist)
+	t.accesses++
+	if t.valid[i] && t.tags[i] == v {
+		return false
+	}
+	t.valid[i] = true
+	t.tags[i] = v
+	t.misses++
+	return true
+}
 
 // mapStackDist is the map-keyed Fenwick stack-distance profiler.
 type mapStackDist struct {
@@ -148,7 +181,7 @@ func (t *mapTaggedFA) observe(addr, hist uint64) bool {
 
 // mapClassifier is the three-Cs classifier with a map first-use set.
 type mapClassifier struct {
-	dm   *TaggedDM
+	dm   *vecTaggedDM
 	fa   *mapTaggedFA
 	seen map[uint64]struct{}
 	cold int
@@ -157,7 +190,7 @@ type mapClassifier struct {
 
 func newMapClassifier(fn indexfn.Func) *mapClassifier {
 	return &mapClassifier{
-		dm:   NewTaggedDM(fn),
+		dm:   newVecTaggedDM(fn),
 		fa:   newMapTaggedFA(1<<fn.Bits(), fn.HistoryBits()),
 		seen: map[uint64]struct{}{},
 	}
@@ -190,7 +223,7 @@ func (c *mapClassifier) stats() ThreeC {
 		Accesses:   c.refs,
 		Compulsory: c.cold,
 		Capacity:   c.fa.misses - c.cold,
-		Conflict:   c.dm.Misses() - c.fa.misses,
+		Conflict:   c.dm.misses - c.fa.misses,
 	}
 }
 
@@ -225,4 +258,41 @@ func (u *mapUnaliased) step(addr, hist uint64, taken bool) bool {
 	}
 	u.counters[v] = c.Update(taken)
 	return pred
+}
+
+// mapInterference is the interference classifier over the vector-tagged
+// table and the map-keyed unaliased oracle, each predicting before any
+// structure trains.
+type mapInterference struct {
+	finite *predictor.Single
+	tags   *vecTaggedDM
+	oracle *mapUnaliased
+}
+
+func newMapInterference(fn indexfn.Func, counterBits uint) *mapInterference {
+	return &mapInterference{
+		finite: predictor.NewSingle(fn, counterBits),
+		tags:   newVecTaggedDM(fn),
+		oracle: newMapUnaliased(fn.HistoryBits(), counterBits),
+	}
+}
+
+func (n *mapInterference) observe(addr, hist uint64, taken bool) InterferenceKind {
+	finitePred := n.finite.Predict(addr, hist)
+	oracleSeen := n.oracle.seen(addr, hist)
+	aliased := n.tags.Observe(addr, hist)
+	n.finite.Update(addr, hist, taken)
+	oraclePred := n.oracle.step(addr, hist, taken)
+	switch {
+	case !oracleSeen:
+		return ColdOracle
+	case !aliased:
+		return Unaliased
+	case finitePred == oraclePred:
+		return Harmless
+	case oraclePred == taken:
+		return Destructive
+	default:
+		return Constructive
+	}
 }

@@ -3,6 +3,8 @@ package alias
 import (
 	"fmt"
 	"math"
+
+	"gskew/internal/indexfn"
 )
 
 // StackDist computes exact LRU stack distances ("last-use distances"
@@ -24,51 +26,86 @@ import (
 // distinct vectors seen so far, and only the prefix sum up to p needs
 // a tree walk.
 //
-// Per-vector state lives in slices indexed by dense IDs (see Interner):
-// Observe interns through the profiler's own interner, ObserveID takes
-// IDs a caller has already interned and shares with other structures.
-// Timestamps are 32-bit, so one profiler takes at most 2^31-1
-// references.
+// Only the order of the marks matters, so when the timestamps run out
+// of tree the profiler renumbers the live marks 1..U in order (U
+// distinct vectors so far) and rebuilds the tree, doubling it only
+// when the marks fill more than half of it. The tree therefore holds
+// between two and four slots per distinct vector, not one per
+// reference: it stays cache-sized on streams of millions of references
+// over tens of thousands of vectors.
+//
+// Per-vector state lives in slices indexed by dense IDs (see
+// indexfn.Interner): Observe interns through the profiler's own
+// interner, ObserveID takes IDs a caller has already interned and
+// shares with other structures.
 type StackDist struct {
-	in       *Interner // owned interner behind Observe (nil until used)
-	bit      []int32   // Fenwick tree over timestamps, 1-based
-	lastPos  []int32   // ID -> timestamp of latest reference (0 = never)
-	now      int32     // current timestamp (1-based, next to assign)
-	distinct int       // distinct IDs seen (= marks in the tree)
-	histo    []int     // histo[d+1] = references at distance d (Cold at 0)
+	in       *indexfn.Interner // owned interner behind Observe (nil until used)
+	bit      []int32           // Fenwick tree over timestamps, 1-based
+	idAt     []int32           // timestamp -> ID referenced then
+	lastPos  []int32           // ID -> timestamp of latest reference (0 = never)
+	now      int32             // latest timestamp assigned
+	distinct int               // distinct IDs seen (= marks in the tree)
+	histo    []int             // histo[d+1] = references at distance d (Cold at 0)
 	accesses int
+	hint     int // expected references, sizes in
 }
 
 // Cold is the distance reported for first-time references.
 const Cold = -1
 
-// NewStackDist returns a profiler with capacity hint n references
-// (it grows as needed).
+// minStackSlots is the initial tree size.
+const minStackSlots = 1 << 10
+
+// NewStackDist returns an empty profiler. The tree is sized by the
+// distinct vectors it meets, so hint, the expected reference count,
+// only sizes the interner behind Observe.
 func NewStackDist(hint int) *StackDist {
-	if hint < 16 {
-		hint = 16
-	}
 	return &StackDist{
-		bit:   make([]int32, hint+1),
+		bit:   make([]int32, minStackSlots),
+		idAt:  make([]int32, minStackSlots),
 		histo: make([]int, 1, 64),
+		hint:  hint,
 	}
 }
 
-func (s *StackDist) grow(n int32) {
-	if int(n) < len(s.bit) {
-		return
-	}
+// renumber moves the live marks to timestamps 1..distinct, keeping
+// their order, and rebuilds the tree, doubled when the marks fill more
+// than half of it.
+func (s *StackDist) renumber() {
 	size := len(s.bit)
-	for size <= int(n) {
+	if 2*s.distinct > size-1 {
 		size *= 2
 	}
-	// Rebuild the tree with the larger size: Fenwick trees cannot be
-	// resized in place, but the marked set is exactly the nonzero
-	// values in lastPos, so reconstruct from it.
-	s.bit = make([]int32, size)
-	for _, p := range s.lastPos {
-		if p != 0 {
-			s.add(p, 1)
+	if size > math.MaxInt32 {
+		panic(fmt.Sprintf("alias: stack-distance profiler is limited to %d distinct vectors", math.MaxInt32/4))
+	}
+	idAt := s.idAt
+	if size != len(idAt) {
+		idAt = make([]int32, size)
+	}
+	// In place is safe: the k-th live mark moves to k <= its old t.
+	k := int32(0)
+	for t := int32(1); t <= s.now; t++ {
+		id := s.idAt[t]
+		if s.lastPos[id] == t {
+			k++
+			idAt[k] = id
+			s.lastPos[id] = k
+		}
+	}
+	s.idAt, s.now = idAt, k
+	// Linear-time Fenwick construction over marks at 1..k.
+	if size != len(s.bit) {
+		s.bit = make([]int32, size)
+	} else {
+		clear(s.bit)
+	}
+	for i := 1; i <= int(k); i++ {
+		s.bit[i] = 1
+	}
+	for i := 1; i < size; i++ {
+		if j := i + i&-i; j < size {
+			s.bit[j] += s.bit[i]
 		}
 	}
 }
@@ -93,7 +130,7 @@ func (s *StackDist) sum(i int32) int {
 // through Observe or through ObserveID, never both.
 func (s *StackDist) Observe(v uint64) int {
 	if s.in == nil {
-		s.in = NewInterner(len(s.bit) / 8)
+		s.in = indexfn.NewInterner(s.hint / 8)
 	}
 	id, _ := s.in.ID(v)
 	return s.ObserveID(id)
@@ -102,14 +139,13 @@ func (s *StackDist) Observe(v uint64) int {
 // ObserveID records a reference to the vector with dense ID id and
 // returns its last-use distance, or Cold for a first reference.
 func (s *StackDist) ObserveID(id int32) int {
-	if s.now == math.MaxInt32 {
-		panic(fmt.Sprintf("alias: stack-distance profiler is limited to %d references", math.MaxInt32))
+	if int(s.now) == len(s.bit)-1 {
+		s.renumber()
 	}
 	s.now++
 	t := s.now
-	s.grow(t)
 	s.accesses++
-	s.lastPos = growIDs(s.lastPos, id, 0)
+	s.lastPos = indexfn.GrowIDs(s.lastPos, id, 0)
 
 	d := Cold
 	if p := s.lastPos[id]; p != 0 {
@@ -121,6 +157,7 @@ func (s *StackDist) ObserveID(id int32) int {
 		s.distinct++
 	}
 	s.lastPos[id] = t
+	s.idAt[t] = id
 	s.add(t, 1)
 	for len(s.histo) <= d+1 {
 		s.histo = append(s.histo, 0)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"gskew/internal/alias"
-	"gskew/internal/history"
 	"gskew/internal/indexfn"
 	"gskew/internal/report"
 	"gskew/internal/trace"
@@ -15,13 +13,13 @@ func init() {
 		ID:    "fig1",
 		Title: "Tagged-table miss ratios vs size, 4-bit history",
 		Paper: "Figure 1: gshare-DM and gselect-DM vs fully-associative LRU; conflicts dominate beyond 4K entries",
-		Run:   func(ctx *Context) (Renderable, error) { return runAliasFigure(ctx, 4, 6, 16) },
+		Run:   func(ctx *Context) (Renderable, error) { return runAliasFigure(ctx, 4, 6, 16, true) },
 	})
 	register(Experiment{
 		ID:    "fig2",
 		Title: "Tagged-table miss ratios vs size, 12-bit history",
 		Paper: "Figure 2: as Figure 1 with 12 history bits; conflicts dominate beyond ~16K entries",
-		Run:   func(ctx *Context) (Renderable, error) { return runAliasFigure(ctx, 12, 6, 18) },
+		Run:   func(ctx *Context) (Renderable, error) { return runAliasFigure(ctx, 12, 6, 18, false) },
 	})
 	register(Experiment{
 		ID:    "fig3",
@@ -40,41 +38,29 @@ func init() {
 // runAliasFigure measures, per benchmark, tagged-table miss ratios for
 // gshare-DM, gselect-DM (one table per size) and fully-associative LRU
 // (all sizes at once from the stack-distance histogram), for table
-// sizes 2^minBits..2^maxBits.
-func runAliasFigure(ctx *Context, histBits, minBits, maxBits uint) (Renderable, error) {
+// sizes 2^minBits..2^maxBits. Every table runs over the benchmark's
+// substream profile; with shared set the profile comes from the
+// Context memo (fig1's 4-bit profile also serves ext-opt and fig11),
+// otherwise it is built for this figure alone.
+func runAliasFigure(ctx *Context, histBits, minBits, maxBits uint, shared bool) (Renderable, error) {
 	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
-		type dmPair struct{ gshare, gselect *alias.TaggedDM }
-		sizes := make([]uint, 0, maxBits-minBits+1)
-		dms := make([]dmPair, 0, maxBits-minBits+1)
-		for n := minBits; n <= maxBits; n += 2 {
-			sizes = append(sizes, n)
-			dms = append(dms, dmPair{
-				gshare:  alias.NewTaggedDM(indexfn.NewGShare(n, histBits)),
-				gselect: alias.NewTaggedDM(indexfn.NewGSelect(n, histBits)),
-			})
-		}
-		sd := alias.NewStackDist(len(branches))
-		ghr := history.NewGlobal(histBits)
-		for _, b := range branches {
-			if b.Kind == trace.Conditional {
-				h := ghr.Bits()
-				for _, dm := range dms {
-					dm.gshare.Observe(b.PC, h)
-					dm.gselect.Observe(b.PC, h)
-				}
-				sd.Observe(indexfn.Vector(b.PC, h, histBits))
+		var p *substreamProfile
+		if shared {
+			var err error
+			if p, err = ctx.substreams(name, histBits); err != nil {
+				return nil, err
 			}
-			ghr.Shift(b.Taken)
+		} else {
+			p = buildProfile(branches, histBits)
 		}
-
 		fig := report.NewFigure(fmt.Sprintf("%s (%d-bit history)", name, histBits),
 			"entries", "miss %")
 		var gsh, gsel, fa []float64
-		for i, n := range sizes {
+		for n := minBits; n <= maxBits; n += 2 {
 			fig.Xs = append(fig.Xs, float64(uint64(1)<<n))
-			gsh = append(gsh, 100*dms[i].gshare.MissRatio())
-			gsel = append(gsel, 100*dms[i].gselect.MissRatio())
-			fa = append(fa, 100*sd.MissRatioAt(1<<n))
+			gsh = append(gsh, 100*p.dmMissRatio(indexfn.NewGShare(n, histBits)))
+			gsel = append(gsel, 100*p.dmMissRatio(indexfn.NewGSelect(n, histBits)))
+			fa = append(fa, 100*p.sd.MissRatioAt(1<<n))
 		}
 		fig.AddSeries("gshare-dm", gsh)
 		fig.AddSeries("gselect-dm", gsel)

@@ -126,8 +126,9 @@ type Context struct {
 	mu    sync.Mutex
 	cache map[string]*traceEntry
 
-	memoMu sync.Mutex
-	memo   map[memoKey]*memoEntry
+	memoMu   sync.Mutex
+	memo     map[memoKey]*memoEntry
+	profiles map[profileKey]*profileEntry
 }
 
 // traceEntry is one per-benchmark cache slot. The once gates

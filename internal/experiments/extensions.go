@@ -193,43 +193,26 @@ func runExtEncoding(ctx *Context) (Renderable, error) {
 
 func runExtOpt(ctx *Context) (Renderable, error) {
 	const histBits = 4
-	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
-		// Record the reference stream once, interned to dense IDs, and
-		// feed the direct-mapped tables and the stack-distance profiler
-		// on the same pass. The LRU column of every capacity is read off
-		// the one stack-distance histogram, and the OPT column shares
-		// one next-use array.
+	items, err := ctx.forEachBenchmark(func(name string, _ []trace.Branch) (Renderable, error) {
+		// The direct-mapped tables run over the shared 4-bit substream
+		// profile (fig1 builds it); the LRU column of every capacity is
+		// read off its distance histogram, and the OPT column shares one
+		// next-use array over its ID stream.
+		p, err := ctx.substreams(name, histBits)
+		if err != nil {
+			return nil, err
+		}
 		sizes := []uint{10, 12, 14}
-		dms := make([]*alias.TaggedDM, len(sizes))
-		for i, n := range sizes {
-			dms[i] = alias.NewTaggedDM(indexfn.NewGShare(n, histBits))
-		}
-		in := alias.NewInterner(len(branches) / 8)
-		sd := alias.NewStackDist(len(branches))
-		ids := make([]int32, 0, len(branches))
-		ghr := history.NewGlobal(histBits)
-		for _, b := range branches {
-			if b.Kind == trace.Conditional {
-				h := ghr.Bits()
-				id, _ := in.ID(indexfn.Vector(b.PC, h, histBits))
-				ids = append(ids, id)
-				sd.ObserveID(id)
-				for _, dm := range dms {
-					dm.Observe(b.PC, h)
-				}
-			}
-			ghr.Shift(b.Taken)
-		}
-		optStream := alias.NewOptStream(ids, in.Len())
+		optStream := alias.NewOptStream(p.ids, len(p.addrs))
 
 		t := report.NewTable(name,
 			"entries", "gshare-dm %", "lru %", "opt %", "conflict vs lru", "conflict vs opt")
-		for i, n := range sizes {
-			dm := dms[i].MissRatio()
-			lru := sd.MissRatioAt(1 << n)
+		for _, n := range sizes {
+			dm := p.dmMissRatio(indexfn.NewGShare(n, histBits))
+			lru := p.sd.MissRatioAt(1 << n)
 			opt := 0.0
-			if len(ids) > 0 {
-				opt = float64(optStream.Misses(1<<n)) / float64(len(ids))
+			if len(p.ids) > 0 {
+				opt = float64(optStream.Misses(1<<n)) / float64(len(p.ids))
 			}
 			t.AddRow(fmt.Sprintf("%d", 1<<n),
 				fmt.Sprintf("%.3f", 100*dm),

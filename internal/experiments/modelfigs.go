@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"gskew/internal/alias"
-	"gskew/internal/history"
-	"gskew/internal/indexfn"
 	"gskew/internal/model"
 	"gskew/internal/predictor"
 	"gskew/internal/report"
@@ -63,39 +60,21 @@ func runFig11(ctx *Context) (Renderable, error) {
 	t := report.NewTable("Figure 11: extrapolated vs measured misprediction % (3x4k gskewed, 1-bit, total update, 4-bit history)",
 		"benchmark", "unaliased %", "overhead (model) %", "extrapolated %", "measured %")
 	rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
-		// Pass 1: per-substream direction tally for the bias b (the
-		// density of static (address, history) pairs biased taken) and
-		// the last-use distance stream feeding the model. One interner
-		// gives each substream a dense ID that indexes both the tally
-		// and the stack-distance profiler.
-		type tally struct{ taken, total int }
-		in := alias.NewInterner(len(branches) / 8)
-		var substreams []tally
-		sd := alias.NewStackDist(len(branches))
-		dists := make([]int, 0, len(branches)/2)
-		ghr := history.NewGlobal(histBits)
-		for _, b := range branches {
-			if b.Kind == trace.Conditional {
-				id, first := in.ID(indexfn.Vector(b.PC, ghr.Bits(), histBits))
-				if first {
-					substreams = append(substreams, tally{})
-				}
-				s := &substreams[id]
-				s.total++
-				if b.Taken {
-					s.taken++
-				}
-				dists = append(dists, sd.ObserveID(id))
-			}
-			ghr.Shift(b.Taken)
+		// The shared 4-bit substream profile (fig1 builds it) gives the
+		// bias b — the density of static (address, history) pairs
+		// biased taken — and the last-use distance stream feeding the
+		// model.
+		p, err := ctx.substreams(name, histBits)
+		if err != nil {
+			return nil, err
 		}
 		biasedTaken := 0
-		for _, s := range substreams {
-			if 2*s.taken >= s.total {
+		for id, total := range p.total {
+			if 2*p.taken[id] >= total {
 				biasedTaken++
 			}
 		}
-		b := float64(biasedTaken) / float64(len(substreams))
+		b := float64(biasedTaken) / float64(len(p.total))
 
 		// Unaliased 1-bit misprediction rate (Table 2 methodology).
 		u := predictor.NewUnaliased(histBits, 1)
@@ -106,8 +85,8 @@ func runFig11(ctx *Context) (Renderable, error) {
 
 		// Model extrapolation over the measured distance stream.
 		ex := model.NewExtrapolator(1<<bankBits, b)
-		for _, d := range dists {
-			ex.Observe(d)
+		for _, d := range p.dists {
+			ex.Observe(int(d))
 		}
 		extrapolated := 100 * ex.Extrapolate(resU.MissRate())
 

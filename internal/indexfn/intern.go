@@ -1,9 +1,10 @@
-package alias
+package indexfn
 
 // Interner maps information vectors to dense IDs in [0, U), in
 // first-use order, where U is the number of distinct vectors seen so
-// far. Every structure of this package keeps its per-vector state in a
-// slice indexed by these IDs, so the interner's table is the only hash
+// far. The aliasing tables of internal/alias and the reference
+// predictors of internal/predictor keep their per-vector state in
+// slices indexed by these IDs, so the interner's table is the only hash
 // probe a reference pays, and first use falls out of it: a vector's
 // first reference is the one that allocates its ID.
 //
@@ -89,8 +90,29 @@ func (in *Interner) rehash() {
 	}
 }
 
+// Lookup returns v's dense ID, or -1 when v has not been interned.
+func (in *Interner) Lookup(v uint64) int32 {
+	mask := uint64(len(in.slots) - 1)
+	for i := (v * fibHash) >> in.shift; ; i = (i + 1) & mask {
+		s := &in.slots[i]
+		if s.id1 == 0 {
+			return -1
+		}
+		if s.key == v {
+			return s.id1 - 1
+		}
+	}
+}
+
 // Len returns U, the number of distinct vectors interned.
 func (in *Interner) Len() int { return in.n }
+
+// Reset forgets every vector, keeping the table's capacity: the next
+// vector interned gets ID 0 again.
+func (in *Interner) Reset() {
+	clear(in.slots)
+	in.n = 0
+}
 
 // Intern maps a recorded reference stream to its dense-ID form and
 // returns the IDs with U, the number of distinct vectors.
@@ -103,10 +125,10 @@ func Intern(refs []uint64) (ids []int32, u int) {
 	return ids, in.Len()
 }
 
-// growIDs extends a per-ID slice so that index id is valid, filling new
+// GrowIDs extends a per-ID slice so that index id is valid, filling new
 // slots with fill and growing geometrically (IDs arrive in first-use
 // order, so growth is append-like).
-func growIDs(s []int32, id int32, fill int32) []int32 {
+func GrowIDs(s []int32, id int32, fill int32) []int32 {
 	if int(id) < len(s) {
 		return s
 	}

@@ -1,14 +1,20 @@
-// Package lru implements fixed-capacity least-recently-used key sets
-// and key/value caches, the substrate for the paper's fully-associative
-// tagged predictor tables and for the three-Cs aliasing measurements.
+// Package lru implements fixed-capacity least-recently-used sets: Set
+// over arbitrary uint64 keys (the recency of the result store and the
+// trace pool), and IDSet over the dense IDs of an indexfn.Interner (the
+// substrate of the paper's fully-associative tagged tables and of the
+// fully-associative LRU predictor of Figure 8).
 //
-// The implementation is an intrusive doubly-linked list over a slice of
-// pre-allocated nodes plus a map for lookup, so steady-state operation
-// performs no allocation. Keys are uint64 — in this repository they are
-// information vectors V = (address, history).
+// Set is an intrusive doubly-linked list over a slice of pre-allocated
+// nodes plus a map for lookup, so steady-state operation performs no
+// allocation. IDSet threads the same list through per-ID slots instead,
+// so it needs no map at all.
 package lru
 
-import "fmt"
+import (
+	"fmt"
+
+	"gskew/internal/indexfn"
+)
 
 const nilIdx = -1
 
@@ -156,78 +162,113 @@ func (s *Set) moveToFront(i int32) {
 	s.pushFront(i)
 }
 
-// Cache is a fixed-capacity LRU map from uint64 keys to uint8 values
-// (saturating-counter states in this repository). It backs the
-// fully-associative tagged predictor of Figure 8.
-type Cache struct {
-	set    *Set
-	values map[uint64]uint8
+// IDSet is a fixed-capacity LRU set over dense IDs (see
+// indexfn.Interner): a doubly-linked recency list whose links live in
+// per-ID slots (-1 ends the list; notResident marks an ID outside the
+// set). A touch is O(1) slice work and no hash probe.
+type IDSet struct {
+	prev, next []int32
+	capacity   int
+	size       int
+	head, tail int32 // most and least recently used
+	evictMRU   bool  // planted fault, see TamperEvictMRU
 }
 
-// NewCache returns an LRU cache with the given capacity (> 0).
-func NewCache(capacity int) *Cache {
-	return &Cache{
-		set:    NewSet(capacity),
-		values: make(map[uint64]uint8, capacity),
+const notResident = -2
+
+// NewIDSet returns an empty ID set with the given capacity (> 0).
+func NewIDSet(capacity int) *IDSet {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("lru: capacity %d must be positive", capacity))
+	}
+	return &IDSet{capacity: capacity, head: nilIdx, tail: nilIdx}
+}
+
+// Capacity returns the maximum number of IDs the set can hold.
+func (l *IDSet) Capacity() int { return l.capacity }
+
+// Len returns the current number of IDs.
+func (l *IDSet) Len() int { return l.size }
+
+// Contains reports whether id is resident without refreshing it.
+func (l *IDSet) Contains(id int32) bool {
+	return int(id) < len(l.prev) && l.prev[id] != notResident
+}
+
+// Touch inserts id as most recently used, evicting the least recently
+// used ID when full, or refreshes it; it reports whether id was
+// resident.
+func (l *IDSet) Touch(id int32) bool {
+	if int(id) >= len(l.prev) {
+		l.prev = indexfn.GrowIDs(l.prev, id, notResident)
+		l.next = indexfn.GrowIDs(l.next, id, notResident)
+	}
+	if l.prev[id] != notResident {
+		if l.head != id {
+			l.unlink(id)
+			l.pushFront(id)
+		}
+		return true
+	}
+	if l.size == l.capacity {
+		victim := l.tail
+		if l.evictMRU {
+			victim = l.head
+		}
+		l.unlink(victim)
+		l.prev[victim], l.next[victim] = notResident, notResident
+	} else {
+		l.size++
+	}
+	l.pushFront(id)
+	return false
+}
+
+// Reset empties the set, keeping its per-ID slots.
+func (l *IDSet) Reset() {
+	for i := range l.prev {
+		l.prev[i], l.next[i] = notResident, notResident
+	}
+	l.size = 0
+	l.head, l.tail = nilIdx, nilIdx
+}
+
+// IDs returns the resident IDs from most to least recently used.
+// Intended for tests and diagnostics; it allocates.
+func (l *IDSet) IDs() []int32 {
+	out := make([]int32, 0, l.size)
+	for i := l.head; i != nilIdx; i = l.next[i] {
+		out = append(out, i)
+	}
+	return out
+}
+
+func (l *IDSet) unlink(id int32) {
+	p, n := l.prev[id], l.next[id]
+	if p >= 0 {
+		l.next[p] = n
+	} else {
+		l.head = n
+	}
+	if n >= 0 {
+		l.prev[n] = p
+	} else {
+		l.tail = p
 	}
 }
 
-// Capacity returns the maximum number of entries.
-func (c *Cache) Capacity() int { return c.set.Capacity() }
-
-// Len returns the current number of entries.
-func (c *Cache) Len() int { return c.set.Len() }
-
-// Get returns the value for key and refreshes its recency. ok is false
-// on a miss, in which case the cache is unchanged.
-func (c *Cache) Get(key uint64) (v uint8, ok bool) {
-	if !c.set.Contains(key) {
-		return 0, false
+func (l *IDSet) pushFront(id int32) {
+	l.prev[id] = nilIdx
+	l.next[id] = l.head
+	if l.head >= 0 {
+		l.prev[l.head] = id
+	} else {
+		l.tail = id
 	}
-	c.set.Touch(key)
-	return c.values[key], true
+	l.head = id
 }
 
-// Peek returns the value for key without refreshing recency.
-func (c *Cache) Peek(key uint64) (v uint8, ok bool) {
-	v, ok = c.values[key]
-	return
-}
-
-// Fetch touches key as most recently used, inserting it if absent (and
-// evicting the LRU entry if needed). It returns the value currently
-// stored and whether the key was already present; on a fresh insert the
-// value is unspecified until the caller follows up with Store, which it
-// must. Fetch+Store fuse the Get+Put pair of a read-modify-write into
-// one recency operation.
-func (c *Cache) Fetch(key uint64) (v uint8, hit bool) {
-	hit, evicted, didEvict := c.set.Touch(key)
-	if didEvict {
-		delete(c.values, evicted)
-	}
-	if hit {
-		v = c.values[key]
-	}
-	return v, hit
-}
-
-// Store overwrites the value for a key made resident by a preceding
-// Fetch, without touching recency.
-func (c *Cache) Store(key uint64, v uint8) { c.values[key] = v }
-
-// Put inserts or updates key with value v (as most recently used),
-// evicting the LRU entry if needed. It returns the evicted key, if any.
-func (c *Cache) Put(key uint64, v uint8) (evicted uint64, didEvict bool) {
-	_, evicted, didEvict = c.set.Touch(key)
-	if didEvict {
-		delete(c.values, evicted)
-	}
-	c.values[key] = v
-	return evicted, didEvict
-}
-
-// Reset empties the cache.
-func (c *Cache) Reset() {
-	c.set.Reset()
-	clear(c.values)
-}
+// TamperEvictMRU plants a replacement fault into l: a full set evicts
+// its most recently used ID instead of the least. It exists for the
+// differential harness's fault-injection selftest.
+func TamperEvictMRU(l *IDSet) { l.evictMRU = true }

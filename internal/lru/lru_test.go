@@ -173,79 +173,145 @@ func TestSetMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// The TestCache tests check IDSet, which replaced the vector-keyed
+// Cache as the substrate of the fully-associative LRU predictor: the
+// predictor keeps its counters in per-ID slots and asks IDSet only for
+// residency (Contains, the old Peek) and recency (Touch, the old
+// Get/Put/Fetch).
+
 func TestCacheBasics(t *testing.T) {
-	c := NewCache(2)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("Get on empty cache hit")
+	c := NewIDSet(2)
+	if c.Capacity() != 2 || c.Len() != 0 {
+		t.Fatalf("fresh set: cap=%d len=%d", c.Capacity(), c.Len())
 	}
-	c.Put(1, 10)
-	c.Put(2, 20)
-	if v, ok := c.Get(1); !ok || v != 10 {
-		t.Fatalf("Get(1) = %d,%v", v, ok)
+	if c.Contains(1) || c.Contains(100) {
+		t.Fatal("empty set contains an ID")
+	}
+	if c.Touch(1) || c.Touch(2) {
+		t.Fatal("first touches must miss")
+	}
+	if !c.Touch(1) {
+		t.Fatal("second touch of 1 must hit")
 	}
 	// 2 is now LRU; inserting 3 evicts it.
-	ev, did := c.Put(3, 30)
-	if !did || ev != 2 {
-		t.Fatalf("evicted %d (did=%v), want 2", ev, did)
+	if c.Touch(3) {
+		t.Fatal("touch of 3 must miss")
 	}
-	if _, ok := c.Peek(2); ok {
-		t.Fatal("evicted key still readable")
+	if c.Contains(2) {
+		t.Fatal("evicted ID still resident")
 	}
-	if v, ok := c.Peek(3); !ok || v != 30 {
-		t.Fatalf("Peek(3) = %d,%v", v, ok)
+	if !c.Contains(1) || !c.Contains(3) || c.Len() != 2 {
+		t.Fatalf("resident %v, want [3 1]", c.IDs())
 	}
 }
 
 func TestCachePutUpdatesValue(t *testing.T) {
-	c := NewCache(2)
-	c.Put(1, 10)
-	c.Put(1, 11)
+	// A resident ID touched again is refreshed, not duplicated.
+	c := NewIDSet(2)
+	c.Touch(1)
+	c.Touch(1)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	if v, _ := c.Peek(1); v != 11 {
-		t.Fatalf("value = %d, want 11", v)
 	}
 }
 
 func TestCachePeekDoesNotRefresh(t *testing.T) {
-	c := NewCache(2)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Peek(1)   // must NOT refresh
-	c.Put(3, 3) // evicts 1 (still LRU)
-	if _, ok := c.Peek(1); ok {
-		t.Error("Peek refreshed recency")
+	c := NewIDSet(2)
+	c.Touch(1)
+	c.Touch(2)
+	c.Contains(1) // must NOT refresh
+	c.Touch(3)    // evicts 1 (still LRU)
+	if c.Contains(1) {
+		t.Error("Contains refreshed recency")
 	}
-	if _, ok := c.Peek(2); !ok {
+	if !c.Contains(2) {
 		t.Error("wrong entry evicted")
 	}
 }
 
 func TestCacheGetRefreshes(t *testing.T) {
-	c := NewCache(2)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Get(1)    // refreshes 1
-	c.Put(3, 3) // evicts 2
-	if _, ok := c.Peek(1); !ok {
+	c := NewIDSet(2)
+	c.Touch(1)
+	c.Touch(2)
+	c.Touch(1) // refreshes 1
+	c.Touch(3) // evicts 2
+	if !c.Contains(1) {
 		t.Error("refreshed entry was evicted")
 	}
-	if _, ok := c.Peek(2); ok {
+	if c.Contains(2) {
 		t.Error("stale entry survived")
 	}
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache(2)
-	c.Put(1, 1)
+	c := NewIDSet(2)
+	c.Touch(1)
 	c.Reset()
-	if c.Len() != 0 {
+	if c.Len() != 0 || len(c.IDs()) != 0 {
 		t.Fatal("Reset did not empty")
 	}
-	if _, ok := c.Peek(1); ok {
-		t.Fatal("Reset left values behind")
+	if c.Contains(1) {
+		t.Fatal("Reset left IDs behind")
 	}
+	// Full capacity available again, in fresh recency order.
+	c.Touch(5)
+	c.Touch(1)
+	c.Touch(7)
+	if got := c.IDs(); len(got) != 2 || got[0] != 7 || got[1] != 1 {
+		t.Fatalf("after refill: %v, want [7 1]", got)
+	}
+}
+
+func TestIDSetMatchesReferenceModel(t *testing.T) {
+	// Property: IDSet agrees with the naive model (and so with Set) on
+	// hit/miss and full recency order for random streams.
+	f := func(seed uint64, capRaw uint8, n uint16) bool {
+		capacity := int(capRaw%32) + 1
+		s := NewIDSet(capacity)
+		ref := &refLRU{cap: capacity}
+		r := rng.NewXoshiro256(seed)
+		steps := int(n%2048) + 1
+		for i := 0; i < steps; i++ {
+			id := int32(r.Uint64n(uint64(capacity * 3)))
+			h, _, _ := ref.touch(uint64(id))
+			if s.Touch(id) != h {
+				return false
+			}
+		}
+		got := s.IDs()
+		if len(got) != len(ref.keys) || s.Len() != len(ref.keys) {
+			return false
+		}
+		for i := range got {
+			if uint64(got[i]) != ref.keys[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestIDSetEvictMRUFault(t *testing.T) {
+	c := NewIDSet(2)
+	TamperEvictMRU(c)
+	c.Touch(1)
+	c.Touch(2)
+	c.Touch(3) // evicts 2, the most recent
+	if !c.Contains(1) || c.Contains(2) || !c.Contains(3) {
+		t.Fatalf("resident %v, want [3 1]", c.IDs())
+	}
+}
+
+func TestIDSetPanicsOnBadCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewIDSet(0) did not panic")
+		}
+	}()
+	NewIDSet(0)
 }
 
 func BenchmarkSetTouch(b *testing.B) {
@@ -261,18 +327,15 @@ func BenchmarkSetTouch(b *testing.B) {
 	}
 }
 
-func BenchmarkCachePutGet(b *testing.B) {
-	c := NewCache(1 << 12)
+func BenchmarkIDSetTouch(b *testing.B) {
+	s := NewIDSet(1 << 12)
 	r := rng.NewXoshiro256(1)
-	keys := make([]uint64, 1<<16)
-	for i := range keys {
-		keys[i] = r.Uint64n(1 << 13)
+	ids := make([]int32, 1<<16)
+	for i := range ids {
+		ids[i] = int32(r.Uint64n(1 << 13))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := keys[i&(1<<16-1)]
-		if _, ok := c.Get(k); !ok {
-			c.Put(k, uint8(i))
-		}
+		s.Touch(ids[i&(1<<16-1)])
 	}
 }

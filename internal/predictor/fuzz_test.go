@@ -83,3 +83,63 @@ func FuzzParseSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssocLRUDense diffs AssocLRU, on its interned IDs and lru.IDSet,
+// against the vector-keyed table on lru.Cache it replaced
+// (reference_test.go). Every two input bytes make one call: the first
+// picks the call (Step, Predict, Update, Seen or, rarely, Reset) and
+// the outcome, the second the address and history, drawn from a small
+// alphabet so pairs repeat and tables of 1-9 entries overflow. Every
+// call's result must agree, and so must the configuration accessors.
+func FuzzAssocLRUDense(f *testing.F) {
+	f.Add(uint8(2), uint8(2), uint8(2), []byte{0, 1, 0, 2, 0x80, 3, 0, 1, 2, 2, 3, 3, 1, 1})
+	f.Add(uint8(0), uint8(0), uint8(1), []byte{0, 5, 0, 6, 0, 5, 0x81, 5, 0x0f, 0, 0, 5})
+	f.Add(uint8(8), uint8(3), uint8(2), []byte{0x80, 0x11, 0x80, 0x22, 0, 0x33, 0x80, 0x11, 4, 0x22, 0x83, 0x44})
+	f.Fuzz(func(t *testing.T, cap8, hist8, ctr8 uint8, ops []byte) {
+		entries := int(cap8%9) + 1
+		k := uint(hist8 % 4)
+		ctr := uint(ctr8%3) + 1
+		got, want := NewAssocLRU(entries, k, ctr), newCacheAssocLRU(entries, k, ctr)
+		if got.String() != want.String() || got.Entries() != want.Entries() ||
+			got.StorageBits() != want.StorageBits() || got.HistoryBits() != want.HistoryBits() {
+			t.Fatalf("configuration %s/%d/%d, reference %s/%d/%d",
+				got, got.Entries(), got.StorageBits(), want, want.Entries(), want.StorageBits())
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, key := ops[i], ops[i+1]
+			addr, hist := uint64(key&0x0f), uint64(key>>4)
+			taken := op&0x80 != 0
+			switch op & 0x0f {
+			case 0, 5, 10:
+				if g, w := got.Step(addr, hist, taken), want.Step(addr, hist, taken); g != w {
+					t.Fatalf("call %d: Step(%d,%d,%v) = %v, reference %v", i/2, addr, hist, taken, g, w)
+				}
+			case 1, 6, 11:
+				if g, w := got.Predict(addr, hist), want.Predict(addr, hist); g != w {
+					t.Fatalf("call %d: Predict(%d,%d) = %v, reference %v", i/2, addr, hist, g, w)
+				}
+			case 2, 7, 12:
+				got.Update(addr, hist, taken)
+				want.Update(addr, hist, taken)
+			case 3, 8, 13:
+				if g, w := got.Seen(addr, hist), want.Seen(addr, hist); g != w {
+					t.Fatalf("call %d: Seen(%d,%d) = %v, reference %v", i/2, addr, hist, g, w)
+				}
+			case 4, 9, 14:
+				// Predict and Seen of every pair: residency and every
+				// resident counter agree, and neither touches recency.
+				for a := uint64(0); a < 16; a++ {
+					for h := uint64(0); h < 16; h++ {
+						if got.Seen(a, h) != want.Seen(a, h) || got.Predict(a, h) != want.Predict(a, h) {
+							t.Fatalf("call %d: pair (%d,%d) seen %v/%v, reference %v/%v", i/2, a, h,
+								got.Seen(a, h), got.Predict(a, h), want.Seen(a, h), want.Predict(a, h))
+						}
+					}
+				}
+			case 15:
+				got.Reset()
+				want.Reset()
+			}
+		}
+	})
+}

@@ -550,6 +550,6 @@ func (u *Unaliased) Spec() Spec {
 
 // Spec implements Speccer.
 func (a *AssocLRU) Spec() Spec {
-	return Spec{Family: "assoc-lru", Entries: a.cache.Capacity(),
+	return Spec{Family: "assoc-lru", Entries: a.lru.Capacity(),
 		Hist: a.histBits, Ctr: a.ctrBits}.Normalize()
 }

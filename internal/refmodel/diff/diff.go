@@ -94,10 +94,12 @@ func (c Cell) Arms() string {
 // Cell identifies one configuration point of the sweep.
 type Cell struct {
 	// Family is "bimodal", "gshare", "gselect", "gskewed", "egskew",
-	// "2bcgskew", "tage" or "perceptron".
+	// "2bcgskew", "tage", "perceptron", or one of the two reference
+	// predictors, "unaliased" and "assoc-lru".
 	Family string
 	// N is the index width: 2^N entries (per bank/table/component for
-	// the multi-table families).
+	// the multi-table families; the capacity of assoc-lru; unused by
+	// unaliased).
 	N uint
 	// Hist is the global-history length (2bcgskew: G1's long history).
 	Hist uint
@@ -159,6 +161,10 @@ func (c Cell) Spec() (refmodel.Spec, error) {
 		// behavior), so read it off the normalized spec.
 		theta := predictor.Spec{Family: "perceptron", Hist: c.Hist}.Normalize().Theta
 		return refmodel.NewSpecPerceptron(c.N, c.Hist, uint(c.Tables), c.Ctr, theta), nil
+	case "unaliased":
+		return refmodel.NewSpecUnaliased(c.Hist, c.Ctr), nil
+	case "assoc-lru":
+		return refmodel.NewSpecAssocLRU(1<<c.N, c.Hist, c.Ctr), nil
 	default:
 		return nil, fmt.Errorf("diff: unknown family %q", c.Family)
 	}
@@ -169,7 +175,9 @@ func (c Cell) Spec() (refmodel.Spec, error) {
 // path every tool and experiment uses.
 func (c Cell) Impl() (predictor.Predictor, error) {
 	switch c.Family {
-	case "bimodal", "gshare", "gselect", "gskewed", "egskew", "2bcgskew", "tage", "perceptron":
+	case "bimodal", "gshare", "gselect", "gskewed", "egskew", "2bcgskew", "tage", "perceptron", "unaliased":
+	case "assoc-lru":
+		return predictor.Spec{Family: c.Family, Entries: 1 << c.N, Hist: c.Hist, Ctr: c.Ctr}.New()
 	default:
 		return nil, fmt.Errorf("diff: unknown family %q", c.Family)
 	}
@@ -197,7 +205,7 @@ func (c Cell) Impl() (predictor.Predictor, error) {
 // at least three configurations per (family, policy) pair spanning
 // history lengths (shorter, equal and longer than the index), bank
 // widths and counter widths (1 and 2 bits, and 3 and 4 for the skewed
-// family).
+// family); then one cell for each reference predictor.
 func DefaultSweep() []Cell {
 	var cells []Cell
 	// Single-table baselines: 3 configs each. gshare configs cover the
@@ -258,6 +266,13 @@ func DefaultSweep() []Cell {
 	} {
 		cells = append(cells, c)
 	}
+	// Reference predictors, appended last so no earlier cell's trace
+	// seed moves. The 16-entry assoc-lru table overflows on every
+	// trace, so its replacement order is exercised.
+	cells = append(cells,
+		Cell{Family: "unaliased", Hist: 8, Ctr: 2},
+		Cell{Family: "assoc-lru", N: 4, Hist: 6, Ctr: 2},
+	)
 	return cells
 }
 
@@ -272,14 +287,18 @@ func CellByName(name string) (Cell, error) {
 }
 
 // PathApplies reports whether the cell's family has an implementation
-// on the path. Every family but the perceptron compiles to a kernel
-// (internal/kernel). The bitsliced group form exists only for the
-// single-table and three-bank skewed families, and only at 2-bit
-// counter width.
+// on the path. Every family but the perceptron and the reference
+// predictors compiles to a kernel (internal/kernel). The bitsliced
+// group form exists only for the single-table and three-bank skewed
+// families, and only at 2-bit counter width.
 func (c Cell) PathApplies(p Path) bool {
 	switch p {
 	case PathKernel:
-		return c.Family != "perceptron"
+		switch c.Family {
+		case "perceptron", "unaliased", "assoc-lru":
+			return false
+		}
+		return true
 	case PathBatch64:
 		switch c.Family {
 		case "bimodal", "gshare", "gselect", "gskewed", "egskew":

@@ -114,6 +114,8 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 		{Family: "bimodal", N: 8, Ctr: 2},
 		{Family: "2bcgskew", N: 6, Short: 4, Hist: 10, Ctr: 2},
 		{Family: "tage", N: 6, Hist: 16, Ctr: 3, Tables: 4, Tag: 6},
+		{Family: "unaliased", Hist: 8, Ctr: 2},
+		{Family: "assoc-lru", N: 3, Ctr: 2},
 	}
 	var log bytes.Buffer
 	results, err := SelfTest(cells, 4000, 2, 50, &log)
@@ -136,6 +138,7 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 	for _, name := range []string{
 		"2bcgskew-meta-flip", "2bcgskew-meta-flip/kernel",
 		"tage-fold-off-by-one", "tage-fold-off-by-one/kernel",
+		"assoc-lru-evicts-mru", "unaliased-strong-start",
 	} {
 		if !seen[name] {
 			t.Errorf("selftest never injected %s", name)

@@ -103,6 +103,8 @@ func Mutants() []Mutant {
 		tamper("tage-fold-off-by-one", "tage", predictor.TamperTAGEFold),
 		tamper("2bcgskew-meta-flip", "2bcgskew", predictor.TamperTwoBcMeta),
 		tamper("perceptron-theta-sign-flip", "perceptron", predictor.TamperPerceptronTraining),
+		tamper("assoc-lru-evicts-mru", "assoc-lru", predictor.TamperAssocLRUEvictMRU),
+		tamper("unaliased-strong-start", "unaliased", predictor.TamperUnaliasedStrongStart),
 		{Name: "policy-flip", Build: func(c Cell) (predictor.Predictor, error) {
 			// The implementation silently uses the other update policy
 			// (or, for single-table cells, one less history bit).
