@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTAGEFoldedHistory -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzPerceptronStep -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
 	$(GO) test -fuzz=FuzzTAGEKernel -fuzztime=$(FUZZTIME) ./internal/refmodel/diff
+	$(GO) test -fuzz=FuzzSkewShapes -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
 	$(GO) test -fuzz=FuzzAssocLRUDense -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzWalkerCompiled -fuzztime=$(FUZZTIME) ./internal/cfg

@@ -8,7 +8,8 @@ import (
 
 // The committed benchmark snapshots are artifacts with claims
 // attached: the block decoder is faster than the per-record one, the
-// bitsliced group kernel beats the scalar kernels per lane, and a
+// bitsliced group kernel beats the scalar kernels per lane, every
+// compiled skewed shape beats its interface path, and a
 // cell-parallel sweep beats the serial one. These tests re-assert
 // those relations from the snapshots themselves, so a regression that
 // survives into a regenerated BENCH_*.json fails the suite rather
@@ -80,6 +81,15 @@ func TestBenchSnapshotStepBatch64(t *testing.T) {
 		for _, lanes := range []string{"lanes8", "lanes64"} {
 			faster(t, ns, "KernelStepBatch64/"+shape+"/"+lanes, scalar)
 		}
+	}
+}
+
+// TestBenchSnapshotSkewShapes: the wider and shared-hysteresis skews
+// compile, so each whole-run kernel arm must beat its interface arm.
+func TestBenchSnapshotSkewShapes(t *testing.T) {
+	ns := loadSnapshot(t, "BENCH_kernel.json")
+	for _, pair := range []string{"KernelGSkewed5x4k", "KernelGSkewed7x4k", "KernelGSkewedShh"} {
+		faster(t, ns, pair+"/kernel", pair+"/interface")
 	}
 }
 

@@ -393,6 +393,29 @@ func BenchmarkKernelEGSkew3x4k(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelGSkewed5x4k and BenchmarkKernelGSkewed7x4k are the
+// pairs for ablation-banks' wider skews, which compile to the M-bank
+// kernel.
+func BenchmarkKernelGSkewed5x4k(b *testing.B) {
+	benchStepLoop(b, func() predictor.Predictor {
+		return predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 12, HistoryBits: 8})
+	})
+}
+
+func BenchmarkKernelGSkewed7x4k(b *testing.B) {
+	benchStepLoop(b, func() predictor.Predictor {
+		return predictor.MustGSkewed(predictor.Config{Banks: 7, BankBits: 12, HistoryBits: 8})
+	})
+}
+
+// BenchmarkKernelGSkewedShh is the pair for ext-encoding's 3x4k skew
+// with one hysteresis bit per two entries.
+func BenchmarkKernelGSkewedShh(b *testing.B) {
+	benchStepLoop(b, func() predictor.Predictor {
+		return predictor.MustGSkewed(predictor.Config{BankBits: 12, HistoryBits: 8, SharedHysteresis: 1})
+	})
+}
+
 func BenchmarkKernel2BcGSkew4x4k(b *testing.B) {
 	benchStepLoop(b, func() predictor.Predictor {
 		return predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 12, HistShort: 8, Hist: 16})

@@ -131,7 +131,7 @@ func summarise(stdout io.Writer, results []diff.CellResult) error {
 
 // selftestCells is the representative subset faults are injected into:
 // one cell per family and reference predictor, covering both skewed
-// policies.
+// policies, a five-bank skew and a shared-hysteresis one.
 func selftestCells() []diff.Cell {
 	return []diff.Cell{
 		{Family: "bimodal", N: 8, Ctr: 2},
@@ -149,5 +149,11 @@ func selftestCells() []diff.Cell {
 		// the planted eviction fault shows) within the shrink bound,
 		// and the program walk's loops re-reference resident entries.
 		{Family: "assoc-lru", N: 3, Ctr: 2},
+		{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true, Banks: 5},
+		// Four history bits under a six-bit index: V1 mixes address
+		// bits with history, so the planted LUT fault's entry 0 is
+		// reached on a workload trace too, where a long all-not-taken
+		// history is rare.
+		{Family: "gskewed", N: 6, Hist: 4, Ctr: 2, Partial: true, SharedHyst: 1},
 	}
 }

@@ -14,14 +14,18 @@ import (
 // repeat often and small tables overflow. It compares per-reference
 // stack distances and the distance histogram, OPT misses at several
 // capacities, FA-LRU misses (from the table and from the histogram),
-// the ID-keyed direct-mapped tables against the vector-tagged one (fed
-// per reference through Observe and ObserveID, and as a whole stream
-// through ObserveIDs), the three-Cs classification, Unaliased
-// predictions and the interference classification.
+// the ID-keyed direct-mapped and set-associative tables against the
+// vector-tagged ones (fed per reference through Observe and ObserveID,
+// and as a whole stream through ObserveIDs), the three-Cs
+// classification, Unaliased predictions and the interference
+// classification.
 func FuzzAliasDense(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte{0, 1, 2, 0, 1, 3, 0x80, 0x81, 0, 2})
 	f.Add(uint8(0), uint8(1), []byte{5, 5, 5, 6, 7, 5, 6, 0x85})
 	f.Add(uint8(4), uint8(4), []byte{0x10, 0x21, 0x32, 0x43, 0x10, 0x54, 0x65, 0x21, 0xF0, 0x0F})
+	// No history, 32 addresses: one set of each associative table
+	// overflows with a hit between fills, so replacement order shows.
+	f.Add(uint8(0), uint8(4), []byte{0, 2, 4, 6, 0, 8, 0, 2, 4, 0, 8, 0, 12, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, hist8, addrBits8 uint8, stream []byte) {
 		histBits := uint(hist8 % 5)
 		addrBits := uint(addrBits8%5) + 1
@@ -34,6 +38,14 @@ func FuzzAliasDense(f *testing.F) {
 		refDMs := make([]*vecTaggedDM, len(fns))
 		for i, f := range fns {
 			dms[i], idDMs[i], refDMs[i] = NewTaggedDM(f), NewTaggedDM(f), newVecTaggedDM(f)
+		}
+		saWays := []int{1, 2, 4}
+		sas := make([]*TaggedSA, len(saWays))
+		idSAs := make([]*TaggedSA, len(saWays))
+		refSAs := make([]*vecTaggedSA, len(saWays))
+		for i, w := range saWays {
+			f := indexfn.NewGShare(3-uint(i), histBits)
+			sas[i], idSAs[i], refSAs[i] = NewTaggedSA(f, w), NewTaggedSA(f, w), newVecTaggedSA(f, w)
 		}
 		in := indexfn.NewInterner(0)
 		var ids []int32
@@ -68,6 +80,15 @@ func FuzzAliasDense(f *testing.F) {
 				}
 				if got := idDMs[j].ObserveID(id, addr, hist); got != want {
 					t.Fatalf("ref %d: %s DM miss by ID %v, reference %v", i, fns[j].Name(), got, want)
+				}
+			}
+			for j, w := range saWays {
+				want := refSAs[j].Observe(addr, hist)
+				if got := sas[j].Observe(addr, hist); got != want {
+					t.Fatalf("ref %d: %d-way SA miss %v, reference %v", i, w, got, want)
+				}
+				if got := idSAs[j].ObserveID(id, addr, hist); got != want {
+					t.Fatalf("ref %d: %d-way SA miss by ID %v, reference %v", i, w, got, want)
 				}
 			}
 			if got, want := sd.Observe(v), ref.observe(v); got != want {
@@ -115,6 +136,17 @@ func FuzzAliasDense(f *testing.F) {
 				if dm.Misses() != want || dm.Accesses() != refDMs[j].accesses {
 					t.Fatalf("%s DM misses %d/%d, reference %d/%d",
 						f.Name(), dm.Misses(), dm.Accesses(), want, refDMs[j].accesses)
+				}
+			}
+		}
+		for j, w := range saWays {
+			stream := NewTaggedSA(indexfn.NewGShare(3-uint(j), histBits), w)
+			stream.ObserveIDs(ids, addrs, hists)
+			want := refSAs[j].misses
+			for _, sa := range []*TaggedSA{sas[j], idSAs[j], stream} {
+				if sa.Misses() != want || sa.Accesses() != refSAs[j].accesses {
+					t.Fatalf("%d-way SA misses %d/%d, reference %d/%d",
+						w, sa.Misses(), sa.Accesses(), want, refSAs[j].accesses)
 				}
 			}
 		}

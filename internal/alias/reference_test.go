@@ -47,6 +47,66 @@ func (t *vecTaggedDM) Observe(addr, hist uint64) bool {
 	return true
 }
 
+// vecTaggedSA is the set-associative tagged table that stores each
+// way's last information vector and recomputes the index function at
+// every reference.
+type vecTaggedSA struct {
+	fn       indexfn.Func
+	ways     int
+	tags     []uint64 // sets x ways
+	valid    []bool
+	age      []uint32 // per-entry LRU clock value
+	clock    uint32
+	accesses int
+	misses   int
+}
+
+func newVecTaggedSA(fn indexfn.Func, ways int) *vecTaggedSA {
+	n := (1 << fn.Bits()) * ways
+	return &vecTaggedSA{
+		fn:    fn,
+		ways:  ways,
+		tags:  make([]uint64, n),
+		valid: make([]bool, n),
+		age:   make([]uint32, n),
+	}
+}
+
+// Observe records a reference and reports whether it missed (the set
+// did not hold the reference's vector).
+func (t *vecTaggedSA) Observe(addr, hist uint64) bool {
+	v := indexfn.Vector(addr, hist, t.fn.HistoryBits())
+	set := int(t.fn.Index(addr, hist)) * t.ways
+	t.accesses++
+	t.clock++
+
+	// Hit?
+	for w := 0; w < t.ways; w++ {
+		i := set + w
+		if t.valid[i] && t.tags[i] == v {
+			t.age[i] = t.clock
+			return false
+		}
+	}
+	// Miss: fill an invalid way or evict the LRU way.
+	t.misses++
+	victim := set
+	for w := 0; w < t.ways; w++ {
+		i := set + w
+		if !t.valid[i] {
+			victim = i
+			break
+		}
+		if t.age[i] < t.age[victim] {
+			victim = i
+		}
+	}
+	t.valid[victim] = true
+	t.tags[victim] = v
+	t.age[victim] = t.clock
+	return true
+}
+
 // mapStackDist is the map-keyed Fenwick stack-distance profiler.
 type mapStackDist struct {
 	bit     []int

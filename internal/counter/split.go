@@ -40,9 +40,13 @@ var (
 // With groupShift == 0 (private hysteresis) SplitTable is exactly
 // equivalent to a 2-bit Table; sharing introduces mild hysteresis
 // interference in exchange for the storage saving.
+//
+// Both bit arrays are stored one bit per byte (0 or 1, hysteresis 1 =
+// strong), so a compiled kernel can alias them (see PredCells and
+// HystCells), as it aliases Table.Cells.
 type SplitTable struct {
-	pred       []bool
-	hyst       []bool
+	pred       []uint8
+	hyst       []uint8
 	groupShift uint
 }
 
@@ -59,8 +63,8 @@ func NewSplitTable(n int, groupShift uint) *SplitTable {
 	}
 	groups := (n + (1 << groupShift) - 1) >> groupShift
 	t := &SplitTable{
-		pred:       make([]bool, n),
-		hyst:       make([]bool, groups),
+		pred:       make([]uint8, n),
+		hyst:       make([]uint8, groups),
 		groupShift: groupShift,
 	}
 	t.Reset()
@@ -73,37 +77,59 @@ func (t *SplitTable) Len() int { return len(t.pred) }
 // GroupSize returns how many entries share one hysteresis bit.
 func (t *SplitTable) GroupSize() int { return 1 << t.groupShift }
 
+// GroupShift returns log2 of GroupSize: entry i's hysteresis bit is
+// HystCells()[i>>GroupShift()].
+func (t *SplitTable) GroupShift() uint { return t.groupShift }
+
+// PredCells exposes the per-entry prediction bits (1 = taken). A
+// compiled kernel steps them in place; mutations must store only 0 or
+// 1.
+func (t *SplitTable) PredCells() []uint8 { return t.pred }
+
+// HystCells exposes the per-group hysteresis bits (1 = strong), under
+// the same contract as PredCells.
+func (t *SplitTable) HystCells() []uint8 { return t.hyst }
+
 // Predict implements Bank.
-func (t *SplitTable) Predict(i uint64) bool { return t.pred[i] }
+func (t *SplitTable) Predict(i uint64) bool { return t.pred[i] != 0 }
 
 // Update implements Bank.
 func (t *SplitTable) Update(i uint64, taken bool) {
 	g := i >> t.groupShift
-	if t.pred[i] == taken {
-		t.hyst[g] = true
+	if (t.pred[i] != 0) == taken {
+		t.hyst[g] = 1
 		return
 	}
-	if t.hyst[g] {
-		t.hyst[g] = false
+	if t.hyst[g] != 0 {
+		t.hyst[g] = 0
 		return
 	}
-	t.pred[i] = taken
+	t.pred[i] ^= 1
 }
 
 // Value returns the equivalent 2-bit counter state of entry i
 // (0..3), for diagnostics and equivalence tests.
 func (t *SplitTable) Value(i uint64) uint8 {
-	g := i >> t.groupShift
+	p, h := t.pred[i] != 0, t.hyst[i>>t.groupShift] != 0
 	switch {
-	case t.pred[i] && t.hyst[g]:
+	case p && h:
 		return 3
-	case t.pred[i]:
+	case p:
 		return 2
-	case t.hyst[g]:
+	case h:
 		return 0
 	default:
 		return 1
 	}
+}
+
+// TamperPrivateHysteresis plants the shared-hysteresis fault the
+// differential harness's selftest must catch: the table silently
+// switches to one private hysteresis bit per entry (group shift 0),
+// every one restarting weak.
+func TamperPrivateHysteresis(t *SplitTable) {
+	t.groupShift = 0
+	t.hyst = make([]uint8, len(t.pred))
 }
 
 // StorageBits implements Bank: one prediction bit per entry plus one
@@ -113,9 +139,7 @@ func (t *SplitTable) StorageBits() int { return len(t.pred) + len(t.hyst) }
 // Reset implements Bank: every entry returns to weakly-taken.
 func (t *SplitTable) Reset() {
 	for i := range t.pred {
-		t.pred[i] = true
+		t.pred[i] = 1
 	}
-	for i := range t.hyst {
-		t.hyst[i] = false
-	}
+	clear(t.hyst)
 }

@@ -316,60 +316,62 @@ func init() {
 // skewed organisation competes against. The skewed column reports the
 // aliasing-equivalent quantity for a 3-bank skew: the fraction of
 // references whose majority is aliased (>= 2 banks hold a different
-// vector), measured with tagged banks.
+// vector), measured with tagged banks. Every table runs over the
+// shared 4-bit substream profile (fig1 builds it): the tagged tables
+// and skew banks compute each substream's entry once and tag entries
+// with its ID, and the fully-associative column is read off the
+// profile's distance histogram.
 func runExtSetAssoc(ctx *Context) (Renderable, error) {
 	const histBits = 4
 	const totalBits = 12 // 4096 entries total for every organisation
-	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
-		dm := alias.NewTaggedSA(indexfn.NewGShare(totalBits, histBits), 1)
-		w2 := alias.NewTaggedSA(indexfn.NewGShare(totalBits-1, histBits), 2)
-		w4 := alias.NewTaggedSA(indexfn.NewGShare(totalBits-2, histBits), 4)
-		fa := alias.NewTaggedFA(1<<totalBits, histBits)
-
-		// Skewed banks as tagged tables: 3 banks of a third... use
-		// 3 x 2^(totalBits-2) tagged-DM banks indexed by f0/f1/f2 and
-		// count references aliased in >= 2 banks (those are the ones a
-		// majority vote cannot rescue).
-		sk := skewfn.New(totalBits - 2)
-		bankTags := make([][]uint64, 3)
-		bankValid := make([][]bool, 3)
-		for i := range bankTags {
-			bankTags[i] = make([]uint64, 1<<(totalBits-2))
-			bankValid[i] = make([]bool, 1<<(totalBits-2))
+	items, err := ctx.forEachBenchmark(func(name string, _ []trace.Branch) (Renderable, error) {
+		p, err := ctx.substreams(name, histBits)
+		if err != nil {
+			return nil, err
 		}
-		skewMajorityAliased, refs := 0, 0
+		dm := p.dmMissRatio(indexfn.NewGShare(totalBits, histBits))
+		w2 := alias.NewTaggedSA(indexfn.NewGShare(totalBits-1, histBits), 2)
+		w2.ObserveIDs(p.ids, p.addrs, p.hists)
+		w4 := alias.NewTaggedSA(indexfn.NewGShare(totalBits-2, histBits), 4)
+		w4.ObserveIDs(p.ids, p.addrs, p.hists)
+		fa := p.sd.MissRatioAt(1 << totalBits)
 
-		ghr := history.NewGlobal(histBits)
-		for _, b := range branches {
-			if b.Kind == trace.Conditional {
-				dm.Observe(b.PC, ghr.Bits())
-				w2.Observe(b.PC, ghr.Bits())
-				w4.Observe(b.PC, ghr.Bits())
-				fa.Observe(b.PC, ghr.Bits())
-				v := indexfn.Vector(b.PC, ghr.Bits(), histBits)
-				aliased := 0
-				for k := 0; k < 3; k++ {
-					idx := sk.Index(k, v)
-					if !bankValid[k][idx] || bankTags[k][idx] != v {
-						aliased++
-					}
-					bankValid[k][idx] = true
-					bankTags[k][idx] = v
-				}
-				if aliased >= 2 {
-					skewMajorityAliased++
-				}
-				refs++
+		// Skewed banks as tagged tables: 3 x 2^(totalBits-2) tagged-DM
+		// banks indexed by f0/f1/f2, counting references aliased in >= 2
+		// banks (those are the ones a majority vote cannot rescue).
+		sk := skewfn.New(totalBits - 2)
+		var bankIdx, bankTags [3][]int32
+		for k := range bankIdx {
+			bankIdx[k] = make([]int32, len(p.addrs))
+			bankTags[k] = make([]int32, 1<<(totalBits-2))
+		}
+		for id, addr := range p.addrs {
+			v := indexfn.Vector(addr, p.hists[id], histBits)
+			for k := range bankIdx {
+				bankIdx[k][id] = int32(sk.Index(k, v))
 			}
-			ghr.Shift(b.Taken)
+		}
+		skewMajorityAliased, refs := 0, len(p.ids)
+		for _, id := range p.ids {
+			aliased := 0
+			for k := range bankIdx {
+				i := bankIdx[k][id]
+				if bankTags[k][i] != id+1 {
+					bankTags[k][i] = id + 1
+					aliased++
+				}
+			}
+			if aliased >= 2 {
+				skewMajorityAliased++
+			}
 		}
 
 		t := report.NewTable(name,
 			"organisation (4k entries total)", "miss / majority-aliased %")
-		t.AddRow("direct-mapped", fmt.Sprintf("%.3f", 100*dm.MissRatio()))
+		t.AddRow("direct-mapped", fmt.Sprintf("%.3f", 100*dm))
 		t.AddRow("2-way LRU (tagged)", fmt.Sprintf("%.3f", 100*w2.MissRatio()))
 		t.AddRow("4-way LRU (tagged)", fmt.Sprintf("%.3f", 100*w4.MissRatio()))
-		t.AddRow("fully-assoc LRU (tagged)", fmt.Sprintf("%.3f", 100*fa.MissRatio()))
+		t.AddRow("fully-assoc LRU (tagged)", fmt.Sprintf("%.3f", 100*fa))
 		t.AddRow("3-bank skew, majority aliased (tag-free)",
 			fmt.Sprintf("%.3f", 100*float64(skewMajorityAliased)/float64(refs)))
 		return t, nil

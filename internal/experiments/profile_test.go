@@ -25,11 +25,12 @@ func outputSection(t *testing.T, all, id string) string {
 	return strings.TrimSuffix(body, "\n") + "\n"
 }
 
-// TestSubstreamProfileBuiltOnce runs the three experiments that share
-// the 4-bit substream profile (fig1, ext-opt, fig11) concurrently on
-// one default-scale Context: each benchmark's profile is built exactly
-// once, however the three race for it, and each rendered result equals
-// its section of the committed experiments_output.txt.
+// TestSubstreamProfileBuiltOnce runs the four experiments that share
+// the 4-bit substream profile (fig1, ext-opt, fig11, ext-setassoc)
+// concurrently on one default-scale Context: each benchmark's profile
+// is built exactly once, however the four race for it, and each
+// rendered result equals its section of the committed
+// experiments_output.txt.
 func TestSubstreamProfileBuiltOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale experiments; skipped in -short")
@@ -38,7 +39,7 @@ func TestSubstreamProfileBuiltOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []string{"fig1", "ext-opt", "fig11"}
+	ids := []string{"fig1", "ext-opt", "fig11", "ext-setassoc"}
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		if exps[i], err = ByID(id); err != nil {

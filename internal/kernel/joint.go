@@ -57,14 +57,9 @@ var (
 // kernels for bits-wide counters under the given policy, building it on
 // first use. bits must be in [1, MaxSkewCtrBits].
 //
-// The rules (§4–5): the prediction is the majority of the three banks;
-// total update trains every bank; partial update, when the vote was
-// right, trains only the banks that agreed with it. With 0/1
-// predictions p_j and outcome t, the majority is (p0+p1+p2)>>1 and
-// wrong is maj^t. Bank j skips training only under partial update when
-// the vote was right and p_j dissented, so its train mask (all ones or
-// zero) is (partial & ^wrong & (p_j^t)) - 1, and its next state is
-// s ^ ((s ^ next) & mask).
+// The rules (§4–5, skewStep): the prediction is the majority of the
+// three banks; total update trains every bank; partial update, when
+// the vote was right, trains only the banks that agreed with it.
 func skewJointFor(bits uint, partial bool) *[skewJointLen]uint32 {
 	pol := bit(partial)
 	jointMu.Lock()
@@ -75,17 +70,31 @@ func skewJointFor(bits uint, partial bool) *[skewJointLen]uint32 {
 	aut := automatonFor(bits)
 	tab := new([skewJointLen]uint32)
 	for j := range tab {
-		s0, s1, s2, t := uint8(j&15), uint8(j>>4&15), uint8(j>>8&15), uint8(j>>12)
-		p0, p1, p2 := aut.bit[s0], aut.bit[s1], aut.bit[s2]
-		wrong := (p0+p1+p2)>>1 ^ t
-		keep := pol &^ wrong
-		n0 := s0 ^ (s0^aut.next[uint16(s0)<<1|uint16(t)])&(keep&(p0^t)-1)
-		n1 := s1 ^ (s1^aut.next[uint16(s1)<<1|uint16(t)])&(keep&(p1^t)-1)
-		n2 := s2 ^ (s2^aut.next[uint16(s2)<<1|uint16(t)])&(keep&(p2^t)-1)
-		tab[j] = uint32(n0) | uint32(n1)<<8 | uint32(n2)<<16 | uint32(wrong)<<skewMissShift
+		s := [3]uint8{uint8(j & 15), uint8(j >> 4 & 15), uint8(j >> 8 & 15)}
+		wrong := skewStep(&aut, pol, s[:], uint8(j>>12))
+		tab[j] = uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(wrong)<<skewMissShift
 	}
 	skewJoints[bits][pol] = tab
 	return tab
+}
+
+// skewStep applies the skewed rules to the bank states s (any odd
+// count) under outcome t and policy pol (1 = partial), replacing each
+// state by its next one, and returns the miss bit. With 0/1
+// predictions p_j, the vote is wrong when (2*sum(p_j) > len(s)) != t;
+// bank j's train mask (all ones or zero) is (pol & ^wrong & (p_j^t))
+// - 1, and its next state is s ^ ((s ^ next) & mask).
+func skewStep(aut *automaton, pol uint8, s []uint8, t uint8) (wrong uint8) {
+	ayes := 0
+	for _, c := range s {
+		ayes += int(aut.bit[c])
+	}
+	wrong = bit(2*ayes > len(s)) ^ t
+	keep := pol &^ wrong
+	for j, c := range s {
+		s[j] = c ^ (c^aut.next[uint16(c)<<1|uint16(t)])&(keep&(aut.bit[c]^t)-1)
+	}
+	return wrong
 }
 
 // tbcJointFor returns the shared joint table of the 2Bc-gskew kernel

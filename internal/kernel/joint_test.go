@@ -24,12 +24,13 @@ func specCounter(w uint, s uint8) refmodel.SpecCounter {
 	return c
 }
 
-// refSkewTransition is one skewed step on bank states s under outcome
-// taken: the prediction is the majority of the banks; total update
-// trains every bank, partial update skips a dissenting bank when the
-// majority was right.
-func refSkewTransition(w uint, partial bool, s [3]uint8, taken bool) (next [3]uint8, wrong bool) {
-	var per [3]bool
+// refSkewTransition is one skewed step on bank states s (any odd bank
+// count) under outcome taken: the prediction is the majority of the
+// banks; total update trains every bank, partial update skips a
+// dissenting bank when the majority was right.
+func refSkewTransition(w uint, partial bool, s []uint8, taken bool) (next []uint8, wrong bool) {
+	per := make([]bool, len(s))
+	next = make([]uint8, len(s))
 	ayes := 0
 	for b, st := range s {
 		per[b] = specCounter(w, st).Predict()
@@ -37,7 +38,7 @@ func refSkewTransition(w uint, partial bool, s [3]uint8, taken bool) (next [3]ui
 			ayes++
 		}
 	}
-	overall := ayes >= 2
+	overall := 2*ayes > len(s)
 	for b, st := range s {
 		next[b] = st
 		if partial && overall == taken && per[b] != taken {
@@ -108,7 +109,7 @@ func refSkewStepBatch(k *skewKernel, steps []Step) int {
 			i0 = s.PC & m
 		}
 		i1, i2 := pk>>lutField&m, pk>>(2*lutField)&m
-		n, wrong := refSkewTransition(k.ctrBits, k.partial, [3]uint8{k.b0[i0], k.b1[i1], k.b2[i2]}, s.Taken)
+		n, wrong := refSkewTransition(k.ctrBits, k.partial, []uint8{k.b0[i0], k.b1[i1], k.b2[i2]}, s.Taken)
 		k.b0[i0], k.b1[i1], k.b2[i2] = n[0], n[1], n[2]
 		mis += int(bit(wrong))
 	}
@@ -159,7 +160,7 @@ func TestSkewJointTablesMatchSpec(t *testing.T) {
 				if max(s[0], s[1], s[2]) >= 1<<w {
 					continue
 				}
-				n, wrong := refSkewTransition(w, partial, s, tk)
+				n, wrong := refSkewTransition(w, partial, s[:], tk)
 				want := uint32(n[0]) | uint32(n[1])<<8 | uint32(n[2])<<16 | uint32(bit(wrong))<<skewMissShift
 				if tab[j] != want {
 					t.Fatalf("w=%d partial=%v states %v taken=%v: entry %#x, spec %#x",
@@ -168,6 +169,43 @@ func TestSkewJointTablesMatchSpec(t *testing.T) {
 				checked++
 			}
 			if want := 1 << (3*w + 1); checked != want {
+				t.Fatalf("w=%d: checked %d entries with valid states, want %d", w, checked, want)
+			}
+		}
+	}
+}
+
+// TestMBankJointTablesMatchSpec: the same for the cached five-bank
+// tables (1- and 2-bit counters under both policies, 2-bit fields),
+// which stay within 4 KiB.
+func TestMBankJointTablesMatchSpec(t *testing.T) {
+	for w := uint(1); w <= 2; w++ {
+		for _, partial := range []bool{false, true} {
+			tab := mbankJointFor(5, w, partial)
+			if bytes := len(tab) * 2; bytes > 4<<10 {
+				t.Errorf("w=%d: joint table is %d bytes, over 4 KiB", w, bytes)
+			}
+			checked := 0
+			for j := range tab {
+				s := make([]uint8, 5)
+				for b := range s {
+					s[b] = uint8(j >> (2 * b) & 3)
+				}
+				if max(s[0], s[1], s[2], s[3], s[4]) >= 1<<w {
+					continue
+				}
+				tk := j>>10 == 1
+				n, wrong := refSkewTransition(w, partial, s, tk)
+				want := uint16(bit(wrong)) << 10
+				for b, nb := range n {
+					want |= uint16(nb) << (2 * b)
+				}
+				if tab[j] != want {
+					t.Fatalf("w=%d partial=%v states %v taken=%v: entry %#x, spec %#x", w, partial, s, tk, tab[j], want)
+				}
+				checked++
+			}
+			if want := 1 << (5*w + 1); checked != want {
 				t.Fatalf("w=%d: checked %d entries with valid states, want %d", w, checked, want)
 			}
 		}

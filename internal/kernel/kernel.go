@@ -23,9 +23,11 @@
 // interface path would have, and Reset on the predictor resets the
 // kernel too. Compile recognizes the paper's table-based organisations
 // (bimodal, gshare, gselect, gskewed and e-gskew under both update
-// policies), 2Bc-gskew and TAGE; anything else — the perceptron,
-// tagged reference tables, shared-hysteresis banks, five-bank skews,
-// skews with counters wider than MaxSkewCtrBits, hybrids — reports
+// policies, with three or more banks and with private counters or
+// three shared-hysteresis banks), 2Bc-gskew and TAGE; anything else —
+// the perceptron, tagged reference tables, skews with counters wider
+// than MaxSkewCtrBits, with more than MaxSkewBanks banks or with both
+// more than three banks and shared hysteresis, hybrids — reports
 // ok == false and stays on the interface path: the predictor's own
 // Step where it is a predictor.Stepper, Predict and Update otherwise.
 // Bit-identical behaviour of every compiled family is enforced by the
@@ -338,21 +340,72 @@ func (k *gselectKernel) StepBatch(steps []Step) int {
 
 // Skewed kernels
 
+// compileSkew lowers a skewed predictor of any shape the experiments
+// use: three banks of private counters (skewKernel, which the
+// bitsliced group also lowers), five or more banks (mbankKernel,
+// shapes.go) and three shared-hysteresis banks (splitSkewKernel,
+// shapes.go). Counters wider than MaxSkewCtrBits, more than
+// MaxSkewBanks banks, and skews with both more than three banks and
+// shared hysteresis stay on the interface path.
 func compileSkew(g *predictor.GSkewed, runnerMask uint64) (Kernel, bool) {
-	tabs := g.BankTables()
-	if len(tabs) != 3 {
-		// Shared-hysteresis banks (tabs == nil) or the 5-bank and wider
-		// configurations, whose extra index functions are not in the
-		// three-bank LUT family.
+	n := g.BankBits()
+	if n > MaxLUTBits {
 		return nil, false
 	}
-	n, w := g.BankBits(), tabs[0].Bits()
-	if n > MaxLUTBits || w > MaxSkewCtrBits {
-		return nil, false
-	}
-	luts := lutsFor(n)
 	kp := g.HistoryBits()
 	partial := g.Policy() == predictor.PartialUpdate
+	vHistMask := runnerMask & (uint64(1)<<kp - 1)
+	bankMask := uint64(1)<<n - 1
+	if splits := g.SplitTables(); splits != nil {
+		if len(splits) != 3 {
+			return nil, false
+		}
+		luts := lutsFor(n)
+		return &splitSkewKernel{
+			joint: skewJointFor(2, partial),
+			p0:    splits[0].PredCells(), p1: splits[1].PredCells(), p2: splits[2].PredCells(),
+			h0: splits[0].HystCells(), h1: splits[1].HystCells(), h2: splits[2].HystCells(),
+			hShift:    splits[0].GroupShift(),
+			pa:        luts.pa,
+			pb:        luts.pb,
+			bankMask:  bankMask,
+			n:         n,
+			kp:        kp,
+			vHistMask: vHistMask,
+			partial:   partial,
+			enhanced:  g.Enhanced(),
+		}, true
+	}
+	tabs := g.BankTables()
+	if len(tabs) < 3 || len(tabs) > MaxSkewBanks {
+		return nil, false
+	}
+	w := tabs[0].Bits()
+	if w > MaxSkewCtrBits {
+		return nil, false
+	}
+	if len(tabs) > 3 {
+		luts := mbankLUTsFor(g.Skewer(), len(tabs))
+		k := &mbankKernel{
+			aut:       automatonFor(w),
+			pa:        luts.pa,
+			pb:        luts.pb,
+			words:     luts.words,
+			bankMask:  bankMask,
+			n:         n,
+			kp:        kp,
+			vHistMask: vHistMask,
+			partial:   partial,
+		}
+		if w <= 2 && len(tabs) == 5 {
+			k.joint = mbankJointFor(5, w, partial)
+		}
+		for _, t := range tabs {
+			k.banks = append(k.banks, t.Cells())
+		}
+		return k, true
+	}
+	luts := lutsFor(n)
 	k := &skewKernel{
 		joint:     skewJointFor(w, partial),
 		b0:        tabs[0].Cells(),
@@ -360,10 +413,10 @@ func compileSkew(g *predictor.GSkewed, runnerMask uint64) (Kernel, bool) {
 		b2:        tabs[2].Cells(),
 		pa:        luts.pa,
 		pb:        luts.pb,
-		bankMask:  uint64(1)<<n - 1,
+		bankMask:  bankMask,
 		n:         n,
 		kp:        kp,
-		vHistMask: runnerMask & (uint64(1)<<kp - 1),
+		vHistMask: vHistMask,
 		partial:   partial,
 		enhanced:  g.Enhanced(),
 		ctrBits:   w,
@@ -542,38 +595,44 @@ func (k *tbcKernel) StepBatch(steps []Step) int {
 // Fault injection
 
 // TamperLUT XORs delta into one LUT entry of a compiled skewed or
-// 2Bc-gskew kernel: bank selects the index function (0..2), half
-// selects the V1 (0) or V2 (1) table, entry the table slot. Both
-// kernels store the packed form, so the fault lands in the selected
-// bank's 21-bit field of the selected half's entry — observationally
-// identical to flipping the same bits of a split table. The kernel's
-// LUT is copied before the fault is planted, so the shared cache stays
-// clean. It exists for the differential harness's fault-injection
-// self-test — a verifier that cannot catch a planted LUT off-by-one
-// cannot be trusted to catch a real one — and returns an error for
-// kernels without LUTs.
+// 2Bc-gskew kernel: bank selects the index function (0..2, or 0..M-1
+// for an M-bank skew), half selects the V1 (0) or V2 (1) table, entry
+// the table slot. Every kernel stores the packed form, so the fault
+// lands in the selected bank's 21-bit field of the selected half's
+// entry — observationally identical to flipping the same bits of a
+// split table. The kernel's LUT is copied before the fault is planted,
+// so the shared cache stays clean. It exists for the differential
+// harness's fault-injection self-test — a verifier that cannot catch a
+// planted LUT off-by-one cannot be trusted to catch a real one — and
+// returns an error for kernels without LUTs.
 func TamperLUT(k Kernel, bank, half int, entry uint64, delta uint32) error {
 	var pa, pb *[]uint64
+	banks, words := 3, 1
 	switch kk := k.(type) {
 	case *skewKernel:
 		pa, pb = &kk.pa, &kk.pb
+	case *splitSkewKernel:
+		pa, pb = &kk.pa, &kk.pb
 	case *tbcKernel:
 		pa, pb = &kk.pa, &kk.pb
+	case *mbankKernel:
+		pa, pb = &kk.pa, &kk.pb
+		banks, words = len(kk.banks), kk.words
 	default:
 		return fmt.Errorf("kernel: %T has no skew LUTs to tamper with", k)
 	}
-	if bank < 0 || bank > 2 || half < 0 || half > 1 {
+	if bank < 0 || bank >= banks || half < 0 || half > 1 {
 		return fmt.Errorf("kernel: no LUT at bank %d half %d", bank, half)
 	}
 	slot := pa
 	if half == 1 {
 		slot = pb
 	}
-	if entry >= uint64(len(*slot)) {
-		return fmt.Errorf("kernel: LUT entry %d out of range [0,%d)", entry, len(*slot))
+	if entries := uint64(len(*slot) / words); entry >= entries {
+		return fmt.Errorf("kernel: LUT entry %d out of range [0,%d)", entry, entries)
 	}
 	cp := append([]uint64(nil), *slot...)
-	cp[entry] ^= uint64(delta) << (uint(bank) * lutField)
+	cp[entry*uint64(words)+uint64(bank/3)] ^= uint64(delta) << (uint(bank%3) * lutField)
 	*slot = cp
 	return nil
 }
@@ -597,6 +656,8 @@ func TamperJoint(k Kernel, entry uint64, field int, delta uint8) error {
 	switch kk := k.(type) {
 	case *skewKernel:
 		entries, tables, width, miss = skewJointLen, 3, kk.ctrBits, skewMissShift
+	case *splitSkewKernel:
+		entries, tables, width, miss = skewJointLen, 3, 2, skewMissShift
 	case *tbcKernel:
 		entries, tables, width, miss = uint64(len(kk.joint)), 4, 2, tbcMissShift
 	default:
@@ -621,6 +682,10 @@ func TamperJoint(k Kernel, entry uint64, field int, delta uint8) error {
 	}
 	switch kk := k.(type) {
 	case *skewKernel:
+		cp := *kk.joint
+		cp[entry] ^= uint32(delta) << shift
+		kk.joint = &cp
+	case *splitSkewKernel:
 		cp := *kk.joint
 		cp[entry] ^= uint32(delta) << shift
 		kk.joint = &cp

@@ -55,6 +55,33 @@ func cases() []compiled {
 		{"2bcgskew", 12, func() predictor.Predictor {
 			return predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 8, HistShort: 5, Hist: 12})
 		}},
+		{"gskewed-5bank", 10, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 7, HistoryBits: 10})
+		}},
+		{"gskewed-7bank-total-3bit", 16, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{
+				Banks: 7, BankBits: 6, HistoryBits: 16, CounterBits: 3, Policy: predictor.TotalUpdate,
+			})
+		}},
+		{"gskewed-5bank-4bit", 9, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 6, HistoryBits: 9, CounterBits: 4})
+		}},
+		{"gskewed-9bank-total", 12, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{
+				Banks: 9, BankBits: 5, HistoryBits: 12, Policy: predictor.TotalUpdate,
+			})
+		}},
+		{"gskewed-shh1", 8, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{BankBits: 7, HistoryBits: 8, SharedHysteresis: 1})
+		}},
+		{"egskew-shh2-total", 10, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{
+				BankBits: 6, HistoryBits: 10, SharedHysteresis: 2, Enhanced: true, Policy: predictor.TotalUpdate,
+			})
+		}},
+		{"gskewed-shh8-wider-than-bank", 6, func() predictor.Predictor {
+			return predictor.MustGSkewed(predictor.Config{BankBits: 4, HistoryBits: 6, SharedHysteresis: 8})
+		}},
 	}
 }
 
@@ -158,8 +185,10 @@ func requireSameBanks(t *testing.T, path string, kern Kernel, twin predictor.Pre
 }
 
 // banksOf returns a counter-table kernel's banks in a fixed order
-// (single-table kernels: one bank; skewed: banks 0..2; 2Bc-gskew:
-// BIM, G0, G1, META). They alias the predictor's own storage.
+// (single-table kernels: one bank; skewed: banks 0..M-1, and a
+// shared-hysteresis skew's prediction bits then hysteresis bits;
+// 2Bc-gskew: BIM, G0, G1, META). They alias the predictor's own
+// storage.
 func banksOf(t *testing.T, k Kernel) [][]uint8 {
 	t.Helper()
 	switch k := k.(type) {
@@ -171,6 +200,10 @@ func banksOf(t *testing.T, k Kernel) [][]uint8 {
 		return [][]uint8{k.cells}
 	case *skewKernel:
 		return [][]uint8{k.b0, k.b1, k.b2}
+	case *mbankKernel:
+		return k.banks
+	case *splitSkewKernel:
+		return [][]uint8{k.p0, k.p1, k.p2, k.h0, k.h1, k.h2}
 	case *tbcKernel:
 		return [][]uint8{k.bim, k.g0, k.g1, k.meta}
 	}
@@ -210,21 +243,42 @@ func TestKernelSharesStorage(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUncompilableShapes: organisations outside the
-// kernel families must fall back rather than miscompile.
+// TestCompileRejectsUncompilableShapes: every skewed shape the
+// experiments use compiles — five- and seven-bank skews to the M-bank
+// kernel, shared-hysteresis banks to their own kernel — and neither
+// lowers to a bitsliced lane; organisations outside the kernel
+// families must fall back rather than miscompile.
 func TestCompileRejectsUncompilableShapes(t *testing.T) {
 	fiveBank := predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 6, HistoryBits: 6})
-	if _, ok := Compile(fiveBank, 6); ok {
-		t.Error("5-bank gskewed compiled; its extra index functions are outside the LUT family")
+	k, ok := Compile(fiveBank, 6)
+	if _, isM := k.(*mbankKernel); !ok || !isM {
+		t.Errorf("5-bank gskewed compiled to %T (ok %v), want *mbankKernel", k, ok)
+	}
+	if _, ok := lower64(k); ok {
+		t.Error("5-bank kernel lowered to a bitsliced lane")
 	}
 	shared := predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, SharedHysteresis: 2})
-	if _, ok := Compile(shared, 6); ok {
-		t.Error("shared-hysteresis gskewed compiled; SplitTable banks have no flat cell array")
+	k, ok = Compile(shared, 6)
+	if _, isSplit := k.(*splitSkewKernel); !ok || !isSplit {
+		t.Errorf("shared-hysteresis gskewed compiled to %T (ok %v), want *splitSkewKernel", k, ok)
+	}
+	if _, ok := lower64(k); ok {
+		t.Error("shared-hysteresis kernel lowered to a bitsliced lane")
+	}
+	sharedWide := predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 6, HistoryBits: 6, SharedHysteresis: 1})
+	if _, ok := Compile(sharedWide, 6); ok {
+		t.Error("5-bank shared-hysteresis gskewed compiled; the split kernel has three banks")
+	}
+	tooWide := predictor.MustGSkewed(predictor.Config{Banks: MaxSkewBanks + 2, BankBits: 6, HistoryBits: 6})
+	if _, ok := Compile(tooWide, 6); ok {
+		t.Errorf("%d-bank gskewed compiled; the packed LUT holds %d", MaxSkewBanks+2, MaxSkewBanks)
 	}
 	for w := uint(MaxSkewCtrBits + 1); w <= 8; w++ {
-		wide := predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, CounterBits: w, Enhanced: w%2 == 0})
-		if _, ok := Compile(wide, 6); ok {
-			t.Errorf("gskewed with %d-bit counters compiled; joint tables stop at %d bits", w, MaxSkewCtrBits)
+		for _, banks := range []int{3, 5} {
+			wide := predictor.MustGSkewed(predictor.Config{Banks: banks, BankBits: 6, HistoryBits: 6, CounterBits: w, Enhanced: banks == 3 && w%2 == 0})
+			if _, ok := Compile(wide, 6); ok {
+				t.Errorf("%d-bank gskewed with %d-bit counters compiled; skewed kernels stop at %d bits", banks, w, MaxSkewCtrBits)
+			}
 		}
 	}
 	unal := predictor.NewUnaliased(8, 2)
@@ -234,6 +288,39 @@ func TestCompileRejectsUncompilableShapes(t *testing.T) {
 	hyb := predictor.MustHybrid(predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 2}), predictor.MustSpec(predictor.Spec{Family: "gshare", N: 8, Hist: 6, Ctr: 2}), 8)
 	if _, ok := Compile(hyb, 6); ok {
 		t.Error("hybrid compiled")
+	}
+}
+
+// TestMBankLUTsMatchSkewer: field k of an M-bank LUT entry pair is
+// skewfn's bank-k function, exhaustively at small widths; a skewer
+// with a planted rotation fault gets its own, different tables and
+// leaves the cache exact.
+func TestMBankLUTsMatchSkewer(t *testing.T) {
+	for _, n := range []uint{2, 3, 5, 7} {
+		for _, banks := range []int{5, 7, 9} {
+			sk := skewfn.New(n)
+			ls := mbankLUTsFor(sk, banks)
+			size := uint64(1) << (2 * n)
+			for v := uint64(0); v < size; v++ {
+				a, b := (v&sk.Mask())*uint64(ls.words), (v>>n&sk.Mask())*uint64(ls.words)
+				for k := 0; k < banks; k++ {
+					w := uint64(k / 3)
+					got := (ls.pa[a+w] ^ ls.pb[b+w]) >> (uint(k%3) * lutField) & (1<<lutField - 1)
+					if want := sk.Index(k, v); got != want {
+						t.Fatalf("n=%d banks=%d v=%#x: f%d lut %#x, skewer %#x", n, banks, v, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	bad := skewfn.New(6)
+	bad.TamperRotation()
+	tampered, exact := mbankLUTsFor(bad, 5), mbankLUTsFor(skewfn.New(6), 5)
+	if tampered == exact {
+		t.Fatal("a tampered skewer shared the cached LUTs")
+	}
+	if v, _ := mbankLUTCache.Load(mbankKey{n: 6, banks: 5}); v != exact {
+		t.Fatal("the cache holds a tampered LUT set")
 	}
 }
 
@@ -303,6 +390,24 @@ func TestTamperLUTIsolatedFromCache(t *testing.T) {
 	bm, _ := Compile(predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 2}), 0)
 	if err := TamperLUT(bm, 0, 0, 0, 1); err == nil {
 		t.Error("TamperLUT accepted a kernel without LUTs")
+	}
+
+	// Past bank 2: an M-bank kernel's fault lands in its bank's word
+	// and field and leaves the shared set clean.
+	mk5 := func() predictor.Predictor {
+		return predictor.MustGSkewed(predictor.Config{Banks: 5, BankBits: 6, HistoryBits: 6})
+	}
+	bad5, _ := Compile(mk5(), 6)
+	if err := TamperLUT(bad5, 4, 1, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	good5, _ := Compile(mk5(), 6)
+	gm, bm5 := good5.(*mbankKernel), bad5.(*mbankKernel)
+	if got := gm.pb[3*2+1] ^ bm5.pb[3*2+1]; got != 1<<lutField {
+		t.Fatalf("bank 4 fault flipped %#x, want bit %d of word 1", got, lutField)
+	}
+	if err := TamperLUT(bad5, 5, 0, 0, 1); err == nil {
+		t.Error("TamperLUT accepted bank 5 of a 5-bank kernel")
 	}
 }
 

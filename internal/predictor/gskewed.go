@@ -42,7 +42,8 @@ func (p UpdatePolicy) String() string {
 // across banks deciding the prediction.
 type GSkewed struct {
 	banks    []counter.Bank
-	tabs     []*counter.Table // non-nil when every bank is a plain Table: devirtualised hot path
+	tabs     []*counter.Table      // non-nil when every bank is a plain Table: devirtualised hot path
+	splits   []*counter.SplitTable // non-nil when every bank uses the shared-hysteresis encoding
 	skew     *skewfn.Skewer
 	policy   UpdatePolicy
 	histBits uint
@@ -70,7 +71,7 @@ type Config struct {
 	BankBits uint
 	// HistoryBits is the global-history length k.
 	HistoryBits uint
-	// CounterBits is the automaton width (1 or 2; default 2).
+	// CounterBits is the automaton width in bits, 1 to 8 (default 2).
 	CounterBits uint
 	// Policy selects partial or total update (default partial).
 	Policy UpdatePolicy
@@ -127,7 +128,9 @@ func NewGSkewed(cfg Config) (*GSkewed, error) {
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		if cfg.SharedHysteresis > 0 {
-			g.banks = append(g.banks, counter.NewSplitTable(1<<cfg.BankBits, cfg.SharedHysteresis))
+			t := counter.NewSplitTable(1<<cfg.BankBits, cfg.SharedHysteresis)
+			g.banks = append(g.banks, t)
+			g.splits = append(g.splits, t)
 		} else {
 			t := counter.NewTable(1<<cfg.BankBits, cfg.CounterBits)
 			g.banks = append(g.banks, t)
@@ -295,6 +298,46 @@ func (g *GSkewed) Enhanced() bool { return g.enhanced }
 // bank order, or nil when the banks use the shared-hysteresis
 // encoding. The compiled kernel layer shares their storage.
 func (g *GSkewed) BankTables() []*counter.Table { return g.tabs }
+
+// SplitTables exposes the shared-hysteresis tables backing the banks,
+// in bank order, or nil when the banks are plain counter tables. The
+// compiled kernel layer shares their storage.
+func (g *GSkewed) SplitTables() []*counter.SplitTable { return g.splits }
+
+// Skewer returns the skewing functions the banks are indexed by; the
+// compiled kernel layer tabulates them (see skewfn.Skewer.Exact).
+func (g *GSkewed) Skewer() *skewfn.Skewer { return g.skew }
+
+// TamperSkewRotation plants the rotation off-by-one of
+// skewfn.Skewer.TamperRotation into p's extra banks, for the
+// differential harness's fault-injection selftest. It reports whether
+// p is a skewed predictor with more than three banks, the only shape
+// the fault reaches.
+func TamperSkewRotation(p Predictor) bool {
+	g, ok := p.(*GSkewed)
+	if !ok || len(g.banks) <= 3 {
+		return false
+	}
+	g.skew.TamperRotation()
+	g.idxOK, g.voteOK = false, false
+	return true
+}
+
+// TamperSharedHystPrivate plants counter.TamperPrivateHysteresis into
+// every bank of p, for the differential harness's fault-injection
+// selftest. It reports whether p is a skewed predictor with
+// shared-hysteresis banks of more than one entry per group.
+func TamperSharedHystPrivate(p Predictor) bool {
+	g, ok := p.(*GSkewed)
+	if !ok || g.splits == nil || g.splits[0].GroupShift() == 0 {
+		return false
+	}
+	for _, t := range g.splits {
+		counter.TamperPrivateHysteresis(t)
+	}
+	g.voteOK = false
+	return true
+}
 
 // InvalidateMemo implements MemoInvalidator: it drops the memoised
 // indices and vote, which go stale when bank state is trained without

@@ -100,6 +100,37 @@ func TestSpecSkewMatchesImpl(t *testing.T) {
 	}
 }
 
+// TestSpecSkewIndexMatchesImpl: the extra banks' functions of the
+// spec (SkewIndex, k >= 3) agree with skewfn.Index, and a planted
+// rotation fault moves some of them.
+func TestSpecSkewIndexMatchesImpl(t *testing.T) {
+	r := rng.NewXoshiro256(13)
+	for _, n := range []uint{2, 3, 5, 8, 12, 18, 30} {
+		s := skewfn.New(n)
+		bad := skewfn.New(n)
+		bad.TamperRotation()
+		moved := false
+		for i := 0; i < 300; i++ {
+			v := r.Uint64() >> 4
+			for k := 0; k < 9; k++ {
+				got, want := refmodel.SkewIndex(k, v, n), s.Index(k, v)
+				if got != want {
+					t.Fatalf("bank %d n=%d v=%#x: spec %#x impl %#x", k, n, v, got, want)
+				}
+				if bad.Index(k, v) != want {
+					if k < 3 {
+						t.Fatalf("rotation fault moved canonical bank %d", k)
+					}
+					moved = true
+				}
+			}
+		}
+		if !moved {
+			t.Errorf("n=%d: the rotation fault never moved an index", n)
+		}
+	}
+}
+
 // TestSpecHistoryMatchesImpl: the outcome-list history equals the
 // shift-register implementation over random outcome streams.
 func TestSpecHistoryMatchesImpl(t *testing.T) {
@@ -215,6 +246,50 @@ func TestSpecGSkewedMatchesImpl(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestSpecSkewShapesMatchImpl: full predictor agreement for the
+// five- and seven-bank skews and the shared-hysteresis encoding, under
+// both policies, on the Predict/Update pair and the fused Step.
+func TestSpecSkewShapesMatchImpl(t *testing.T) {
+	for _, sh := range []refmodel.SkewShape{
+		{Banks: 5, Ctr: 2, Partial: true},
+		{Banks: 7, Ctr: 3},
+		{Banks: 5, Ctr: 1},
+		{SharedHyst: 1, Ctr: 2, Partial: true},
+		{SharedHyst: 2, Ctr: 2},
+		{SharedHyst: 3, Ctr: 2, Partial: true, Enhanced: true},
+		{SharedHyst: 0, Ctr: 2, Partial: true},
+	} {
+		sh.N, sh.K = 7, 9
+		for _, useStep := range []bool{false, true} {
+			pol := predictor.TotalUpdate
+			if sh.Partial {
+				pol = predictor.PartialUpdate
+			}
+			impl := predictor.MustGSkewed(predictor.Config{
+				Banks: sh.Banks, BankBits: sh.N, HistoryBits: sh.K, CounterBits: sh.Ctr,
+				Policy: pol, Enhanced: sh.Enhanced, SharedHysteresis: sh.SharedHyst,
+			})
+			spec := refmodel.NewSpecSkew(sh)
+			step := 0
+			randomRefs(400+uint64(sh.Banks), 20000, func(addr, hist uint64, taken bool) {
+				specPred := spec.Predict(addr, hist)
+				var implPred bool
+				if useStep {
+					implPred = impl.Step(addr, hist, taken)
+				} else {
+					implPred = impl.Predict(addr, hist)
+					impl.Update(addr, hist, taken)
+				}
+				if specPred != implPred {
+					t.Fatalf("%+v step=%v diverged at ref %d: spec %v impl %v", sh, useStep, step, specPred, implPred)
+				}
+				spec.Update(addr, hist, taken)
+				step++
+			})
 		}
 	}
 }

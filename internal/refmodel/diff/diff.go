@@ -115,6 +115,12 @@ type Cell struct {
 	Tables int
 	// Tag is the tage partial-tag width.
 	Tag uint
+	// Banks is the skewed bank count; 0 means the default three.
+	Banks int
+	// SharedHyst selects the skewed family's shared-hysteresis
+	// encoding: one hysteresis bit per 2^SharedHyst entries (0 =
+	// private counters).
+	SharedHyst uint
 }
 
 // cellTageKMin is the shortest tagged history length every tage cell
@@ -122,7 +128,9 @@ type Cell struct {
 // small coordinate.
 const cellTageKMin = 4
 
-// String names the cell unambiguously, e.g. "gskewed/n8/h10/c2/partial".
+// String names the cell unambiguously, e.g. "gskewed/n8/h10/c2/partial";
+// a skewed cell with other than three banks or with shared hysteresis
+// adds "/b5" or "/shh1".
 func (c Cell) String() string {
 	s := fmt.Sprintf("%s/n%d/h%d/c%d", c.Family, c.N, c.Hist, c.Ctr)
 	switch c.Family {
@@ -131,6 +139,12 @@ func (c Cell) String() string {
 			s += "/partial"
 		} else {
 			s += "/total"
+		}
+		if c.Banks != 0 && c.Banks != 3 {
+			s += fmt.Sprintf("/b%d", c.Banks)
+		}
+		if c.SharedHyst > 0 {
+			s += fmt.Sprintf("/shh%d", c.SharedHyst)
 		}
 	case "2bcgskew":
 		s += fmt.Sprintf("/s%d", c.Short)
@@ -147,10 +161,11 @@ func (c Cell) Spec() (refmodel.Spec, error) {
 	switch c.Family {
 	case "bimodal", "gshare", "gselect":
 		return refmodel.NewSpecSingle(c.Family, c.N, c.Hist, c.Ctr), nil
-	case "gskewed":
-		return refmodel.NewSpecGSkewed(c.N, c.Hist, c.Ctr, c.Partial, false), nil
-	case "egskew":
-		return refmodel.NewSpecGSkewed(c.N, c.Hist, c.Ctr, c.Partial, true), nil
+	case "gskewed", "egskew":
+		return refmodel.NewSpecSkew(refmodel.SkewShape{
+			N: c.N, K: c.Hist, Ctr: c.Ctr, Banks: c.Banks, SharedHyst: c.SharedHyst,
+			Partial: c.Partial, Enhanced: c.Family == "egskew",
+		}), nil
 	case "2bcgskew":
 		return refmodel.NewSpecTwoBcGSkew(c.N, c.Short, c.Hist), nil
 	case "tage":
@@ -188,6 +203,7 @@ func (c Cell) Impl() (predictor.Predictor, error) {
 		if c.Partial {
 			s.Policy = predictor.PartialUpdate
 		}
+		s.Banks, s.SharedHyst = c.Banks, c.SharedHyst
 	case "2bcgskew":
 		s.HistShort = c.Short
 	case "tage":
@@ -205,7 +221,8 @@ func (c Cell) Impl() (predictor.Predictor, error) {
 // at least three configurations per (family, policy) pair spanning
 // history lengths (shorter, equal and longer than the index), bank
 // widths and counter widths (1 and 2 bits, and 3 and 4 for the skewed
-// family); then one cell for each reference predictor.
+// family); then one cell for each reference predictor; then the wider
+// and shared-hysteresis skews.
 func DefaultSweep() []Cell {
 	var cells []Cell
 	// Single-table baselines: 3 configs each. gshare configs cover the
@@ -273,6 +290,19 @@ func DefaultSweep() []Cell {
 		Cell{Family: "unaliased", Hist: 8, Ctr: 2},
 		Cell{Family: "assoc-lru", N: 4, Hist: 6, Ctr: 2},
 	)
+	// Wider skews (section 5.1) and the shared-hysteresis encoding
+	// (section 7), appended after the reference predictors for the
+	// same reason: both policies across the five- and seven-bank
+	// cells, a 3-bit seven-bank cell for the automaton path, history
+	// past 2n bits, and hysteresis groups of two and four entries.
+	cells = append(cells,
+		Cell{Family: "gskewed", N: 8, Hist: 10, Ctr: 2, Partial: true, Banks: 5},
+		Cell{Family: "gskewed", N: 7, Hist: 16, Ctr: 2, Banks: 7},
+		Cell{Family: "gskewed", N: 6, Hist: 9, Ctr: 3, Partial: true, Banks: 7},
+		Cell{Family: "gskewed", N: 8, Hist: 10, Ctr: 2, Partial: true, SharedHyst: 1},
+		Cell{Family: "gskewed", N: 9, Hist: 12, Ctr: 2, SharedHyst: 2},
+		Cell{Family: "egskew", N: 8, Hist: 12, Ctr: 2, Partial: true, SharedHyst: 1},
+	)
 	return cells
 }
 
@@ -289,8 +319,8 @@ func CellByName(name string) (Cell, error) {
 // PathApplies reports whether the cell's family has an implementation
 // on the path. Every family but the perceptron and the reference
 // predictors compiles to a kernel (internal/kernel). The bitsliced
-// group form exists only for the single-table and three-bank skewed
-// families, and only at 2-bit counter width.
+// group form exists only for the single-table families and the
+// three-bank private-counter skews, and only at 2-bit counter width.
 func (c Cell) PathApplies(p Path) bool {
 	switch p {
 	case PathKernel:
@@ -301,8 +331,10 @@ func (c Cell) PathApplies(p Path) bool {
 		return true
 	case PathBatch64:
 		switch c.Family {
-		case "bimodal", "gshare", "gselect", "gskewed", "egskew":
+		case "bimodal", "gshare", "gselect":
 			return c.Ctr == 2
+		case "gskewed", "egskew":
+			return c.Ctr == 2 && c.Banks <= 3 && c.SharedHyst == 0
 		}
 		return false
 	}

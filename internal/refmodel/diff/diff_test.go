@@ -116,6 +116,8 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 		{Family: "tage", N: 6, Hist: 16, Ctr: 3, Tables: 4, Tag: 6},
 		{Family: "unaliased", Hist: 8, Ctr: 2},
 		{Family: "assoc-lru", N: 3, Ctr: 2},
+		{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true, Banks: 5},
+		{Family: "gskewed", N: 6, Hist: 4, Ctr: 2, Partial: true, SharedHyst: 1},
 	}
 	var log bytes.Buffer
 	results, err := SelfTest(cells, 4000, 2, 50, &log)
@@ -139,6 +141,8 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 		"2bcgskew-meta-flip", "2bcgskew-meta-flip/kernel",
 		"tage-fold-off-by-one", "tage-fold-off-by-one/kernel",
 		"assoc-lru-evicts-mru", "unaliased-strong-start",
+		"mbank-rotation-off-by-one", "mbank-rotation-off-by-one/kernel",
+		"shared-hyst-private", "shared-hyst-private/kernel",
 	} {
 		if !seen[name] {
 			t.Errorf("selftest never injected %s", name)

@@ -3,6 +3,7 @@ package diff
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"gskew/internal/predictor"
 	"gskew/internal/trace"
@@ -77,14 +78,14 @@ func Mutants() []Mutant {
 			return &faultWrap{Predictor: p, kind: kind}, nil
 		}
 	}
-	tamper := func(name string, family string, plant func(predictor.Predictor) bool) Mutant {
+	tamper := func(name string, families []string, plant func(predictor.Predictor) bool) Mutant {
 		// Faults planted inside a real implementation (as opposed to
 		// wrapped around it): the predictor's own tamper hook flips one
 		// internal detail, and both its read and write paths see the
 		// flip — exactly the shape of an implementation bug, which only
 		// the independent specification can expose.
 		return Mutant{Name: name, Planted: true, Build: func(c Cell) (predictor.Predictor, error) {
-			if c.Family != family {
+			if !slices.Contains(families, c.Family) {
 				return nil, errMutantInapplicable
 			}
 			p, err := c.Impl()
@@ -100,11 +101,13 @@ func Mutants() []Mutant {
 	return []Mutant{
 		{Name: "addr-off-by-one", Build: wrap("addr-off-by-one")},
 		{Name: "hist-off-by-one", Build: wrap("hist-off-by-one")},
-		tamper("tage-fold-off-by-one", "tage", predictor.TamperTAGEFold),
-		tamper("2bcgskew-meta-flip", "2bcgskew", predictor.TamperTwoBcMeta),
-		tamper("perceptron-theta-sign-flip", "perceptron", predictor.TamperPerceptronTraining),
-		tamper("assoc-lru-evicts-mru", "assoc-lru", predictor.TamperAssocLRUEvictMRU),
-		tamper("unaliased-strong-start", "unaliased", predictor.TamperUnaliasedStrongStart),
+		tamper("tage-fold-off-by-one", []string{"tage"}, predictor.TamperTAGEFold),
+		tamper("2bcgskew-meta-flip", []string{"2bcgskew"}, predictor.TamperTwoBcMeta),
+		tamper("perceptron-theta-sign-flip", []string{"perceptron"}, predictor.TamperPerceptronTraining),
+		tamper("assoc-lru-evicts-mru", []string{"assoc-lru"}, predictor.TamperAssocLRUEvictMRU),
+		tamper("unaliased-strong-start", []string{"unaliased"}, predictor.TamperUnaliasedStrongStart),
+		tamper("mbank-rotation-off-by-one", []string{"gskewed"}, predictor.TamperSkewRotation),
+		tamper("shared-hyst-private", []string{"gskewed", "egskew"}, predictor.TamperSharedHystPrivate),
 		{Name: "policy-flip", Build: func(c Cell) (predictor.Predictor, error) {
 			// The implementation silently uses the other update policy
 			// (or, for single-table cells, one less history bit).
@@ -138,12 +141,23 @@ type SelfTestResult struct {
 }
 
 // kernelLUTFault is the fault planted into the compiled-kernel path:
-// an off-by-one (low-bit flip) in entry 0 of bank 1's V1 half-table.
-// Bank 1 is LUT-indexed in every compiled skewed organisation (bank 0
-// is address-truncated in the enhanced form), and entry 0 is exercised
-// whenever the low index bits of the information vector are zero — a
-// state every biased workload reaches.
-var kernelLUTFault = KernelFault{Bank: 1, Half: 0, Entry: 0, Delta: 1}
+// an off-by-one (low-bit flip) in entry 0 of one bank's V1 half-table.
+// Bank 1 is LUT-indexed in every compiled three-bank organisation
+// (bank 0 is address-truncated in the enhanced form); a wider skew
+// takes the fault in its last bank, past the three canonical ones.
+// Entry 0 is exercised whenever the low index bits of the information
+// vector are zero — a state every biased workload reaches. Under
+// shared hysteresis the flipped bit is the lowest group bit: moving an
+// entry to its neighbour inside one hysteresis group relabels a
+// prediction bit that usually tracks the same stream, which a trace
+// rarely tells apart.
+func kernelLUTFault(c Cell) KernelFault {
+	bank := 1
+	if c.Banks > 3 {
+		bank = c.Banks - 1
+	}
+	return KernelFault{Bank: bank, Half: 0, Entry: 0, Delta: 1 << c.SharedHyst}
+}
 
 // kernelJointFault is the fault planted into a compiled kernel's joint
 // transition table: the miss bit flipped in the entry a taken-biased
@@ -167,14 +181,17 @@ type namedKernelFault struct {
 }
 
 // kernelFaults lists the faults the selftest plants into the cell's
-// compiled form: the LUT off-by-one for the three-bank skewed
-// families, and the joint-table miss flip for every family with a
-// joint transition table.
+// compiled form: the LUT off-by-one for the skewed families, and the
+// joint-table miss flip for the three-bank skewed and 2Bc-gskew joint
+// tables (kernel.TamperJoint's layouts).
 func kernelFaults(c Cell) []namedKernelFault {
 	switch c.Family {
 	case "gskewed", "egskew":
+		if c.Banks > 3 {
+			return []namedKernelFault{{"kernel-lut-off-by-one", kernelLUTFault(c)}}
+		}
 		return []namedKernelFault{
-			{"kernel-lut-off-by-one", kernelLUTFault},
+			{"kernel-lut-off-by-one", kernelLUTFault(c)},
 			{"kernel-joint-miss-flip", kernelJointFault(c)},
 		}
 	case "2bcgskew":

@@ -9,7 +9,9 @@
 //   - the skewing bijection H, its inverse H^-1, and the inter-bank
 //     dispersion family f0, f1, f2 (section 4.2),
 //   - the skewed predictor and its enhanced variant, under both the
-//     total and the partial update policy (sections 4.3-4.5 and 6).
+//     total and the partial update policy (sections 4.3-4.5 and 6),
+//     with three or more banks and with private counters or the
+//     distributed shared-hysteresis encoding (section 7).
 //
 // Everything here is written for obviousness, not speed: indices are
 // computed bit by bit on []bool bit strings, predictor state lives in

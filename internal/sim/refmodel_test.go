@@ -286,6 +286,41 @@ func TestWideSkewCountersRunOnInterfacePath(t *testing.T) {
 	}
 }
 
+// TestSkewShapesRunOnKernelPath: the wider skews of ablation-banks and
+// the shared-hysteresis skews of ext-encoding compile, so the runner
+// counts each under sim.path.kernel and adds nothing to
+// sim.path.stepper — and every result equals the spec replay.
+func TestSkewShapesRunOnKernelPath(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	branches := specReplayTrace(t)
+	count := func(name string) int64 { return obs.Default().Snapshot()["sim.path."+name].(int64) }
+	for _, spec := range []predictor.Spec{
+		{Family: "gskewed", Banks: 5, N: 12, Hist: 8},
+		{Family: "gskewed", Banks: 7, N: 12, Hist: 8},
+		{Family: "gskewed", N: 12, Hist: 8, SharedHyst: 1},
+		{Family: "gskewed", N: 13, Hist: 8, SharedHyst: 2},
+	} {
+		p := predictor.MustSpec(spec)
+		kern0, step0 := count("kernel"), count("stepper")
+		got, err := sim.RunBranches(branches, p, sim.Options{Segments: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dk, ds := count("kernel")-kern0, count("stepper")-step0; dk != 1 || ds != 0 {
+			t.Errorf("%s: path counters rose kernel %d, stepper %d; want 1, 0", spec, dk, ds)
+		}
+		want := specReplay(branches, func() refmodel.Spec {
+			return refmodel.NewSpecSkew(refmodel.SkewShape{
+				N: spec.N, K: spec.Hist, Ctr: 2, Banks: spec.Banks, SharedHyst: spec.SharedHyst, Partial: true,
+			})
+		}, 0)
+		if got != want {
+			t.Errorf("%s: runner %+v, spec %+v", spec, got, want)
+		}
+	}
+}
+
 // TestSpecReplayFlushTiming pins the flush rule specReplay and the
 // runner share on a hand-built trace: the flush lands when the next
 // conditional arrives, after any unconditionals in between, and a

@@ -46,6 +46,9 @@ const (
 type Skewer struct {
 	n    uint
 	mask uint64
+	// rotSkew is 0, or 1 when the rotation fault is planted
+	// (TamperRotation).
+	rotSkew uint
 }
 
 // New returns a Skewer for banks of 2^n entries. It panics if n is
@@ -134,7 +137,7 @@ func (s *Skewer) Index(k int, v uint64) uint64 {
 	// Higher banks: re-skew the vector by mixing V3 in and iterating H.
 	// Each extra bank applies one more round of H to a rotated split so
 	// that no two banks share an index function.
-	rot := uint(k-2) % s.n
+	rot := (uint(k-2) - s.rotSkew) % s.n
 	v3, v2, v1 := s.Split(v)
 	rv1 := ((v1 << rot) | (v1 >> (s.n - rot))) & s.mask
 	base := s.Index(k%3, (v3<<(2*s.n))|(v2<<s.n)|rv1)
@@ -144,6 +147,16 @@ func (s *Skewer) Index(k int, v uint64) uint64 {
 	}
 	return out
 }
+
+// TamperRotation plants an off-by-one into the extra banks' vector
+// rotation (bank k >= 3 rotates V1 by k-3 instead of k-2), for the
+// differential harness's fault-injection selftest.
+func (s *Skewer) TamperRotation() { s.rotSkew = 1 }
+
+// Exact reports whether s computes the functions as defined (no
+// planted fault), so tables derived from any Skewer of the same width
+// may stand in for it.
+func (s *Skewer) Exact() bool { return s.rotSkew == 0 }
 
 // Indices fills dst with the bank indices for v across len(dst) banks.
 func (s *Skewer) Indices(dst []uint64, v uint64) {
