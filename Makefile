@@ -27,15 +27,13 @@
 # formats through tracegen and predsim and exercises the server-side
 # trace pool. `make algo-smoke` does the same for a recorded
 # real-algorithm workload, including a live server's hash-addressed
-# sweeps. `make cluster-smoke` boots a 3-node predserved cluster
-# and requires its responses byte-identical to a standalone server,
-# before and after a reshard.
+# sweeps.
 
 GO ?= go
 FUZZTIME ?= 10s
 BENCHCOUNT ?= 3
 
-.PHONY: build test check lint verify fuzz bench bench-all output obs-smoke serve-smoke trace-smoke algo-smoke cluster-smoke
+.PHONY: build test check lint verify fuzz bench bench-all output obs-smoke serve-smoke trace-smoke algo-smoke
 
 build:
 	$(GO) build ./...
@@ -143,10 +141,3 @@ trace-smoke:
 # bench-addressed sweep.
 algo-smoke:
 	./scripts/algo_smoke.sh
-
-# Cluster smoke: a standalone node and a 3-node cluster must serve the
-# identical 27-cell sweep byte-for-byte, peer fill must replace
-# recomputation on warm nodes, and a topology push (reshard) must
-# change no response byte.
-cluster-smoke:
-	./scripts/cluster_smoke.sh

@@ -1,12 +1,12 @@
 // Command predload is the typed-client toolbelt and load generator for
 // predserved. Every byte it sends travels through internal/client —
 // it is both the reference consumer of the /v1 wire contract and the
-// machinery behind the serve/cluster smoke scripts and the serving
+// machinery behind the serve smoke scripts and the serving
 // benchmark snapshot (BENCH_serve.json).
 //
 // Subcommands:
 //
-//	sweep     zipfian spec/trace load against live or in-process nodes;
+//	sweep     zipfian spec/trace load against a live or in-process server;
 //	          emits p50/p99/p999 latency and cache-hit curves as JSON
 //	simulate  post one SimulateRequest (JSON from a file or stdin),
 //	          print the raw response body
@@ -14,15 +14,12 @@
 //	trace     fetch a pooled trace by hash, write the canonical bytes
 //	health    print GET /v1/health
 //	metric    print one numeric /metrics value (smoke counter deltas)
-//	ring      print GET /internal/v1/ring
-//	topology  push a TopologyUpdate to every listed node (resharding)
 //
 // Examples:
 //
-//	predload sweep -nodes 3 -passes 3 -requests 120 -out BENCH_serve.json
+//	predload sweep -cells 27 -passes 3 -out BENCH_serve.json
 //	predload simulate -target http://127.0.0.1:8149 -body sweep.json
 //	predload metric -target http://127.0.0.1:8149 server.simulate.cache_hits
-//	predload topology -targets http://n0,http://n1,http://n2 -replicas 2
 package main
 
 import (
@@ -31,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"gskew/internal/api"
 	"gskew/internal/cli"
@@ -42,7 +38,7 @@ func main() { cli.Main("predload", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return cli.Usagef("no subcommand: want sweep, simulate, ingest, trace, health, metric, ring or topology")
+		return cli.Usagef("no subcommand: want sweep, simulate, ingest, trace, health or metric")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -58,10 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runHealth(rest, stdout, stderr)
 	case "metric":
 		return runMetric(rest, stdout, stderr)
-	case "ring":
-		return runRing(rest, stdout, stderr)
-	case "topology":
-		return runTopology(rest, stdout, stderr)
 	default:
 		return cli.Usagef("unknown subcommand %q", cmd)
 	}
@@ -184,63 +176,10 @@ func runMetric(args []string, stdout, stderr io.Writer) error {
 	return err
 }
 
-// runRing prints the node's current membership view.
-func runRing(args []string, stdout, stderr io.Writer) error {
-	fs := cli.NewFlagSet("predload ring", stderr)
-	target := targetFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	info, err := client.New(*target).Ring(context.Background())
-	if err != nil {
-		return err
-	}
-	return printJSON(stdout, info)
-}
-
-// runTopology pushes one TopologyUpdate — the full member set — to
-// every member (static-topology discipline: a reshard is delivered
-// everywhere, or the sender keeps retrying until it is).
-func runTopology(args []string, stdout, stderr io.Writer) error {
-	fs := cli.NewFlagSet("predload topology", stderr)
-	targets := fs.String("targets", "", "comma-separated node base URLs (the new member set)")
-	replicas := fs.Int("replicas", 1, "replication factor R")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return cli.Usagef("unexpected arguments: %v", fs.Args())
-	}
-	nodes := splitList(*targets)
-	if len(nodes) == 0 {
-		return cli.Usagef("-targets must list at least one node")
-	}
-	upd := &api.TopologyUpdate{Nodes: nodes, Replicas: *replicas}
-	for _, n := range nodes {
-		info, err := client.New(n).SetTopology(context.Background(), upd)
-		if err != nil {
-			return fmt.Errorf("pushing topology to %s: %w", n, err)
-		}
-		fmt.Fprintf(stdout, "%s gen=%d replicas=%d nodes=%d\n", n, info.Gen, info.Replicas, len(info.Nodes))
-	}
-	return nil
-}
-
 // readInput reads a file, or stdin for "-".
 func readInput(path string) ([]byte, error) {
 	if path == "-" {
 		return io.ReadAll(os.Stdin)
 	}
 	return os.ReadFile(path)
-}
-
-// splitList parses a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

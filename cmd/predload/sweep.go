@@ -15,35 +15,32 @@ import (
 	"gskew/internal/api"
 	"gskew/internal/cli"
 	"gskew/internal/client"
-	"gskew/internal/cluster"
 	"gskew/internal/server"
 	"gskew/internal/store"
-	"gskew/internal/tracepool"
 )
 
-// The sweep subcommand drives a zipfian request mix against one or
-// more predserved nodes and reports latency quantiles and cache-hit
+// The sweep subcommand drives a zipfian request mix against one
+// predserved server and reports latency quantiles and cache-hit
 // curves. The cell universe is -cells distinct store keys built from
 // one cheap spec by varying Options.FlushEvery (options are part of
 // the content address, so each variant is its own cell); a zipfian
 // draw over that universe gives the hot/cold skew a shared cache
 // feeds on. Cells are revisited across -passes passes, so the hit
-// rate must climb as the store (and, in cluster mode, peer fill)
-// warms. Every response body is checked against the first body seen
-// for its cell — byte identity under load is the same invariant the
-// cluster smoke asserts with cmp.
+// rate must climb as the store warms. Every response body is checked
+// against the first body seen for its cell — byte identity under load
+// is the same invariant the serve smoke asserts with cmp.
 
 // sweepReport is the BENCH_serve.json schema.
 type sweepReport struct {
-	Config     sweepConfig `json:"config"`
-	ColdP50US  int64       `json:"cold_p50_us"`
-	CachedP50  int64       `json:"cached_p50_us"`
-	Passes     []passStats `json:"passes"`
-	Identical  bool        `json:"bodies_identical"`
-	TotalHits  int         `json:"total_hits"`
-	TotalMiss  int         `json:"total_misses"`
-	ElapsedMS  int64       `json:"elapsed_ms"`
-	TargetsHit []string    `json:"targets"`
+	Config    sweepConfig `json:"config"`
+	ColdP50US int64       `json:"cold_p50_us"`
+	CachedP50 int64       `json:"cached_p50_us"`
+	Passes    []passStats `json:"passes"`
+	Identical bool        `json:"bodies_identical"`
+	TotalHits int         `json:"total_hits"`
+	TotalMiss int         `json:"total_misses"`
+	ElapsedMS int64       `json:"elapsed_ms"`
+	Target    string      `json:"target"`
 }
 
 type sweepConfig struct {
@@ -56,8 +53,6 @@ type sweepConfig struct {
 	Spec        string  `json:"spec"`
 	Bench       string  `json:"bench"`
 	Scale       float64 `json:"scale"`
-	Nodes       int     `json:"nodes"`
-	Replicas    int     `json:"replicas"`
 }
 
 type passStats struct {
@@ -82,9 +77,7 @@ type sample struct {
 
 func runSweep(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("predload sweep", stderr)
-	targets := fs.String("targets", "", "comma-separated node base URLs (default: boot -nodes in-process)")
-	nodes := fs.Int("nodes", 1, "in-process nodes to boot when -targets is empty")
-	replicas := fs.Int("replicas", 1, "replication factor for in-process nodes")
+	target := fs.String("target", "", "predserved base URL (default: boot one standalone server in-process)")
 	cells := fs.Int("cells", 27, "distinct store cells in the universe")
 	passes := fs.Int("passes", 3, "zipfian passes over the universe")
 	requests := fs.Int("requests", 0, "requests per pass (default 3x cells)")
@@ -111,35 +104,28 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		*requests = 3 * *cells
 	}
 
-	urls := splitList(*targets)
-	booted := 0
-	if len(urls) == 0 {
+	url := *target
+	if url == "" {
 		var stop func()
 		var err error
-		urls, stop, err = bootNodes(*nodes, *replicas)
+		url, stop, err = bootServer()
 		if err != nil {
 			return err
 		}
 		defer stop()
-		booted = *nodes
-		fmt.Fprintf(stderr, "booted %d in-process node(s): %v\n", *nodes, urls)
-	}
-	clients := make([]*client.Client, len(urls))
-	for i, u := range urls {
-		clients[i] = client.New(u)
+		fmt.Fprintf(stderr, "booted an in-process server: %s\n", url)
 	}
 
 	cfg := sweepConfig{
 		Cells: *cells, Passes: *passes, Requests: *requests,
 		Concurrency: *concurrency, ZipfS: *zipfS, Seed: *seed,
 		Spec: *spec, Bench: *bench, Scale: *scale,
-		Nodes: booted, Replicas: *replicas,
 	}
-	report, err := sweep(clients, cfg, stderr)
+	report, err := sweep(client.New(url), cfg, stderr)
 	if err != nil {
 		return err
 	}
-	report.TargetsHit = urls
+	report.Target = url
 	if *out == "" {
 		return printJSON(stdout, report)
 	}
@@ -161,7 +147,7 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 // cellRequest builds the SimulateRequest addressing one cell. The
 // FlushEvery offset keeps flushes from ever firing on the scaled
 // trace — the cells differ only in content address, so the universe
-// is cheap to fill but exercises the full store/peer-fill path.
+// is cheap to fill but exercises the full store path.
 func cellRequest(cfg sweepConfig, cell int) *api.SimulateRequest {
 	return &api.SimulateRequest{
 		Specs:   []string{cfg.Spec},
@@ -172,7 +158,7 @@ func cellRequest(cfg sweepConfig, cell int) *api.SimulateRequest {
 }
 
 // sweep runs the full multi-pass load and assembles the report.
-func sweep(clients []*client.Client, cfg sweepConfig, stderr io.Writer) (*sweepReport, error) {
+func sweep(c *client.Client, cfg sweepConfig, stderr io.Writer) (*sweepReport, error) {
 	zr := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(zr, cfg.ZipfS, 1, uint64(cfg.Cells-1))
 
@@ -188,7 +174,7 @@ func sweep(clients []*client.Client, cfg sweepConfig, stderr io.Writer) (*sweepR
 		for i := range seq {
 			seq[i] = int(zipf.Uint64())
 		}
-		samples, err := runPass(clients, cfg, seq)
+		samples, err := runPass(c, cfg, seq)
 		if err != nil {
 			return nil, err
 		}
@@ -234,9 +220,8 @@ func sweep(clients []*client.Client, cfg sweepConfig, stderr io.Writer) (*sweepR
 	return report, nil
 }
 
-// runPass issues one pass's requests across the workers, round-robin
-// over the targets.
-func runPass(clients []*client.Client, cfg sweepConfig, seq []int) ([]sample, error) {
+// runPass issues one pass's requests across the workers.
+func runPass(c *client.Client, cfg sweepConfig, seq []int) ([]sample, error) {
 	type job struct{ idx, cell int }
 	jobs := make(chan job)
 	samples := make([]sample, len(seq))
@@ -246,7 +231,6 @@ func runPass(clients []*client.Client, cfg sweepConfig, seq []int) ([]sample, er
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				c := clients[j.idx%len(clients)]
 				req := cellRequest(cfg, j.cell)
 				t0 := time.Now()
 				body, stats, err := c.SimulateRaw(context.Background(), req)
@@ -293,44 +277,16 @@ func quantileUS(lats []time.Duration, q float64) int64 {
 	return sorted[idx].Microseconds()
 }
 
-// bootNodes starts n in-process predserved nodes on loopback ports
-// that know each other, for self-contained benchmarking without a
-// running daemon. Returns the node URLs and a shutdown func.
-func bootNodes(n, replicas int) ([]string, func(), error) {
-	if n < 1 {
-		return nil, nil, cli.Usagef("-nodes must be positive")
+// bootServer starts one in-process predserved server with the default
+// memory-only store and trace pool on a loopback port, for
+// self-contained benchmarking without a running daemon. Returns its
+// base URL and a shutdown func.
+func bootServer() (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
 	}
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	servers := make([]*http.Server, n)
-	for i := range listeners {
-		cl, err := cluster.New(cluster.Config{Self: urls[i], Nodes: urls, Replicas: replicas})
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := store.Open(4096, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		pool, err := tracepool.Open(64, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		servers[i] = &http.Server{Handler: server.New(server.Config{Store: st, Pool: pool, Cluster: cl}).Handler()}
-		go servers[i].Serve(listeners[i])
-	}
-	stop := func() {
-		for _, hs := range servers {
-			hs.Close()
-		}
-	}
-	return urls, stop, nil
+	hs := &http.Server{Handler: server.New(server.Config{}).Handler()}
+	go hs.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -16,28 +16,22 @@
 // SIGTERM or SIGINT the server stops accepting connections, drains
 // in-flight requests for up to -drain, then exits 0.
 //
-// Cluster mode (-cluster, -peers, -peers-file) shards the result store
-// and trace pool across a static set of nodes by consistent hashing;
-// see the README's Cluster section. A node started with -cluster but
-// no peers boots on a self-only ring and waits for a topology push
-// (POST /internal/v1/topology, e.g. via predload topology).
+// The service is one standalone node: one result store and one trace
+// pool, each an in-memory tier over an optional disk directory.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"gskew/internal/cli"
-	"gskew/internal/cluster"
 	"gskew/internal/experiments"
 	"gskew/internal/server"
 	"gskew/internal/store"
@@ -67,12 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		poolDir    = fs.String("trace-pool", "", "on-disk trace segment pool directory (empty = memory-only pool)")
 		poolMem    = fs.Int("pool-entries", server.DefaultPoolEntries, "trace pool in-memory tier capacity (segments)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful drain window on SIGTERM/SIGINT")
-
-		clusterOn = fs.Bool("cluster", false, "enable cluster mode even with no peers (self-only ring awaiting a topology push)")
-		peers     = fs.String("peers", "", "comma-separated peer base URLs (implies -cluster; self is added if absent)")
-		peersFile = fs.String("peers-file", "", `topology JSON file {"nodes":[...],"replicas":N} (implies -cluster)`)
-		replicas  = fs.Int("replicas", 1, "replication factor R for cluster cells")
-		selfURL   = fs.String("self", "", "this node's base URL as peers reach it (default http://<bound addr>)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,17 +89,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	// Listen before building the Server: with port 0 the node's own
-	// base URL — which seeds its ring membership — is only known once
-	// the listener is bound.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return err
-	}
-	cl, err := buildCluster(*clusterOn, *peers, *peersFile, *replicas, *selfURL, ln.Addr().String())
-	if err != nil {
-		ln.Close()
 		return err
 	}
 	srv := server.New(server.Config{
@@ -121,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		SimTimeout:   *timeout,
 		MaxSessions:  *sessions,
 		Pool:         pool,
-		Cluster:      cl,
 	})
 	hs := &http.Server{
 		Handler:           srv.Handler(),
@@ -133,11 +111,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *poolDir != "" {
 		fmt.Fprintf(stderr, "predserved: trace pool at %s (mem tier %d segments)\n", *poolDir, *poolMem)
-	}
-	if cl != nil {
-		info := cl.Info()
-		fmt.Fprintf(stderr, "predserved: cluster self=%s nodes=%d replicas=%d gen=%d\n",
-			info.Self, len(info.Nodes), info.Replicas, info.Gen)
 	}
 	if notifyReady != nil {
 		notifyReady(ln.Addr().String())
@@ -168,59 +141,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	<-serveErr // reap http.ErrServerClosed
 	fmt.Fprintln(stderr, "predserved: drained, exiting")
 	return nil
-}
-
-// buildCluster assembles the node's initial ring from the cluster
-// flags, or returns nil when none are set (standalone mode). The
-// member set is -peers (or the -peers-file "nodes" list) plus this
-// node; a bare -cluster boots a self-only ring so an operator can
-// push the real topology once every node is up.
-func buildCluster(on bool, peersCSV, peersFile string, replicas int, self, boundAddr string) (*cluster.Cluster, error) {
-	if !on && peersCSV == "" && peersFile == "" {
-		return nil, nil
-	}
-	if self == "" {
-		self = "http://" + boundAddr
-	}
-	nodes := splitList(peersCSV)
-	if peersFile != "" {
-		raw, err := os.ReadFile(peersFile)
-		if err != nil {
-			return nil, err
-		}
-		var topo struct {
-			Nodes    []string `json:"nodes"`
-			Replicas int      `json:"replicas"`
-		}
-		if err := json.Unmarshal(raw, &topo); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", peersFile, err)
-		}
-		nodes = append(nodes, topo.Nodes...)
-		if topo.Replicas > 0 {
-			replicas = topo.Replicas
-		}
-	}
-	if !contains(nodes, self) {
-		nodes = append(nodes, self)
-	}
-	return cluster.New(cluster.Config{Self: self, Nodes: nodes, Replicas: replicas})
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func contains(list []string, want string) bool {
-	for _, s := range list {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }

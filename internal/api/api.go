@@ -1,6 +1,6 @@
 // Package api is the typed wire contract of the prediction service:
 // the single source of truth for every request body, response body and
-// error shape that travels between predserved nodes, the typed Go
+// error shape that travels between predserved, the typed Go
 // client (internal/client), the load generator (cmd/predload), the
 // smoke scripts and the tests. The server encodes these types, the
 // client decodes them, and nothing else hand-writes /v1 JSON.
@@ -17,14 +17,6 @@
 //	GET    /v1/specs                -> SpecsResponse
 //	GET    /v1/health               -> Health
 //	GET    /healthz                 alias of /v1/health (legacy probes)
-//
-// Cluster-internal surface (node-to-node; same error envelope):
-//
-//	GET    /internal/v1/cells/{key}   -> Cell (a stored simulation cell)
-//	PUT    /internal/v1/cells/{key}   Cell -> CellOfferResponse
-//	GET    /internal/v1/traces/{hash} -> canonical columnar trace bytes
-//	GET    /internal/v1/ring          -> RingInfo
-//	POST   /internal/v1/topology      TopologyUpdate -> RingInfo
 //
 // # Error envelope
 //
@@ -63,8 +55,8 @@ const (
 	// CodeBadTrace: an uploaded trace body does not decode in any
 	// supported serialisation.
 	CodeBadTrace = "bad_trace"
-	// CodeNoSuchTrace: the referenced trace_sha256 is not pooled on
-	// this node (nor fetchable from its cluster owner).
+	// CodeNoSuchTrace: the referenced trace_sha256 is not in the
+	// server's trace pool.
 	CodeNoSuchTrace = "no_such_trace"
 	// CodeNoSuchSession: the predict session id does not exist and no
 	// spec was sent to create it.
@@ -77,13 +69,6 @@ const (
 	CodeQueueFull = "queue_full"
 	// CodeBodyTooLarge: the request body exceeds the server's limit.
 	CodeBodyTooLarge = "body_too_large"
-	// CodeNoSuchCell: (cluster-internal) the requested cell key is not
-	// in the owner's store; the asker should simulate locally.
-	CodeNoSuchCell = "no_such_cell"
-	// CodeWrongOwner: (cluster-internal) the receiving node does not
-	// own the key/hash under its current ring — the sender's topology
-	// is stale. The asker should fall back to local work.
-	CodeWrongOwner = "wrong_owner"
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal = "internal"
 	// CodeUnknown is used by clients for a non-2xx response whose body
@@ -260,13 +245,12 @@ type SpecsResponse struct {
 // Health is the wire form of GET /v1/health (and its /healthz alias):
 // liveness plus per-subsystem readiness detail.
 type Health struct {
-	Status   string       `json:"status"`
-	UptimeMS int64        `json:"uptime_ms"`
-	Store    StoreHealth  `json:"store"`
-	Sched    SchedHealth  `json:"scheduler"`
-	Sessions int          `json:"sessions"`
-	Pool     PoolHealth   `json:"trace_pool"`
-	Cluster  *ClusterInfo `json:"cluster,omitempty"`
+	Status   string      `json:"status"`
+	UptimeMS int64       `json:"uptime_ms"`
+	Store    StoreHealth `json:"store"`
+	Sched    SchedHealth `json:"scheduler"`
+	Sessions int         `json:"sessions"`
+	Pool     PoolHealth  `json:"trace_pool"`
 }
 
 // StoreHealth describes the result store tiers.
@@ -284,40 +268,4 @@ type SchedHealth struct {
 type PoolHealth struct {
 	MemSegments int  `json:"mem_segments"`
 	Disk        bool `json:"disk"`
-}
-
-// ClusterInfo describes this node's view of the cluster: membership
-// and the ring generation its ownership decisions are made under. It
-// is the same shape as RingInfo (health embeds what the ring endpoint
-// serves).
-type ClusterInfo = RingInfo
-
-// Cell is one stored simulation cell as it travels node-to-node on the
-// peer-fill path (store.Entry verbatim: the recorded inputs re-derive
-// the key, so a receiver can validate before trusting it).
-type Cell = store.Entry
-
-// CellOfferResponse acknowledges a PUT /internal/v1/cells/{key}.
-type CellOfferResponse struct {
-	Key    string `json:"key"`
-	Stored bool   `json:"stored"`
-}
-
-// RingInfo is the wire form of GET /internal/v1/ring and the response
-// to a topology update.
-type RingInfo struct {
-	Self     string   `json:"self"`
-	Gen      uint64   `json:"gen"`
-	Replicas int      `json:"replicas"`
-	Nodes    []string `json:"nodes"`
-}
-
-// TopologyUpdate is the wire form of POST /internal/v1/topology: the
-// complete replacement node set (base URLs, which double as node
-// identities) and replication factor. Applying it bumps the receiving
-// node's ring generation; the sender is responsible for delivering the
-// same update to every node (static-topology discipline).
-type TopologyUpdate struct {
-	Nodes    []string `json:"nodes"`
-	Replicas int      `json:"replicas"`
 }

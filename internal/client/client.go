@@ -1,7 +1,6 @@
 // Package client is the typed Go client of the prediction service:
 // the one place HTTP requests to predserved are constructed. The load
-// generator (cmd/predload), the cluster peer-fill path
-// (internal/cluster), the smoke scripts (through predload's
+// generator (cmd/predload), the smoke scripts (through predload's
 // subcommands) and the server's own tests all go through it, so the
 // wire contract (internal/api) has exactly one encoder and one
 // decoder on the client side.
@@ -66,16 +65,6 @@ func WithRetries(attempts int) Option {
 // WithBackoff sets the base backoff delay; it doubles per retry.
 func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = d } }
 
-// WithTimeout bounds each HTTP round trip (on top of any context
-// deadline).
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		hc := *c.hc
-		hc.Timeout = d
-		c.hc = &hc
-	}
-}
-
 // New returns a client for the node at base (e.g.
 // "http://127.0.0.1:8149"; a trailing slash is tolerated).
 func New(base string, opts ...Option) *Client {
@@ -96,7 +85,7 @@ func (c *Client) Base() string { return c.base }
 
 // CacheStats is the parsed X-Cache response header of a sweep: how
 // many of the request's cells were served from the store versus
-// simulated (or peer-filled) on this request.
+// simulated on this request.
 type CacheStats struct {
 	Hits   int
 	Misses int
@@ -332,62 +321,6 @@ func (c *Client) Metric(ctx context.Context, name string) (int64, error) {
 		v = int64(f)
 	}
 	return v, nil
-}
-
-// CellGet asks this node — which should be the key's owner — for a
-// stored simulation cell (cluster-internal peer-fill read).
-func (c *Client) CellGet(ctx context.Context, key string) (*api.Cell, error) {
-	var cell api.Cell
-	if _, err := c.roundTrip(ctx, http.MethodGet, "/internal/v1/cells/"+key, "", nil, &cell); err != nil {
-		return nil, err
-	}
-	return &cell, nil
-}
-
-// CellPut offers a freshly simulated cell to this node (cluster-
-// internal replication write).
-func (c *Client) CellPut(ctx context.Context, key string, cell *api.Cell) (*api.CellOfferResponse, error) {
-	body, err := json.Marshal(cell)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding cell %s: %w", key, err)
-	}
-	var resp api.CellOfferResponse
-	if _, err := c.roundTrip(ctx, http.MethodPut, "/internal/v1/cells/"+key, "application/json", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// InternalTraceGet fetches a pooled segment over the cluster-internal
-// route (owner-forwarded trace-pool lookup).
-func (c *Client) InternalTraceGet(ctx context.Context, hash string) ([]byte, error) {
-	status, data, _, err := c.do(ctx, http.MethodGet, "/internal/v1/traces/"+hash, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status/100 != 2 {
-		return nil, decodeErr(status, data)
-	}
-	return data, nil
-}
-
-// Ring fetches this node's current ring view.
-func (c *Client) Ring(ctx context.Context) (*api.RingInfo, error) {
-	var resp api.RingInfo
-	if _, err := c.roundTrip(ctx, http.MethodGet, "/internal/v1/ring", "", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// SetTopology replaces this node's cluster topology (a resharding
-// event; the caller delivers the same update to every node).
-func (c *Client) SetTopology(ctx context.Context, upd *api.TopologyUpdate) (*api.RingInfo, error) {
-	var resp api.RingInfo
-	if _, err := c.postJSON(ctx, "/internal/v1/topology", upd, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // Do is the raw escape hatch: one request with the client's transport

@@ -31,8 +31,6 @@ var wireErrors = []struct {
 	{api.CodeSessionConflict, http.StatusConflict},
 	{api.CodeQueueFull, http.StatusServiceUnavailable},
 	{api.CodeBodyTooLarge, http.StatusRequestEntityTooLarge},
-	{api.CodeNoSuchCell, http.StatusNotFound},
-	{api.CodeWrongOwner, http.StatusMisdirectedRequest},
 	{api.CodeInternal, http.StatusInternalServerError},
 }
 
@@ -94,9 +92,6 @@ func TestDecodeEveryStableCode(t *testing.T) {
 			}
 			if _, err := c.EndSession(ctx, "s1"); !api.IsCode(err, tc.code) {
 				t.Errorf("EndSession error code = %q, want %q", api.ErrCode(err), tc.code)
-			}
-			if _, err := c.CellGet(ctx, "k1"); !api.IsCode(err, tc.code) {
-				t.Errorf("CellGet error code = %q, want %q", api.ErrCode(err), tc.code)
 			}
 		})
 	}

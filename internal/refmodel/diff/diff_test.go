@@ -150,6 +150,26 @@ func TestSelfTestCatchesInjectedFaults(t *testing.T) {
 	}
 }
 
+// TestKernelLUTFaultReachedOnWorkloadTrace pins a seed on which a LUT
+// fault at a fixed entry escaped: seed 12 is a workload trace, and with
+// six history bits under a six-bit index V1 is the history alone, which
+// never reads zero in its first 4000 conditionals. Planted at the first
+// conditional's V1 entry, the fault must be caught and shrunk.
+func TestKernelLUTFaultReachedOnWorkloadTrace(t *testing.T) {
+	c := Cell{Family: "gskewed", N: 6, Hist: 6, Ctr: 2, Partial: true, SharedHyst: 1}
+	var log bytes.Buffer
+	results, err := SelfTest([]Cell{c}, 4000, 12, 50, &log)
+	if err != nil {
+		t.Fatalf("selftest: %v\n%s", err, log.String())
+	}
+	for _, r := range results {
+		if r.Mutant == "kernel-lut-off-by-one" {
+			return
+		}
+	}
+	t.Fatalf("selftest never planted kernel-lut-off-by-one in %s", c)
+}
+
 // TestShrinkIsOneMinimal: the shrunk counterexample still reproduces
 // the divergence, and deleting any single record makes it vanish.
 func TestShrinkIsOneMinimal(t *testing.T) {

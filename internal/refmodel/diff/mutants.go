@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"gskew/internal/predictor"
+	"gskew/internal/refmodel"
 	"gskew/internal/trace"
 )
 
@@ -141,22 +142,35 @@ type SelfTestResult struct {
 }
 
 // kernelLUTFault is the fault planted into the compiled-kernel path:
-// an off-by-one (low-bit flip) in entry 0 of one bank's V1 half-table.
-// Bank 1 is LUT-indexed in every compiled three-bank organisation
-// (bank 0 is address-truncated in the enhanced form); a wider skew
-// takes the fault in its last bank, past the three canonical ones.
-// Entry 0 is exercised whenever the low index bits of the information
-// vector are zero — a state every biased workload reaches. Under
+// an off-by-one (low-bit flip) in one entry of one bank's V1
+// half-table. Bank 1 is LUT-indexed in every compiled three-bank
+// organisation (bank 0 is address-truncated in the enhanced form); a
+// wider skew takes the fault in its last bank, past the three
+// canonical ones. The entry is the V1 (the vector's low n bits) of
+// tr's first conditional branch, so the trace is known to read the
+// faulted entry whatever its seed; a fixed entry is reached only when
+// the vector's low bits happen to match it. The vector is the spec's
+// (refmodel.Vector over the spec history), not the kernel's. Under
 // shared hysteresis the flipped bit is the lowest group bit: moving an
 // entry to its neighbour inside one hysteresis group relabels a
 // prediction bit that usually tracks the same stream, which a trace
 // rarely tells apart.
-func kernelLUTFault(c Cell) KernelFault {
+func kernelLUTFault(c Cell, tr []trace.Branch) KernelFault {
 	bank := 1
 	if c.Banks > 3 {
 		bank = c.Banks - 1
 	}
-	return KernelFault{Bank: bank, Half: 0, Entry: 0, Delta: 1 << c.SharedHyst}
+	k := uint(c.Hist)
+	ghr := refmodel.NewSpecHistory(k)
+	var v1 uint64
+	for _, b := range tr {
+		if b.Kind == trace.Conditional {
+			v1 = refmodel.Vector(b.PC, ghr.Value(), k) & (1<<c.N - 1)
+			break
+		}
+		ghr.Shift(true)
+	}
+	return KernelFault{Bank: bank, Half: 0, Entry: v1, Delta: 1 << c.SharedHyst}
 }
 
 // kernelJointFault is the fault planted into a compiled kernel's joint
@@ -181,17 +195,17 @@ type namedKernelFault struct {
 }
 
 // kernelFaults lists the faults the selftest plants into the cell's
-// compiled form: the LUT off-by-one for the skewed families, and the
-// joint-table miss flip for the three-bank skewed and 2Bc-gskew joint
-// tables (kernel.TamperJoint's layouts).
-func kernelFaults(c Cell) []namedKernelFault {
+// compiled form for a replay of tr: the LUT off-by-one for the skewed
+// families, and the joint-table miss flip for the three-bank skewed
+// and 2Bc-gskew joint tables (kernel.TamperJoint's layouts).
+func kernelFaults(c Cell, tr []trace.Branch) []namedKernelFault {
 	switch c.Family {
 	case "gskewed", "egskew":
 		if c.Banks > 3 {
-			return []namedKernelFault{{"kernel-lut-off-by-one", kernelLUTFault(c)}}
+			return []namedKernelFault{{"kernel-lut-off-by-one", kernelLUTFault(c, tr)}}
 		}
 		return []namedKernelFault{
-			{"kernel-lut-off-by-one", kernelLUTFault(c)},
+			{"kernel-lut-off-by-one", kernelLUTFault(c, tr)},
 			{"kernel-joint-miss-flip", kernelJointFault(c)},
 		}
 	case "2bcgskew":
@@ -259,7 +273,7 @@ func SelfTest(cells []Cell, branches int, seed uint64, maxShrunk int, log io.Wri
 				record(c, name, res)
 			}
 		}
-		for _, kf := range kernelFaults(c) {
+		for _, kf := range kernelFaults(c, tr) {
 			div, err := CheckKernelTampered(tr, c, kf.fault)
 			if err != nil {
 				return results, fmt.Errorf("diff: selftest %s/%s: %w", c, kf.name, err)

@@ -14,22 +14,12 @@
 // {"error":{"code":...,"message":...}} with a stable machine-readable
 // code.
 //
-// When Config.Cluster is set, the node participates in a static-
-// topology cluster (internal/cluster): store keys and trace hashes are
-// sharded by consistent hashing, a local store miss on a key another
-// node owns is first offered to that owner over the cluster-internal
-// surface (peer fill), freshly simulated cells are replicated to the
-// key's replica set, and trace_sha256 pool misses are forwarded to the
-// hash's owner. None of this changes any response body: simulation is
-// deterministic and cells are content-addressed, so responses stay
-// byte-identical across 1-node, N-node and resharded topologies.
-//
 // Simulation work is gated through a shared experiments.Sched, so the
 // number of in-flight simulation passes never exceeds the configured
 // width no matter how many requests are being served; waiters observe
 // the request context and give up with 503/queue_full when it expires.
 // Responses for identical requests are byte-identical whether served
-// cold, from the store, or from a peer — the store round-trips
+// cold or from the store — the store round-trips
 // sim.Result bit-exactly and cache status travels in the X-Cache
 // header, never in the body.
 package server
@@ -41,7 +31,6 @@ import (
 	"time"
 
 	"gskew/internal/api"
-	"gskew/internal/cluster"
 	"gskew/internal/experiments"
 	"gskew/internal/obs"
 	"gskew/internal/store"
@@ -97,10 +86,6 @@ type Config struct {
 	// also pooled through it. Nil selects a fresh memory-only pool of
 	// DefaultPoolEntries segments.
 	Pool *tracepool.Pool
-	// Cluster is this node's view of a static-topology cluster. Nil
-	// (the default) runs standalone: no internal endpoints, no peer
-	// fill. Responses are byte-identical either way.
-	Cluster *cluster.Cluster
 }
 
 // Defaults for Config fields.
@@ -122,7 +107,6 @@ type Server struct {
 	store    *store.Store
 	sched    *experiments.Sched
 	pool     *tracepool.Pool
-	cluster  *cluster.Cluster
 	traces   *traceCache
 	sessions *sessionTable
 	start    time.Time
@@ -160,7 +144,6 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		sched:    cfg.Sched,
 		pool:     cfg.Pool,
-		cluster:  cfg.Cluster,
 		traces:   newTraceCache(cfg.MaxTraces, cfg.Pool),
 		sessions: newSessionTable(cfg.MaxSessions),
 		start:    time.Now(),
@@ -176,13 +159,6 @@ func New(cfg Config) *Server {
 	// Legacy liveness path: thin alias of /v1/health for probes that
 	// predate the versioned surface.
 	mux.HandleFunc("GET /healthz", s.instrument(s.handleHealth))
-	if s.cluster != nil {
-		mux.HandleFunc("GET /internal/v1/cells/{key}", s.instrument(s.handleCellGet))
-		mux.HandleFunc("PUT /internal/v1/cells/{key}", s.instrument(s.handleCellPut))
-		mux.HandleFunc("GET /internal/v1/traces/{hash}", s.instrument(s.handleInternalTraceGet))
-		mux.HandleFunc("GET /internal/v1/ring", s.instrument(s.handleRing))
-		mux.HandleFunc("POST /internal/v1/topology", s.instrument(s.handleTopology))
-	}
 	debug := obs.DebugMux()
 	mux.Handle("/metrics", debug)
 	mux.Handle("/debug/", debug)
@@ -269,7 +245,7 @@ func decodeJSON(r *http.Request, v any) error {
 // handleHealth serves GET /v1/health (and its /healthz alias):
 // liveness plus per-subsystem readiness detail.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) error {
-	h := api.Health{
+	return writeJSON(w, api.Health{
 		Status:   "ok",
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Store: api.StoreHealth{
@@ -282,10 +258,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) error {
 			MemSegments: s.pool.Len(),
 			Disk:        s.pool.Dir() != "",
 		},
-	}
-	if s.cluster != nil {
-		info := s.cluster.Info()
-		h.Cluster = &info
-	}
-	return writeJSON(w, h)
+	})
 }

@@ -21,11 +21,10 @@ import (
 const maxSweepSpecs = 256
 
 // handleSimulate runs a spec sweep over one workload, serving every
-// cell it can from the store — or, in cluster mode, from the cell's
-// owner node — and simulating the rest in a single RunMany pass gated
-// by the shared scheduler. Where a cell came from never shows in the
-// body (only in X-Cache and the metrics), which is what keeps
-// responses byte-identical across cold, cached and cluster serving.
+// cell it can from the store and simulating the rest in a single
+// RunMany pass gated by the shared scheduler. Where a cell came from
+// never shows in the body (only in X-Cache and the metrics), which is
+// what keeps cold and cached responses byte-identical.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	mSimRequests.Inc()
 	var req api.SimulateRequest
@@ -54,7 +53,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		canon[i] = sp.String()
 	}
 
-	branches, traceHash, info, err := s.resolveWorkload(r.Context(), &req)
+	branches, traceHash, info, err := s.resolveWorkload(&req)
 	if err != nil {
 		return err
 	}
@@ -62,37 +61,23 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	opts := req.Options // already the normalized subset
 	mSimCells.Add(int64(len(specs)))
 
-	// First pass: collect what the store already has; for store misses
-	// on keys another node owns, ask that owner before simulating (peer
-	// fill). A filled cell is stored locally too, so the next request
-	// here is a plain store hit.
+	// First pass: collect what the store already has.
 	keys := make([]store.Key, len(specs))
 	entries := make([]store.Entry, len(specs))
 	var missing []int
-	localHits := 0
 	for i := range specs {
 		keys[i] = store.KeyFor(canon[i], traceHash, opts)
 		if e, ok := s.store.Get(keys[i]); ok {
 			entries[i] = e
-			localHits++
 			continue
-		}
-		if s.cluster != nil && !s.cluster.OwnsSelf(keys[i].String()) {
-			if e, ok := s.cluster.FillCell(r.Context(), keys[i]); ok {
-				entries[i] = e
-				s.store.Put(keys[i], e)
-				continue
-			}
 		}
 		missing = append(missing, i)
 	}
-	mCacheHits.Add(int64(localHits))
-	mCacheMisses.Add(int64(len(specs) - localHits))
+	mCacheHits.Add(int64(len(specs) - len(missing)))
+	mCacheMisses.Add(int64(len(missing)))
 
 	// Second pass: one single-pass multi-predictor simulation for every
-	// cell neither the store nor a peer had, bounded by the shared
-	// scheduler. Fresh cells are then offered to their replica set so
-	// the cluster converges on R copies of hot cells.
+	// cell the store did not have, bounded by the shared scheduler.
 	if len(missing) > 0 {
 		preds := make([]predictor.Predictor, len(missing))
 		for j, i := range missing {
@@ -117,9 +102,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 			}
 			if err := s.store.Put(keys[i], entries[i]); err != nil {
 				return fmt.Errorf("storing cell %s: %w", keys[i], err)
-			}
-			if s.cluster != nil {
-				s.cluster.OfferCell(r.Context(), keys[i], entries[i])
 			}
 		}
 	}
@@ -158,9 +140,8 @@ func (s *Server) runGated(ctx context.Context, branches []trace.Branch, preds []
 }
 
 // resolveWorkload materialises the request's trace: a cached named
-// benchmark, an uploaded binary trace, or a pool segment by hash (with
-// an owner-forwarded cluster lookup behind a local pool miss).
-func (s *Server) resolveWorkload(ctx context.Context, req *api.SimulateRequest) ([]trace.Branch, string, api.WorkloadInfo, error) {
+// benchmark, an uploaded binary trace, or a pool segment by hash.
+func (s *Server) resolveWorkload(req *api.SimulateRequest) ([]trace.Branch, string, api.WorkloadInfo, error) {
 	given := 0
 	for _, set := range []bool{req.Bench != "", req.TraceB64 != "", req.TraceSHA256 != ""} {
 		if set {
@@ -203,15 +184,6 @@ func (s *Server) resolveWorkload(ctx context.Context, req *api.SimulateRequest) 
 		return branches, hash, api.WorkloadInfo{TraceSHA256: hash, Branches: len(branches)}, nil
 	case req.TraceSHA256 != "":
 		branches, ok := s.pool.Get(req.TraceSHA256)
-		if !ok && s.cluster != nil && !s.cluster.OwnsSelf(req.TraceSHA256) {
-			// Owner-forwarded lookup: the segment may have been ingested
-			// on (or forwarded to) the hash's owner. Pool it locally on
-			// success so this node serves it directly next time.
-			if fetched, hit := s.cluster.FetchTrace(ctx, req.TraceSHA256); hit {
-				branches, ok = fetched, true
-				s.pool.Put(branches)
-			}
-		}
 		if !ok {
 			return nil, "", api.WorkloadInfo{}, apiErrorf(http.StatusNotFound, api.CodeNoSuchTrace,
 				"no pooled trace %s", req.TraceSHA256)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"gskew/internal/api"
 	"gskew/internal/trace"
@@ -20,10 +21,6 @@ import (
 // bytes for a given branch sequence, so repeated GETs are
 // byte-identical too). A pooled hash can then address simulations
 // directly via the trace_sha256 field of POST /v1/simulate.
-//
-// In cluster mode an ingested segment is also forwarded to the hash's
-// replica set, so a later trace_sha256 simulation landing on any node
-// can fetch it from an owner instead of failing with no_such_trace.
 
 // handleTraceIngest decodes the uploaded trace and pools it; a
 // columnar body is kept as the segment's disk blob without re-encoding.
@@ -36,12 +33,9 @@ func (s *Server) handleTraceIngest(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return apiErrorf(http.StatusBadRequest, api.CodeBadTrace, "decoding trace: %v", err)
 	}
-	hash, created, err := s.pool.PutEncoded(branches, body)
+	hash, _, err := s.pool.PutEncoded(branches, body)
 	if err != nil {
 		return fmt.Errorf("pooling trace: %w", err)
-	}
-	if created && s.cluster != nil && !s.cluster.OwnsSelf(hash) {
-		s.cluster.OfferTrace(r.Context(), hash, body)
 	}
 	return writeJSON(w, api.TraceIngestResponse{TraceSHA256: hash, Branches: len(branches)})
 }
@@ -53,5 +47,12 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
 	if !ok {
 		return apiErrorf(http.StatusNotFound, api.CodeNoSuchTrace, "no pooled trace %s", hash)
 	}
-	return writeTraceBytes(w, branches)
+	data, err := trace.EncodeColumnar(branches)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, err = w.Write(data)
+	return err
 }
