@@ -18,15 +18,15 @@
 # runs the compiled kernel vs interface comparison BENCHCOUNT times and
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
 # serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
-# BENCH_sim.json, then the trace codec
-# comparison (varint vs columnar vs mmap) into BENCH_trace.json, then
+# BENCH_sim.json, then the trace codec (mmap columnar decode, columnar
+# encode, content hash) into BENCH_trace.json, then
 # a predload zipfian sweep against an in-process server into
 # BENCH_serve.json (latency quantiles + cache-hit curve, guarded by
 # bench_guard_test.go); `make bench-all` runs the full benchmark suite
-# without snapshotting. `make trace-smoke` round-trips both trace
-# formats through tracegen and predsim and exercises the server-side
-# trace pool. `make algo-smoke` does the same for a recorded
-# real-algorithm workload, including a live server's hash-addressed
+# without snapshotting. `make trace-smoke` replays the committed legacy
+# varint fixture and tracegen's columnar files through predsim.
+# `make algo-smoke` does the same for a recorded real-algorithm
+# workload, including a live server's trace pool and hash-addressed
 # sweeps.
 
 GO ?= go
@@ -92,7 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWalkerCompiled -fuzztime=$(FUZZTIME) ./internal/cfg
 
 bench:
-	$(GO) test -bench='Kernel|TraceDecode' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \
+	$(GO) test -bench='Kernel' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 	@cat BENCH_kernel.json
 	$(GO) test -bench='^BenchmarkSim' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \
@@ -128,14 +128,15 @@ obs-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Trace-format smoke: tracegen writes the same workload in both
-# formats, predsim must produce byte-identical stdout from each, and
-# the mmap path must agree with the streaming path.
+# Trace-format smoke: tracegen's columnar writer must be deterministic
+# and match a pinned SHA-256, and predsim must produce byte-identical
+# stdout from the generator, a columnar file and the committed legacy
+# varint fixture of the same workload.
 trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Recorded-algorithm smoke: one instrumented recording must replay
-# byte-identically from re-recording, varint and columnar through
+# byte-identically from re-recording and its columnar file through
 # predsim, and a live predserved must ingest it and serve the
 # hash-addressed sweep byte-identical cold vs cached and equal to the
 # bench-addressed sweep.

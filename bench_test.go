@@ -12,7 +12,6 @@
 package gskew_test
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"io"
@@ -703,111 +702,41 @@ func BenchmarkSimBitsliced(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecode compares the per-record and block binary
-// decoders; ns/op is per decoded record.
-func BenchmarkTraceDecode(b *testing.B) {
-	branches := kernelBenchTrace(b)
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, br := range branches {
-		if err := w.Write(br); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-
-	b.Run("next", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			r, err := trace.NewReader(bytes.NewReader(enc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for done < b.N {
-				if _, err := r.Next(); err != nil {
-					if errors.Is(err, io.EOF) {
-						break
-					}
-					b.Fatal(err)
-				}
-				done++
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		dst := make([]trace.Branch, 4096)
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			r, err := trace.NewReader(bytes.NewReader(enc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for done < b.N {
-				n, err := r.NextBatch(dst)
-				done += n
-				if err != nil {
-					if errors.Is(err, io.EOF) {
-						break
-					}
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkTraceCodec compares the trace codecs and readers end to
-// end; ns/op is per decoded record. `make bench` snapshots this family
-// (the ^BenchmarkTrace pattern) into BENCH_trace.json, and
-// bench_guard_test.go holds the columnar block decoder to beating the
-// varint decoder and the mmap batch path to zero allocations.
+// BenchmarkTraceCodec times the trace codec end to end; ns/op is per
+// record. `make bench` snapshots this family (the ^BenchmarkTraceCodec
+// pattern) into BENCH_trace.json, and bench_guard_test.go holds the
+// mmap batch path and the writer to zero allocations.
 //
-//   - varint-batch / columnar-batch: NextBatch through a streaming
-//     reader over an in-memory buffer (bufio-equivalent byte source)
-//   - columnar-next: the per-record path over the same stream
-//   - mmap-varint / mmap-columnar: NextBatch through the zero-copy
-//     mapped reader over a real file
+//   - mmap-columnar: NextBatch through the zero-copy mapped reader over
+//     a real columnar file (predsim -trace's path); ns/op is per
+//     decoded record
 //   - encode-columnar: Write through one reused ColumnarWriter into
 //     io.Discard (the tracegen and trace-file path); ns/op is per
 //     encoded record
 //   - hash: HashBranches over the trace; ns/op is per hashed record
 func BenchmarkTraceCodec(b *testing.B) {
 	branches := simBenchTrace(b)
-	varint := encodeBench(b, branches, false)
-	columnar := encodeBench(b, branches, true)
-	dir := b.TempDir()
-	paths := map[string]string{}
-	for name, enc := range map[string][]byte{"v.trace": varint, "v.ctrace": columnar} {
-		p := dir + "/" + name
-		if err := os.WriteFile(p, enc, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		paths[name] = p
+	columnar, err := trace.EncodeColumnar(branches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/v.ctrace"
+	if err := os.WriteFile(path, columnar, 0o644); err != nil {
+		b.Fatal(err)
 	}
 
-	type batchSource interface {
-		NextBatch([]trace.Branch) (int, error)
-	}
-	drain := func(b *testing.B, open func() (batchSource, func(), error)) {
+	b.Run("mmap-columnar", func(b *testing.B) {
 		dst := make([]trace.Branch, 4096)
 		b.ReportAllocs()
 		b.ResetTimer()
 		done := 0
 		for done < b.N {
-			r, closer, err := open()
+			m, err := trace.MapFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for done < b.N {
-				n, err := r.NextBatch(dst)
+				n, err := m.NextBatch(dst)
 				done += n
 				if err != nil {
 					if errors.Is(err, io.EOF) {
@@ -816,58 +745,8 @@ func BenchmarkTraceCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			closer()
+			m.Close()
 		}
-	}
-
-	b.Run("varint-batch", func(b *testing.B) {
-		drain(b, func() (batchSource, func(), error) {
-			r, err := trace.NewReader(bytes.NewReader(varint))
-			return r, func() {}, err
-		})
-	})
-	b.Run("columnar-batch", func(b *testing.B) {
-		drain(b, func() (batchSource, func(), error) {
-			r, err := trace.NewColumnarReader(bytes.NewReader(columnar))
-			return r, func() {}, err
-		})
-	})
-	b.Run("columnar-next", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			r, err := trace.NewColumnarReader(bytes.NewReader(columnar))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for done < b.N {
-				if _, err := r.Next(); err != nil {
-					if errors.Is(err, io.EOF) {
-						break
-					}
-					b.Fatal(err)
-				}
-				done++
-			}
-		}
-	})
-	b.Run("mmap-varint", func(b *testing.B) {
-		drain(b, func() (batchSource, func(), error) {
-			m, err := trace.MapFile(paths["v.trace"])
-			if err != nil {
-				return nil, nil, err
-			}
-			return m, func() { m.Close() }, nil
-		})
-	})
-	b.Run("mmap-columnar", func(b *testing.B) {
-		drain(b, func() (batchSource, func(), error) {
-			m, err := trace.MapFile(paths["v.ctrace"])
-			if err != nil {
-				return nil, nil, err
-			}
-			return m, func() { m.Close() }, nil
-		})
 	})
 	b.Run("encode-columnar", func(b *testing.B) {
 		w, err := trace.NewColumnarWriter(io.Discard)
@@ -902,29 +781,3 @@ func BenchmarkTraceCodec(b *testing.B) {
 // hashSink keeps BenchmarkTraceCodec's hash arm from being optimised
 // away.
 var hashSink string
-
-// encodeBench serialises branches through one of the binary writers.
-func encodeBench(b *testing.B, branches []trace.Branch, columnar bool) []byte {
-	b.Helper()
-	if columnar {
-		enc, err := trace.EncodeColumnar(branches)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return enc
-	}
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, br := range branches {
-		if err := w.Write(br); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}

@@ -7,7 +7,7 @@
 //
 //	aliasing -bench groff -fn gshare -entries 4096 -hist 4
 //	aliasing -bench gs -fn gselect -entries 65536 -hist 12
-//	aliasing -trace t.bin -fn bimodal -entries 1024
+//	aliasing -trace t.ctrace -fn bimodal -entries 1024
 //
 // -intervals N additionally emits the classification as a curve —
 // per-interval total, compulsory, capacity and conflict aliasing —
@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("aliasing", stderr)
 	var (
 		benchName = fs.String("bench", "", "benchmark workload name")
-		traceFile = fs.String("trace", "", "binary trace file (alternative to -bench)")
+		traceFile = fs.String("trace", "", "binary trace file, columnar or legacy varint (alternative to -bench)")
 		scale     = fs.Float64("scale", 0, "workload scale (default 0.1)")
 		fnName    = fs.String("fn", "gshare", "index function: gshare, gselect, bimodal")
 		entries   = fs.Int("entries", 4096, "table entries (rounded up to a power of two)")
@@ -68,16 +68,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var src trace.Source
 	switch {
 	case *traceFile != "":
-		f, err := os.Open(*traceFile)
+		m, err := trace.MapFile(*traceFile)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return err
-		}
-		src = r
+		defer m.Close()
+		src = m
 	case *benchName != "":
 		spec, err := workload.ByName(*benchName)
 		if err != nil {

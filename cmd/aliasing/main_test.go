@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"gskew/internal/cli"
+	"gskew/internal/trace"
+	"gskew/internal/workload"
 )
 
 func runAliasing(t *testing.T, args ...string) (string, error) {
@@ -57,5 +61,41 @@ func TestOutputStableOnFixedSeed(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("output not byte-stable:\n%q\nvs\n%q", a, b)
+	}
+}
+
+// TestTraceFileMatchesBench: the three-Cs report over a trace file is
+// the report over the generated workload, whichever binary format the
+// file is in — the committed legacy varint fixture (verilog at scale
+// 0.01) or a columnar file of the same workload.
+func TestTraceFileMatchesBench(t *testing.T) {
+	branches, err := workload.MaterializeAny("verilog", workload.Config{Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnar, err := trace.EncodeColumnar(branches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnarPath := filepath.Join(t.TempDir(), "verilog-0.01.ctrace")
+	if err := os.WriteFile(columnarPath, columnar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-fn", "gshare", "-entries", "1024", "-hist", "4"}
+	want, err := runAliasing(t, append([]string{"-bench", "verilog", "-scale", "0.01"}, common...)...)
+	if err != nil {
+		t.Fatalf("-bench: %v", err)
+	}
+	for name, path := range map[string]string{
+		"legacy varint": "../../internal/trace/testdata/verilog-0.01.trace",
+		"columnar":      columnarPath,
+	} {
+		got, err := runAliasing(t, append([]string{"-trace", path}, common...)...)
+		if err != nil {
+			t.Fatalf("%s -trace: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s -trace output differs from -bench:\n%s\nvs\n%s", name, got, want)
+		}
 	}
 }

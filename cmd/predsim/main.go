@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("predsim", stderr)
 	var (
 		benchName = fs.String("bench", "", "workload name ("+joinNames()+") or an algo:... spec (see tracegen -list)")
-		traceFile = fs.String("trace", "", "binary trace file, varint or columnar (alternative to -bench)")
+		traceFile = fs.String("trace", "", "binary trace file, columnar or legacy varint (alternative to -bench)")
 		scale     = fs.Float64("scale", 0, "workload scale (default 0.1)")
 		seed      = fs.Uint64("seed", 0, "workload seed offset")
 		pred      = fs.String("pred", "gshare", "predictor family (bimodal, gshare, gselect, gskewed, egskew, 2bcgskew, agree, bimode, pas, skewed-pas, hybrid, unaliased, assoc-lru) or a spec string like gshare:n=14,k=12,ctr=2")
@@ -81,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var src trace.Source
 	switch {
 	case *traceFile != "":
-		// Zero-copy mapped reader; sniffs the varint or columnar magic,
-		// so either tracegen format works without a flag.
+		// Zero-copy mapped reader; sniffs the columnar or legacy varint
+		// magic, so old varint files work without a flag.
 		m, err := trace.MapFile(*traceFile)
 		if err != nil {
 			return err

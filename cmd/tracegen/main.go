@@ -1,5 +1,6 @@
 // Command tracegen materialises a benchmark workload into a trace
-// file, in the binary format (default) or the debug text format.
+// file, in the block-columnar binary format (default) or the debug
+// text format.
 //
 // -bench accepts a synthetic benchmark name or a recorded-algorithm
 // spec ("algo:name,key=value,..."); -list prints every registered
@@ -8,10 +9,9 @@
 // Examples:
 //
 //	tracegen -list
-//	tracegen -bench groff -o groff.trace
-//	tracegen -bench gs -scale 1.0 -o gs-full.trace
-//	tracegen -bench groff -format columnar -o groff.ctrace
-//	tracegen -bench algo:kmp,n=300000,m=8 -format columnar -o kmp.ctrace
+//	tracegen -bench groff -o groff.ctrace
+//	tracegen -bench gs -scale 1.0 -o gs-full.ctrace
+//	tracegen -bench algo:kmp,n=300000,m=8 -o kmp.ctrace
 //	tracegen -bench verilog -format text -o verilog.txt
 //	tracegen -bench nroff -stats
 package main
@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scale     = fs.Float64("scale", 0, "workload scale (default 0.1; 1.0 = paper-length; synthetic benchmarks only)")
 		seed      = fs.Uint64("seed", 0, "workload seed offset")
 		out       = fs.String("o", "", "output file (default stdout)")
-		format    = fs.String("format", "binary", "output format: binary (varint), columnar or text")
+		format    = fs.String("format", "columnar", "output format: columnar (binary) or text")
 		statsOnly = fs.Bool("stats", false, "print trace statistics instead of writing a trace")
 		list      = fs.Bool("list", false, "list all registered workload families and exit")
 	)
@@ -88,16 +88,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	switch *format {
-	case "binary", "columnar":
-		var bw interface {
-			Write(trace.Branch) error
-			Flush() error
-		}
-		if *format == "columnar" {
-			bw, err = trace.NewColumnarWriter(w)
-		} else {
-			bw, err = trace.NewWriter(w)
-		}
+	case "columnar":
+		bw, err := trace.NewColumnarWriter(w)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"gskew/internal/cli"
 	"gskew/internal/trace"
+	"gskew/internal/workload"
 )
 
 func runTracegen(t *testing.T, args ...string) (string, string, error) {
@@ -27,11 +28,15 @@ func TestMissingBenchIsUsageError(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatIsUsageError: any format but columnar and text is a
+// usage error, the retired varint "binary" among them.
 func TestUnknownFormatIsUsageError(t *testing.T) {
-	_, _, err := runTracegen(t, "-bench", "verilog", "-scale", "0.001", "-format", "yaml")
-	var usage *cli.UsageError
-	if !errors.As(err, &usage) {
-		t.Fatalf("unknown format: got %v, want UsageError", err)
+	for _, format := range []string{"yaml", "binary"} {
+		_, _, err := runTracegen(t, "-bench", "verilog", "-scale", "0.001", "-format", format)
+		var usage *cli.UsageError
+		if !errors.As(err, &usage) {
+			t.Fatalf("format %q: got %v, want UsageError", format, err)
+		}
 	}
 }
 
@@ -47,6 +52,8 @@ func TestStatsMode(t *testing.T) {
 	}
 }
 
+// TestBinaryToStdoutRoundTrips: the default output is a columnar trace
+// that decodes to exactly the generated workload.
 func TestBinaryToStdoutRoundTrips(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-bench", "verilog", "-scale", "0.001"}, &stdout, &stderr); err != nil {
@@ -55,19 +62,19 @@ func TestBinaryToStdoutRoundTrips(t *testing.T) {
 	if !strings.Contains(stderr.String(), "wrote") {
 		t.Errorf("event count missing from stderr: %q", stderr.String())
 	}
-	r, err := trace.NewReader(bytes.NewReader(stdout.Bytes()))
+	if !trace.IsColumnar(stdout.Bytes()) {
+		t.Fatal("stdout does not open with the columnar header")
+	}
+	got, err := trace.DecodeBytes(stdout.Bytes())
 	if err != nil {
 		t.Fatalf("stdout is not a binary trace: %v", err)
 	}
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			break
-		}
-		n++
+	want, err := workload.MaterializeAny("verilog", workload.Config{Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Error("binary trace on stdout decoded to zero records")
+	if len(got) == 0 || trace.HashBranches(got) != trace.HashBranches(want) {
+		t.Errorf("stdout decodes to %d records, want the %d generated ones", len(got), len(want))
 	}
 }
 

@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("verify", stderr)
 	var (
 		sweep    = fs.Bool("sweep", false, "verify every cell of the default sweep")
-		codec    = fs.Bool("codec", false, "verify the trace codecs: every sweep cell replayed from varint, columnar and mmap sources")
+		codec    = fs.Bool("codec", false, "verify the trace codec: every sweep cell encoded columnar and replayed through DecodeBytes and MapFile")
 		cellName = fs.String("cell", "", "verify a single cell by name (see -list)")
 		selftest = fs.Bool("selftest", false, "inject deliberate faults and require the harness to catch and shrink them")
 		list     = fs.Bool("list", false, "list the sweep cells and exit")
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "codec arm ok: %d cells replayed from varint, columnar and mmap sources, %d records checked, 0 divergences\n",
+		fmt.Fprintf(stdout, "codec arm ok: %d cells replayed from in-memory and mmap columnar sources, %d records checked, 0 divergences\n",
 			len(cells), records)
 		return nil
 

@@ -80,9 +80,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// Base returns the node base URL the client was built with.
-func (c *Client) Base() string { return c.base }
-
 // CacheStats is the parsed X-Cache response header of a sweep: how
 // many of the request's cells were served from the store versus
 // simulated on this request.
@@ -236,8 +233,8 @@ func (c *Client) EndSession(ctx context.Context, session string) (*api.SessionEn
 	return &resp, nil
 }
 
-// IngestTrace pools a raw binary trace (varint or columnar
-// serialisation) and returns its content hash.
+// IngestTrace pools a raw binary trace (columnar, or legacy varint)
+// and returns its content hash.
 func (c *Client) IngestTrace(ctx context.Context, raw []byte) (*api.TraceIngestResponse, error) {
 	var resp api.TraceIngestResponse
 	if _, err := c.roundTrip(ctx, http.MethodPost, "/v1/traces", "application/octet-stream", raw, &resp); err != nil {

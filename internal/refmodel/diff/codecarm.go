@@ -11,40 +11,30 @@ import (
 	"gskew/internal/trace"
 )
 
-// The codec arm of the sweep. The trace codecs sit upstream of every
+// The codec arm of the sweep. The trace codec sits upstream of every
 // simulation, so a silent decode fault (a bitpack width off by one, a
 // delta chain broken across blocks) corrupts every result while each
 // individual run still looks plausible. The check is differential in
 // the same spirit as the predictor arms: for every sweep cell, the
-// cell's generated trace is serialised through the varint codec, the
-// block-columnar codec, and a columnar file replayed through the mmap
-// reader, and each decode must reproduce the generator's records
-// exactly (and the same canonical content hash) AND drive the cell's
-// implementation to a bit-identical simulation Result.
+// cell's generated trace is written by the block-columnar encoder and
+// read back through both entry points of the one decoder — DecodeBytes
+// over the in-memory stream and MapFile over a file — and each decode
+// must reproduce the generator's records exactly (and the same
+// canonical content hash) AND drive the cell's implementation to a
+// bit-identical simulation Result.
 
 // codecDecode names one decode path of the codec arm.
 type codecDecode struct {
 	name   string
-	decode func(dir string, varint, columnar []byte) ([]trace.Branch, error)
+	decode func(dir string, columnar []byte) ([]trace.Branch, error)
 }
 
 func codecDecodes() []codecDecode {
 	return []codecDecode{
-		{"varint", func(_ string, varint, _ []byte) ([]trace.Branch, error) {
-			r, err := trace.NewReader(bytes.NewReader(varint))
-			if err != nil {
-				return nil, err
-			}
-			return trace.Collect(r)
+		{"bytes", func(_ string, columnar []byte) ([]trace.Branch, error) {
+			return trace.DecodeBytes(columnar)
 		}},
-		{"columnar", func(_ string, _, columnar []byte) ([]trace.Branch, error) {
-			r, err := trace.NewColumnarReader(bytes.NewReader(columnar))
-			if err != nil {
-				return nil, err
-			}
-			return trace.Collect(r)
-		}},
-		{"mmap", func(dir string, _, columnar []byte) ([]trace.Branch, error) {
+		{"mmap", func(dir string, columnar []byte) ([]trace.Branch, error) {
 			path := filepath.Join(dir, "codec-arm.ctrace")
 			if err := os.WriteFile(path, columnar, 0o644); err != nil {
 				return nil, err
@@ -59,26 +49,8 @@ func codecDecodes() []codecDecode {
 	}
 }
 
-// encodeVarint serialises a trace through the varint writer.
-func encodeVarint(branches []trace.Branch) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	for i := range branches {
-		if err := w.Write(branches[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // VerifyCodecs runs the codec arm over every cell: each cell's trace
-// is decoded through all three paths and each decode must match the
+// is decoded through both paths and each decode must match the
 // generated records, their content hash, and the simulation Result the
 // original trace produces on the cell's implementation. Returns the
 // total record count checked (summed over decode paths); any mismatch
@@ -98,10 +70,6 @@ func VerifyCodecs(cells []Cell, branches int, seed uint64, log io.Writer) (int, 
 			return records, fmt.Errorf("diff: generating trace for %s (seed %d): %w", c, cellSeed, err)
 		}
 		wantHash := trace.HashBranches(tr)
-		varint, err := encodeVarint(tr)
-		if err != nil {
-			return records, fmt.Errorf("diff: codec arm %s: varint encode: %w", c, err)
-		}
 		columnar, err := trace.EncodeColumnar(tr)
 		if err != nil {
 			return records, fmt.Errorf("diff: codec arm %s: columnar encode: %w", c, err)
@@ -115,7 +83,7 @@ func VerifyCodecs(cells []Cell, branches int, seed uint64, log io.Writer) (int, 
 			return records, fmt.Errorf("diff: codec arm %s: reference run: %w", c, err)
 		}
 		for _, d := range codecDecodes() {
-			got, err := d.decode(dir, varint, columnar)
+			got, err := d.decode(dir, columnar)
 			if err != nil {
 				return records, fmt.Errorf("diff: codec arm %s/%s: decode: %w", c, d.name, err)
 			}
@@ -148,7 +116,7 @@ func VerifyCodecs(cells []Cell, branches int, seed uint64, log io.Writer) (int, 
 			records += len(got)
 		}
 		if log != nil {
-			fmt.Fprintf(log, "%-28s seed=%-6d records=%-8d ok (varint, columnar, mmap)\n",
+			fmt.Fprintf(log, "%-28s seed=%-6d records=%-8d ok (bytes, mmap)\n",
 				c, cellSeed, len(tr))
 		}
 	}

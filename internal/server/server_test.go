@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -200,27 +199,9 @@ func TestSimulateOptionsParticipateInKeys(t *testing.T) {
 
 func TestSimulateUploadedTrace(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	// Encode a small trace in the binary format.
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	branches := make([]trace.Branch, 0, 600)
-	for i := 0; i < 300; i++ {
-		branches = append(branches,
-			trace.Branch{PC: 0x100 + uint64(i%7)*4, Taken: i%3 != 0, Kind: trace.Conditional},
-			trace.Branch{PC: 0x500, Taken: true, Kind: trace.Unconditional})
-	}
-	for _, b := range branches {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	body := fmt.Sprintf(`{"specs":["gshare:n=6,k=4"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(buf.Bytes()))
+	// Upload the legacy varint fixture inline.
+	legacy, branches := legacyTrace(t)
+	body := fmt.Sprintf(`{"specs":["gshare:n=6,k=4"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(legacy))
 	status, out, _ := postJSON(t, ts.URL+"/v1/simulate", body)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, out)

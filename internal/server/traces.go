@@ -12,11 +12,12 @@ import (
 
 // Trace ingest and retrieval: the HTTP face of the content-addressed
 // trace segment pool. POST /v1/traces accepts a raw binary trace body
-// (either the varint or the block-columnar codec, sniffed from the
-// magic) and pools it under its canonical content hash; the response
-// carries only the hash and record count, so re-ingesting the same
-// trace — in either serialisation — returns a byte-identical response
-// and stores nothing new. GET /v1/traces/{hash} serves the pooled
+// (block-columnar, or the legacy varint format that nothing writes any
+// more, sniffed from the magic by trace.DecodeBytes) and pools it under
+// its canonical content hash; the response carries only the hash and
+// record count, so re-ingesting the same trace — in either
+// serialisation — returns a byte-identical response and stores nothing
+// new. GET /v1/traces/{hash} serves the pooled
 // segment back, always re-encoded in the columnar format (canonical
 // bytes for a given branch sequence, so repeated GETs are
 // byte-identical too). A pooled hash can then address simulations

@@ -29,23 +29,20 @@ func testTrace(n int) []trace.Branch {
 	return branches
 }
 
-// encodeVarintTest serialises branches through the varint writer.
-func encodeVarintTest(t *testing.T, branches []trace.Branch) []byte {
+// legacyTrace returns the committed legacy varint trace (verilog at
+// scale 0.01, written before columnar became the only write format)
+// and the records the generator produces for that workload.
+func legacyTrace(t *testing.T) ([]byte, []trace.Branch) {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	data, err := os.ReadFile("../trace/testdata/verilog-0.01.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range branches {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	branches, err := workload.MaterializeAny("verilog", workload.Config{Scale: 0.01})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data, branches
 }
 
 // postRaw uploads arbitrary bytes through the typed client's raw
@@ -74,11 +71,11 @@ func getRaw(t *testing.T, rawURL string) (int, []byte, http.Header) {
 
 func TestTraceIngestAndGet(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	branches := testTrace(400)
+	legacy, branches := legacyTrace(t)
 	wantHash := trace.HashBranches(branches)
 
-	// Ingest the varint serialisation.
-	status, body1 := postRaw(t, ts.URL+"/v1/traces", encodeVarintTest(t, branches))
+	// Ingest the legacy varint serialisation.
+	status, body1 := postRaw(t, ts.URL+"/v1/traces", legacy)
 	if status != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", status, body1)
 	}
@@ -130,10 +127,11 @@ func TestTraceIngestAndGet(t *testing.T) {
 
 func TestTraceIngestRejectsGarbage(t *testing.T) {
 	ts := newTestServer(t, Config{})
+	legacy, _ := legacyTrace(t)
 	for name, body := range map[string][]byte{
 		"empty":      nil,
 		"not magic":  []byte("hello, world"),
-		"truncated":  encodeVarintTest(t, testTrace(300))[:7],
+		"truncated":  legacy[:7],
 		"bad crc":    flipLastByte(t, testTrace(300)),
 		"text trace": []byte("C 0x400 T\n"),
 	} {
@@ -177,8 +175,7 @@ func TestTraceGetMisses(t *testing.T) {
 // inlining the same trace as trace_b64.
 func TestSimulateByHashMatchesInline(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	branches := testTrace(500)
-	enc := encodeVarintTest(t, branches)
+	enc, branches := legacyTrace(t)
 
 	inlineBody := fmt.Sprintf(`{"specs":["gshare:n=7,k=5"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(enc))
 	status, inline, _ := postJSON(t, ts.URL+"/v1/simulate", inlineBody)
@@ -318,11 +315,11 @@ func TestTracePoolDiskSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := newTestServer(t, Config{Pool: pool1})
-	branches := testTrace(350)
+	legacy, branches := legacyTrace(t)
 	hash := trace.HashBranches(branches)
 
 	for i := 0; i < 3; i++ {
-		if status, out := postRaw(t, ts1.URL+"/v1/traces", encodeVarintTest(t, branches)); status != http.StatusOK {
+		if status, out := postRaw(t, ts1.URL+"/v1/traces", legacy); status != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %s", i, status, out)
 		}
 	}
@@ -404,10 +401,10 @@ func TestBenchWorkloadsArePooled(t *testing.T) {
 }
 
 // TestTraceIngestBlobs: a columnar ingest is pooled as the uploaded
-// bytes themselves (no re-encode), while a varint ingest is encoded
-// into a columnar blob of the same content. GET serves the canonical
-// encoding either way, even when the uploaded columnar stream is laid
-// out in short blocks and so differs from it.
+// bytes themselves (no re-encode), while a legacy varint ingest is
+// encoded into a columnar blob of the same content. GET serves the
+// canonical encoding either way, even when the uploaded columnar
+// stream is laid out in short blocks and so differs from it.
 func TestTraceIngestBlobs(t *testing.T) {
 	dir := t.TempDir()
 	pool, err := tracepool.Open(4, dir)
@@ -476,10 +473,10 @@ func TestTraceIngestBlobs(t *testing.T) {
 		t.Error("GET of a short-block ingest is not the canonical columnar encoding")
 	}
 
-	// Varint body: the blob is a fresh columnar encoding of the same
-	// content.
-	other := testTrace(900)
-	hash = ingest(encodeVarintTest(t, other))
+	// Legacy varint body: the blob is a fresh columnar encoding of the
+	// same content.
+	legacy, other := legacyTrace(t)
+	hash = ingest(legacy)
 	got, err := trace.DecodeBytes(blob(hash))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,26 +57,13 @@ func (p plainSource) Next() (trace.Branch, error) { return p.s.Next() }
 
 // specSources returns, per source kind, a constructor of a fresh
 // source over branches: the materialised slice, a plain non-batch
-// Source, the varint and columnar stream readers, and a memory-mapped
-// columnar file. Each constructor also returns a close function.
+// Source, and a memory-mapped columnar file. Each constructor also
+// returns a close function.
 func specSources(t *testing.T, branches []trace.Branch) []struct {
 	name string
 	open func() (trace.Source, func())
 } {
 	t.Helper()
-	var varint bytes.Buffer
-	w, err := trace.NewWriter(&varint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range branches {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	columnar, err := trace.EncodeColumnar(branches)
 	if err != nil {
 		t.Fatal(err)
@@ -93,20 +79,6 @@ func specSources(t *testing.T, branches []trace.Branch) []struct {
 	}{
 		{"slice", func() (trace.Source, func()) { return trace.NewSliceSource(branches), nop }},
 		{"plain", func() (trace.Source, func()) { return plainSource{trace.NewSliceSource(branches)}, nop }},
-		{"varint", func() (trace.Source, func()) {
-			r, err := trace.NewReader(bytes.NewReader(varint.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r, nop
-		}},
-		{"columnar", func() (trace.Source, func()) {
-			r, err := trace.NewColumnarReader(bytes.NewReader(columnar))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r, nop
-		}},
 		{"mapfile", func() (trace.Source, func()) {
 			m, err := trace.MapFile(path)
 			if err != nil {
@@ -238,6 +210,36 @@ func TestRunMatchesSpecReplay(t *testing.T) {
 								src.name, segments, flush, cases[i].name, r, ref)
 						}
 					}
+				}
+			}
+		}
+	})
+
+	// A legacy varint file (the committed fixture: verilog at scale
+	// 0.01) replays through MapFile to the spec replay of the generated
+	// workload, serial and automatic, in one RunMany.
+	t.Run("legacy-varint", func(t *testing.T) {
+		generated, err := workload.MaterializeAny("verilog", workload.Config{Scale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, segments := range []int{1, 0} {
+			preds := make([]predictor.Predictor, len(cases))
+			for i, c := range cases {
+				preds[i] = c.impl()
+			}
+			m, err := trace.MapFile("../trace/testdata/verilog-0.01.trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.RunMany(m, preds, sim.Options{Segments: segments})
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range got {
+				if ref := specReplay(generated, cases[i].ref, 0); r != ref {
+					t.Errorf("segments=%d %s: runner %+v, spec %+v", segments, cases[i].name, r, ref)
 				}
 			}
 		}

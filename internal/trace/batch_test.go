@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -41,32 +40,25 @@ func TestSliceSourceNextBatch(t *testing.T) {
 	}
 }
 
-// TestReaderNextBatchMatchesNext: the block decoder must yield exactly
-// the record sequence of the byte-wise path, across window sizes that
-// force varints to straddle the bufio boundary.
+// TestReaderNextBatchMatchesNext: Mapped's legacy varint arm must yield
+// exactly the encoded record sequence through per-record Next and
+// through NextBatch at every window size.
 func TestReaderNextBatchMatchesNext(t *testing.T) {
 	in := randomTrace(22, 20000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	enc := referenceEncodeVarint(in)
+
+	m, err := newMapped(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
+	requireEqual(t, decodeNext(t, m), in)
 
 	for _, window := range []int{1, 2, 63, 4096} {
-		r, err := NewReader(bytes.NewReader(enc))
+		m, err := newMapped(enc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectBatched(t, r, window)
+		got := collectBatched(t, m, window)
 		if len(got) != len(in) {
 			t.Fatalf("window %d: got %d records, want %d", window, len(got), len(in))
 		}
@@ -79,18 +71,10 @@ func TestReaderNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestReaderNextBatchInterleaved: mixing Next and NextBatch calls on
-// one reader must keep the delta chain intact.
+// one Mapped must keep the varint delta chain intact.
 func TestReaderNextBatchInterleaved(t *testing.T) {
 	in := randomTrace(23, 5000)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	r, err := NewReader(&buf)
+	r, err := newMapped(referenceEncodeVarint(in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +131,12 @@ func TestReadBatchFallback(t *testing.T) {
 	}
 }
 
-// TestNextBatchZeroAllocs: block decoding into a reused buffer must
-// not allocate per call.
+// TestNextBatchZeroAllocs: batch decoding into a reused buffer must
+// not allocate per call, for an in-memory legacy varint stream (the
+// decoder behind DecodeBytes) and for a SliceSource.
 func TestNextBatchZeroAllocs(t *testing.T) {
 	in := randomTrace(25, 300000)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	enc := buf.Bytes()
-
-	r, err := NewReader(bytes.NewReader(enc))
+	r, err := newMapped(referenceEncodeVarint(in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +147,7 @@ func TestNextBatchZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Reader.NextBatch allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("Mapped.NextBatch (varint) allocates %.1f objects per call, want 0", allocs)
 	}
 
 	s := NewSliceSource(in)

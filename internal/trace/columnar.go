@@ -15,9 +15,7 @@ import (
 
 // Block-columnar format
 //
-// The varint codec above pays a data-dependent decode per record, which
-// at ~5 ns/record dominates cold sweeps now that the simulation kernels
-// run at sub-nanosecond per branch. The columnar format trades a little
+// The only binary format the package writes. It trades a little
 // writer effort for a straight-line block decoder: records are grouped
 // into fixed-size blocks and each block stores its three fields as
 // separate streams, each compressed by the structure branch traces
@@ -46,8 +44,8 @@ import (
 // data-dependent varint decode, so within that margin the dictionary
 // wins on decode cost at near-equal density. Adversarial blocks (mostly
 // distinct, closely spaced PCs, where the dictionary would nearly
-// double the block) still degrade to roughly the varint codec's
-// density, never worse.
+// double the block) still degrade to roughly the legacy varint
+// format's density, never worse.
 //
 // Direction bitvector: ceil(count/64) little-endian u64 words, bit
 // (i mod 64) of word (i div 64) holding record i's Taken.
@@ -114,7 +112,7 @@ func IsColumnar(data []byte) bool {
 // all corruption uniformly with errors.Is.
 var ErrCorrupt = errors.New("trace: corrupt columnar data")
 
-// castagnoli is the CRC-32C table shared by writer and readers.
+// castagnoli is the CRC-32C table shared by the writer and Mapped.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func corruptf(format string, args ...any) error {
@@ -702,115 +700,6 @@ func decodeKinds(payload []byte, pos, count int, kinds []uint64) (int, error) {
 		carry = uint64(int64(x) >> 63)
 	}
 	return pos, nil
-}
-
-// ColumnarReader decodes a columnar stream from an io.Reader. It
-// implements Source and BatchSource; after the constructor, a NextBatch
-// whose dst holds a whole block decodes with no allocation.
-type ColumnarReader struct {
-	r                  *bufio.Reader
-	payload            []byte
-	dict               []uint64
-	kinds              []uint64
-	stage              []Branch // decoded block for Next and short NextBatch calls
-	stagePos, stageLen int
-}
-
-// NewColumnarReader validates the file header and returns a reader.
-func NewColumnarReader(r io.Reader) (*ColumnarReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading columnar header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != magicColumnar {
-		return nil, fmt.Errorf("trace: bad columnar magic %q", hdr[:4])
-	}
-	if hdr[4] != columnarVersion {
-		return nil, fmt.Errorf("trace: unsupported columnar version %d", hdr[4])
-	}
-	return &ColumnarReader{
-		r:       br,
-		payload: make([]byte, 0, maxColumnarPayload),
-		dict:    make([]uint64, ColumnarBlockSize),
-		kinds:   make([]uint64, ColumnarBlockSize/64),
-	}, nil
-}
-
-// readBlock reads and verifies the next block, decoding it into dst
-// (len(dst) >= the block's count). Returns the record count, io.EOF at
-// a clean end of stream, or an error wrapping ErrCorrupt.
-func (r *ColumnarReader) readBlock(dst []Branch) (int, error) {
-	var hdr [columnarBlockHeaderSize]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, io.EOF
-		}
-		return 0, corruptf("truncated block header: %v", err)
-	}
-	h, err := parseColumnarBlockHeader(hdr[:])
-	if err != nil {
-		return 0, err
-	}
-	r.payload = r.payload[:h.plen]
-	if _, err := io.ReadFull(r.r, r.payload); err != nil {
-		return 0, corruptf("truncated block payload: %v", err)
-	}
-	if crc := crc32.Checksum(r.payload, castagnoli); crc != h.crc {
-		return 0, corruptf("block checksum mismatch (stored %08x, computed %08x)", h.crc, crc)
-	}
-	if err := decodeColumnarBlock(r.payload, h, dst, r.dict, r.kinds); err != nil {
-		return 0, err
-	}
-	return h.count, nil
-}
-
-// NextBatch implements BatchSource. Each call delivers at most one
-// block; a dst of ColumnarBlockSize records always decodes directly
-// into the caller's batch.
-func (r *ColumnarReader) NextBatch(dst []Branch) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if r.stagePos < r.stageLen {
-		n := copy(dst, r.stage[r.stagePos:r.stageLen])
-		r.stagePos += n
-		return n, nil
-	}
-	if len(dst) >= ColumnarBlockSize {
-		return r.readBlock(dst)
-	}
-	if err := r.restage(); err != nil {
-		return 0, err
-	}
-	n := copy(dst, r.stage[:r.stageLen])
-	r.stagePos = n
-	return n, nil
-}
-
-// restage decodes the next block into the staging buffer.
-func (r *ColumnarReader) restage() error {
-	if r.stage == nil {
-		r.stage = make([]Branch, ColumnarBlockSize)
-	}
-	n, err := r.readBlock(r.stage)
-	if err != nil {
-		return err
-	}
-	r.stagePos, r.stageLen = 0, n
-	return nil
-}
-
-// Next implements Source.
-func (r *ColumnarReader) Next() (Branch, error) {
-	if r.stagePos >= r.stageLen {
-		if err := r.restage(); err != nil {
-			return Branch{}, err
-		}
-	}
-	b := r.stage[r.stagePos]
-	r.stagePos++
-	return b, nil
 }
 
 // EncodeColumnar renders branches as one in-memory columnar stream,

@@ -28,9 +28,9 @@ func genBranches(seed uint64, n int) []Branch {
 		pc := base + r%257
 		if r%97 == 0 {
 			// Far jump: a fresh wide PC. Capped at 61 bits so the
-			// varint codec's flag-shifted delta (62-bit budget) stays
-			// lossless; full-64-bit PCs are covered by the columnar
-			// raw-escape test and the fuzz targets.
+			// legacy varint format's flag-shifted delta (62-bit
+			// budget) stays lossless; full-64-bit PCs are covered by
+			// the columnar raw-escape test and the fuzz targets.
 			pc = next() >> 3
 		}
 		b := Branch{PC: pc, Taken: r&8 != 0, Kind: Conditional}
@@ -71,14 +71,20 @@ func requireEqual(t *testing.T, got, want []Branch) {
 	}
 }
 
-// decodeVia collects a trace through each decode path.
+// decodeNext drains src one Next call at a time.
 func decodeNext(t *testing.T, src Source) []Branch {
 	t.Helper()
-	out, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
+	var out []Branch
+	for {
+		b, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
 	}
-	return out
 }
 
 func decodeBatch(t *testing.T, src BatchSource, batch int) []Branch {
@@ -112,14 +118,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 		branches := genBranches(uint64(n)+1, n)
 		enc := encodeColumnarT(t, branches)
 
-		r, err := NewColumnarReader(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqual(t, decodeNext(t, r), branches)
-
+		// In memory, at every batch size: short batches go through the
+		// staging buffer, whole-block ones decode straight into dst.
 		for _, batch := range []int{1, 7, ColumnarBlockSize, ColumnarBlockSize * 2} {
-			r, err := NewColumnarReader(bytes.NewReader(enc))
+			r, err := newMapped(enc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,24 +187,11 @@ func TestColumnarRawEscape(t *testing.T) {
 	requireEqual(t, got, branches)
 }
 
-// TestMapFileVarint: MapFile reads the varint codec too, byte-identical
-// to the bufio reader.
+// TestMapFileVarint: MapFile reads the legacy varint format too, by
+// batch and by record, with Reset restarting the delta chain.
 func TestMapFileVarint(t *testing.T) {
 	branches := genBranches(77, 10000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range branches {
-		if err := w.Write(branches[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MapFile(writeTempTrace(t, buf.Bytes()))
+	m, err := MapFile(writeTempTrace(t, referenceEncodeVarint(branches)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +202,7 @@ func TestMapFileVarint(t *testing.T) {
 }
 
 // corrupting mutations, each of which must surface ErrCorrupt (never a
-// silently different trace) from both the streaming and mapped readers.
+// silently different trace) through both DecodeBytes and MapFile.
 func TestColumnarCorruption(t *testing.T) {
 	branches := genBranches(3, ColumnarBlockSize+100)
 	enc := encodeColumnarT(t, branches)
@@ -254,15 +243,6 @@ func TestColumnarCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := tc.mutate(bytes.Clone(enc))
-
-			r, err := NewColumnarReader(bytes.NewReader(mut))
-			if err != nil {
-				t.Fatalf("header rejected: %v", err)
-			}
-			_, err = drainAll(r)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("streaming reader error = %v, want ErrCorrupt", err)
-			}
 
 			if _, err := DecodeBytes(mut); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("DecodeBytes error = %v, want ErrCorrupt", err)
@@ -331,21 +311,7 @@ func TestColumnarTamperedWidth(t *testing.T) {
 func TestMappedBatchZeroAlloc(t *testing.T) {
 	branches := genBranches(5, 3*ColumnarBlockSize)
 	colPath := writeTempTrace(t, encodeColumnarT(t, branches))
-
-	var vbuf bytes.Buffer
-	w, err := NewWriter(&vbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range branches {
-		if err := w.Write(branches[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	varPath := writeTempTrace(t, vbuf.Bytes())
+	varPath := writeTempTrace(t, referenceEncodeVarint(branches))
 
 	dst := make([]Branch, ColumnarBlockSize)
 	for _, tc := range []struct {
@@ -457,8 +423,8 @@ func TestColumnarEmptyAndHeader(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty decode = %d records, %v", len(got), err)
 	}
-	if _, err := NewColumnarReader(bytes.NewReader([]byte("GSKT\x01"))); err == nil {
-		t.Fatal("columnar reader accepted a varint header")
+	if _, err := DecodeBytes([]byte("GSKC\x01")); err == nil {
+		t.Fatal("DecodeBytes accepted a truncated columnar header")
 	}
 	if _, err := DecodeBytes([]byte("bogus")); err == nil {
 		t.Fatal("DecodeBytes accepted garbage")

@@ -39,39 +39,51 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzBinaryReader ensures the binary decoder never panics on
-// arbitrary bytes: it must either produce records or return an error.
+// FuzzBinaryReader ensures the one binary decoder never panics on
+// arbitrary bytes after a legacy varint header: DecodeBytes must
+// either return an error or records, and records it returns must
+// survive a re-encode. The input is decoded both as it is (so the
+// seeds reach the header checks) and behind a valid varint header (so
+// every input reaches the record loop).
 func FuzzBinaryReader(f *testing.F) {
 	// A valid little trace as one seed.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Branch{PC: 0x100, Taken: true, Kind: Conditional})
-	w.Write(Branch{PC: 0x104, Taken: true, Kind: Unconditional})
-	w.Flush()
-	f.Add(buf.Bytes())
+	f.Add(referenceEncodeVarint([]Branch{
+		{PC: 0x100, Taken: true, Kind: Conditional},
+		{PC: 0x104, Taken: true, Kind: Unconditional},
+	}))
 	f.Add([]byte("GSKT"))
 	f.Add([]byte{})
+	header := referenceEncodeVarint(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 0; i < 1<<16; i++ {
-			b, err := r.Next()
+		for _, in := range [][]byte{data, append(bytes.Clone(header), data...)} {
+			branches, err := DecodeBytes(in)
 			if err != nil {
-				return // io.EOF or a decode error: both fine
+				continue
 			}
-			if b.Kind > Unconditional {
-				t.Fatalf("decoder produced invalid kind %d", b.Kind)
+			if IsColumnar(in) {
+				continue // the columnar arm has its own fuzz targets
+			}
+			for i, b := range branches {
+				if b.Kind > Unconditional {
+					t.Fatalf("record %d: decoder produced invalid kind %d", i, b.Kind)
+				}
+			}
+			again, err := DecodeBytes(referenceEncodeVarint(branches))
+			if err != nil {
+				t.Fatalf("re-encoded records fail to decode: %v", err)
+			}
+			if HashBranches(again) != HashBranches(branches) {
+				t.Fatal("decoded records change across a re-encode")
 			}
 		}
 	})
 }
 
 // FuzzColumnarRoundTrip derives a branch slice from arbitrary bytes,
-// encodes it with the block-columnar writer, and requires every decode
-// path — streaming Next, streaming NextBatch, and the mmap reader over
-// a temp file — to reproduce the exact records and the same canonical
+// encodes it with the block-columnar writer, and requires every way
+// into the one decoder — DecodeBytes, per-record Next and short-batch
+// NextBatch over the in-memory stream, and MapFile over a temp file —
+// to reproduce the exact records and the same canonical
 // content hash. It doubles as a never-panics target for the columnar
 // decoder via the raw-bytes arm.
 func FuzzColumnarRoundTrip(f *testing.F) {
@@ -92,12 +104,9 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 					break
 				}
 			}
-			r, err := NewColumnarReader(bytes.NewReader(data))
-			if err != nil {
-				return
-			}
+			m.Reset()
 			for i := 0; i < 1<<12; i++ {
-				if _, err := r.Next(); err != nil {
+				if _, err := m.Next(); err != nil {
 					break
 				}
 			}
@@ -139,17 +148,27 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			}
 		}
 
-		r, err := NewColumnarReader(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Collect(r)
-		check("Next", got, err)
+		got, err := DecodeBytes(enc)
+		check("DecodeBytes", got, err)
 
-		r, err = NewColumnarReader(bytes.NewReader(enc))
+		r, err := newMapped(enc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got = got[:0]
+		for {
+			b, nerr := r.Next()
+			if nerr == io.EOF {
+				break
+			}
+			if nerr != nil {
+				t.Fatalf("Next: %v", nerr)
+			}
+			got = append(got, b)
+		}
+		check("Next", got, nil)
+
+		r.Reset()
 		got = got[:0]
 		buf := make([]Branch, 33)
 		for {
@@ -174,41 +193,53 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBinaryRoundTrip checks arbitrary records encode and decode
-// losslessly.
+// FuzzBinaryRoundTrip diffs Mapped's legacy varint arm against the
+// reference varint encoder: a short trace around an arbitrary PC,
+// stepping forward and back so the delta chain sees both signs, must
+// decode to exactly its records through DecodeBytes and through
+// per-record Next. Traces the format cannot hold (a zig-zag delta
+// wider than 62 bits) are skipped: nothing writes them.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint64(0x1234), true, false)
 	f.Add(uint64(0), false, false)
 	f.Add(^uint64(0), true, true)
 	f.Fuzz(func(t *testing.T, pc uint64, taken, uncond bool) {
-		in := Branch{PC: pc, Taken: taken, Kind: Conditional}
+		first := Branch{PC: pc, Taken: taken, Kind: Conditional}
 		if uncond {
-			in.Kind = Unconditional
-			in.Taken = true
+			first.Kind = Unconditional
+			first.Taken = true
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+		in := []Branch{first, {PC: pc + 1, Taken: !taken}, first, {PC: pc - 7, Taken: true, Kind: Unconditional}}
+		if !varintRepresentable(in) {
+			return
+		}
+		enc := referenceEncodeVarint(in)
+		got, err := DecodeBytes(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Write(in); err != nil {
-			t.Fatal(err)
+		if len(got) != len(in) {
+			t.Fatalf("DecodeBytes: %d records, want %d", len(got), len(in))
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		for i := range in {
+			if got[i] != in[i] {
+				t.Fatalf("DecodeBytes: record %d = %+v, want %+v", i, got[i], in[i])
+			}
 		}
-		r, err := NewReader(&buf)
+		m, err := newMapped(enc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
+		for i := range in {
+			b, err := m.Next()
+			if err != nil {
+				t.Fatalf("Next: record %d: %v", i, err)
+			}
+			if b != in[i] {
+				t.Fatalf("Next: record %d = %+v, want %+v", i, b, in[i])
+			}
 		}
-		if got != in {
-			t.Fatalf("round trip: got %+v, want %+v", got, in)
-		}
-		if _, err := r.Next(); err != io.EOF {
+		if _, err := m.Next(); err != io.EOF {
 			t.Fatalf("trailing read error = %v, want EOF", err)
 		}
 	})

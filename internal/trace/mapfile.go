@@ -10,12 +10,14 @@ import (
 
 // Memory-mapped trace files
 //
-// MapFile maps a trace file (either codec, sniffed from the magic) and
-// decodes records straight out of the mapped pages: no read syscalls
-// past the initial stat/map, no buffer copies of block payloads, and —
-// on the batch path — no allocations after the constructor. Branch
-// values are copies, never aliases of the mapping, so decoded records
-// outlive Close; the reader itself must not be used after Close.
+// Mapped is the one binary trace decoder. MapFile maps a trace file
+// (columnar or legacy varint, sniffed from the magic) and decodes
+// records straight out of the mapped pages: no read syscalls past the
+// initial stat/map, no buffer copies of block payloads, and — on the
+// batch path — no allocations after the constructor. DecodeBytes runs
+// the same decoder over an in-memory stream. Branch values are copies,
+// never aliases of the mapping, so decoded records outlive Close; the
+// reader itself must not be used after Close.
 
 // mappedKind names the codec a Mapped file carries.
 type mappedKind uint8
@@ -35,7 +37,7 @@ type Mapped struct {
 	kind  mappedKind
 
 	off    int
-	lastPC uint64 // varint delta chain
+	lastPC uint64 // legacy varint delta chain
 
 	dict               []uint64
 	kinds              []uint64
@@ -43,8 +45,8 @@ type Mapped struct {
 	stagePos, stageLen int
 }
 
-// MapFile opens and memory-maps a trace file in either the columnar or
-// the varint binary format. The file descriptor is released before
+// MapFile opens and memory-maps a trace file in the columnar or the
+// legacy varint format. The file descriptor is released before
 // returning (the mapping survives it); Close unmaps.
 func MapFile(path string) (*Mapped, error) {
 	f, err := os.Open(path)
@@ -71,8 +73,8 @@ func MapFile(path string) (*Mapped, error) {
 	return m, nil
 }
 
-// DecodeBytes decodes a complete in-memory trace stream in either
-// binary format, sniffed from the magic.
+// DecodeBytes decodes a complete in-memory trace stream in the columnar
+// or the legacy varint format, sniffed from the magic.
 func DecodeBytes(data []byte) ([]Branch, error) {
 	m, err := newMapped(data, nil)
 	if err != nil {

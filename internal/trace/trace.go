@@ -1,6 +1,11 @@
 // Package trace defines the branch-trace representation shared by the
 // workload generators, the predictors and the experiment harness, plus
-// binary and text codecs for storing traces on disk.
+// the codecs for storing traces on disk: the block-columnar binary
+// format (ColumnarWriter, EncodeColumnar), the one binary format
+// written, and a debug text format (WriteText, ReadText). Binary traces
+// are read by one decoder, Mapped (MapFile for files, DecodeBytes for
+// in-memory streams), which sniffs the magic and also reads the legacy
+// varint format that older files use.
 //
 // A trace is a sequence of Branch records in program order. Matching
 // the paper's methodology (section 3.1), records carry a Kind so that
@@ -11,7 +16,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -269,165 +273,26 @@ func Measure(src Source) (*Stats, error) {
 	return st, err
 }
 
-// Binary format
+// Legacy varint format (read-only)
 //
-// The on-disk binary format is a fixed 16-byte header followed by one
-// varint-compressed record per branch:
+// Traces written before the block-columnar format (columnar.go) use a
+// fixed 16-byte header followed by one varint-compressed record per
+// branch:
 //
 //	header: magic "GSKT" | version u8 | reserved [11]byte
 //	record: uvarint(pcDelta<<2 | taken<<1 | kind)
 //
-// pcDelta is the zig-zag encoded difference from the previous PC, which
-// keeps records small for loop-heavy traces.
+// pcDelta is the zig-zag encoded difference from the previous PC.
+// Nothing writes this format any more; Mapped's varint arm (MapFile,
+// DecodeBytes) still reads it, so old files and uploads keep working.
 
 var magic = [4]byte{'G', 'S', 'K', 'T'}
 
 const formatVersion = 1
 
-// Writer encodes branches to an io.Writer in the binary trace format.
-type Writer struct {
-	w      *bufio.Writer
-	lastPC uint64
-	wrote  bool
-	buf    [binary.MaxVarintLen64]byte
-}
-
-// NewWriter returns a Writer and emits the format header.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	copy(hdr[:4], magic[:])
-	hdr[4] = formatVersion
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Write encodes one branch record.
-func (w *Writer) Write(b Branch) error {
-	if b.Kind > Unconditional {
-		return fmt.Errorf("trace: invalid kind %d", b.Kind)
-	}
-	delta := zigzag(int64(b.PC) - int64(w.lastPC))
-	w.lastPC = b.PC
-	w.wrote = true
-	v := delta << 2
-	if b.Taken {
-		v |= 2
-	}
-	v |= uint64(b.Kind)
-	n := binary.PutUvarint(w.buf[:], v)
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return fmt.Errorf("trace: writing record: %w", err)
-	}
-	return nil
-}
-
-// Flush flushes buffered records to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader decodes branches from an io.Reader in the binary trace format.
-// It implements Source.
-type Reader struct {
-	r      *bufio.Reader
-	lastPC uint64
-}
-
-// NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next implements Source.
-func (r *Reader) Next() (Branch, error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Branch{}, io.EOF
-		}
-		return Branch{}, fmt.Errorf("trace: reading record: %w", err)
-	}
-	return r.decode(v), nil
-}
-
-// decode expands one varint record into a Branch, advancing the PC
-// delta chain.
-func (r *Reader) decode(v uint64) Branch {
-	kind := Kind(v & 1)
-	taken := v&2 != 0
-	pc := uint64(int64(r.lastPC) + unzigzag(v>>2))
-	r.lastPC = pc
-	return Branch{PC: pc, Taken: taken, Kind: kind}
-}
-
-// NextBatch implements BatchSource with block decoding: records whose
-// varints are complete within the bufio window are decoded straight
-// out of the buffer with no per-record function call, and only a
-// record straddling the window boundary falls back to the byte-wise
-// ReadUvarint path. A full dst never allocates.
-func (r *Reader) NextBatch(dst []Branch) (int, error) {
-	n := 0
-	for n < len(dst) {
-		// Expose the buffered window. Peek(1) fills the buffer if it
-		// is empty without blocking for more than one byte.
-		if _, err := r.r.Peek(1); err != nil {
-			if errors.Is(err, io.EOF) {
-				if n > 0 {
-					return n, nil
-				}
-				return 0, io.EOF
-			}
-			return n, fmt.Errorf("trace: reading record: %w", err)
-		}
-		win, _ := r.r.Peek(r.r.Buffered())
-		used := 0
-		for n < len(dst) {
-			v, sz := binary.Uvarint(win[used:])
-			if sz <= 0 {
-				break // varint straddles the window boundary (or is empty)
-			}
-			used += sz
-			dst[n] = r.decode(v)
-			n++
-		}
-		if _, err := r.r.Discard(used); err != nil {
-			return n, fmt.Errorf("trace: reading record: %w", err)
-		}
-		if used == 0 {
-			// The next record straddles the buffer boundary; decode it
-			// byte-wise, which refills the buffer as a side effect.
-			b, err := r.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					if n > 0 {
-						return n, nil
-					}
-					return 0, io.EOF
-				}
-				return n, err
-			}
-			dst[n] = b
-			n++
-		}
-	}
-	return n, nil
-}
 
 // Text format
 //

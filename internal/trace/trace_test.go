@@ -96,62 +96,32 @@ func TestSliceSourceDrain(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTrip: a legacy varint stream decodes to its records
+// through both entry points of the one decoder, DecodeBytes and
+// MapFile.
 func TestBinaryRoundTrip(t *testing.T) {
 	in := randomTrace(42, 5000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	enc := referenceEncodeVarint(in)
 
-	r, err := NewReader(&buf)
+	got, err := DecodeBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r)
+	requireEqual(t, got, in)
+
+	m, err := MapFile(writeTempTrace(t, enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(in) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], in[i])
-		}
-	}
+	defer m.Close()
+	requireEqual(t, decodeNext(t, m), in)
 }
 
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, n16 uint16) bool {
 		n := int(n16 % 512)
 		in := randomTrace(seed, n)
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, b := range in {
-			if err := w.Write(b); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := Collect(r)
+		got, err := DecodeBytes(referenceEncodeVarint(in))
 		if err != nil || len(got) != len(in) {
 			return false
 		}
@@ -168,22 +138,20 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestBinaryCompression(t *testing.T) {
-	// Loop-like traces (small PC deltas) must encode compactly:
-	// well under 3 bytes per record on average.
+	// Loop-like traces (a small hot PC set) must encode compactly in
+	// the columnar format: a 3-bit dictionary index and a direction bit
+	// per record, the kinds one run per block, so well under one byte
+	// per record.
 	in := make([]Branch, 10000)
 	for i := range in {
 		in[i] = Branch{PC: uint64(0x400 + i%8), Taken: i%3 != 0}
 	}
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
+	enc, err := EncodeColumnar(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.Flush()
-	if perRec := float64(buf.Len()) / float64(len(in)); perRec > 3 {
-		t.Errorf("loop trace encodes at %.2f bytes/record, want < 3", perRec)
+	if perRec := float64(len(enc)) / float64(len(in)); perRec > 1 {
+		t.Errorf("loop trace encodes at %.2f bytes/record, want < 1", perRec)
 	}
 }
 
@@ -194,17 +162,13 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 		"bad version": append([]byte{'G', 'S', 'K', 'T', 99}, make([]byte, 11)...),
 	}
 	for name, data := range cases {
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: NewReader accepted invalid header", name)
+		if _, err := DecodeBytes(data); err == nil {
+			t.Errorf("%s: DecodeBytes accepted invalid header", name)
 		}
 	}
 }
 
 func TestWriterRejectsBadKind(t *testing.T) {
-	w, _ := NewWriter(&bytes.Buffer{})
-	if err := w.Write(Branch{Kind: Kind(7)}); err == nil {
-		t.Error("Write accepted invalid kind")
-	}
 	cw, _ := NewColumnarWriter(&bytes.Buffer{})
 	if err := cw.Write(Branch{Kind: Kind(7)}); err == nil {
 		t.Error("ColumnarWriter.Write accepted invalid kind")
@@ -355,37 +319,5 @@ func TestStatsEmpty(t *testing.T) {
 	st := NewStats()
 	if st.TakenRatio() != 0 {
 		t.Error("empty TakenRatio != 0")
-	}
-}
-
-func BenchmarkBinaryWrite(b *testing.B) {
-	in := randomTrace(1, 1<<16)
-	b.ResetTimer()
-	w, _ := NewWriter(io.Discard)
-	for i := 0; i < b.N; i++ {
-		_ = w.Write(in[i&(1<<16-1)])
-	}
-	w.Flush()
-}
-
-func BenchmarkBinaryRead(b *testing.B) {
-	in := randomTrace(1, 1<<16)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for _, br := range in {
-		w.Write(br)
-	}
-	w.Flush()
-	data := buf.Bytes()
-	b.ResetTimer()
-	b.SetBytes(int64(len(data)) / (1 << 16))
-	var r *Reader
-	for i := 0; i < b.N; i++ {
-		if i&(1<<16-1) == 0 {
-			r, _ = NewReader(bytes.NewReader(data))
-		}
-		if _, err := r.Next(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

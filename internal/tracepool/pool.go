@@ -6,8 +6,8 @@
 //
 // Segments are keyed by the canonical trace content hash
 // (trace.HashBranches), which is serialisation-independent: the same
-// branch sequence pools identically whether it arrived as a varint
-// file, a columnar file, or a generated workload. On disk each segment
+// branch sequence pools identically whether it arrived as a legacy
+// varint file, a columnar file, or a generated workload. On disk each segment
 // is one block-columnar blob written atomically (temp file + rename).
 // Following the result store's discipline, reads re-validate content
 // against the address: a blob that fails to decode, or decodes to a
@@ -146,8 +146,8 @@ func (p *Pool) Put(branches []trace.Branch) (hash string, created bool, err erro
 
 // PutEncoded is Put for a segment that arrived serialised: data must
 // be the bytes branches were decoded from. A columnar data becomes the
-// disk blob as it is, skipping the re-encode; any other data (varint,
-// or nil) is encoded afresh. Either way a later Get re-validates the
+// disk blob as it is, skipping the re-encode; any other data (legacy
+// varint, or nil) is encoded afresh. Either way a later Get re-validates the
 // blob against its address.
 func (p *Pool) PutEncoded(branches []trace.Branch, data []byte) (hash string, created bool, err error) {
 	hash = trace.HashBranches(branches)

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Algo-smoke: end-to-end exercise of the recorded real-algorithm
 # workloads (internal/algotrace). Records one instrumented KMP run with
-# tracegen in both codecs and checks the contract the subsystem exists
-# for — recorded streams are ordinary traces everywhere:
+# tracegen and checks the contract the subsystem exists for — recorded
+# streams are ordinary traces everywhere:
 #
 #   - the recording is deterministic (regenerating the columnar file is
 #     byte-identical),
 #   - predsim produces byte-identical stdout whether it re-records the
-#     algorithm (-bench algo:...) or replays either trace file,
+#     algorithm (-bench algo:...) or replays the columnar trace file,
 #   - a live predserved accepts the spec as a bench, ingests the
 #     recorded file, and a sweep addressed by trace_sha256 is
 #     byte-identical cold vs cached and equal to the bench-addressed
@@ -44,7 +44,6 @@ for fam in mp kmp binsearch insertion quick heap scanmax; do
 done
 echo "algo-smoke: tracegen -list advertises all recorded-algorithm families"
 
-"$workdir/tracegen" -bench "$spec" -format binary -o "$workdir/a.trace"
 "$workdir/tracegen" -bench "$spec" -format columnar -o "$workdir/a.ctrace"
 "$workdir/tracegen" -bench "$spec" -format columnar -o "$workdir/a2.ctrace"
 cmp "$workdir/a.ctrace" "$workdir/a2.ctrace"
@@ -52,12 +51,10 @@ echo "algo-smoke: recording is deterministic (columnar bytes identical across ru
 
 for pred in "bimodal:n=4,ctr=2" "gshare:n=9,k=8" "gskewed:n=7,k=8"; do
     "$workdir/predsim" -bench "$spec" -pred "$pred" >"$workdir/out.bench"
-    "$workdir/predsim" -trace "$workdir/a.trace" -pred "$pred" >"$workdir/out.varint"
     "$workdir/predsim" -trace "$workdir/a.ctrace" -pred "$pred" >"$workdir/out.columnar"
-    cmp "$workdir/out.bench" "$workdir/out.varint"
-    cmp "$workdir/out.varint" "$workdir/out.columnar"
+    cmp "$workdir/out.bench" "$workdir/out.columnar"
 done
-echo "algo-smoke: predsim stdout byte-identical across re-recording, varint and columnar"
+echo "algo-smoke: predsim stdout byte-identical across re-recording and the columnar file"
 
 # --- Live server: algo bench, ingest, sweep-by-hash. ---
 
