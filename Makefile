@@ -12,9 +12,13 @@
 # Options.Segments value against its contract (FuzzRunSegmented), the
 # compiled workload walker against the tree-walking reference
 # (FuzzWalkerCompiled), the dense-ID aliasing tables against their
-# map- and vector-keyed references (FuzzAliasDense) and the dense-ID
+# map- and vector-keyed references (FuzzAliasDense), the dense-ID
 # fully-associative LRU predictor against its lru.Cache reference
-# (FuzzAssocLRUDense). `make bench`
+# (FuzzAssocLRUDense), and the experiments' ID-stream replays of the
+# unaliased table and the interference classification against the sim
+# and alias.Interference paths they replaced (FuzzUnaliasedReplay,
+# FuzzInterferenceReplay; these two skip their package's default-scale
+# unit tests with -run '^$'). `make bench`
 # runs the compiled kernel vs interface comparison BENCHCOUNT times and
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
 # serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
@@ -90,6 +94,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzAliasDense -fuzztime=$(FUZZTIME) ./internal/alias
 	$(GO) test -fuzz=FuzzAssocLRUDense -fuzztime=$(FUZZTIME) ./internal/predictor
 	$(GO) test -fuzz=FuzzWalkerCompiled -fuzztime=$(FUZZTIME) ./internal/cfg
+	$(GO) test -run '^$$' -fuzz=FuzzUnaliasedReplay -fuzztime=$(FUZZTIME) ./internal/experiments
+	$(GO) test -run '^$$' -fuzz=FuzzInterferenceReplay -fuzztime=$(FUZZTIME) ./internal/experiments
 
 bench:
 	$(GO) test -bench='Kernel' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \

@@ -40,8 +40,8 @@ func init() {
 // (all sizes at once from the stack-distance histogram), for table
 // sizes 2^minBits..2^maxBits. Every table runs over the benchmark's
 // substream profile; with shared set the profile comes from the
-// Context memo (fig1's 4-bit profile also serves ext-opt, fig11 and
-// ext-setassoc), otherwise it is built for this figure alone.
+// Context memo (fig1's 4-bit profile also serves table2, ext-opt,
+// fig11 and ext-setassoc), otherwise it is built for this figure alone.
 func runAliasFigure(ctx *Context, histBits, minBits, maxBits uint, shared bool) (Renderable, error) {
 	items, err := ctx.forEachBenchmark(func(name string, branches []trace.Branch) (Renderable, error) {
 		var p *substreamProfile

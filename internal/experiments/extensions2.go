@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gskew/internal/alias"
-	"gskew/internal/history"
 	"gskew/internal/indexfn"
 	"gskew/internal/model"
 	"gskew/internal/predictor"
@@ -30,39 +29,43 @@ func init() {
 	})
 }
 
+// runExtInterference classifies both table sizes over one 8-bit ID
+// stream per benchmark: the unaliased oracle is replayed once, and each
+// size then runs its tagged table and finite counters against the
+// oracle's per-reference predictions.
 func runExtInterference(ctx *Context) (Renderable, error) {
 	const histBits = 8
+	sizes := []uint{10, 14}
+	stats, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]alias.InterferenceStats, error) {
+		p := internStream(branches, histBits)
+		oracle := make([]uint64, len(p.outcomes))
+		p.unaliased(2, oracle)
+		out := make([]alias.InterferenceStats, len(sizes))
+		for i, entriesBits := range sizes {
+			out[i] = p.interference(indexfn.NewGShare(entriesBits, histBits), 2, oracle)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	bundle := &Bundle{Title: "Interference classification of a single-bank gshare (8-bit history)"}
-	for _, entriesBits := range []uint{10, 14} {
+	for i, entriesBits := range sizes {
 		t := report.NewTable(fmt.Sprintf("%d-entry gshare", 1<<entriesBits),
 			"benchmark", "aliased %", "harmless %", "destructive %", "constructive %", "destr/constr")
-		rows, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) ([]any, error) {
-			n := alias.NewInterference(indexfn.NewGShare(entriesBits, histBits), 2)
-			ghr := history.NewGlobal(histBits)
-			for _, b := range branches {
-				if b.Kind == trace.Conditional {
-					n.Observe(b.PC, ghr.Bits(), b.Taken)
-				}
-				ghr.Shift(b.Taken)
-			}
-			st := n.Stats()
+		for j, name := range ctx.BenchmarkNames() {
+			st := stats[j][i]
 			refs := float64(st.References)
 			dc := "inf"
 			if st.Constructive > 0 {
 				dc = fmt.Sprintf("%.1fx", float64(st.Destructive)/float64(st.Constructive))
 			}
-			return []any{name,
+			t.AddRow(name,
 				fmt.Sprintf("%.2f", 100*float64(st.Aliased())/refs),
 				fmt.Sprintf("%.2f", 100*float64(st.Harmless)/refs),
 				fmt.Sprintf("%.2f", 100*st.DestructiveRatio()),
 				fmt.Sprintf("%.2f", 100*st.ConstructiveRatio()),
-				dc}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			t.AddRow(row...)
+				dc)
 		}
 		bundle.Add(t)
 	}

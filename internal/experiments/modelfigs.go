@@ -76,12 +76,9 @@ func runFig11(ctx *Context) (Renderable, error) {
 		}
 		b := float64(biasedTaken) / float64(len(p.total))
 
-		// Unaliased 1-bit misprediction rate (Table 2 methodology).
-		u := predictor.NewUnaliased(histBits, 1)
-		resU, err := sim.RunBranches(branches, u, sim.Options{SkipFirstUse: true})
-		if err != nil {
-			return nil, err
-		}
+		// Unaliased 1-bit misprediction rate (Table 2 methodology),
+		// replayed over the profile's ID stream.
+		resU := p.unaliased(1, nil)
 
 		// Model extrapolation over the measured distance stream.
 		ex := model.NewExtrapolator(1<<bankBits, b)

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"gskew/internal/predictor"
 	"gskew/internal/report"
-	"gskew/internal/sim"
 	"gskew/internal/trace"
 	"gskew/internal/workload"
 )
@@ -62,21 +60,25 @@ func runTable2(ctx *Context) (Renderable, error) {
 	cells, err := mapBenchmarks(ctx, func(name string, branches []trace.Branch) (table2Cells, error) {
 		var out table2Cells
 		for i, k := range hists {
-			// Both counter widths share one trace pass.
-			u1 := predictor.MustSpec(predictor.Spec{Family: "unaliased", Hist: k, Ctr: 1}).(*predictor.Unaliased)
-			u2 := predictor.MustSpec(predictor.Spec{Family: "unaliased", Hist: k, Ctr: 2}).(*predictor.Unaliased)
-			results, err := ctx.RunMany(fmt.Sprintf("table2-h%d/%s", k, name), trace.NewSliceSource(branches),
-				[]predictor.Predictor{u1, u2}, sim.Options{SkipFirstUse: true})
-			if err != nil {
-				return table2Cells{}, err
+			// The 4-bit stream is the memoised substream profile fig1,
+			// ext-opt, fig11 and ext-setassoc share; the 12-bit one is
+			// interned here, without stack distances, and dropped.
+			var p *substreamProfile
+			if k == 4 {
+				var err error
+				if p, err = ctx.substreams(name, k); err != nil {
+					return table2Cells{}, err
+				}
+			} else {
+				p = internStream(branches, k)
 			}
-			out.rate1[i] = fmt.Sprintf("%.2f %%", results[0].MissPercent())
-			out.rate2[i] = fmt.Sprintf("%.2f %%", results[1].MissPercent())
-			out.substream[i] = fmt.Sprintf("%.2f", u2.SubstreamRatio())
+			out.rate1[i] = fmt.Sprintf("%.2f %%", p.unaliased(1, nil).MissPercent())
+			out.rate2[i] = fmt.Sprintf("%.2f %%", p.unaliased(2, nil).MissPercent())
+			out.substream[i] = fmt.Sprintf("%.2f", p.substreamRatio())
 			// Compulsory aliasing: distinct (address, history) pairs per
 			// dynamic conditional branch (section 3.1).
 			out.compulsory[i] = fmt.Sprintf("%.2f %%",
-				100*float64(u2.Substreams())/float64(results[1].Conditionals))
+				100*float64(len(p.addrs))/float64(len(p.ids)))
 		}
 		return out, nil
 	})

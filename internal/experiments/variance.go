@@ -7,6 +7,7 @@ import (
 	"gskew/internal/report"
 	"gskew/internal/sim"
 	"gskew/internal/stats"
+	"gskew/internal/trace"
 	"gskew/internal/workload"
 )
 
@@ -30,10 +31,12 @@ func runExtVariance(ctx *Context) (Renderable, error) {
 		fmt.Sprintf("Seed variance over %d replicates (16k-gshare vs 3x4k-egskew, h=%d): miss %% mean ± CI95",
 			replicates, histBits),
 		"benchmark", "gshare", "egskew", "delta (gshare − egskew)", "significant?")
-	// Each (benchmark, replicate) is an independent scheduler cell: the
-	// replicate traces are seed-perturbed regenerations, not the cached
+	// Each (benchmark, replicate) is an independent scheduler cell.
+	// Replicates 1.. are seed-perturbed regenerations, not the cached
 	// benchmark traces, so they bypass the Context cache on purpose and
 	// stream from their generators straight into the simulator.
+	// Replicate 0 keeps the Context's seed, so its trace is a prefix of
+	// the cached benchmark trace (conditionalPrefix).
 	names := ctx.BenchmarkNames()
 	gsh := make([][]float64, len(names))
 	egs := make([][]float64, len(names))
@@ -47,14 +50,25 @@ func runExtVariance(ctx *Context) (Renderable, error) {
 		if err != nil {
 			return err
 		}
-		g, err := workload.New(spec, workload.Config{
+		cfg := workload.Config{
 			Scale:      ctx.scale() / 2, // replicates multiply the work
 			SeedOffset: ctx.SeedOffset + uint64(rep)*0x9e3779b9,
-		})
-		if err != nil {
-			return err
 		}
-		results, err := ctx.RunMany(fmt.Sprintf("ext-variance/%s-r%d", names[bi], rep), workload.NewTake(g, g.Length()),
+		var src trace.Source
+		if rep == 0 {
+			branches, err := ctx.Trace(names[bi])
+			if err != nil {
+				return err
+			}
+			src = trace.NewSliceSource(conditionalPrefix(branches, workload.Length(spec, cfg)))
+		} else {
+			g, err := workload.New(spec, cfg)
+			if err != nil {
+				return err
+			}
+			src = workload.NewTake(g, g.Length())
+		}
+		results, err := ctx.RunMany(fmt.Sprintf("ext-variance/%s-r%d", names[bi], rep), src,
 			[]predictor.Predictor{
 				predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: histBits}),
 				predictor.MustSpec(predictor.Spec{Family: "egskew", N: 12, Hist: histBits}),
@@ -86,4 +100,22 @@ func runExtVariance(ctx *Context) (Renderable, error) {
 			fmt.Sprintf("%v", sig))
 	}
 	return t, nil
+}
+
+// conditionalPrefix returns the records of branches up to and
+// including the n-th conditional, where workload.Take stops a
+// generation of n conditionals. Since the generator's stream does not
+// depend on the scale, the prefix of a benchmark's trace ending at the
+// conditional count of a smaller scale, under the same seed, is
+// exactly the trace workload.Materialize yields at that scale.
+func conditionalPrefix(branches []trace.Branch, n int) []trace.Branch {
+	for i, b := range branches {
+		if n <= 0 {
+			return branches[:i]
+		}
+		if b.Kind == trace.Conditional {
+			n--
+		}
+	}
+	return branches
 }

@@ -106,11 +106,13 @@ func IsColumnar(data []byte) bool {
 	return len(data) >= 16 && [4]byte(data[:4]) == magicColumnar && data[4] == columnarVersion
 }
 
-// ErrCorrupt marks undecodable columnar data: a truncated block, a
-// checksum mismatch, a forged header or an inconsistent stream. Every
-// decode failure past the file header wraps it, so callers can treat
-// all corruption uniformly with errors.Is.
-var ErrCorrupt = errors.New("trace: corrupt columnar data")
+// ErrCorrupt marks undecodable trace data: in the columnar format a
+// truncated block, a checksum mismatch, a forged header or an
+// inconsistent stream; in the legacy varint format a record cut inside
+// its varint or a varint overflowing 64 bits. Every decode failure past
+// the file header wraps it, so callers can treat all corruption
+// uniformly with errors.Is.
+var ErrCorrupt = errors.New("trace: corrupt trace data")
 
 // castagnoli is the CRC-32C table shared by the writer and Mapped.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

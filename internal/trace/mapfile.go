@@ -183,8 +183,11 @@ func (m *Mapped) NextBatch(dst []Branch) (int, error) {
 				return 0, io.EOF
 			}
 			v, sz := binary.Uvarint(m.data[m.off:])
-			if sz <= 0 {
-				return n, fmt.Errorf("trace: reading record: truncated varint")
+			if sz == 0 {
+				return n, corruptf("record varint truncated at byte %d", m.off)
+			}
+			if sz < 0 {
+				return n, corruptf("record varint at byte %d overflows 64 bits", m.off)
 			}
 			m.off += sz
 			pc := uint64(int64(m.lastPC) + unzigzag(v>>2))

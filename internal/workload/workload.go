@@ -160,12 +160,18 @@ type Generator struct {
 	length    int // intended dynamic conditional count
 }
 
-// New builds the generator for spec with config c.
-func New(spec Spec, c Config) (*Generator, error) {
+// Length returns the dynamic conditional count of spec's trace under
+// config c: where a generation's Take stops.
+func Length(spec Spec, c Config) int {
 	scale := c.Scale
 	if scale <= 0 {
 		scale = DefaultScale
 	}
+	return int(float64(spec.DynamicBranches) * scale)
+}
+
+// New builds the generator for spec with config c.
+func New(spec Spec, c Config) (*Generator, error) {
 	procs := spec.Processes
 	if procs < 1 {
 		procs = 1
@@ -182,7 +188,7 @@ func New(spec Spec, c Config) (*Generator, error) {
 		kernelEntry: rng.NewChance(kernelBurstRatio * f / ((kernelBurstRatio-1)*f + 1)),
 		burstLen:    rng.NewChance(1.0 / float64(spec.Quantum/kernelBurstRatio+1)),
 		quantumLen:  rng.NewChance(1.0 / float64(spec.Quantum+1)),
-		length:      int(float64(spec.DynamicBranches) * scale),
+		length:      Length(spec, c),
 	}
 
 	// User processes split the static budget: the first process gets
