@@ -2,11 +2,12 @@
 # vets the whole module and runs the race detector over the packages
 # that execute simulation cells in parallel (the scheduler, the trace
 # cache, the single-pass multi-predictor runner and its cell-parallel
-# drain, the HTTP service, its shared result store and trace pool, and
-# the telemetry registry), then repeats the cell-parallel drain and the
-# experiments cell memo's single-flight tests. `make verify` is
-# the differential tier: the optimized predictors against the
-# executable paper spec, plus the fault-injection selftest. `make fuzz`
+# drain, the HTTP service, its shared result store and trace pool, the
+# two-tier blob cache and LRU under them, and the telemetry registry),
+# then repeats the cell-parallel drain and the experiments cell memo's
+# single-flight tests. `make verify` is the differential tier: the
+# optimized predictors against the executable paper spec, plus the
+# fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME, among them the cell-parallel
 # drain against the serial one (FuzzRunCellParallel), every
 # Options.Segments value against its contract (FuzzRunSegmented), the
@@ -47,7 +48,7 @@ test: build
 
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/obs ./internal/trace
+	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/blob ./internal/lru ./internal/obs ./internal/trace
 	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
 	$(GO) test -race -count=5 -run 'Memo' ./internal/experiments
 

@@ -220,23 +220,25 @@ func (h *mapOptHeap) Pop() any {
 	return x
 }
 
-// mapTaggedFA is the fully-associative LRU table over lru.Set.
+// mapTaggedFA is the fully-associative LRU table over lru.Cache.
 type mapTaggedFA struct {
-	set      *lru.Set
+	set      *lru.Cache[uint64, struct{}]
 	histBits uint
 	misses   int
 }
 
 func newMapTaggedFA(entries int, histBits uint) *mapTaggedFA {
-	return &mapTaggedFA{set: lru.NewSet(entries), histBits: histBits}
+	return &mapTaggedFA{set: lru.NewCache[uint64, struct{}](entries), histBits: histBits}
 }
 
 func (t *mapTaggedFA) observe(addr, hist uint64) bool {
-	hit, _, _ := t.set.Touch(indexfn.Vector(addr, hist, t.histBits))
-	if !hit {
-		t.misses++
+	v := indexfn.Vector(addr, hist, t.histBits)
+	if _, hit := t.set.Get(v); hit {
+		return false
 	}
-	return !hit
+	t.set.Put(v, struct{}{})
+	t.misses++
+	return true
 }
 
 // mapClassifier is the three-Cs classifier with a map first-use set.

@@ -61,9 +61,11 @@ func FuzzUnaliasedReplay(f *testing.F) {
 
 		u := predictor.NewUnaliased(histBits, ctrBits)
 		ghr := history.NewGlobal(histBits)
+		addrs := map[uint64]bool{}
 		i := 0
 		for _, b := range branches {
 			if b.Kind == trace.Conditional {
+				addrs[b.PC] = true
 				h := ghr.Bits()
 				if u.Seen(b.PC, h) {
 					want := u.Predict(b.PC, h)
@@ -79,8 +81,12 @@ func FuzzUnaliasedReplay(f *testing.F) {
 		if len(p.addrs) != u.Substreams() {
 			t.Fatalf("replay has %d substreams, Unaliased %d", len(p.addrs), u.Substreams())
 		}
-		if got, want := p.substreamRatio(), u.SubstreamRatio(); got != want {
-			t.Fatalf("substream ratio %v, Unaliased %v", got, want)
+		ratio := 0.0
+		if len(addrs) > 0 {
+			ratio = float64(u.Substreams()) / float64(len(addrs))
+		}
+		if got := p.substreamRatio(); got != ratio {
+			t.Fatalf("substream ratio %v, Unaliased substreams per address %v", got, ratio)
 		}
 	})
 }

@@ -1,16 +1,18 @@
-// Package lru implements fixed-capacity least-recently-used sets: Set
-// over arbitrary uint64 keys (the recency of the result store and the
-// trace pool), and IDSet over the dense IDs of an indexfn.Interner (the
-// substrate of the paper's fully-associative tagged tables and of the
-// fully-associative LRU predictor of Figure 8).
+// Package lru implements fixed-capacity least-recently-used
+// containers: Cache, a keyed map for the bounded maps of the service
+// (the memory tier of the result store and trace pool, live predict
+// sessions, materialised benchmark traces), and IDSet over the dense
+// IDs of an indexfn.Interner (the substrate of the paper's
+// fully-associative tagged tables and of the fully-associative LRU
+// predictor of Figure 8).
 //
-// Set is an intrusive doubly-linked list over a slice of pre-allocated
-// nodes plus a map for lookup, so steady-state operation performs no
-// allocation. IDSet threads the same list through per-ID slots instead,
-// so it needs no map at all.
+// Cache runs once per request, so it is a container/list under a map.
+// IDSet runs once per simulated branch, so it threads an intrusive
+// recency list through per-ID slots and needs no map at all.
 package lru
 
 import (
+	"container/list"
 	"fmt"
 
 	"gskew/internal/indexfn"
@@ -18,148 +20,79 @@ import (
 
 const nilIdx = -1
 
-type node struct {
-	key        uint64
-	prev, next int32
+// Cache is a fixed-capacity LRU map. It is not safe for concurrent
+// use; callers hold their own lock.
+type Cache[K comparable, V any] struct {
+	capacity int
+	ll       *list.List // of *entry[K, V]; front = most recently used
+	index    map[K]*list.Element
 }
 
-// Set is a fixed-capacity LRU set of uint64 keys. Touch inserts or
-// refreshes a key, evicting the least-recently-used key when full.
-type Set struct {
-	nodes      []node
-	index      map[uint64]int32
-	head, tail int32 // head = most recent, tail = least recent
-	free       int32 // head of free list (chained via next)
-	size       int
+type entry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// NewSet returns an LRU set with the given capacity (> 0).
-func NewSet(capacity int) *Set {
+// NewCache returns an empty cache holding at most capacity (> 0)
+// entries.
+func NewCache[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("lru: capacity %d must be positive", capacity))
 	}
-	s := &Set{
-		nodes: make([]node, capacity),
-		index: make(map[uint64]int32, capacity),
-		head:  nilIdx,
-		tail:  nilIdx,
-	}
-	// Chain the free list.
-	for i := range s.nodes {
-		s.nodes[i].next = int32(i + 1)
-	}
-	s.nodes[capacity-1].next = nilIdx
-	s.free = 0
-	return s
+	return &Cache[K, V]{capacity: capacity, ll: list.New(), index: make(map[K]*list.Element)}
 }
 
-// Capacity returns the maximum number of keys the set can hold.
-func (s *Set) Capacity() int { return len(s.nodes) }
+// Len returns the current number of entries.
+func (c *Cache[K, V]) Len() int { return c.ll.Len() }
 
-// Len returns the current number of keys.
-func (s *Set) Len() int { return s.size }
-
-// Contains reports whether key is present without refreshing it.
-func (s *Set) Contains(key uint64) bool {
-	_, ok := s.index[key]
-	return ok
-}
-
-// Touch inserts key (as most recently used) or refreshes it if present.
-// It reports whether the key was already present (hit), and the evicted
-// key, if insertion displaced one.
-func (s *Set) Touch(key uint64) (hit bool, evicted uint64, didEvict bool) {
-	if i, ok := s.index[key]; ok {
-		s.moveToFront(i)
-		return true, 0, false
-	}
-	var i int32
-	if s.free != nilIdx {
-		i = s.free
-		s.free = s.nodes[i].next
-		s.size++
-	} else {
-		// Evict the tail.
-		i = s.tail
-		evicted = s.nodes[i].key
-		didEvict = true
-		delete(s.index, evicted)
-		s.unlink(i)
-	}
-	s.nodes[i].key = key
-	s.index[key] = i
-	s.pushFront(i)
-	return false, evicted, didEvict
-}
-
-// Remove deletes key from the set, reporting whether it was present.
-func (s *Set) Remove(key uint64) bool {
-	i, ok := s.index[key]
+// Get returns the value under key and makes it the most recently
+// used.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
+	e, ok := c.index[key]
 	if !ok {
-		return false
+		var zero V
+		return zero, false
 	}
-	delete(s.index, key)
-	s.unlink(i)
-	s.nodes[i].next = s.free
-	s.free = i
-	s.size--
-	return true
+	c.ll.MoveToFront(e)
+	return e.Value.(*entry[K, V]).val, true
 }
 
-// Reset empties the set.
-func (s *Set) Reset() {
-	clear(s.index)
-	for i := range s.nodes {
-		s.nodes[i].next = int32(i + 1)
+// Peek returns the value under key without refreshing its recency.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	e, ok := c.index[key]
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	s.nodes[len(s.nodes)-1].next = nilIdx
-	s.free = 0
-	s.head, s.tail = nilIdx, nilIdx
-	s.size = 0
+	return e.Value.(*entry[K, V]).val, true
 }
 
-// Keys returns the keys from most to least recently used. Intended for
-// tests and diagnostics; it allocates.
-func (s *Set) Keys() []uint64 {
-	out := make([]uint64, 0, s.size)
-	for i := s.head; i != nilIdx; i = s.nodes[i].next {
-		out = append(out, s.nodes[i].key)
+// Put stores v under key as the most recently used entry, replacing
+// any value already there. When the insert overflows the capacity, the
+// least recently used entry is dropped and its key reported.
+func (c *Cache[K, V]) Put(key K, v V) (evicted K, didEvict bool) {
+	if e, ok := c.index[key]; ok {
+		e.Value.(*entry[K, V]).val = v
+		c.ll.MoveToFront(e)
+		return evicted, false
 	}
-	return out
+	c.index[key] = c.ll.PushFront(&entry[K, V]{key: key, val: v})
+	if c.ll.Len() <= c.capacity {
+		return evicted, false
+	}
+	evicted = c.ll.Remove(c.ll.Back()).(*entry[K, V]).key
+	delete(c.index, evicted)
+	return evicted, true
 }
 
-func (s *Set) pushFront(i int32) {
-	s.nodes[i].prev = nilIdx
-	s.nodes[i].next = s.head
-	if s.head != nilIdx {
-		s.nodes[s.head].prev = i
+// Remove deletes key, reporting whether it was present.
+func (c *Cache[K, V]) Remove(key K) bool {
+	e, ok := c.index[key]
+	if ok {
+		c.ll.Remove(e)
+		delete(c.index, key)
 	}
-	s.head = i
-	if s.tail == nilIdx {
-		s.tail = i
-	}
-}
-
-func (s *Set) unlink(i int32) {
-	p, n := s.nodes[i].prev, s.nodes[i].next
-	if p != nilIdx {
-		s.nodes[p].next = n
-	} else {
-		s.head = n
-	}
-	if n != nilIdx {
-		s.nodes[n].prev = p
-	} else {
-		s.tail = p
-	}
-}
-
-func (s *Set) moveToFront(i int32) {
-	if s.head == i {
-		return
-	}
-	s.unlink(i)
-	s.pushFront(i)
+	return ok
 }
 
 // IDSet is a fixed-capacity LRU set over dense IDs (see

@@ -1,106 +1,26 @@
 package lru
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gskew/internal/rng"
 )
 
-func TestSetBasics(t *testing.T) {
-	s := NewSet(3)
-	if s.Capacity() != 3 || s.Len() != 0 {
-		t.Fatalf("fresh set: cap=%d len=%d", s.Capacity(), s.Len())
-	}
-	hit, _, ev := s.Touch(10)
-	if hit || ev {
-		t.Fatal("first touch must miss without eviction")
-	}
-	hit, _, _ = s.Touch(10)
-	if !hit {
-		t.Fatal("second touch of same key must hit")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-}
-
 func TestSetEvictionOrder(t *testing.T) {
-	s := NewSet(3)
-	s.Touch(1)
-	s.Touch(2)
-	s.Touch(3)
+	c := NewCache[uint64, string](3)
+	c.Put(1, "a")
+	c.Put(2, "b")
+	c.Put(3, "c")
 	// Refresh 1 so the LRU key is 2.
-	s.Touch(1)
-	_, evicted, did := s.Touch(4)
+	c.Get(1)
+	evicted, did := c.Put(4, "d")
 	if !did || evicted != 2 {
 		t.Errorf("evicted %d (did=%v), want 2", evicted, did)
 	}
-	// MRU order should now be 4, 1, 3.
-	want := []uint64{4, 1, 3}
-	got := s.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("Keys() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSetCapacityOne(t *testing.T) {
-	s := NewSet(1)
-	s.Touch(1)
-	hit, ev, did := s.Touch(2)
-	if hit || !did || ev != 1 {
-		t.Errorf("capacity-1 set: hit=%v ev=%d did=%v", hit, ev, did)
-	}
-	if !s.Contains(2) || s.Contains(1) {
-		t.Error("capacity-1 set retained wrong key")
-	}
-}
-
-func TestSetRemove(t *testing.T) {
-	s := NewSet(3)
-	s.Touch(1)
-	s.Touch(2)
-	if !s.Remove(1) {
-		t.Fatal("Remove(1) = false")
-	}
-	if s.Remove(1) {
-		t.Fatal("second Remove(1) = true")
-	}
-	if s.Len() != 1 || s.Contains(1) {
-		t.Fatal("Remove did not delete")
-	}
-	// Freed slot is reusable without eviction.
-	s.Touch(3)
-	s.Touch(4)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d after refill, want 3", s.Len())
-	}
-}
-
-func TestSetReset(t *testing.T) {
-	s := NewSet(4)
-	for k := uint64(0); k < 4; k++ {
-		s.Touch(k)
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset did not empty")
-	}
-	for k := uint64(0); k < 4; k++ {
-		if s.Contains(k) {
-			t.Fatal("Reset left keys behind")
-		}
-	}
-	// Full capacity available again.
-	for k := uint64(10); k < 14; k++ {
-		if _, _, did := s.Touch(k); did {
-			t.Fatal("eviction during refill after Reset")
-		}
+	if got, want := cacheKeys(c), []uint64{4, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("recency order %v, want %v", got, want)
 	}
 }
 
@@ -109,75 +29,138 @@ func TestSetPanicsOnBadCapacity(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSet(%d) did not panic", c)
+					t.Errorf("NewCache(%d) did not panic", c)
 				}
 			}()
-			NewSet(c)
+			NewCache[uint64, uint64](c)
 		}()
 	}
 }
 
-// refLRU is a deliberately simple slice-based model used as an oracle.
-type refLRU struct {
-	keys []uint64
-	cap  int
+// cacheKeys returns c's keys from most to least recently used.
+func cacheKeys[V any](c *Cache[uint64, V]) []uint64 {
+	var out []uint64
+	for e := c.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*entry[uint64, V]).key)
+	}
+	return out
 }
 
-func (r *refLRU) touch(k uint64) (hit bool, evicted uint64, did bool) {
-	for i, v := range r.keys {
-		if v == k {
-			r.keys = append(r.keys[:i], r.keys[i+1:]...)
-			r.keys = append([]uint64{k}, r.keys...)
-			return true, 0, false
-		}
+// refLRU is a deliberately simple slice-based model used as an oracle.
+type refLRU struct {
+	keys, vals []uint64 // most recently used first
+	cap        int
+}
+
+func (r *refLRU) find(k uint64) int { return slices.Index(r.keys, k) }
+
+func (r *refLRU) toFront(i int) {
+	k, v := r.keys[i], r.vals[i]
+	r.keys = slices.Insert(slices.Delete(r.keys, i, i+1), 0, k)
+	r.vals = slices.Insert(slices.Delete(r.vals, i, i+1), 0, v)
+}
+
+func (r *refLRU) peek(k uint64) (uint64, bool) {
+	if i := r.find(k); i >= 0 {
+		return r.vals[i], true
 	}
-	r.keys = append([]uint64{k}, r.keys...)
+	return 0, false
+}
+
+func (r *refLRU) get(k uint64) (uint64, bool) {
+	i := r.find(k)
+	if i < 0 {
+		return 0, false
+	}
+	r.toFront(i)
+	return r.vals[0], true
+}
+
+func (r *refLRU) put(k, v uint64) (evicted uint64, did bool) {
+	if i := r.find(k); i >= 0 {
+		r.vals[i] = v
+		r.toFront(i)
+		return 0, false
+	}
+	r.keys = slices.Insert(r.keys, 0, k)
+	r.vals = slices.Insert(r.vals, 0, v)
 	if len(r.keys) > r.cap {
 		evicted = r.keys[len(r.keys)-1]
-		r.keys = r.keys[:len(r.keys)-1]
-		return false, evicted, true
+		r.keys, r.vals = r.keys[:r.cap], r.vals[:r.cap]
+		return evicted, true
 	}
-	return false, 0, false
+	return 0, false
+}
+
+func (r *refLRU) remove(k uint64) bool {
+	i := r.find(k)
+	if i >= 0 {
+		r.keys = slices.Delete(r.keys, i, i+1)
+		r.vals = slices.Delete(r.vals, i, i+1)
+	}
+	return i >= 0
+}
+
+// touch inserts or refreshes k, keeping its value; it reports a hit.
+func (r *refLRU) touch(k uint64) bool {
+	v, hit := r.peek(k)
+	r.put(k, v)
+	return hit
 }
 
 func TestSetMatchesReferenceModel(t *testing.T) {
-	// Property: the intrusive implementation agrees with a naive model
-	// on hit/miss, evictions and full recency order for random streams.
+	// Property: Cache agrees with a naive model on every Get, Peek, Put
+	// (value updates and evictions included) and Remove, and on the
+	// full recency order, for random streams.
 	f := func(seed uint64, capRaw uint8, n uint16) bool {
 		capacity := int(capRaw%32) + 1
-		s := NewSet(capacity)
+		c := NewCache[uint64, uint64](capacity)
 		ref := &refLRU{cap: capacity}
 		r := rng.NewXoshiro256(seed)
 		steps := int(n%2048) + 1
 		for i := 0; i < steps; i++ {
 			k := r.Uint64n(uint64(capacity * 3)) // force plenty of evictions
-			h1, e1, d1 := s.Touch(k)
-			h2, e2, d2 := ref.touch(k)
-			if h1 != h2 || d1 != d2 || (d1 && e1 != e2) {
+			switch op := r.Uint64n(8); {
+			case op < 3:
+				v1, ok1 := c.Get(k)
+				v2, ok2 := ref.get(k)
+				if v1 != v2 || ok1 != ok2 {
+					return false
+				}
+			case op < 4:
+				v1, ok1 := c.Peek(k)
+				v2, ok2 := ref.peek(k)
+				if v1 != v2 || ok1 != ok2 {
+					return false
+				}
+			case op < 7:
+				v := r.Uint64()
+				e1, d1 := c.Put(k, v)
+				e2, d2 := ref.put(k, v)
+				if d1 != d2 || e1 != e2 {
+					return false
+				}
+			default:
+				if c.Remove(k) != ref.remove(k) {
+					return false
+				}
+			}
+			if c.Len() != len(ref.keys) {
 				return false
 			}
 		}
-		got := s.Keys()
-		if len(got) != len(ref.keys) {
-			return false
-		}
-		for i := range got {
-			if got[i] != ref.keys[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(cacheKeys(c), ref.keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// The TestCache tests check IDSet, which replaced the vector-keyed
-// Cache as the substrate of the fully-associative LRU predictor: the
-// predictor keeps its counters in per-ID slots and asks IDSet only for
-// residency (Contains, the old Peek) and recency (Touch, the old
-// Get/Put/Fetch).
+// Despite their names, the TestCache tests check IDSet, which replaced
+// a vector-keyed cache as the substrate of the fully-associative LRU
+// predictor: the predictor keeps its counters in per-ID slots and asks
+// IDSet only for residency (Contains, the old Peek) and recency (Touch,
+// the old Get/Put/Fetch).
 
 func TestCacheBasics(t *testing.T) {
 	c := NewIDSet(2)
@@ -263,7 +246,7 @@ func TestCacheReset(t *testing.T) {
 }
 
 func TestIDSetMatchesReferenceModel(t *testing.T) {
-	// Property: IDSet agrees with the naive model (and so with Set) on
+	// Property: IDSet agrees with the naive model (and so with Cache) on
 	// hit/miss and full recency order for random streams.
 	f := func(seed uint64, capRaw uint8, n uint16) bool {
 		capacity := int(capRaw%32) + 1
@@ -273,8 +256,7 @@ func TestIDSetMatchesReferenceModel(t *testing.T) {
 		steps := int(n%2048) + 1
 		for i := 0; i < steps; i++ {
 			id := int32(r.Uint64n(uint64(capacity * 3)))
-			h, _, _ := ref.touch(uint64(id))
-			if s.Touch(id) != h {
+			if s.Touch(id) != ref.touch(uint64(id)) {
 				return false
 			}
 		}
@@ -312,19 +294,6 @@ func TestIDSetPanicsOnBadCapacity(t *testing.T) {
 		}
 	}()
 	NewIDSet(0)
-}
-
-func BenchmarkSetTouch(b *testing.B) {
-	s := NewSet(1 << 12)
-	r := rng.NewXoshiro256(1)
-	keys := make([]uint64, 1<<16)
-	for i := range keys {
-		keys[i] = r.Uint64n(1 << 13)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Touch(keys[i&(1<<16-1)])
-	}
 }
 
 func BenchmarkIDSetTouch(b *testing.B) {

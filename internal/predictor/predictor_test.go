@@ -278,12 +278,6 @@ func TestUnaliasedSeparatesAllSubstreams(t *testing.T) {
 	if u.Substreams() != 3 {
 		t.Errorf("Substreams = %d, want 3", u.Substreams())
 	}
-	if u.Addresses() != 2 {
-		t.Errorf("Addresses = %d, want 2", u.Addresses())
-	}
-	if got := u.SubstreamRatio(); got != 1.5 {
-		t.Errorf("SubstreamRatio = %v, want 1.5", got)
-	}
 }
 
 func TestUnaliasedSeen(t *testing.T) {
@@ -320,7 +314,7 @@ func TestUnaliasedReset(t *testing.T) {
 	u := NewUnaliased(4, 2)
 	u.Update(1, 2, true)
 	u.Reset()
-	if u.Seen(1, 2) || u.Substreams() != 0 || u.SubstreamRatio() != 0 {
+	if u.Seen(1, 2) || u.Substreams() != 0 {
 		t.Error("Reset incomplete")
 	}
 }

@@ -25,7 +25,6 @@ type Unaliased struct {
 	counters []counter.Counter
 	histBits uint
 	ctrBits  uint
-	addrs    *indexfn.Interner // distinct branch addresses, for substream ratio
 
 	// Memoised lookup for the Seen/Predict/Update sequence the runner
 	// makes per branch: one probe serves all three. Slots never move,
@@ -47,7 +46,6 @@ func NewUnaliased(k, counterBits uint) *Unaliased {
 		subs:     indexfn.NewInterner(0),
 		histBits: k,
 		ctrBits:  counterBits,
-		addrs:    indexfn.NewInterner(0),
 	}
 }
 
@@ -69,8 +67,7 @@ func (u *Unaliased) lookup(addr, hist uint64) (uint64, int32) {
 // taken. The counter starts from the weak state agreeing with the
 // first outcome, the convention the paper's "do not count the first
 // occurrence" methodology implies.
-func (u *Unaliased) insert(addr, v uint64, taken bool) {
-	u.addrs.ID(addr)
+func (u *Unaliased) insert(v uint64, taken bool) {
 	c := counter.WeaklyNotTaken(u.ctrBits)
 	switch {
 	case u.strongStart:
@@ -97,7 +94,7 @@ func (u *Unaliased) Predict(addr, hist uint64) bool {
 func (u *Unaliased) Update(addr, hist uint64, taken bool) {
 	v, idx := u.lookup(addr, hist)
 	if idx < 0 {
-		u.insert(addr, v, taken)
+		u.insert(v, taken)
 		return
 	}
 	u.counters[idx] = u.counters[idx].Update(taken)
@@ -121,7 +118,7 @@ func (u *Unaliased) Seen(addr, hist uint64) bool {
 func (u *Unaliased) Step(addr, hist uint64, taken bool) bool {
 	v, idx := u.lookup(addr, hist)
 	if idx < 0 {
-		u.insert(addr, v, taken)
+		u.insert(v, taken)
 		return true
 	}
 	c := &u.counters[idx]
@@ -144,25 +141,12 @@ func (u *Unaliased) StorageBits() int { return len(u.counters) * int(u.ctrBits) 
 func (u *Unaliased) Reset() {
 	u.subs.Reset()
 	u.counters = u.counters[:0]
-	u.addrs.Reset()
 	u.lookOK = false
 }
 
 // Substreams returns the number of distinct (address, history) pairs
 // observed.
 func (u *Unaliased) Substreams() int { return len(u.counters) }
-
-// Addresses returns the number of distinct branch addresses observed.
-func (u *Unaliased) Addresses() int { return u.addrs.Len() }
-
-// SubstreamRatio returns substreams per address — Table 2's first
-// column. Zero before any update.
-func (u *Unaliased) SubstreamRatio() float64 {
-	if u.addrs.Len() == 0 {
-		return 0
-	}
-	return float64(len(u.counters)) / float64(u.addrs.Len())
-}
 
 // String describes the configuration.
 func (u *Unaliased) String() string {

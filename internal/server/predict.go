@@ -3,10 +3,10 @@ package server
 import (
 	"net/http"
 	"sync"
-	"time"
 
 	"gskew/internal/api"
 	"gskew/internal/kernel"
+	"gskew/internal/lru"
 	"gskew/internal/predictor"
 )
 
@@ -21,17 +21,16 @@ import (
 // predictor (the isolation property motivating per-tenant predictor
 // state).
 type session struct {
-	mu       sync.Mutex
-	spec     string
-	p        predictor.Predictor
-	kern     kernel.Kernel     // non-nil when the organisation compiles
-	stepper  predictor.Stepper // non-nil fused fast path
-	mask     uint64
-	ghr      uint64
-	steps    []kernel.Step // reused staging buffer for the kernel path
-	conds    int
-	mispred  int
-	lastUsed time.Time
+	mu      sync.Mutex
+	spec    string // fixed at creation
+	p       predictor.Predictor
+	kern    kernel.Kernel     // non-nil when the organisation compiles
+	stepper predictor.Stepper // non-nil fused fast path
+	mask    uint64
+	ghr     uint64
+	steps   []kernel.Step // reused staging buffer for the kernel path
+	conds   int
+	mispred int
 }
 
 // sessionTable is the bounded session registry. Inserting beyond
@@ -39,19 +38,18 @@ type session struct {
 // is gone; a client returning to an evicted id transparently starts a
 // fresh session by re-sending the spec).
 type sessionTable struct {
-	mu  sync.Mutex
-	max int
-	m   map[string]*session
+	mu sync.Mutex
+	m  *lru.Cache[string, *session]
 }
 
 func newSessionTable(max int) *sessionTable {
-	return &sessionTable{max: max, m: make(map[string]*session)}
+	return &sessionTable{m: lru.NewCache[string, *session](max)}
 }
 
 func (t *sessionTable) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.m)
+	return t.m.Len()
 }
 
 // acquire returns the named session, creating it (with spec) when
@@ -77,16 +75,11 @@ func (t *sessionTable) acquire(id, spec string) (*session, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok := t.m[id]; ok {
-		s.mu.Lock()
-		s.lastUsed = time.Now()
+	if s, ok := t.m.Get(id); ok {
 		if canon != "" && canon != s.spec {
-			cur := s.spec
-			s.mu.Unlock()
 			return nil, apiErrorf(http.StatusConflict, api.CodeSessionConflict,
-				"session %q is pinned to %s (got %s); use a new session id", id, cur, canon)
+				"session %q is pinned to %s (got %s); use a new session id", id, s.spec, canon)
 		}
-		s.mu.Unlock()
 		return s, nil
 	}
 	if spec == "" {
@@ -97,45 +90,21 @@ func (t *sessionTable) acquire(id, spec string) (*session, error) {
 	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, api.CodeBadSpec, "spec: %v", err)
 	}
-	if len(t.m) >= t.max {
-		t.evictLRU()
-	}
 	k := p.HistoryBits()
-	s := &session{
-		spec:     canon,
-		p:        p,
-		mask:     uint64(1)<<k - 1,
-		lastUsed: time.Now(),
-	}
+	s := &session{spec: canon, p: p, mask: uint64(1)<<k - 1}
 	s.kern, _ = kernel.Compile(p, k)
 	s.stepper, _ = p.(predictor.Stepper)
-	t.m[id] = s
-	mSessions.Set(int64(len(t.m)))
+	t.m.Put(id, s)
+	mSessions.Set(int64(t.m.Len()))
 	return s, nil
-}
-
-// evictLRU drops the least recently used session. Caller holds t.mu.
-func (t *sessionTable) evictLRU() {
-	var oldestID string
-	var oldest time.Time
-	for id, s := range t.m {
-		s.mu.Lock()
-		when := s.lastUsed
-		s.mu.Unlock()
-		if oldestID == "" || when.Before(oldest) {
-			oldestID, oldest = id, when
-		}
-	}
-	delete(t.m, oldestID)
 }
 
 // remove deletes a session, reporting whether it existed.
 func (t *sessionTable) remove(id string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.m[id]
-	delete(t.m, id)
-	mSessions.Set(int64(len(t.m)))
+	ok := t.m.Remove(id)
+	mSessions.Set(int64(t.m.Len()))
 	return ok
 }
 

@@ -77,9 +77,6 @@ type Config struct {
 	// MaxSessions caps live /v1/predict sessions; the least recently
 	// used session is evicted beyond it (default DefaultMaxSessions).
 	MaxSessions int
-	// MaxTraces caps distinct materialised benchmark workloads held in
-	// memory (default DefaultMaxTraces).
-	MaxTraces int
 	// Pool is the content-addressed trace segment pool behind
 	// POST /v1/traces, GET /v1/traces/{hash} and the trace_sha256
 	// workload form of /v1/simulate; benchmark materialisations are
@@ -94,7 +91,7 @@ const (
 	DefaultMaxBodyBytes = 8 << 20
 	DefaultSimTimeout   = 60 * time.Second
 	DefaultMaxSessions  = 256
-	DefaultMaxTraces    = 12
+	DefaultMaxTraces    = 12 // distinct materialised benchmark workloads held in memory
 	DefaultPoolEntries  = 12
 )
 
@@ -133,9 +130,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.MaxTraces <= 0 {
-		cfg.MaxTraces = DefaultMaxTraces
-	}
 	if cfg.Pool == nil {
 		cfg.Pool, _ = tracepool.Open(DefaultPoolEntries, "")
 	}
@@ -144,7 +138,7 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		sched:    cfg.Sched,
 		pool:     cfg.Pool,
-		traces:   newTraceCache(cfg.MaxTraces, cfg.Pool),
+		traces:   newTraceCache(cfg.Pool),
 		sessions: newSessionTable(cfg.MaxSessions),
 		start:    time.Now(),
 	}

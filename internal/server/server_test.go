@@ -412,9 +412,7 @@ func TestSessionEvictionBeyondCapacity(t *testing.T) {
 		}
 	}
 	mk("a")
-	time.Sleep(2 * time.Millisecond) // order lastUsed distinctly
 	mk("b")
-	time.Sleep(2 * time.Millisecond)
 	mk("c") // evicts a
 	status, _, _ := postJSON(t, ts.URL+"/v1/predict", `{"session":"a","branches":[]}`)
 	if status != http.StatusNotFound {

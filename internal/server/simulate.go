@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"gskew/internal/api"
+	"gskew/internal/lru"
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
 	"gskew/internal/store"
@@ -207,24 +208,23 @@ type materialisedTrace struct {
 // keyed by (bench, scale, seed). Generation happens outside the map
 // lock behind a per-key once (the experiments.Context idiom), so
 // concurrent first requests for the same workload materialise it
-// exactly once. Capacity is bounded: inserting beyond it drops an
-// arbitrary other completed entry — dropped slices stay valid for
-// in-flight requests (they are immutable) and simply re-materialise on
-// next use. The cache writes through to the trace segment pool under
-// the same (bench, scale, seed) name: a pooled segment survives
-// eviction (and, with a disk-backed pool, process restarts), so a
-// re-requested workload is decoded from the pool instead of
-// regenerated, and every benchmark materialisation is automatically
-// addressable by trace_sha256.
+// exactly once. Capacity is bounded: inserting beyond it drops the
+// least recently used entry — dropped slices stay valid for in-flight
+// requests (they are immutable) and simply re-materialise on next use.
+// The cache writes through to the trace segment pool under the same
+// (bench, scale, seed) name: a pooled segment survives eviction (and,
+// with a disk-backed pool, process restarts), so a re-requested
+// workload is decoded from the pool instead of regenerated, and every
+// benchmark materialisation is automatically addressable by
+// trace_sha256.
 type traceCache struct {
 	mu   sync.Mutex
-	max  int
 	pool *tracepool.Pool
-	m    map[string]*materialisedTrace
+	m    *lru.Cache[string, *materialisedTrace]
 }
 
-func newTraceCache(max int, pool *tracepool.Pool) *traceCache {
-	return &traceCache{max: max, pool: pool, m: make(map[string]*materialisedTrace)}
+func newTraceCache(pool *tracepool.Pool) *traceCache {
+	return &traceCache{pool: pool, m: lru.NewCache[string, *materialisedTrace](DefaultMaxTraces)}
 }
 
 func (c *traceCache) get(bench string, scale float64, seed uint64) (*materialisedTrace, error) {
@@ -235,18 +235,10 @@ func (c *traceCache) get(bench string, scale float64, seed uint64) (*materialise
 		key = fmt.Sprintf("%s|%d", bench, seed)
 	}
 	c.mu.Lock()
-	mt := c.m[key]
-	if mt == nil {
-		if len(c.m) >= c.max {
-			for k := range c.m {
-				if k != key {
-					delete(c.m, k)
-					break
-				}
-			}
-		}
+	mt, ok := c.m.Get(key)
+	if !ok {
 		mt = &materialisedTrace{}
-		c.m[key] = mt
+		c.m.Put(key, mt)
 	}
 	c.mu.Unlock()
 	mt.once.Do(func() {
@@ -267,8 +259,8 @@ func (c *traceCache) get(bench string, scale float64, seed uint64) (*materialise
 	if mt.err != nil {
 		// Do not cache failures.
 		c.mu.Lock()
-		if c.m[key] == mt {
-			delete(c.m, key)
+		if cur, _ := c.m.Peek(key); cur == mt {
+			c.m.Remove(key)
 		}
 		c.mu.Unlock()
 		return nil, mt.err

@@ -6,30 +6,24 @@
 // options) cell anywhere gets the stored result, bit-identical to a
 // fresh simulation.
 //
-// The store is two-tiered: a fixed-capacity in-memory LRU tier (built
-// on internal/lru) in front of an optional on-disk tier of one JSON
-// blob per key, written atomically (temp file + rename) so readers
-// never observe a partial entry. Keys embed a schema version: bumping
-// SchemaVersion — required whenever simulation semantics change in a
-// result-visible way — makes every old entry unreachable without any
-// deletion pass, and disk reads additionally validate that the entry's
-// recorded inputs re-derive the key, so a corrupted or hand-edited
-// blob degrades to a miss, never to a wrong result.
+// The store is a blob.Tier: a fixed-capacity in-memory LRU tier in
+// front of an optional on-disk tier of one JSON blob per key, written
+// atomically (temp file + rename) so readers never observe a partial
+// entry. Keys embed a schema version: bumping SchemaVersion — required
+// whenever simulation semantics change in a result-visible way — makes
+// every old entry unreachable without any deletion pass, and disk
+// reads additionally validate that the entry's recorded inputs
+// re-derive the key, so a corrupted or hand-edited blob degrades to a
+// miss, never to a wrong result.
 package store
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sync"
 
-	"gskew/internal/lru"
+	"gskew/internal/blob"
 	"gskew/internal/obs"
 	"gskew/internal/sim"
 )
@@ -43,12 +37,14 @@ const SchemaVersion = 1
 
 // Store telemetry, registered in the default obs registry.
 var (
-	mMemHits   = obs.NewCounter("store.mem_hits")
-	mDiskHits  = obs.NewCounter("store.disk_hits")
-	mMisses    = obs.NewCounter("store.misses")
-	mPuts      = obs.NewCounter("store.puts")
-	mEvictions = obs.NewCounter("store.evictions")
-	mDiskDrops = obs.NewCounter("store.disk_drops") // unreadable/stale blobs treated as misses
+	mPuts    = obs.NewCounter("store.puts")
+	counters = blob.Counters{
+		MemHits:   obs.NewCounter("store.mem_hits"),
+		DiskHits:  obs.NewCounter("store.disk_hits"),
+		Misses:    obs.NewCounter("store.misses"),
+		Evictions: obs.NewCounter("store.evictions"),
+		Drops:     obs.NewCounter("store.disk_drops"), // unreadable/stale blobs treated as misses
+	}
 )
 
 // Options is the normalized, result-relevant subset of sim.Options
@@ -92,9 +88,6 @@ type Key [sha256.Size]byte
 // String returns the lowercase hex form (the on-disk file stem).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// prefix returns the truncated form used as the in-memory recency key.
-func (k Key) prefix() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
-
 // KeyFor derives the cache key of a cell. spec must be the canonical
 // predictor spec string (predictor.Spec.String()) and traceHash the
 // trace content hash; both are embedded verbatim, so two spellings of
@@ -125,79 +118,51 @@ type Entry struct {
 // Key re-derives the entry's content address from its recorded inputs.
 func (e Entry) Key() Key { return KeyFor(e.Spec, e.TraceHash, e.Opts) }
 
-// memSlot is one in-memory tier cell. The full key is kept so that a
-// truncated-prefix collision (probability ~2^-64 per pair) is detected
-// and treated as a miss rather than returning the wrong entry.
-type memSlot struct {
-	key   Key
-	entry Entry
+// codec is the disk form of an entry: indented JSON plus a newline,
+// named by the key's hex. A blob is trusted only if it parses, carries
+// the current schema and its recorded inputs re-derive its key.
+var codec = blob.Codec[Key, Entry]{
+	Name: func(k Key) string { return k.String() + ".json" },
+	Encode: func(e Entry) ([]byte, error) {
+		data, err := json.MarshalIndent(e, "", "  ")
+		return append(data, '\n'), err
+	},
+	Decode: func(k Key, data []byte) (Entry, bool) {
+		var e Entry
+		if json.Unmarshal(data, &e) != nil || e.Schema != SchemaVersion || e.Key() != k {
+			return Entry{}, false
+		}
+		return e, true
+	},
 }
 
-// Store is the two-tiered cache. It is safe for concurrent use; the
-// memory tier is guarded by one mutex (operations on it are map/list
-// pokes, never simulation work) and disk I/O happens outside it.
+// Store is the two-tiered cache. It is safe for concurrent use.
 type Store struct {
-	mu  sync.Mutex
-	rec *lru.Set           // recency over key prefixes
-	mem map[uint64]memSlot // prefix -> resident entry
-	dir string             // "" = memory-only
+	tier *blob.Tier[Key, Entry]
 }
 
 // Open returns a store with an in-memory tier of memEntries cells
 // (must be positive) over the on-disk tier rooted at dir; dir == ""
 // selects a memory-only store. The directory is created if missing.
 func Open(memEntries int, dir string) (*Store, error) {
-	if memEntries <= 0 {
-		return nil, fmt.Errorf("store: memory tier capacity %d must be positive", memEntries)
+	t, err := blob.Open("store", memEntries, dir, codec, counters)
+	if err != nil {
+		return nil, err
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: creating %s: %w", dir, err)
-		}
-	}
-	return &Store{
-		rec: lru.NewSet(memEntries),
-		mem: make(map[uint64]memSlot, memEntries),
-		dir: dir,
-	}, nil
+	return &Store{tier: t}, nil
 }
 
 // Dir returns the disk-tier root ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.tier.Dir() }
 
 // Len returns the number of entries resident in the memory tier.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec.Len()
-}
+func (s *Store) Len() int { return s.tier.Len() }
 
 // Get returns the entry stored under k. A memory-tier miss falls
 // through to the disk tier; a disk hit is promoted into the memory
 // tier. Unreadable, schema-stale or key-mismatched disk blobs are
 // dropped (counted, not erred): the caller simply recomputes.
-func (s *Store) Get(k Key) (Entry, bool) {
-	s.mu.Lock()
-	if slot, ok := s.mem[k.prefix()]; ok && slot.key == k {
-		s.rec.Touch(k.prefix())
-		s.mu.Unlock()
-		mMemHits.Inc()
-		return slot.entry, true
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		mMisses.Inc()
-		return Entry{}, false
-	}
-	e, ok := s.readDisk(k)
-	if !ok {
-		mMisses.Inc()
-		return Entry{}, false
-	}
-	mDiskHits.Inc()
-	s.insertMem(k, e)
-	return e, true
-}
+func (s *Store) Get(k Key) (Entry, bool) { return s.tier.Get(k) }
 
 // Put stores e under k, inserting into the memory tier and — when a
 // disk tier is configured — persisting the blob atomically. The key
@@ -210,82 +175,6 @@ func (s *Store) Put(k Key, e Entry) error {
 		return fmt.Errorf("store: key %s does not address entry (spec %q, trace %s)",
 			k, e.Spec, e.TraceHash)
 	}
-	s.insertMem(k, e)
 	mPuts.Inc()
-	if s.dir == "" {
-		return nil
-	}
-	return s.writeDisk(k, e)
-}
-
-// insertMem makes e resident, evicting the LRU entry when full.
-func (s *Store) insertMem(k Key, e Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := k.prefix()
-	if slot, ok := s.mem[p]; ok && slot.key != k {
-		// Truncated-prefix collision: drop the old occupant (it will
-		// re-enter from disk or recomputation if ever needed again).
-		mEvictions.Inc()
-	}
-	_, evicted, didEvict := s.rec.Touch(p)
-	if didEvict {
-		delete(s.mem, evicted)
-		mEvictions.Inc()
-	}
-	s.mem[p] = memSlot{key: k, entry: e}
-}
-
-// path returns the disk blob path for a key.
-func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()+".json") }
-
-// readDisk loads and validates one blob. ok is false for any blob that
-// cannot be trusted: unreadable, unparsable, wrong schema, or whose
-// recorded inputs do not re-derive k.
-func (s *Store) readDisk(k Key) (Entry, bool) {
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			mDiskDrops.Inc()
-		}
-		return Entry{}, false
-	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		mDiskDrops.Inc()
-		return Entry{}, false
-	}
-	if e.Schema != SchemaVersion || e.Key() != k {
-		mDiskDrops.Inc()
-		return Entry{}, false
-	}
-	return e, true
-}
-
-// writeDisk persists one blob atomically: write to a unique temp file
-// in the store directory, then rename over the final path, so a
-// concurrent reader sees either the old complete blob or the new one.
-func (s *Store) writeDisk(k Key, e Entry) error {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: encoding %s: %w", k, err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: staging %s: %w", k, err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: staging %s: %w", k, werr)
-	}
-	if err := os.Rename(tmp.Name(), s.path(k)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: committing %s: %w", k, err)
-	}
-	return nil
+	return s.tier.Put(k, e, nil)
 }

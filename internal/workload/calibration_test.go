@@ -12,6 +12,7 @@ import (
 
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
+	"gskew/internal/trace"
 )
 
 // calibrationBand holds the acceptable range for one benchmark metric
@@ -37,6 +38,12 @@ func TestCalibrationUnaliasedMisprediction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		addrs := map[uint64]bool{}
+		for _, b := range branches {
+			if b.Kind == trace.Conditional {
+				addrs[b.PC] = true
+			}
+		}
 		for k, band := range bands {
 			u := predictor.NewUnaliased(k, 2)
 			res, err := sim.RunBranches(branches, u, sim.Options{SkipFirstUse: true})
@@ -49,7 +56,7 @@ func TestCalibrationUnaliasedMisprediction(t *testing.T) {
 			}
 			// Substream ratio bands (paper: 1.79-2.36 at h4,
 			// 5.71-12.90 at h12; ours run slightly high at h4).
-			ratio := u.SubstreamRatio()
+			ratio := float64(u.Substreams()) / float64(len(addrs))
 			switch k {
 			case 4:
 				if ratio < 1.5 || ratio > 4.0 {
