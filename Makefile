@@ -3,9 +3,10 @@
 # that execute simulation cells in parallel (the scheduler, the trace
 # cache, the single-pass multi-predictor runner and its cell-parallel
 # drain, the HTTP service, its shared result store and trace pool, the
-# two-tier blob cache and LRU under them, and the telemetry registry),
-# then repeats the cell-parallel drain and the experiments cell memo's
-# single-flight tests. `make verify` is the differential tier: the
+# two-tier blob cache and LRU under them, the telemetry registry, and
+# the program generator and workloads, whose pooled generation
+# workspaces scheduler cells share), then repeats the cell-parallel
+# drain and the experiments cell memo's single-flight tests. `make verify` is the differential tier: the
 # optimized predictors against the executable paper spec, plus the
 # fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME, among them the cell-parallel
@@ -24,7 +25,9 @@
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
 # serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
 # BENCH_sim.json, then the trace codec (mmap columnar decode, columnar
-# encode, content hash) into BENCH_trace.json, then
+# encode, content hash) into BENCH_trace.json, then building each
+# benchmark's generator (workload.New, allocs/op bounded) into
+# BENCH_workload.json, then
 # a predload zipfian sweep against an in-process server into
 # BENCH_serve.json (latency quantiles + cache-hit curve, guarded by
 # bench_guard_test.go); `make bench-all` runs the full benchmark suite
@@ -48,7 +51,7 @@ test: build
 
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/blob ./internal/lru ./internal/obs ./internal/trace
+	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace ./internal/tracepool ./internal/blob ./internal/lru ./internal/obs ./internal/trace ./internal/cfg ./internal/workload
 	$(GO) test -race -count=10 -run 'CellParallel' ./internal/sim
 	$(GO) test -race -count=5 -run 'Memo' ./internal/experiments
 
@@ -108,6 +111,9 @@ bench:
 	$(GO) test -bench='^BenchmarkTraceCodec' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -o BENCH_trace.json
 	@cat BENCH_trace.json
+	$(GO) test -bench='^BenchmarkWorkloadNew' -benchmem -count=$(BENCHCOUNT) -run '^$$' . \
+		| $(GO) run ./cmd/benchjson -o BENCH_workload.json
+	@cat BENCH_workload.json
 	$(GO) run ./cmd/predload sweep -cells 27 -passes 3 -out BENCH_serve.json
 	@cat BENCH_serve.json
 

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"gskew/internal/workload"
 )
 
 // The committed benchmark snapshots are artifacts with claims
 // attached: the bitsliced group kernel beats the scalar kernels per
 // lane, every compiled skewed shape beats its interface path, a
-// cell-parallel sweep beats the serial one, and the trace codec's
-// batch decode and writer do not allocate. These tests re-assert
+// cell-parallel sweep beats the serial one, the trace codec's batch
+// decode and writer do not allocate, and building a benchmark's
+// generator makes a bounded number of allocations. These tests re-assert
 // those relations from the snapshots themselves, so a regression that
 // survives into a regenerated BENCH_*.json fails the suite rather
 // than silently shipping. All comparisons are within one
@@ -172,5 +175,26 @@ func TestBenchSnapshotTraceEncode(t *testing.T) {
 		t.Errorf("snapshot missing %q; regenerate with `make bench`", name)
 	} else if n != 0 {
 		t.Errorf("%s allocates %d allocs/op; the columnar writer must be allocation-free per record", name, n)
+	}
+}
+
+// workloadNewAllocsBound bounds the allocations of building one
+// benchmark's generator. Its programs are generated and compiled in
+// pooled workspaces, so each of its three or four processes costs a
+// few allocations (its walker and procedure names), none per site:
+// before that, real_gcc's generator took 79,768.
+const workloadNewAllocsBound = 50
+
+// TestBenchSnapshotWorkloadNew: building each benchmark's generator
+// (workload.New) stays within workloadNewAllocsBound allocs/op.
+func TestBenchSnapshotWorkloadNew(t *testing.T) {
+	_, allocs := loadSnapshotFull(t, "BENCH_workload.json")
+	for _, name := range workload.Names() {
+		key := "WorkloadNew/" + name
+		if n, ok := allocs[key]; !ok {
+			t.Errorf("snapshot missing %q; regenerate with `make bench`", key)
+		} else if n > workloadNewAllocsBound {
+			t.Errorf("%s allocates %d allocs/op, want at most %d", key, n, workloadNewAllocsBound)
+		}
 	}
 }

@@ -225,6 +225,30 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadNew times building one benchmark's generator: every
+// process program and the kernel program generated and compiled to
+// walkers, before any record is drawn. The scale only sets the
+// generator's length, so one fixed scale stands for all. make bench
+// snapshots it into BENCH_workload.json, whose allocs/op
+// TestBenchSnapshotWorkloadNew bounds.
+func BenchmarkWorkloadNew(b *testing.B) {
+	for _, name := range workload.Names() {
+		b.Run(name, func(b *testing.B) {
+			spec, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := workload.Config{Scale: benchScale, SeedOffset: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.New(spec, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Single-pass vs sequential simulation: the same predictor set driven
 // over the same trace by N sim.RunBranches calls versus one
 // sim.RunManyBranches call. The /Many variant decodes the trace and

@@ -21,8 +21,16 @@ import (
 	"gskew/internal/trace"
 )
 
+// classify names a site's behaviour class. Generated programs hold
+// their behaviours by pointer, which classify like the values.
 func classify(b cfg.Behavior) string {
 	switch v := b.(type) {
+	case *cfg.Biased:
+		return classify(*v)
+	case *cfg.Correlated:
+		return classify(*v)
+	case *cfg.Alternating:
+		return classify(*v)
 	case cfg.Biased:
 		switch {
 		case v.P >= 0.95 || v.P <= 0.05:

@@ -112,6 +112,21 @@ func (t *Tier[K, V]) Contains(k K) bool {
 	return err == nil
 }
 
+// Holds reports whether k is resident or has a disk blob that decodes
+// and validates. Unlike Contains it reads a disk blob through the
+// codec, counting a drop when the blob cannot be trusted, so a corrupt
+// blob does not pass for the value; it promotes nothing.
+func (t *Tier[K, V]) Holds(k K) bool {
+	t.mu.Lock()
+	_, ok := t.mem.Peek(k)
+	t.mu.Unlock()
+	if ok || t.dir == "" {
+		return ok
+	}
+	_, ok = t.read(k)
+	return ok
+}
+
 // Insert makes v resident under k in memory only, evicting the least
 // recently used value when full.
 func (t *Tier[K, V]) Insert(k K, v V) {

@@ -28,6 +28,8 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"gskew/internal/rng"
 )
@@ -140,7 +142,11 @@ type Block struct{ Size int }
 
 func (Block) isNode() {}
 
-// CondSite is a static conditional branch site.
+// CondSite is a static conditional branch site. Generate stores each
+// site's built-in behaviour by pointer (*Biased, *Correlated or
+// *Alternating) into a slab of its program, so that no site boxes its
+// own; hand-built sites usually hold values. Code that switches on a
+// Behavior's type handles both forms.
 type CondSite struct {
 	PC       uint64
 	Behavior Behavior
@@ -268,16 +274,33 @@ func (p *Program) validateSeq(seq []Node, procIdx int) error {
 	return nil
 }
 
-// Builder assembles a Program, assigning PCs and site IDs.
+// Builder assembles a Program, assigning PCs and site IDs. The sites,
+// calls, jumps and procedures it hands out are carved from the slabs
+// of the program's arena, so a Builder costs a few allocations per
+// program rather than one per node. A Builder is not safe for
+// concurrent use; separate Builders share nothing.
 type Builder struct {
 	prog   *Program
 	nextPC uint64
+	a      *arena
 }
 
 // NewBuilder starts a program whose code is laid out from base (a word
 // address).
 func NewBuilder(base uint64) *Builder {
-	return &Builder{prog: &Program{}, nextPC: base}
+	a := new(arena)
+	return &Builder{prog: &a.prog, nextPC: base, a: a}
+}
+
+// reserve sizes the builder's slabs for a program of the given site,
+// procedure and call counts, so building it allocates each slab at
+// most once.
+func (b *Builder) reserve(sites, procs, calls int) {
+	b.prog.sites = slices.Grow(b.prog.sites[:0], sites)
+	b.prog.Procs = slices.Grow(b.prog.Procs[:0], procs)
+	b.a.sites.reserve(sites)
+	b.a.procs.reserve(procs)
+	b.a.calls.reserve(calls)
 }
 
 // PC returns the next unassigned word address.
@@ -288,7 +311,8 @@ func (b *Builder) Skip(n uint64) { b.nextPC += n }
 
 // NewSite allocates a conditional branch site at the current PC.
 func (b *Builder) NewSite(behavior Behavior) *CondSite {
-	s := &CondSite{PC: b.nextPC, Behavior: behavior, id: len(b.prog.sites)}
+	s := b.a.sites.new()
+	*s = CondSite{PC: b.nextPC, Behavior: behavior, id: len(b.prog.sites)}
 	b.prog.sites = append(b.prog.sites, s)
 	b.nextPC++
 	return s
@@ -302,14 +326,16 @@ func (b *Builder) NewBlock(size int) Block {
 
 // NewCall allocates a call instruction targeting procedure callee.
 func (b *Builder) NewCall(callee int) *Call {
-	c := &Call{PC: b.nextPC, Callee: callee}
+	c := b.a.calls.new()
+	*c = Call{PC: b.nextPC, Callee: callee}
 	b.nextPC++
 	return c
 }
 
 // NewJump allocates a direct jump instruction.
 func (b *Builder) NewJump() *Jump {
-	j := &Jump{PC: b.nextPC}
+	j := b.a.jumps.new()
+	j.PC = b.nextPC
 	b.nextPC++
 	return j
 }
@@ -317,7 +343,8 @@ func (b *Builder) NewJump() *Jump {
 // AddProc appends a procedure with the given body and allocates its
 // return-jump address. It returns the procedure index.
 func (b *Builder) AddProc(name string, body []Node) int {
-	p := &Proc{Name: name, Body: body, ReturnPC: b.nextPC}
+	p := b.a.procs.new()
+	*p = Proc{Name: name, Body: body, ReturnPC: b.nextPC}
 	b.nextPC++
 	b.prog.Procs = append(b.prog.Procs, p)
 	return len(b.prog.Procs) - 1
@@ -330,4 +357,127 @@ func (b *Builder) Build(entry int) (*Program, error) {
 		return nil, err
 	}
 	return b.prog, nil
+}
+
+// arena holds the slabs a program is carved from: its Program header,
+// every node, site and generated behaviour, and the one backing store
+// of all its sequences. An arena either belongs to one program
+// (NewBuilder, Generate) or, when the program never leaves the call
+// that built it (GenerateWalker), to a workspace that reuses it for
+// the next program.
+type arena struct {
+	prog        Program
+	sites       slab[CondSite]
+	calls       slab[Call]
+	jumps       slab[Jump]
+	procs       slab[Proc]
+	ifs         slab[If]
+	loops       slab[Loop]
+	nodes       slab[Node]
+	biased      slab[Biased]
+	correlated  slab[Correlated]
+	alternating slab[Alternating]
+}
+
+// reset empties the arena for the next program, keeping its chunks.
+func (a *arena) reset() {
+	a.prog = Program{Procs: a.prog.Procs[:0], sites: a.prog.sites[:0]}
+	a.sites.reset()
+	a.calls.reset()
+	a.jumps.reset()
+	a.procs.reset()
+	a.ifs.reset()
+	a.loops.reset()
+	a.nodes.reset()
+	a.biased.reset()
+	a.correlated.reset()
+	a.alternating.reset()
+}
+
+// slab hands out values of T from chunks that never move, so every
+// pointer and run it has returned stays valid as it grows. A new chunk
+// holds at least hint values and at least twice the previous chunk,
+// so a slab whose hint is short still costs only a logarithmic number
+// of allocations. new zeroes what it hands out and take's callers
+// overwrite it, which is what lets a reset slab reuse its chunk.
+type slab[T any] struct {
+	chunk []T
+	hint  int // capacity of the next chunk
+}
+
+// minChunk is the smallest chunk a slab allocates.
+const minChunk = 16
+
+// reserve sets the size of the slab's first chunk. A chunk kept from
+// an earlier program that is smaller is dropped, so that the program
+// fits in one chunk.
+func (s *slab[T]) reserve(n int) {
+	s.hint = n
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = nil
+	}
+}
+
+// reset forgets every value handed out, keeping the chunk.
+func (s *slab[T]) reset() { s.chunk = s.chunk[:0] }
+
+// grow starts a chunk with room for at least n values.
+func (s *slab[T]) grow(n int) {
+	s.chunk = make([]T, 0, max(n, s.hint, 2*cap(s.chunk), minChunk))
+}
+
+// new returns a pointer to a zero value.
+func (s *slab[T]) new() *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.grow(1)
+	}
+	var zero T
+	s.chunk = append(s.chunk, zero)
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// take returns a run of n values (nil when n is 0) for the caller to
+// overwrite in full: in a reset slab they hold an earlier program's.
+// The run's capacity is its length, so appending to it copies rather
+// than overwriting the run after it.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.grow(n)
+	}
+	i := len(s.chunk)
+	s.chunk = s.chunk[:i+n]
+	return s.chunk[i : i+n : i+n]
+}
+
+// resize returns s resized to n, reusing its array when it is big
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// workspace is the working memory of one Generate, NewWalker or
+// GenerateWalker call. They run for every program of every workload,
+// concurrently when scheduler cells generate in parallel, so
+// workspaces are pooled: a call holds its workspace alone from Get to
+// release. release drops the scratch's references into the program or
+// walker the call made; the arena keeps its chunks, and only a
+// program that never left GenerateWalker was built in it.
+type workspace struct {
+	gen   genScratch
+	comp  compiler
+	arena arena // for GenerateWalker's programs, which never leave it
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+func (ws *workspace) release() {
+	ws.gen.release()
+	ws.comp.release()
+	workspaces.Put(ws)
 }

@@ -66,9 +66,16 @@ func dumpSeq(w io.Writer, seq []Node, depth int) error {
 }
 
 // describeBehavior renders a Behavior compactly, e.g. "biased(0.97)"
-// or "correlated(mask=101,inv)".
+// or "correlated(mask=101,inv)". A built-in behaviour held by pointer
+// renders as its value.
 func describeBehavior(b Behavior) string {
 	switch v := b.(type) {
+	case *Biased:
+		return describeBehavior(*v)
+	case *Correlated:
+		return describeBehavior(*v)
+	case *Alternating:
+		return describeBehavior(*v)
 	case Biased:
 		return fmt.Sprintf("biased(%.2f)", v.P)
 	case Correlated:

@@ -82,16 +82,15 @@ type Walker struct {
 	sp      int
 	pc      int32
 	hist    uint64 // recent outcomes, newest in bit 0
-	r       *rng.Xoshiro256
+	r       rng.Xoshiro256
 }
 
 // NewWalker compiles prog and returns a Walker over it seeded with
 // seed.
 func NewWalker(prog *Program, seed uint64) *Walker {
-	c := compiler{prog: prog, slot: map[int]int{}}
-	w := c.compile()
-	w.r = rng.NewXoshiro256(seed)
-	return w
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	return ws.comp.compile(prog, seed)
 }
 
 // History returns the walker's internal outcome history register
@@ -102,7 +101,7 @@ func (w *Walker) History() uint64 { return w.hist }
 func (w *Walker) Fill(dst []trace.Branch) {
 	ops, stack, scratch := w.ops, w.stack, w.scratch
 	pc, sp, hist := w.pc, w.sp, w.hist
-	r := *w.r
+	r := w.r
 	for i := 0; i < len(dst); {
 		o := &ops[pc]
 		var taken bool
@@ -123,9 +122,9 @@ func (w *Walker) Fill(dst []trace.Branch) {
 			taken = (*n/o.a)%2 == 0
 			*n++
 		case opIfCustom:
-			*w.r = r
-			taken = w.custom[o.a].Decide(w.r, hist, &scratch[o.b])
-			r = *w.r
+			w.r = r
+			taken = w.custom[o.a].Decide(&w.r, hist, &scratch[o.b])
+			r = w.r
 		case opGoto:
 			pc = o.next
 			continue
@@ -135,9 +134,9 @@ func (w *Walker) Fill(dst []trace.Branch) {
 			}
 			trips := int(o.a)
 			if o.code == opLoopSample {
-				*w.r = r
-				trips = TripDist{Min: trips, MeanExtra: math.Float64frombits(o.b)}.Sample(w.r)
-				r = *w.r
+				w.r = r
+				trips = TripDist{Min: trips, MeanExtra: math.Float64frombits(o.b)}.Sample(&w.r)
+				r = w.r
 			} else if o.b != 0 {
 				trips += r.GeometricBelow(o.b) - 1
 			}
@@ -199,7 +198,7 @@ func (w *Walker) Fill(dst []trace.Branch) {
 		pc = next
 		i++
 	}
-	*w.r = r
+	w.r = r
 	w.pc, w.sp, w.hist = pc, sp, hist
 }
 
@@ -244,13 +243,16 @@ func (w *Walker) EmitConditionals(dst []trace.Branch, n int) []trace.Branch {
 	return dst
 }
 
-// compiler lowers a Program to a Walker's op stream.
+// compiler lowers a Program to a Walker's op stream. Compiling
+// allocates only what the Walker keeps (its ops, scratch and stack);
+// the compiler's own tables belong to a workspace and are reused.
 type compiler struct {
-	prog   *Program
 	ops    []op
-	custom []Behavior
-	slot   map[int]int // site id -> scratch index, shared by reused sites
-	calls  []int       // op indices of calls, whose next is patched to the callee
+	custom []Behavior // the walker's, made afresh by each compile
+	slot   []int32    // site id -> scratch index + 1, 0 until assigned; shared by reused sites
+	slots  int        // scratch indices assigned
+	calls  []int      // op indices of calls, whose next is patched to the callee
+	starts []int32    // each procedure's first op
 	// Frame depth bookkeeping: loops is the loop nesting at the op
 	// being compiled, depth the deepest frame stack seen in the
 	// current procedure, and procDepth each compiled procedure's.
@@ -258,26 +260,33 @@ type compiler struct {
 	procDepth    []int
 }
 
-func (c *compiler) compile() *Walker {
-	procs := c.prog.Procs
+// release drops the compiler's references into the walker.
+func (c *compiler) release() { c.ops, c.custom = nil, nil }
+
+// compile compiles prog to a Walker seeded with seed.
+func (c *compiler) compile(prog *Program, seed uint64) *Walker {
+	procs := prog.Procs
+	c.slots, c.calls = 0, c.calls[:0]
+	c.slot = resize(c.slot, len(prog.sites))
+	clear(c.slot)
+	c.starts = resize(c.starts, len(procs))
+	c.procDepth = resize(c.procDepth, len(procs))
 	// Generated programs compile to about 1.4 ops per site.
-	c.ops = make([]op, 0, len(c.prog.sites)*3/2+2*len(procs))
-	starts := make([]int32, len(procs))
-	c.procDepth = make([]int, len(procs))
+	c.ops = make([]op, 0, len(prog.sites)*3/2+2*len(procs))
 	// Callees have higher indices than their callers, so compiling in
 	// reverse knows each callee's frame depth before its calls.
 	for i := len(procs) - 1; i >= 0; i-- {
 		c.loops, c.depth = 0, 0
 		body := int32(len(c.ops))
 		c.seq(procs[i].Body)
-		c.ops = append(c.ops, op{code: opReturn, pc: procs[i].ReturnPC})
-		starts[i] = body
+		c.emit(opReturn, procs[i].ReturnPC, 0)
+		c.starts[i] = body
 		c.procDepth[i] = c.depth
 	}
 	for _, i := range c.calls {
-		c.ops[i].next = starts[c.ops[i].next]
+		c.ops[i].next = c.starts[c.ops[i].next]
 	}
-	entry := starts[c.prog.Entry]
+	entry := c.starts[prog.Entry]
 	for i := range c.ops {
 		switch o := &c.ops[i]; o.code {
 		case opReturn:
@@ -292,15 +301,23 @@ func (c *compiler) compile() *Walker {
 	return &Walker{
 		ops:     c.ops,
 		custom:  c.custom,
-		scratch: make([]uint64, len(c.slot)),
-		stack:   make([]int, min(c.procDepth[c.prog.Entry], maxDepth)),
+		scratch: make([]uint64, c.slots),
+		stack:   make([]int, min(c.procDepth[prog.Entry], maxDepth)),
 		pc:      entry,
+		r:       *rng.NewXoshiro256(seed),
 	}
 }
 
-func (c *compiler) emit(o op) int {
-	c.ops = append(c.ops, o)
-	return len(c.ops) - 1
+// emit appends an op and returns its index. The op is filled in place
+// (as are the parameters site and loopEnter set), never built apart
+// and copied: copying a 32-byte op just written field by field stalls
+// on store forwarding.
+func (c *compiler) emit(code opcode, pc uint64, next int32) int {
+	c.ops = append(c.ops, op{})
+	i := len(c.ops) - 1
+	o := &c.ops[i]
+	o.code, o.pc, o.next = code, pc, next
+	return i
 }
 
 // frames notes that the frame stack reaches c.loops plus extra frames.
@@ -312,10 +329,11 @@ func (c *compiler) seq(seq []Node) {
 	for _, node := range seq {
 		switch n := node.(type) {
 		case *If:
-			i := c.emit(c.site(n.Site))
+			i := c.emit(0, n.Site.PC, 0)
+			c.site(&c.ops[i], n.Site)
 			c.seq(n.Then)
 			// Not taken skips the Then code and the goto that ends it.
-			g := c.emit(op{code: opGoto})
+			g := c.emit(opGoto, 0, 0)
 			c.ops[i].next = int32(g + 1)
 			c.seq(n.Else)
 			if len(c.ops) == g+1 {
@@ -326,74 +344,86 @@ func (c *compiler) seq(seq []Node) {
 				c.ops[g].next = int32(len(c.ops))
 			}
 		case *Loop:
-			c.emit(loopEnter(n.Trips))
+			c.ops[c.emit(0, 0, 0)].loopEnter(n.Trips)
 			c.loops++
 			c.frames(0)
 			body := int32(len(c.ops))
 			c.seq(n.Body)
 			c.loops--
-			c.emit(op{code: opLoopEnd, pc: n.Site.PC, next: body})
+			c.emit(opLoopEnd, n.Site.PC, body)
 		case *Call:
-			c.calls = append(c.calls, c.emit(op{code: opCall, pc: n.PC, next: int32(n.Callee)}))
+			c.calls = append(c.calls, c.emit(opCall, n.PC, int32(n.Callee)))
 			c.frames(1 + c.procDepth[n.Callee])
 		case *Jump:
-			c.emit(op{code: opJump, pc: n.PC})
+			c.emit(opJump, n.PC, 0)
 		}
 	}
 }
 
-// site compiles a conditional site to its op, next still unset.
-func (c *compiler) site(s *CondSite) op {
-	o := op{pc: s.PC}
+// site compiles conditional site s into its op o. The built-in
+// behaviours compile alike whether the site holds them by value or, as
+// generated programs do, by pointer.
+func (c *compiler) site(o *op, s *CondSite) {
 	switch b := s.Behavior.(type) {
 	case Biased:
-		switch {
-		case b.P <= 0:
-			o.code = opIfConst
-		case b.P >= 1:
-			o.code, o.a = opIfConst, 1
-		default:
-			o.code, o.a = opIfBiased, rng.Threshold(b.P)
-		}
+		o.biased(b)
+	case *Biased:
+		o.biased(*b)
 	case Correlated:
-		o.code, o.a, o.inv = opIfCorrelated, b.Mask, b.Invert
-		switch {
-		case b.Noise >= 1:
-			o.inv = !o.inv // flips every outcome, without a draw
-		case b.Noise > 0:
-			o.b = rng.Threshold(b.Noise)
-		}
+		o.correlated(b)
+	case *Correlated:
+		o.correlated(*b)
 	case Alternating:
-		o.code, o.a, o.b = opIfAlternating, max(b.Period, 1), uint64(c.scratch(s))
+		o.code, o.a, o.b = opIfAlternating, max(b.Period, 1), c.scratch(s)
+	case *Alternating:
+		o.code, o.a, o.b = opIfAlternating, max(b.Period, 1), c.scratch(s)
 	default:
 		c.custom = append(c.custom, b)
-		o.code, o.a, o.b = opIfCustom, uint64(len(c.custom)-1), uint64(c.scratch(s))
+		o.code, o.a, o.b = opIfCustom, uint64(len(c.custom)-1), c.scratch(s)
 	}
-	return o
+}
+
+func (o *op) biased(b Biased) {
+	switch {
+	case b.P <= 0:
+		o.code = opIfConst
+	case b.P >= 1:
+		o.code, o.a = opIfConst, 1
+	default:
+		o.code, o.a = opIfBiased, rng.Threshold(b.P)
+	}
+}
+
+func (o *op) correlated(b Correlated) {
+	o.code, o.a, o.inv = opIfCorrelated, b.Mask, b.Invert
+	switch {
+	case b.Noise >= 1:
+		o.inv = !o.inv // flips every outcome, without a draw
+	case b.Noise > 0:
+		o.b = rng.Threshold(b.Noise)
+	}
 }
 
 // scratch returns the scratch index of site s.
-func (c *compiler) scratch(s *CondSite) int {
-	i, ok := c.slot[s.id]
-	if !ok {
-		i = len(c.slot)
-		c.slot[s.id] = i
+func (c *compiler) scratch(s *CondSite) uint64 {
+	if c.slot[s.id] == 0 {
+		c.slots++
+		c.slot[s.id] = int32(c.slots)
 	}
-	return i
+	return uint64(c.slot[s.id] - 1)
 }
 
-// loopEnter compiles a loop's trip distribution to its enter op.
-func loopEnter(d TripDist) op {
+// loopEnter compiles a loop's trip distribution into its enter op o.
+func (o *op) loopEnter(d TripDist) {
+	o.code, o.a = opLoopEnter, uint64(max(d.Min, 1))
 	if d.MeanExtra > 0 {
-		p := 1 / (1 + d.MeanExtra)
-		if p <= 0 {
+		switch p := 1 / (1 + d.MeanExtra); {
+		case p <= 0:
 			// Geometric panics for p == 0; let it, when the loop runs.
-			return op{code: opLoopSample, a: uint64(d.Min), b: math.Float64bits(d.MeanExtra)}
-		}
-		if p < 1 {
-			return op{code: opLoopEnter, a: uint64(max(d.Min, 1)), b: rng.Threshold(p)}
+			o.code, o.a, o.b = opLoopSample, uint64(d.Min), math.Float64bits(d.MeanExtra)
+		case p < 1:
+			o.b = rng.Threshold(p)
 		}
 		// p == 1: Geometric returns 1 without a draw.
 	}
-	return op{code: opLoopEnter, a: uint64(max(d.Min, 1))}
 }

@@ -104,7 +104,7 @@ func diffWalkers(t *testing.T, prog *Program, seed uint64, total int, split *rng
 		if w.History() != ref.hist {
 			t.Fatalf("after %d records: History %#x, reference %#x", done, w.History(), ref.hist)
 		}
-		if *w.r != *ref.r {
+		if w.r != *ref.r {
 			t.Fatalf("after %d records: generator state differs from the reference's", done)
 		}
 	}
@@ -114,7 +114,9 @@ func diffWalkers(t *testing.T, prog *Program, seed uint64, total int, split *rng
 // reference on random programs: a random GenConfig over every
 // behaviour mix, a random entry procedure, one custom Behavior, edge
 // behaviours and trip counts planted on random sites and loops, and
-// random split points between reads.
+// random split points between reads. Each generated program must also
+// validate, and GenerateWalker must walk it as NewWalker does before
+// anything is planted.
 func FuzzWalkerCompiled(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint16(300), []byte{50, 10, 37, 2, 2}, uint8(0), uint16(7), uint64(0), uint64(5))
 	f.Add(uint64(2), uint8(1), uint16(1), []byte{}, uint8(0), uint16(0), uint64(0), uint64(1))
@@ -142,6 +144,16 @@ func FuzzWalkerCompiled(f *testing.F) {
 		prog, err := Generate(gc, seed)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := prog.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// GenerateWalker builds the same program in a reused arena.
+		want := NewWalker(prog, seed).Emit(nil, 3000)
+		for i, b := range GenerateWalker(gc, seed, seed).Emit(nil, 3000) {
+			if b != want[i] {
+				t.Fatalf("GenerateWalker record %d: %+v, want %+v", i, b, want[i])
+			}
 		}
 		prog.Entry = int(entry) % len(prog.Procs)
 

@@ -505,15 +505,11 @@ func TraceFor(seed uint64, n int) ([]trace.Branch, error) {
 		return trace.Collect(workload.NewTake(g, n))
 	case 1:
 		r := rng.NewXoshiro256(rng.Mix64(seed))
-		prog, err := cfg.Generate(cfg.GenConfig{
+		w := cfg.GenerateWalker(cfg.GenConfig{
 			Procs:          4 + r.Intn(8),
 			StaticBranches: 200 + r.Intn(2000),
 			MeanTrips:      4 + float64(r.Intn(40)),
-		}, rng.Mix64(seed+1))
-		if err != nil {
-			return nil, err
-		}
-		w := cfg.NewWalker(prog, rng.Mix64(seed+2))
+		}, rng.Mix64(seed+1), rng.Mix64(seed+2))
 		return trace.Collect(workload.NewTake(w, n))
 	default:
 		r := rng.NewXoshiro256(rng.Mix64(seed))

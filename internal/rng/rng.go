@@ -57,9 +57,18 @@ type Xoshiro256 struct {
 // NewXoshiro256 returns a generator whose state is derived from seed via
 // splitmix64, as recommended by the algorithm's authors. Any seed,
 // including zero, yields a valid (non-degenerate) state.
+//
+// NewXoshiro256 inlines, so a caller that keeps the generator by value
+// (*NewXoshiro256(seed)) or locally does not allocate it.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
-	sm := NewSplitMix64(seed)
-	return &Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
+	x := seedXoshiro256(seed)
+	return &x
+}
+
+// seedXoshiro256 returns NewXoshiro256(seed)'s generator by value.
+func seedXoshiro256(seed uint64) Xoshiro256 {
+	sm := SplitMix64{state: seed}
+	return Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
 }
 
 // Uint64 returns the next value in the sequence.
@@ -85,8 +94,8 @@ func (x Xoshiro256) step() (uint64, Xoshiro256) {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
-// The implementation uses Lemire's multiply-shift reduction with a
-// rejection step, so the result is exactly uniform.
+// The implementation reduces a draw modulo n with a rejection step, so
+// the result is exactly uniform.
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
@@ -95,11 +104,13 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return x.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top range to remove modulo bias.
-	max := ^uint64(0) - ^uint64(0)%n
+	// Rejection sampling on the top range to remove modulo bias: a draw
+	// v is kept when v < 2^64-1 - (2^64-1)%n. That bound is at least
+	// 2^64-n (-n), so the division that finds it is needed only for
+	// the rare draws at or above -n.
 	for {
 		v := x.Uint64()
-		if v < max {
+		if v < -n || v < ^uint64(0)-^uint64(0)%n {
 			return v % n
 		}
 	}

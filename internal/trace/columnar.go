@@ -259,7 +259,7 @@ func b2u(b bool) uint64 {
 // next one (and recording pc in dict) on first sight.
 func (e *columnarEncoder) intern(pc uint64) uint16 {
 	const mask = 1<<pcTableBits - 1
-	s := uint32(pc*0x9E3779B97F4A7C15>>(64-pcTableBits)) & mask
+	s := uint32(pc*fib>>(64-pcTableBits)) & mask
 	for {
 		sl := &e.table[s]
 		if sl.gen != e.gen {

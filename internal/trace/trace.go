@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -207,6 +208,7 @@ func Collect(src Source) ([]Branch, error) {
 }
 
 // Stats summarises a trace, reproducing the quantities of Table 1.
+// The zero value is an empty accumulator.
 type Stats struct {
 	Dynamic       int // dynamic conditional branches
 	Static        int // distinct conditional branch PCs
@@ -214,36 +216,103 @@ type Stats struct {
 	StaticUncond  int // distinct unconditional branch PCs
 	TakenCond     int // taken conditional branches
 	total         int
-	condPCs       map[uint64]struct{}
-	uncondPCs     map[uint64]struct{}
+	condPCs       pcSet
+	uncondPCs     pcSet
 }
 
 // NewStats returns an empty accumulator.
-func NewStats() *Stats {
-	return &Stats{
-		condPCs:   make(map[uint64]struct{}),
-		uncondPCs: make(map[uint64]struct{}),
+func NewStats() *Stats { return &Stats{} }
+
+// Observe accounts one branch.
+func (s *Stats) Observe(b Branch) { s.observe([]Branch{b}) }
+
+// observe accounts a block of branches. Most PCs of a trace repeat and
+// sit in their home slot of the PC set, so that check is made inline.
+func (s *Stats) observe(blk []Branch) {
+	for _, b := range blk {
+		s.total++
+		var set *pcSet
+		switch b.Kind {
+		case Conditional:
+			s.Dynamic++
+			if b.Taken {
+				s.TakenCond++
+			}
+			set = &s.condPCs
+		case Unconditional:
+			s.DynamicUncond++
+			set = &s.uncondPCs
+		default:
+			continue
+		}
+		if h := b.PC * fib >> set.shift; h < uint64(len(set.slots)) && set.slots[h] == b.PC && b.PC != 0 {
+			continue
+		}
+		if set.add(b.PC) {
+			s.Static, s.StaticUncond = s.condPCs.len(), s.uncondPCs.len()
+		}
 	}
 }
 
-// Observe accounts one branch.
-func (s *Stats) Observe(b Branch) {
-	s.total++
-	switch b.Kind {
-	case Conditional:
-		s.Dynamic++
-		if b.Taken {
-			s.TakenCond++
+// pcSet is a set of PCs: open addressing with linear probing in a
+// power-of-two table of Fibonacci-hashed slots, kept at most half full
+// (like the columnar encoder's PC table, but growing). Zero marks an
+// empty slot, so PC 0 is kept apart.
+type pcSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int  // nonzero members
+	zero  bool // whether PC 0 is a member
+}
+
+// minPCSet is the smallest pcSet table.
+const minPCSet = 1 << 10
+
+// fib is 2^64 divided by the golden ratio, the multiplier of
+// Fibonacci hashing.
+const fib = 0x9E3779B97F4A7C15
+
+// add inserts pc and reports whether it was not yet a member.
+func (s *pcSet) add(pc uint64) bool {
+	if pc == 0 {
+		added := !s.zero
+		s.zero = true
+		return added
+	}
+	if 2*s.n >= len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := pc * fib >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case pc:
+			return false
+		case 0:
+			s.slots[i] = pc
+			s.n++
+			return true
 		}
-		if _, ok := s.condPCs[b.PC]; !ok {
-			s.condPCs[b.PC] = struct{}{}
-			s.Static = len(s.condPCs)
-		}
-	case Unconditional:
-		s.DynamicUncond++
-		if _, ok := s.uncondPCs[b.PC]; !ok {
-			s.uncondPCs[b.PC] = struct{}{}
-			s.StaticUncond = len(s.uncondPCs)
+	}
+}
+
+// len returns the number of members.
+func (s *pcSet) len() int {
+	if s.zero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// grow doubles the table and reinserts the members.
+func (s *pcSet) grow() {
+	old := s.slots
+	size := max(2*len(old), minPCSet)
+	s.slots = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.n = 0
+	for _, pc := range old {
+		if pc != 0 {
+			s.add(pc)
 		}
 	}
 }
@@ -265,9 +334,7 @@ func (s *Stats) TakenRatio() float64 {
 func Measure(src Source) (*Stats, error) {
 	st := NewStats()
 	err := Blocks(src, func(blk []Branch) error {
-		for _, b := range blk {
-			st.Observe(b)
-		}
+		st.observe(blk)
 		return nil
 	})
 	return st, err

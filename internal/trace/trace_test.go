@@ -315,6 +315,36 @@ func TestMeasureAndWriteTextAcrossBlocks(t *testing.T) {
 	}
 }
 
+// TestStatsStaticCountsMatchSets: Static and StaticUncond count the
+// distinct PCs a Go map counts, over PCs that include 0, collide in
+// the table's hash and outgrow its first size several times.
+func TestStatsStaticCountsMatchSets(t *testing.T) {
+	r := rng.NewXoshiro256(5)
+	st := NewStats()
+	cond, uncond := map[uint64]bool{}, map[uint64]bool{}
+	for i := 0; i < 200000; i++ {
+		var pc uint64
+		switch r.Intn(4) {
+		case 0:
+			pc = r.Uint64n(8) // small PCs, 0 among them
+		case 1:
+			pc = r.Uint64n(20000) << 40 // high bits only: same hash neighbourhoods
+		default:
+			pc = r.Uint64n(30000)
+		}
+		b := Branch{PC: pc, Kind: Kind(r.Intn(2))}
+		st.Observe(b)
+		if b.Kind == Conditional {
+			cond[pc] = true
+		} else {
+			uncond[pc] = true
+		}
+		if st.Static != len(cond) || st.StaticUncond != len(uncond) {
+			t.Fatalf("after %d records: static %d/%d, want %d/%d", i+1, st.Static, st.StaticUncond, len(cond), len(uncond))
+		}
+	}
+}
+
 func TestStatsEmpty(t *testing.T) {
 	st := NewStats()
 	if st.TakenRatio() != 0 {

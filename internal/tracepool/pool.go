@@ -116,9 +116,11 @@ func (p *Pool) Len() int { return p.tier.Len() }
 
 // Put pools a segment, returning its content hash. created reports
 // whether this call added the segment; a Put whose content is already
-// pooled (memory or disk) only refreshes recency and counts a dedup
-// hit. The branch slice is retained by the memory tier, so callers
-// must not mutate it afterwards.
+// pooled (resident, or a disk blob that re-validates against its
+// address) only refreshes recency and counts a dedup hit. A disk blob
+// that fails validation is rewritten, and the Put counts as created.
+// The branch slice is retained by the memory tier, so callers must not
+// mutate it afterwards.
 func (p *Pool) Put(branches []trace.Branch) (hash string, created bool, err error) {
 	return p.PutEncoded(branches, nil)
 }
@@ -130,7 +132,7 @@ func (p *Pool) Put(branches []trace.Branch) (hash string, created bool, err erro
 // blob against its address.
 func (p *Pool) PutEncoded(branches []trace.Branch, data []byte) (hash string, created bool, err error) {
 	hash = trace.HashBranches(branches)
-	if p.tier.Contains(hash) {
+	if p.tier.Holds(hash) {
 		p.tier.Insert(hash, branches)
 		mDedupHits.Inc()
 		return hash, false, nil

@@ -157,6 +157,42 @@ func TestPoolStaleBlob(t *testing.T) {
 	}
 }
 
+// TestPoolPutRepairsCorruptBlob: a Put whose disk blob is corrupt
+// must not dedup against it. It rewrites the blob and reports created,
+// so a fresh pool over the directory serves the segment.
+func TestPoolPutRepairsCorruptBlob(t *testing.T) {
+	dir := t.TempDir()
+	branches := genTrace(4, 2500)
+	hash := trace.HashBranches(branches)
+	if err := os.WriteFile(filepath.Join(dir, hash+".ctrace"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Open(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	defer obs.Disable()
+	before := DedupHits()
+	got, created, err := p.Put(branches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != hash || !created {
+		t.Fatalf("Put over a corrupt blob = %s, created=%t; want %s, true", got, created, hash)
+	}
+	if n := DedupHits() - before; n != 0 {
+		t.Fatalf("Put over a corrupt blob counted %d dedup hits, want 0", n)
+	}
+	p2, err := Open(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg, ok := p2.Get(hash); !ok || trace.HashBranches(seg) != hash {
+		t.Fatalf("fresh pool Get after the repairing Put: ok=%t", ok)
+	}
+}
+
 func TestPoolNamedIndex(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Open(4, dir)

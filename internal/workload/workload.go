@@ -189,6 +189,7 @@ func New(spec Spec, c Config) (*Generator, error) {
 		burstLen:    rng.NewChance(1.0 / float64(spec.Quantum/kernelBurstRatio+1)),
 		quantumLen:  rng.NewChance(1.0 / float64(spec.Quantum+1)),
 		length:      Length(spec, c),
+		processes:   make([]*cfg.Walker, procs),
 	}
 
 	// User processes split the static budget: the first process gets
@@ -214,22 +215,18 @@ func New(spec Spec, c Config) (*Generator, error) {
 				sites = 16
 			}
 		}
-		prog, err := cfg.Generate(cfg.GenConfig{
+		g.processes[i] = cfg.GenerateWalker(cfg.GenConfig{
 			Procs:          4 + sites/64,
 			StaticBranches: sites,
 			Mix:            spec.Mix,
 			MeanTrips:      spec.MeanTrips,
 			Base:           uint64(1+i) * processStride,
-		}, rng.Mix64(spec.Seed+c.SeedOffset+uint64(i)))
-		if err != nil {
-			return nil, fmt.Errorf("workload %s: process %d: %w", spec.Name, i, err)
-		}
-		g.processes = append(g.processes, cfg.NewWalker(prog, rng.Mix64(spec.Seed^uint64(i)+c.SeedOffset)))
+		}, rng.Mix64(spec.Seed+c.SeedOffset+uint64(i)), rng.Mix64(spec.Seed^uint64(i)+c.SeedOffset))
 	}
 
 	// Kernel program: biased toward error-check-style branches (mostly
 	// strongly biased) but with a large loop population (buffer scans).
-	kprog, err := cfg.Generate(cfg.GenConfig{
+	g.kernel = cfg.GenerateWalker(cfg.GenConfig{
 		Procs:          4 + kernelSites/64,
 		StaticBranches: kernelSites,
 		Mix: cfg.BehaviorMix{
@@ -238,11 +235,7 @@ func New(spec Spec, c Config) (*Generator, error) {
 		},
 		MeanTrips: spec.MeanTrips,
 		Base:      kernelBase,
-	}, rng.Mix64(spec.Seed+c.SeedOffset+0x99))
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: kernel: %w", spec.Name, err)
-	}
-	g.kernel = cfg.NewWalker(kprog, rng.Mix64(spec.Seed+c.SeedOffset+0x9999))
+	}, rng.Mix64(spec.Seed+c.SeedOffset+0x99), rng.Mix64(spec.Seed+c.SeedOffset+0x9999))
 
 	g.scheduleNext()
 	return g, nil
