@@ -23,8 +23,7 @@
 # unit tests with -run '^$'). `make bench`
 # runs the compiled kernel vs interface comparison BENCHCOUNT times and
 # snapshots the best runs to BENCH_kernel.json, then the whole-trace
-# serial vs auto (cell-parallel) and scalar vs bitsliced sweeps into
-# BENCH_sim.json, then the trace codec (mmap columnar decode, columnar
+# serial vs auto (cell-parallel) sweep into BENCH_sim.json, then the trace codec (mmap columnar decode, columnar
 # encode, content hash) into BENCH_trace.json, then building each
 # benchmark's generator (workload.New, allocs/op bounded) into
 # BENCH_workload.json, then

@@ -9,8 +9,7 @@ import (
 )
 
 // The committed benchmark snapshots are artifacts with claims
-// attached: the bitsliced group kernel beats the scalar kernels per
-// lane, every compiled skewed shape beats its interface path, a
+// attached: every compiled skewed shape beats its interface path, a
 // cell-parallel sweep beats the serial one, the trace codec's batch
 // decode and writer do not allocate, and building a benchmark's
 // generator makes a bounded number of allocations. These tests re-assert
@@ -66,20 +65,6 @@ func faster(t *testing.T, ns map[string]float64, a, b string) {
 	}
 }
 
-// TestBenchSnapshotStepBatch64: the bitsliced group kernel's ns/op is
-// per lane-step, directly comparable to the scalar StepBatch ns/op
-// per step. At 8 and 64 lanes it must beat the scalar kernel of the
-// same predictor shape.
-func TestBenchSnapshotStepBatch64(t *testing.T) {
-	ns := loadSnapshot(t, "BENCH_kernel.json")
-	for _, shape := range []string{"gshare16k", "egskew3x4k"} {
-		scalar := "KernelStepBatch/" + shape
-		for _, lanes := range []string{"lanes8", "lanes64"} {
-			faster(t, ns, "KernelStepBatch64/"+shape+"/"+lanes, scalar)
-		}
-	}
-}
-
 // TestBenchSnapshotSkewShapes: the wider and shared-hysteresis skews
 // compile, so each whole-run kernel arm must beat its interface arm.
 func TestBenchSnapshotSkewShapes(t *testing.T) {
@@ -91,13 +76,11 @@ func TestBenchSnapshotSkewShapes(t *testing.T) {
 
 // TestBenchSnapshotSim: the whole-trace snapshot must show the
 // automatic (cell-parallel) mixed-geometry sweep beating the serial
-// one, and the bitsliced sweep beating the scalar-kernel sweep, per
-// branch per predictor. No one-predictor relation: with one predictor
+// one, per branch per predictor. No one-predictor relation: with one predictor
 // auto and serial run identical code, so it would compare noise.
 func TestBenchSnapshotSim(t *testing.T) {
 	ns := loadSnapshot(t, "BENCH_sim.json")
 	faster(t, ns, "SimAuto/auto", "SimAuto/serial")
-	faster(t, ns, "SimBitsliced/lanes64", "SimBitsliced/lanes1")
 }
 
 // serveSnapshot mirrors cmd/predload's sweep report (BENCH_serve.json).

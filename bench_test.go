@@ -554,73 +554,9 @@ func BenchmarkKernelRunMany(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelStepBatch64 measures the bitsliced 64-lane group
-// kernel on a prepared step block. b.N counts lane-steps (steps ×
-// lanes), so ns/op is directly comparable per-lane against the scalar
-// BenchmarkKernelStepBatch numbers: the lanes64 sub-benchmark must
-// come in under the matching scalar kernel for the transposition to
-// pay (bench_guard_test.go enforces this from the committed
-// snapshot).
-func BenchmarkKernelStepBatch64(b *testing.B) {
-	branches := kernelBenchTrace(b)
-	for _, cfg := range []struct {
-		name string
-		mk   func() predictor.Predictor
-	}{
-		{"gshare16k", func() predictor.Predictor {
-			return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: 12, Ctr: 2})
-		}},
-		{"egskew3x4k", func() predictor.Predictor {
-			return predictor.MustGSkewed(predictor.Config{BankBits: 12, HistoryBits: 12, Enhanced: true})
-		}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			probe := cfg.mk()
-			steps := make([]kernel.Step, 0, len(branches))
-			hist, mask := uint64(0), uint64(1)<<probe.HistoryBits()-1
-			for _, br := range branches {
-				if br.Kind == trace.Conditional {
-					steps = append(steps, kernel.Step{PC: br.PC, Hist: hist, Taken: br.Taken})
-				}
-				hist = hist << 1 & mask
-				if br.Taken {
-					hist |= 1
-				}
-			}
-			for _, lanes := range []int{1, 8, 64} {
-				b.Run("lanes"+strconv.Itoa(lanes), func(b *testing.B) {
-					preds := make([]predictor.Predictor, lanes)
-					hists := make([]uint, lanes)
-					for i := range preds {
-						preds[i] = cfg.mk()
-						hists[i] = probe.HistoryBits()
-					}
-					g, ok := kernel.CompileGroup64(preds, hists)
-					if !ok {
-						b.Fatal("predictors did not compile to a bitsliced group")
-					}
-					mis := make([]int, lanes)
-					b.ReportAllocs()
-					b.ResetTimer()
-					done := 0
-					for done < b.N {
-						chunk := len(steps) * lanes
-						if b.N-done < chunk {
-							chunk = b.N - done
-						}
-						g.StepBatch64(steps[:(chunk+lanes-1)/lanes], mis)
-						done += chunk
-					}
-				})
-			}
-		})
-	}
-}
-
 // Whole-trace sweep benchmarks. `make bench` snapshots these (the
 // ^BenchmarkSim pattern) into BENCH_sim.json: a mixed-geometry sweep
-// run serially and automatically (cell-parallel), and a 64-predictor
-// sweep with the bitsliced group path off and on. On a single-core
+// run serially and automatically (cell-parallel). On a single-core
 // host the auto arm has no helpers and matches serial.
 
 // simBenchTrace materialises the longer trace the whole-trace
@@ -639,8 +575,7 @@ func simBenchTrace(b *testing.B) []trace.Branch {
 }
 
 // simAutoCells is the mixed-geometry sweep of BenchmarkSimAuto: eight
-// cells of six families and several sizes, no two sharing a bitsliced
-// lane shape, so each is its own work unit.
+// cells of six families and several sizes.
 var simAutoCells = []string{
 	"gshare:n=14,k=12",
 	"gshare:n=12,k=10",
@@ -680,44 +615,6 @@ func BenchmarkSimAuto(b *testing.B) {
 					chunk = b.N - done
 				}
 				if _, err := sim.RunManyBranches(branches[:(chunk+len(preds)-1)/len(preds)], preds, opts); err != nil {
-					b.Fatal(err)
-				}
-				done += chunk
-			}
-		})
-	}
-}
-
-// BenchmarkSimBitsliced sweeps 64 same-shape gshare predictors over
-// one trace with the bitsliced group path disabled (64 scalar kernel
-// cells) and enabled (one 64-lane Group64); ns/op is per branch per
-// predictor.
-func BenchmarkSimBitsliced(b *testing.B) {
-	branches := simBenchTrace(b)
-	const lanes = 64
-	for _, path := range []struct {
-		name       string
-		noBitslice bool
-	}{
-		{"lanes1", true},
-		{"lanes64", false},
-	} {
-		b.Run(path.name, func(b *testing.B) {
-			preds := make([]predictor.Predictor, lanes)
-			for i := range preds {
-				preds[i] = predictor.MustSpec(predictor.Spec{Family: "gshare", N: 14, Hist: 12, Ctr: 2})
-			}
-			opts := sim.Options{NoBitslice: path.noBitslice}
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				chunk := len(branches) * lanes
-				if b.N-done < chunk {
-					chunk = b.N - done
-				}
-				n := (chunk + lanes - 1) / lanes
-				if _, err := sim.RunManyBranches(branches[:n], preds, opts); err != nil {
 					b.Fatal(err)
 				}
 				done += chunk

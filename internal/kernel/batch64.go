@@ -4,13 +4,11 @@ import "gskew/internal/predictor"
 
 // 64-lane bitsliced kernels.
 //
-// A sweep cell commonly runs many predictors of the same family over
-// one trace (ablation grids, the HTTP sweep endpoint, the verify
-// matrix). The scalar kernels step those lanes one at a time; here the
-// per-lane 2-bit counters are transposed into bitplanes — bit j of a
-// uint64 plane is lane j's bit — so one SWAR expression steps all
-// lanes' saturating-counter automata, majority votes and mispredict
-// comparisons at once.
+// The scalar kernels step the predictors of a sweep one at a time;
+// here the per-lane 2-bit counters of up to 64 same-family predictors
+// are gathered into bitplanes — bit j of a uint64 plane is lane j's
+// bit — so one SWAR expression steps all lanes' saturating-counter
+// automata, majority votes and mispredict comparisons at once.
 //
 // The 2-bit automaton in bitplane form (hi = prediction bit, lo =
 // hysteresis bit; predict taken iff hi, exactly automatonFor(2)):
@@ -32,31 +30,14 @@ import "gskew/internal/predictor"
 //
 // Lanes must not share counter storage (each lane is its own
 // predictor); one lane's three skewed banks are distinct tables by
-// construction. Bit-identity with the scalar kernels — and through
-// them with the paper specification — is enforced by the
-// bitsliced arm of cmd/verify.
-//
-// Two table layouts, chosen at compile time:
-//
-//   - Mixed groups (lanes of the same kind but different index
-//     functions) keep each lane's own uint8 table, aliased from the
-//     predictor, and gather/scatter one byte per lane per step. The
-//     SWAR arithmetic amortises only the automaton and the counting,
-//     which does not pay for the gather: mixed groups run slower than
-//     the lanes' scalar kernels, so the simulator never forms them.
-//     The layout stays for the verify arm and the benchmark's probe.
-//   - Uniform groups (every lane computes the same index, i.e. equal
-//     LaneKeys — the shape RunMany replicated sweeps and the verify
-//     arm produce) store the
-//     tables TRANSPOSED: entry e of a bank is a pair of plane words
-//     (hi[e], lo[e]) holding bit j for lane j. A step is then two
-//     word loads and two word stores per bank regardless of lane
-//     count, which is where the >8x per-lane win over the scalar
-//     kernels comes from. The planes are owned storage: Reload
-//     re-transposes from the lane predictors (after an external
-//     Reset), Writeback publishes the planes into them (before any
-//     external read). Both are no-ops for mixed groups, so callers
-//     may invoke them unconditionally.
+// construction. Each lane keeps its own uint8 table, aliased from the
+// predictor, and a step gathers and scatters one byte per lane. The
+// SWAR arithmetic amortises only the automaton and the counting,
+// which does not pay for the gather: a group runs slower than its
+// lanes' scalar kernels, so the simulator never forms one. The group
+// stays for the bitsliced arm of cmd/verify, which checks it
+// bit-for-bit against the scalar kernels and through them against the
+// paper specification, and for the benchmark's group probe.
 
 // MaxLanes is the lane capacity of one Group64: the bitplane word
 // width.
@@ -141,17 +122,10 @@ type Group64 struct {
 	skew        []skewLane
 	partialMask uint64 // skew: bit j set when lane j uses partial update
 	laneMask    uint64 // bits 0..lanes-1
-	// Uniform fast path: when every lane shares one index function the
-	// counters live here transposed (hiP[bank][entry] bit j = lane j's
-	// prediction bit), and the lanes' own tables are stale until
-	// Writeback. Single-table groups use bank 0 only.
-	uniform  bool
-	hiP, loP [3][]uint64
 }
 
 // stepChunk64 bounds one inner pass so the 16-plane vertical counters
-// (per-lane counts < 2^16) cannot overflow. The sim runner's blocks
-// are 4096 steps, well inside it.
+// (per-lane counts < 2^16) cannot overflow.
 const stepChunk64 = 8192
 
 // lane64 is one compiled kernel lowered to a bitsliced lane: exactly
@@ -198,49 +172,6 @@ func lower64(k Kernel) (ln lane64, ok bool) {
 	return ln, false
 }
 
-// LaneKey is the index function of one bitsliced lane. Lanes with equal
-// keys read and write the same entry of their own tables on every
-// step, so they compile into one uniform (transposed) Group64; counter
-// state and the skewed update policy may still differ per lane.
-type LaneKey struct {
-	kind                            group64Kind
-	lane                            uint8
-	entries                         int
-	idxMask, histMask, hMask, aMask uint64
-	vHistMask                       uint64
-	shift, n, kp                    uint
-	fold, histOnly, enhanced        bool
-}
-
-func (ln *singleLane) key() LaneKey {
-	return LaneKey{
-		kind: group64Single, lane: ln.kind, entries: len(ln.cells),
-		idxMask: ln.idxMask, histMask: ln.histMask, hMask: ln.hMask, aMask: ln.aMask,
-		shift: ln.shift, n: ln.n, fold: ln.fold, histOnly: ln.histOnly,
-	}
-}
-
-func (ln *skewLane) key() LaneKey {
-	return LaneKey{
-		kind: group64Skew, entries: len(ln.b0),
-		idxMask: ln.bankMask, vHistMask: ln.vHistMask,
-		n: ln.n, kp: ln.kp, enhanced: ln.enhanced,
-	}
-}
-
-// LaneKey64 returns k's bitsliced lane key. ok is false when k cannot
-// join any Group64. Kernels with equal keys form a uniform group.
-func LaneKey64(k Kernel) (LaneKey, bool) {
-	ln, ok := lower64(k)
-	if !ok {
-		return LaneKey{}, false
-	}
-	if ln.kind == group64Skew {
-		return ln.skew.key(), true
-	}
-	return ln.single.key(), true
-}
-
 // CompileGroup64 lowers up to 64 predictors into one bitsliced group.
 // Every lane must compile to the same kernel shape — all single-table
 // (bimodal/gshare/gselect, mixable) or all three-bank skewed
@@ -277,119 +208,7 @@ func CompileGroup64(preds []predictor.Predictor, histBits []uint) (*Group64, boo
 	} else {
 		g.laneMask = uint64(1)<<uint(len(preds)) - 1
 	}
-	g.detectUniform()
-	if g.uniform {
-		banks, entries := 1, 0
-		if g.kind == group64Skew {
-			banks, entries = 3, len(g.skew[0].b0)
-		} else {
-			entries = len(g.single[0].cells)
-		}
-		for b := 0; b < banks; b++ {
-			g.hiP[b] = make([]uint64, entries)
-			g.loP[b] = make([]uint64, entries)
-		}
-		g.Reload()
-	}
 	return g, true
-}
-
-// detectUniform marks the group uniform when every lane has the same
-// LaneKey, so every lane reads and writes the same entry of its own
-// table each step.
-func (g *Group64) detectUniform() {
-	if g.kind == group64Skew {
-		for i := range g.skew {
-			if g.skew[i].key() != g.skew[0].key() {
-				return
-			}
-		}
-	} else {
-		for i := range g.single {
-			if g.single[i].key() != g.single[0].key() {
-				return
-			}
-		}
-	}
-	g.uniform = true
-}
-
-// Uniform reports whether the group runs on the transposed-plane fast
-// path (and therefore needs Reload/Writeback around external state
-// access).
-func (g *Group64) Uniform() bool { return g.uniform }
-
-// laneBank returns lane j's bank b table in a skewed group.
-func (g *Group64) laneBank(j, b int) []uint8 {
-	switch b {
-	case 0:
-		return g.skew[j].b0
-	case 1:
-		return g.skew[j].b1
-	default:
-		return g.skew[j].b2
-	}
-}
-
-// Reload re-transposes the lane predictors' tables into the plane
-// arrays. Call it after mutating lane state externally (e.g. a flush
-// Reset) on a uniform group; a no-op otherwise.
-func (g *Group64) Reload() {
-	if !g.uniform {
-		return
-	}
-	banks := 1
-	if g.kind == group64Skew {
-		banks = 3
-	}
-	for b := 0; b < banks; b++ {
-		hp, lp := g.hiP[b], g.loP[b]
-		for e := range hp {
-			var hi, lo uint64
-			if g.kind == group64Skew {
-				for j := range g.skew {
-					s := g.laneBank(j, b)[e]
-					hi |= uint64(s>>1&1) << uint(j)
-					lo |= uint64(s&1) << uint(j)
-				}
-			} else {
-				for j := range g.single {
-					s := g.single[j].cells[e]
-					hi |= uint64(s>>1&1) << uint(j)
-					lo |= uint64(s&1) << uint(j)
-				}
-			}
-			hp[e], lp[e] = hi, lo
-		}
-	}
-}
-
-// Writeback publishes the plane arrays into the lane predictors' own
-// tables. Call it before reading lane state externally (end of run,
-// final Predict probes) on a uniform group; a no-op otherwise.
-func (g *Group64) Writeback() {
-	if !g.uniform {
-		return
-	}
-	banks := 1
-	if g.kind == group64Skew {
-		banks = 3
-	}
-	for b := 0; b < banks; b++ {
-		hp, lp := g.hiP[b], g.loP[b]
-		for e := range hp {
-			hi, lo := hp[e], lp[e]
-			if g.kind == group64Skew {
-				for j := range g.skew {
-					g.laneBank(j, b)[e] = uint8(hi>>uint(j)&1)<<1 | uint8(lo>>uint(j)&1)
-				}
-			} else {
-				for j := range g.single {
-					g.single[j].cells[e] = uint8(hi>>uint(j)&1)<<1 | uint8(lo>>uint(j)&1)
-				}
-			}
-		}
-	}
 }
 
 // admit fixes the group's shape on the first lane and rejects
@@ -419,14 +238,9 @@ func (g *Group64) StepBatch64(steps []Step, mis []int) {
 		if len(chunk) > stepChunk64 {
 			chunk = chunk[:stepChunk64]
 		}
-		switch {
-		case g.uniform && g.kind == group64Skew:
-			g.stepSkewU(chunk, mis)
-		case g.uniform:
-			g.stepSingleU(chunk, mis)
-		case g.kind == group64Skew:
+		if g.kind == group64Skew {
 			g.stepSkew(chunk, mis)
-		default:
+		} else {
 			g.stepSingle(chunk, mis)
 		}
 		steps = steps[len(chunk):]
@@ -484,81 +298,6 @@ func (g *Group64) stepSingle(steps []Step, mis []int) {
 		}
 	}
 	drainVC(&vc, len(lanes), mis)
-}
-
-// stepSingleU is stepSingle on the transposed layout: all lanes share
-// one index, so a step is one plane-pair load, the SWAR automaton,
-// and one plane-pair store — O(1) in the lane count. Stores are
-// masked to laneMask so unused plane bits stay zero.
-func (g *Group64) stepSingleU(steps []Step, mis []int) {
-	ln := &g.single[0]
-	hp, lp := g.hiP[0], g.loP[0]
-	lm := g.laneMask
-	var vc [16]uint64
-	for si := range steps {
-		st := &steps[si]
-		i := ln.index(st.PC, st.Hist)
-		hi, lo := hp[i], lp[i]
-		var tm uint64
-		if st.Taken {
-			tm = ^uint64(0)
-		}
-		countVC(&vc, (hi^tm)&lm)
-		hp[i] = ((hi|lo)&tm | (hi & lo &^ tm)) & lm
-		lp[i] = ((hi|^lo)&tm | (hi &^ lo &^ tm)) & lm
-	}
-	drainVC(&vc, len(g.single), mis)
-}
-
-// stepSkewU is stepSkew on the transposed layout: shared three-bank
-// indices, three plane-pair load/store pairs per step.
-func (g *Group64) stepSkewU(steps []Step, mis []int) {
-	ln := &g.skew[0]
-	h0P, l0P := g.hiP[0], g.loP[0]
-	h1P, l1P := g.hiP[1], g.loP[1]
-	h2P, l2P := g.hiP[2], g.loP[2]
-	lm := g.laneMask
-	var vc [16]uint64
-	for si := range steps {
-		st := &steps[si]
-		pc, hist := st.PC, st.Hist
-		v := pc<<ln.kp | hist&ln.vHistMask
-		v1 := v & ln.bankMask
-		v2 := v >> ln.n & ln.bankMask
-		pk := ln.pa[v1] ^ ln.pb[v2]
-		i0 := pk & ln.bankMask
-		if ln.enhanced {
-			i0 = pc & ln.bankMask
-		}
-		i1 := pk >> lutField & ln.bankMask
-		i2 := pk >> (2 * lutField) & ln.bankMask
-		h0, l0 := h0P[i0], l0P[i0]
-		h1, l1 := h1P[i1], l1P[i1]
-		h2, l2 := h2P[i2], l2P[i2]
-		var tm uint64
-		if st.Taken {
-			tm = ^uint64(0)
-		}
-		maj := h0&h1 | h1&h2 | h0&h2
-		countVC(&vc, (maj^tm)&lm)
-		majRight := ^(maj ^ tm)
-		u0 := ^g.partialMask | majRight&^(h0^tm) | ^majRight
-		u1 := ^g.partialMask | majRight&^(h1^tm) | ^majRight
-		u2 := ^g.partialMask | majRight&^(h2^tm) | ^majRight
-		nh0 := (h0|l0)&tm | (h0 & l0 &^ tm)
-		nl0 := (h0|^l0)&tm | (h0 &^ l0 &^ tm)
-		nh1 := (h1|l1)&tm | (h1 & l1 &^ tm)
-		nl1 := (h1|^l1)&tm | (h1 &^ l1 &^ tm)
-		nh2 := (h2|l2)&tm | (h2 & l2 &^ tm)
-		nl2 := (h2|^l2)&tm | (h2 &^ l2 &^ tm)
-		h0P[i0] = (nh0&u0 | h0&^u0) & lm
-		l0P[i0] = (nl0&u0 | l0&^u0) & lm
-		h1P[i1] = (nh1&u1 | h1&^u1) & lm
-		l1P[i1] = (nl1&u1 | l1&^u1) & lm
-		h2P[i2] = (nh2&u2 | h2&^u2) & lm
-		l2P[i2] = (nl2&u2 | l2&^u2) & lm
-	}
-	drainVC(&vc, len(g.skew), mis)
 }
 
 func (g *Group64) stepSkew(steps []Step, mis []int) {

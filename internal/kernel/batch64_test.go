@@ -118,9 +118,9 @@ func TestGroup64MatchesScalar(t *testing.T) {
 		{"skew-5", skewLanes(), 5},
 		{"skew-64", skewLanes(), 64},
 		{"single-1", singleLanes(), 1},
-		// Replicated lane sets share one index function and take the
-		// transposed uniform path; the skew pair mixes partial and
-		// total update policies within one uniform group.
+		// Replicated lane sets read and write the same entry of every
+		// lane's table on each step; the skew pair mixes partial and
+		// total update policies among lanes of one index function.
 		{"single-u64", singleLanes()[:1], 64},
 		{"skew-u64", skewLanes()[:2], 64},
 	} {
@@ -149,84 +149,6 @@ func TestGroup64MatchesScalar(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestGroup64UniformSync: uniform groups own their counter planes, so
-// the lane predictors' tables are stale until Writeback and go stale
-// again after external mutation until Reload. The test round-trips
-// both: run bitsliced, write back, continue each lane on its own
-// scalar kernel; then reset everything, reload, and run bitsliced
-// again — always against scalar twins fed the identical stream.
-func TestGroup64UniformSync(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		lanes []laneCase
-		want  int
-	}{
-		{"single", singleLanes()[2:3], 64},
-		{"skew", skewLanes()[:2], 64},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			steps := mkSteps(12000, uint64(len(tc.name)))
-			preds := make([]predictor.Predictor, tc.want)
-			hists := make([]uint, tc.want)
-			twins := make([]Kernel, tc.want)
-			for i := 0; i < tc.want; i++ {
-				lc := tc.lanes[i%len(tc.lanes)]
-				preds[i] = lc.mk()
-				hists[i] = lc.hist
-				tw, ok := Compile(lc.mk(), lc.hist)
-				if !ok {
-					t.Fatalf("lane %d scalar twin did not compile", i)
-				}
-				twins[i] = tw
-			}
-			g, ok := CompileGroup64(preds, hists)
-			if !ok {
-				t.Fatal("CompileGroup64 rejected eligible lanes")
-			}
-			if !g.Uniform() {
-				t.Fatal("replicated lane set did not take the uniform path")
-			}
-			mis := make([]int, tc.want)
-			g.StepBatch64(steps[:8000], mis)
-			g.Writeback()
-			for j, tw := range twins {
-				if want := tw.StepBatch(steps[:8000]); mis[j] != want {
-					t.Errorf("lane %d: bitsliced counted %d mispredicts, scalar %d", j, mis[j], want)
-				}
-				// After Writeback the lane predictor holds the group
-				// state; a scalar kernel over it must track the twin.
-				k, ok := Compile(preds[j], hists[j])
-				if !ok {
-					t.Fatalf("lane %d did not recompile", j)
-				}
-				if got, want := k.StepBatch(steps[8000:]), tw.StepBatch(steps[8000:]); got != want {
-					t.Errorf("lane %d: post-writeback scalar continuation %d mispredicts, twin %d", j, got, want)
-				}
-			}
-			// External mutation (the scalar continuation above) followed
-			// by Reload must resynchronise the planes.
-			g.Reload()
-			for j := range mis {
-				mis[j] = 0
-			}
-			g.StepBatch64(steps, mis)
-			for j, tw := range twins {
-				if want := tw.StepBatch(steps); mis[j] != want {
-					t.Errorf("lane %d: post-reload bitsliced %d mispredicts, scalar %d", j, mis[j], want)
-				}
-			}
-		})
-	}
-	// Mixed-shape groups stay on the aliased layout; the sync calls
-	// must be safe no-ops there.
-	g, _ := buildGroup(t, singleLanes(), 9)
-	if g.Uniform() {
-		t.Fatal("mixed lane set claimed the uniform path")
-	}
-	g.Writeback()
-	g.Reload()
 }
 
 // TestGroup64Rejects: ineligible lane sets must fall back to scalar.
@@ -286,46 +208,6 @@ func TestGroupKind64AgreesWithCompile(t *testing.T) {
 	}
 }
 
-// TestLaneKey64MatchesUniform: two lanes have equal LaneKeys exactly
-// when CompileGroup64 puts them on the uniform layout, so grouping by
-// key never forms a mixed group.
-func TestLaneKey64MatchesUniform(t *testing.T) {
-	all := append(append([]laneCase{}, singleLanes()...), skewLanes()...)
-	key := func(lc laneCase) (LaneKey, bool) {
-		k, ok := Compile(lc.mk(), lc.hist)
-		if !ok {
-			t.Fatal("lane did not compile")
-		}
-		return LaneKey64(k)
-	}
-	for i, a := range all {
-		ka, ok := key(a)
-		if !ok {
-			t.Fatalf("lane %d: LaneKey64 rejected an eligible lane", i)
-		}
-		for j, b := range all {
-			kb, _ := key(b)
-			g, grouped := CompileGroup64([]predictor.Predictor{a.mk(), b.mk()}, []uint{a.hist, b.hist})
-			uniform := grouped && g.Uniform()
-			if (ka == kb) != uniform {
-				t.Errorf("lanes %d,%d: equal keys %v, uniform group %v", i, j, ka == kb, uniform)
-			}
-		}
-	}
-	for _, p := range []predictor.Predictor{
-		predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}),
-		predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 8, HistShort: 5, Hist: 12}),
-	} {
-		k, ok := Compile(p, p.HistoryBits())
-		if !ok {
-			t.Fatalf("%s did not compile", p.Name())
-		}
-		if _, ok := LaneKey64(k); ok {
-			t.Errorf("%s: LaneKey64 accepted a kernel that cannot be a lane", p.Name())
-		}
-	}
-}
-
 // TestStepBatch64ZeroAllocs is the allocation gate for the bitsliced
 // hot loop.
 func TestStepBatch64ZeroAllocs(t *testing.T) {
@@ -336,6 +218,7 @@ func TestStepBatch64ZeroAllocs(t *testing.T) {
 	}{
 		{"single", singleLanes()},
 		{"skew", skewLanes()},
+		// Uniform lane sets: 64 replicas of one predictor.
 		{"single-uniform", singleLanes()[:1]},
 		{"skew-uniform", skewLanes()[:1]},
 	} {

@@ -199,9 +199,9 @@ func TestSimulateOptionsParticipateInKeys(t *testing.T) {
 
 func TestSimulateUploadedTrace(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	// Upload the legacy varint fixture inline.
-	legacy, branches := legacyTrace(t)
-	body := fmt.Sprintf(`{"specs":["gshare:n=6,k=4"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(legacy))
+	// Upload the committed fixture's columnar re-encoding inline.
+	enc, branches := fixtureTrace(t)
+	body := fmt.Sprintf(`{"specs":["gshare:n=6,k=4"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(enc))
 	status, out, _ := postJSON(t, ts.URL+"/v1/simulate", body)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, out)

@@ -172,7 +172,7 @@ func (s *Server) resolveWorkload(req *api.SimulateRequest) ([]trace.Branch, stri
 		if err != nil {
 			return nil, "", api.WorkloadInfo{}, apiErrorf(http.StatusBadRequest, api.CodeBadTrace, "trace_b64: %v", err)
 		}
-		branches, err := trace.DecodeBytes(raw)
+		branches, err := decodeUpload(raw)
 		if err != nil {
 			return nil, "", api.WorkloadInfo{}, apiErrorf(http.StatusBadRequest, api.CodeBadTrace, "trace_b64: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,12 +30,27 @@ func testTrace(n int) []trace.Branch {
 	return branches
 }
 
-// legacyTrace returns the committed legacy varint trace (verilog at
-// scale 0.01, written before columnar became the only write format)
-// and the records the generator produces for that workload.
-func legacyTrace(t *testing.T) ([]byte, []trace.Branch) {
+// legacyFixture returns the committed legacy varint trace (verilog at
+// scale 0.01, written before columnar became the only write format).
+func legacyFixture(t *testing.T) []byte {
 	t.Helper()
 	data, err := os.ReadFile("../trace/testdata/verilog-0.01.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// fixtureTrace returns the committed fixture's columnar re-encoding —
+// the service accepts no other format — and the records the generator
+// produces for that workload.
+func fixtureTrace(t *testing.T) ([]byte, []trace.Branch) {
+	t.Helper()
+	recs, err := trace.DecodeBytes(legacyFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := trace.EncodeColumnar(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +58,33 @@ func legacyTrace(t *testing.T) ([]byte, []trace.Branch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, branches
+	return enc, branches
+}
+
+// shortBlocks encodes branches in the columnar format with a block
+// flushed every n records: valid, but not the canonical (full-block)
+// layout.
+func shortBlocks(t *testing.T, branches []trace.Branch, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewColumnarWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range branches {
+		if err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if i%n == n-1 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // postRaw uploads arbitrary bytes through the typed client's raw
@@ -71,11 +113,11 @@ func getRaw(t *testing.T, rawURL string) (int, []byte, http.Header) {
 
 func TestTraceIngestAndGet(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	legacy, branches := legacyTrace(t)
+	columnar, branches := fixtureTrace(t)
 	wantHash := trace.HashBranches(branches)
 
-	// Ingest the legacy varint serialisation.
-	status, body1 := postRaw(t, ts.URL+"/v1/traces", legacy)
+	// Ingest the fixture's columnar re-encoding.
+	status, body1 := postRaw(t, ts.URL+"/v1/traces", columnar)
 	if status != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", status, body1)
 	}
@@ -90,14 +132,10 @@ func TestTraceIngestAndGet(t *testing.T) {
 		t.Errorf("ingest branches %d, want %d", resp.Branches, len(branches))
 	}
 
-	// Re-ingesting the same content in the columnar serialisation must
+	// Re-ingesting the same content in another block layout must
 	// return a byte-identical response: the pool is content-addressed,
-	// so the serialisation that delivered the bytes is irrelevant.
-	columnar, err := trace.EncodeColumnar(branches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, body2 := postRaw(t, ts.URL+"/v1/traces", columnar)
+	// so the layout that delivered the bytes is irrelevant.
+	status, body2 := postRaw(t, ts.URL+"/v1/traces", shortBlocks(t, branches, 700))
 	if status != http.StatusOK {
 		t.Fatalf("re-ingest status %d: %s", status, body2)
 	}
@@ -127,7 +165,7 @@ func TestTraceIngestAndGet(t *testing.T) {
 
 func TestTraceIngestRejectsGarbage(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	legacy, _ := legacyTrace(t)
+	legacy := legacyFixture(t)
 	for name, body := range map[string][]byte{
 		"empty":      nil,
 		"not magic":  []byte("hello, world"),
@@ -175,7 +213,7 @@ func TestTraceGetMisses(t *testing.T) {
 // inlining the same trace as trace_b64.
 func TestSimulateByHashMatchesInline(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	enc, branches := legacyTrace(t)
+	enc, branches := fixtureTrace(t)
 
 	inlineBody := fmt.Sprintf(`{"specs":["gshare:n=7,k=5"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(enc))
 	status, inline, _ := postJSON(t, ts.URL+"/v1/simulate", inlineBody)
@@ -315,11 +353,11 @@ func TestTracePoolDiskSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := newTestServer(t, Config{Pool: pool1})
-	legacy, branches := legacyTrace(t)
+	columnar, branches := fixtureTrace(t)
 	hash := trace.HashBranches(branches)
 
 	for i := 0; i < 3; i++ {
-		if status, out := postRaw(t, ts1.URL+"/v1/traces", legacy); status != http.StatusOK {
+		if status, out := postRaw(t, ts1.URL+"/v1/traces", columnar); status != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %s", i, status, out)
 		}
 	}
@@ -401,10 +439,9 @@ func TestBenchWorkloadsArePooled(t *testing.T) {
 }
 
 // TestTraceIngestBlobs: a columnar ingest is pooled as the uploaded
-// bytes themselves (no re-encode), while a legacy varint ingest is
-// encoded into a columnar blob of the same content. GET serves the
-// canonical encoding either way, even when the uploaded columnar
-// stream is laid out in short blocks and so differs from it.
+// bytes themselves (no re-encode), and GET serves the canonical
+// encoding, even when the uploaded stream is laid out in short blocks
+// and so differs from it.
 func TestTraceIngestBlobs(t *testing.T) {
 	dir := t.TempDir()
 	pool, err := tracepool.Open(4, dir)
@@ -433,28 +470,9 @@ func TestTraceIngestBlobs(t *testing.T) {
 		return data
 	}
 
-	// Columnar body in 700-record blocks: valid, but not the canonical
-	// (full-block) layout.
+	// Columnar body in 700-record blocks.
 	branches := testTrace(1500)
-	var buf bytes.Buffer
-	w, err := trace.NewColumnarWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range branches {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		if i%700 == 699 {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()
+	body := shortBlocks(t, branches, 700)
 	canonical, err := trace.EncodeColumnar(branches)
 	if err != nil {
 		t.Fatal(err)
@@ -472,16 +490,67 @@ func TestTraceIngestBlobs(t *testing.T) {
 	if _, served, _ := getRaw(t, ts.URL+"/v1/traces/"+hash); !bytes.Equal(served, canonical) {
 		t.Error("GET of a short-block ingest is not the canonical columnar encoding")
 	}
+}
 
-	// Legacy varint body: the blob is a fresh columnar encoding of the
-	// same content.
-	legacy, other := legacyTrace(t)
-	hash = ingest(legacy)
-	got, err := trace.DecodeBytes(blob(hash))
+// cutAtRecord cuts a legacy varint stream after its first n records
+// (one uvarint each, after the 16-byte header).
+func cutAtRecord(t *testing.T, data []byte, n int) []byte {
+	t.Helper()
+	off := 16
+	for i := 0; i < n; i++ {
+		_, w := binary.Uvarint(data[off:])
+		if w <= 0 {
+			t.Fatalf("record %d: bad uvarint at offset %d", i, off)
+		}
+		off += w
+	}
+	return data[:off:off]
+}
+
+// TestTraceUploadRefusesVarint: the legacy varint format stores no
+// record count, so a body cut at a record boundary decodes as a
+// shorter trace without error. Both upload routes (POST /v1/traces and
+// a simulate request's trace_b64) refuse the whole fixture and such a
+// cut with 400 bad_trace, naming the format, and pool nothing.
+func TestTraceUploadRefusesVarint(t *testing.T) {
+	legacy := legacyFixture(t)
+	cut := cutAtRecord(t, legacy, 1000)
+	full, err := trace.DecodeBytes(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.HashBranches(got) != hash || hash != trace.HashBranches(other) {
-		t.Error("varint ingest's blob decodes to different content")
+	prefix, err := trace.DecodeBytes(cut)
+	if err != nil || len(prefix) != 1000 {
+		t.Fatalf("cut fixture decodes to %d records (err %v), want a silent 1000-record prefix", len(prefix), err)
+	}
+	dir := t.TempDir()
+	pool, err := tracepool.Open(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Pool: pool})
+	for name, body := range map[string][]byte{"fixture": legacy, "record-boundary cut": cut} {
+		status, out := postRaw(t, ts.URL+"/v1/traces", body)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s ingest: status %d, want 400 (%s)", name, status, out)
+		}
+		wantCode(t, name+" ingest", out, api.CodeBadTrace)
+		if !strings.Contains(out, "varint") {
+			t.Errorf("%s ingest: error does not name the varint format: %s", name, out)
+		}
+		inline := fmt.Sprintf(`{"specs":["gshare:n=6,k=4"],"trace_b64":%q}`, base64.StdEncoding.EncodeToString(body))
+		status, out, _ = postJSON(t, ts.URL+"/v1/simulate", inline)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s inline: status %d, want 400 (%s)", name, status, out)
+		}
+		wantCode(t, name+" inline", out, api.CodeBadTrace)
+	}
+	for _, branches := range [][]trace.Branch{full, prefix} {
+		if hash := trace.HashBranches(branches); pool.Contains(hash) {
+			t.Errorf("refused upload pooled %s (%d records)", hash, len(branches))
+		}
+	}
+	if blobs, _ := filepath.Glob(filepath.Join(dir, "*.ctrace")); len(blobs) != 0 {
+		t.Errorf("refused uploads left %d pool blobs", len(blobs))
 	}
 }

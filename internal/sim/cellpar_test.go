@@ -22,12 +22,13 @@ type cellParCase struct {
 	par bool
 }
 
-// cellParCases covers the families() matrix as work units: every
-// Spec-described family together (kernel cells, TAGE and perceptron
-// steppers, first-use trackers under SkipFirstUse), the same with
-// uniform bitsliced groups mixed in, and the two shapes that must fall
-// back to a serial drain — a predictor without a Spec (a hybrid, which
-// may share components) and a predictor passed twice.
+// cellParCases covers the families() matrix: every Spec-described
+// family together (kernel cells, TAGE and perceptron steppers,
+// first-use trackers under SkipFirstUse), the same with nine replicas
+// each of one gshare and one gskewed shape (distinct predictors of
+// equal geometry, each on its own kernel), and the two shapes that
+// must fall back to a serial drain — a predictor without a Spec (a
+// hybrid, which may share components) and a predictor passed twice.
 func cellParCases() map[string]cellParCase {
 	fams := families()
 	names := make([]string, 0, len(fams))
@@ -46,7 +47,7 @@ func cellParCases() map[string]cellParCase {
 	}
 	return map[string]cellParCase{
 		"families": {mk: specced, par: true},
-		"families+groups": {mk: func() []predictor.Predictor {
+		"families+replicas": {mk: func() []predictor.Predictor {
 			preds := specced()
 			for i := 0; i < 9; i++ {
 				preds = append(preds,
@@ -85,7 +86,6 @@ func TestCellParallelMatchesSerial(t *testing.T) {
 			"flush+skip": {SkipFirstUse: true, FlushEvery: 301},
 			"hist":       {HistoryBits: 6},
 			"nokernel":   {NoKernel: true, FlushEvery: 1000},
-			"nobitslice": {NoBitslice: true},
 		} {
 			t.Run(caseName+"/"+optName, func(t *testing.T) {
 				run := func(segments int) ([]predictor.Predictor, []Result, []byte) {
@@ -135,7 +135,7 @@ func TestCellParallelGenericSource(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	branches := manyTestTrace(20000)
-	mk := cellParCases()["families+groups"].mk
+	mk := cellParCases()["families+replicas"].mk
 	want, err := RunManyBranches(branches, mk(), Options{Segments: 1, FlushEvery: 4000})
 	if err != nil {
 		t.Fatal(err)
@@ -201,44 +201,5 @@ func TestCellParallelBadKind(t *testing.T) {
 	}
 	if mParRuns.Value() == before {
 		t.Fatal("run did not take the cell-parallel path")
-	}
-}
-
-// TestAutoSameShapeCellsFormOneGroup64: 64 same-shape gshare cells
-// under Options{} are one work unit — a single bitsliced Group64 — so
-// auto mode runs them serially through that group (never a one-unit
-// cell-parallel drain), with results equal to an explicit serial run.
-func TestAutoSameShapeCellsFormOneGroup64(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	obs.Enable()
-	defer obs.Disable()
-	branches := manyTestTrace(1<<16 + 5000)
-	mk := func() []predictor.Predictor {
-		preds := make([]predictor.Predictor, 64)
-		for i := range preds {
-			preds[i] = predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2})
-		}
-		return preds
-	}
-	want, err := RunManyBranches(branches, mk(), Options{Segments: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, lanes, par := mGroups.Value(), mGroupLanes.Value(), mParRuns.Value()
-	got, err := RunManyBranches(branches, mk(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cell %d: auto %+v, serial %+v", i, got[i], want[i])
-		}
-	}
-	if g, l := mGroups.Value()-groups, mGroupLanes.Value()-lanes; g != 1 || l != 64 {
-		t.Errorf("auto formed %d groups over %d lanes, want one Group64", g, l)
-	}
-	if d := mParRuns.Value() - par; d != 0 {
-		t.Errorf("one work unit drained cell-parallel (%d runs)", d)
 	}
 }

@@ -21,9 +21,8 @@ import (
 // (taken, unconditional), PC drawn from a small window of each byte so
 // aliasing is heavy. Each byte of cells picks one cell's family and
 // geometry; dup passes the last predictor twice, the shape
-// cellParallelSafe must send to the serial drain. A bitsliced group
-// takes at least eight lanes, so a sweep of fewer than eight cells has
-// one work unit per cell and must drain cell-parallel.
+// cellParallelSafe must send to the serial drain; any other sweep
+// must drain cell-parallel.
 func FuzzRunCellParallel(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 1}, uint(0), false, false)
 	f.Add([]byte{0xFF, 0x00, 0xAA}, []byte{3, 4, 5}, uint(7), true, false)
@@ -89,7 +88,7 @@ func FuzzRunCellParallel(f *testing.F) {
 		want, wantCurves := run(1)
 		before := mParRuns.Value()
 		got, gotCurves := run(0)
-		if par := mParRuns.Value() != before; !dup && len(cells) < 8 && !par {
+		if par := mParRuns.Value() != before; !dup && !par {
 			t.Fatalf("cells %v: auto run did not drain cell-parallel", cells)
 		} else if dup && par {
 			t.Fatalf("cells %v: a predictor passed twice drained cell-parallel", cells)

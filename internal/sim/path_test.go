@@ -9,17 +9,18 @@ import (
 )
 
 // pathCounts snapshots the path-provenance counters.
-func pathCounts() [5]int64 {
-	return [5]int64{mPathGroup.Value(), mPathKernel.Value(), mPathStepper.Value(),
-		mPathGeneric.Value(), mPathCellPar.Value()}
+func pathCounts() [4]int64 {
+	return [4]int64{mPathKernel.Value(), mPathStepper.Value(), mPathGeneric.Value(), mPathCellPar.Value()}
 }
 
+var pathNames = []string{"kernel", "stepper", "generic", "cellpar"}
+
 // TestPathCountersOnePerCell: every cell of a run is counted once, on
-// the path that stepped it — eight same-shape gshare lanes on a
-// bitsliced group, gskewed and TAGE on compiled kernels, the
-// perceptron on its Stepper and a first-use-tracking reference table
-// on the generic pair — a cell-parallel run adds each of its cells
-// to cellpar, and a one-predictor auto run does not.
+// the path that stepped it — eight same-shape gshare cells, gskewed
+// and TAGE on compiled kernels, the perceptron on its Stepper and a
+// first-use-tracking reference table on the generic pair — a
+// cell-parallel run adds each of its cells to cellpar, and a
+// one-predictor auto run does not.
 func TestPathCountersOnePerCell(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -39,8 +40,8 @@ func TestPathCountersOnePerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := pathCounts()
-	want := [5]int64{8, 2, 1, 1, 0}
-	for i, name := range []string{"group", "kernel", "stepper", "generic", "cellpar"} {
+	want := [4]int64{10, 1, 1, 0}
+	for i, name := range pathNames {
 		if got := after[i] - before[i]; got != want[i] {
 			t.Errorf("serial run: sim.path.%s rose by %d, want %d", name, got, want[i])
 		}
@@ -57,22 +58,22 @@ func TestPathCountersOnePerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	after = pathCounts()
-	want = [5]int64{0, 1, 1, 0, 2}
-	for i, name := range []string{"group", "kernel", "stepper", "generic", "cellpar"} {
+	want = [4]int64{1, 1, 0, 2}
+	for i, name := range pathNames {
 		if got := after[i] - before[i]; got != want[i] {
 			t.Errorf("cell-parallel run: sim.path.%s rose by %d, want %d", name, got, want[i])
 		}
 	}
 
-	// One predictor is one work unit: auto runs it on the serial
-	// kernel path, exactly as Segments 1 does.
+	// One predictor is one cell: auto runs it on the serial kernel
+	// path, exactly as Segments 1 does.
 	before = pathCounts()
 	if _, err := RunBranches(branches, predictor.MustParseSpec("gshare:n=10,k=8,ctr=2"), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after = pathCounts()
-	want = [5]int64{0, 1, 0, 0, 0}
-	for i, name := range []string{"group", "kernel", "stepper", "generic", "cellpar"} {
+	want = [4]int64{1, 0, 0, 0}
+	for i, name := range pathNames {
 		if got := after[i] - before[i]; got != want[i] {
 			t.Errorf("one-predictor auto run: sim.path.%s rose by %d, want %d", name, got, want[i])
 		}

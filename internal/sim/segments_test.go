@@ -23,8 +23,8 @@ type sweepShape struct{ cells, warm int }
 
 // sweepShapes are the adversarial sweep shapes: the narrowest sweep,
 // a few cells over a short warm-up, a sweep wider than any worker pool
-// (many cells per worker, some forming bitsliced groups), a warm-up
-// longer than the measured trace, and 64 cells over a tiny warm-up.
+// (many cells per worker), a warm-up longer than the measured trace,
+// and 64 cells over a tiny warm-up.
 func sweepShapes() map[string]sweepShape {
 	return map[string]sweepShape{
 		"k2":        {cells: 2},
@@ -37,8 +37,7 @@ func sweepShapes() map[string]sweepShape {
 
 // companions returns n fresh kernel-family cells of mixed geometry
 // (bimodal, gshare, gselect, gskewed under both policies, e-gskew and
-// 2Bc-gskew); wide sweeps repeat shapes, so some cells form bitsliced
-// groups.
+// 2Bc-gskew); wide sweeps repeat shapes.
 func companions(n int) []predictor.Predictor {
 	preds := make([]predictor.Predictor, n)
 	for i := range preds {

@@ -101,21 +101,15 @@ type Options struct {
 	// paths against each other and for differential tests.
 	NoKernel bool
 	// Segments selects how one run uses cores. 0 is automatic: a run
-	// of at least two work units (a bitsliced group or one ungrouped
-	// cell each) drains every staged block cell-parallel on up to
-	// GOMAXPROCS goroutines, provided no two cells can share mutable
-	// state (every predictor has a Spec and appears once); any other
-	// run — a single predictor, or 64 same-shape cells that form one
-	// bitsliced group — takes the serial path. 1 (or negative) forces
-	// the serial path. Results are bit-identical either way. Any other
+	// of at least two cells drains every staged block cell-parallel on
+	// up to GOMAXPROCS goroutines, provided no two cells can share
+	// mutable state (every predictor has a Spec and appears once); any
+	// other run takes the serial path. 1 (or negative) forces the
+	// serial path. Results are bit-identical either way. Any other
 	// value is rejected with ErrSegments.
 	Segments int
-	// NoBitslice disables the 64-lane bitsliced group path that RunMany
-	// otherwise uses when at least 8 2-bit cells share one index
-	// function (same family and geometry; the skewed update policy may
-	// differ). Cells of different geometry always run their scalar
-	// kernels. Results are identical either way; the flag exists for
-	// benchmarking the group path against per-cell kernels.
+	// NoBitslice has no effect: every cell runs on its own kernel. The
+	// field stays for callers that still set it.
 	NoBitslice bool
 	// Recorder, when non-nil, receives per-predictor (conditionals,
 	// mispredictions) deltas at block granularity, building the
@@ -161,100 +155,23 @@ type manyCell struct {
 	kern       kernel.Kernel     // non-nil when p compiled to a kernel
 	stepper    predictor.Stepper // non-nil when p has the fused fast path
 	tracker    predictor.FirstUseTracker
-	grouped    bool // p is a lane of a bitsliced group
 	mask       uint64
 	mispredict int
 	firstUse   int
 }
 
-// cellGroup is a 64-lane bitsliced kernel shared by up to 64 cells
-// with one index function; cells[j] is lane j's cell index and mis is
-// the per-lane scratch, reset each drain.
-type cellGroup struct {
-	g     *kernel.Group64
-	cells []int
-	mis   []int
-}
-
-// workUnit is one independently drainable piece of a block: a
-// bitsliced group, or (group nil) the ungrouped cell at index cell.
-type workUnit struct {
-	group *cellGroup
-	cell  int
-}
-
-// Bitsliced-group telemetry: groups formed per run and lanes they
-// absorbed from the per-cell path.
-var (
-	mGroups     = obs.NewCounter("sim.bitslice.groups")
-	mGroupLanes = obs.NewCounter("sim.bitslice.lanes")
-)
-
 // mParRuns counts runs that drained their blocks on several goroutines.
 var mParRuns = obs.NewCounter("sim.par.runs")
 
 // Path provenance: once per cell per run, the path that stepped it — a
-// bitsliced group lane, a compiled kernel, the fused Stepper or the
-// generic Predict/Update pair — plus cellpar for every cell of a
-// cell-parallel run.
+// compiled kernel, the fused Stepper or the generic Predict/Update
+// pair — plus cellpar for every cell of a cell-parallel run.
 var (
-	mPathGroup   = obs.NewCounter("sim.path.group")
 	mPathKernel  = obs.NewCounter("sim.path.kernel")
 	mPathStepper = obs.NewCounter("sim.path.stepper")
 	mPathGeneric = obs.NewCounter("sim.path.generic")
 	mPathCellPar = obs.NewCounter("sim.path.cellpar")
 )
-
-// minGroupLanes is the grouping threshold: below 8 lanes the transpose
-// overhead of the bitsliced path is not worth it over per-cell kernels.
-const minGroupLanes = 8
-
-// groupCells forms bitsliced groups over kernel-compiled cells that
-// share one index function (equal kernel.LaneKey), the transposed
-// uniform layout. Same-kind cells of different geometry stay on their
-// scalar kernels: a mixed group gathers one byte per lane per step and
-// runs slower than the lanes' own kernels. Grouped cells keep their
-// scalar kernels, so Invalidate still works.
-func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
-	byKey := map[kernel.LaneKey][]int{}
-	var keys []kernel.LaneKey // first-seen order, so group order is deterministic
-	for i := range r.cells {
-		c := &r.cells[i]
-		if c.kern == nil {
-			continue
-		}
-		if key, ok := kernel.LaneKey64(c.kern); ok {
-			if _, seen := byKey[key]; !seen {
-				keys = append(keys, key)
-			}
-			byKey[key] = append(byKey[key], i)
-		}
-	}
-	for _, key := range keys {
-		idx := byKey[key]
-		for len(idx) >= minGroupLanes {
-			n := min(len(idx), kernel.MaxLanes)
-			lanePreds := make([]predictor.Predictor, n)
-			laneHists := make([]uint, n)
-			for j, ci := range idx[:n] {
-				lanePreds[j] = preds[ci]
-				laneHists[j] = hists[ci]
-			}
-			g, ok := kernel.CompileGroup64(lanePreds, laneHists)
-			if !ok {
-				break
-			}
-			cg := &cellGroup{g: g, cells: idx[:n:n], mis: make([]int, n)}
-			r.groups = append(r.groups, cg)
-			for _, ci := range cg.cells {
-				r.cells[ci].grouped = true
-			}
-			mGroups.Inc()
-			mGroupLanes.Add(int64(n))
-			idx = idx[n:]
-		}
-	}
-}
 
 // manyRunner drives several predictors over one decoding of a trace.
 // It owns a single history register of the longest length any predictor
@@ -264,22 +181,20 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 //
 // Events are staged: conditional branches accumulate into steps (with
 // the raw shared-register history value at each branch) and are
-// drained to every work unit a block at a time. Because cells never
+// drained to every cell a block at a time. Because cells never
 // interact, per-cell block processing preserves each cell's exact
-// per-branch order, and the units of one block may run in any order —
+// per-branch order, and the cells of one block may run in any order —
 // or concurrently (see startWorkers).
 type manyRunner struct {
-	cells  []manyCell
-	groups []*cellGroup
-	units  []workUnit
-	delta  []int // per-cell mispredicts of the block being drained
-	rec    *obs.Recorder
+	cells []manyCell
+	delta []int // per-cell mispredicts of the block being drained
+	rec   *obs.Recorder
 	// stager stages the trace into steps; its event counts are shared
 	// by every cell (identical across predictors by construction).
 	stager
 
 	// Cell-parallel drain (nil start when serial): workers-1 parked
-	// goroutines take one start token per block, claim units through
+	// goroutines take one start token per block, claim cells through
 	// next, and report on done; exited counts them out at stop.
 	workers int
 	next    atomic.Int64
@@ -299,7 +214,6 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 		},
 	}
 	var maxK uint
-	hists := make([]uint, len(preds))
 	for i, p := range preds {
 		k := opts.HistoryBits
 		if k == 0 {
@@ -308,7 +222,6 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 		if k > maxK {
 			maxK = k
 		}
-		hists[i] = k
 		c := &r.cells[i]
 		c.p = p
 		c.stepper, _ = p.(predictor.Stepper)
@@ -320,19 +233,6 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 			// The kernel was compiled against this cell's register
 			// length, so it masks the shared raw history itself.
 			c.kern, _ = kernel.Compile(p, k)
-		}
-	}
-	if !opts.NoKernel && !opts.NoBitslice {
-		groupCells(r, preds, hists)
-	}
-	// Groups first: they are the largest units, so claiming them early
-	// shortens the tail of a cell-parallel block.
-	for _, g := range r.groups {
-		r.units = append(r.units, workUnit{group: g})
-	}
-	for i := range r.cells {
-		if !r.cells[i].grouped {
-			r.units = append(r.units, workUnit{cell: i})
 		}
 	}
 	r.ghrMask = uint64(1)<<maxK - 1
@@ -368,7 +268,7 @@ func (r *manyRunner) startWorkers(workers int) {
 		go func() {
 			defer r.exited.Done()
 			for range r.start {
-				r.claimUnits()
+				r.claimCells()
 				r.done <- struct{}{}
 			}
 		}()
@@ -385,14 +285,14 @@ func (r *manyRunner) stopWorkers() {
 	}
 }
 
-// claimUnits drains units of the current block until none is left.
-func (r *manyRunner) claimUnits() {
+// claimCells drains cells of the current block until none is left.
+func (r *manyRunner) claimCells() {
 	for {
-		u := int(r.next.Add(1)) - 1
-		if u >= len(r.units) {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.cells) {
 			return
 		}
-		r.runUnit(&r.units[u])
+		r.runCell(i)
 	}
 }
 
@@ -403,14 +303,9 @@ func (r *manyRunner) flushNow() {
 	for j := range r.cells {
 		r.cells[j].p.Reset()
 	}
-	for _, g := range r.groups {
-		// Uniform bitsliced groups own their counter planes;
-		// re-transpose the freshly reset lane tables into them.
-		g.g.Reload()
-	}
 }
 
-// drain runs the staged steps through every work unit — concurrently
+// drain runs the staged steps through every cell — concurrently
 // when workers are running — then applies the per-cell deltas, the
 // recorder and the counters in cell order, and empties the buffer.
 func (r *manyRunner) drain() {
@@ -424,13 +319,13 @@ func (r *manyRunner) drain() {
 		for w := 1; w < r.workers; w++ {
 			r.start <- struct{}{}
 		}
-		r.claimUnits()
+		r.claimCells()
 		for w := 1; w < r.workers; w++ {
 			<-r.done
 		}
 	} else {
-		for u := range r.units {
-			r.runUnit(&r.units[u])
+		for i := range r.cells {
+			r.runCell(i)
 		}
 	}
 	total := 0
@@ -445,20 +340,11 @@ func (r *manyRunner) drain() {
 	r.steps = r.steps[:0]
 }
 
-// runUnit steps one work unit through the staged block and stores each
-// of its cells' mispredicts in r.delta. It touches only the unit's own
-// cells, so distinct units may run concurrently.
-func (r *manyRunner) runUnit(u *workUnit) {
-	if g := u.group; g != nil {
-		// One bitsliced pass steps every lane through the block.
-		clear(g.mis)
-		g.g.StepBatch64(r.steps, g.mis)
-		for j, ci := range g.cells {
-			r.delta[ci] = g.mis[j]
-		}
-		return
-	}
-	c := &r.cells[u.cell]
+// runCell steps cell i through the staged block and stores its
+// mispredicts in r.delta[i]. It touches only that cell, so distinct
+// cells may run concurrently.
+func (r *manyRunner) runCell(i int) {
+	c := &r.cells[i]
 	mis := 0
 	switch {
 	case c.kern != nil:
@@ -494,7 +380,7 @@ func (r *manyRunner) runUnit(u *workUnit) {
 			}
 		}
 	}
-	r.delta[u.cell] = mis
+	r.delta[i] = mis
 }
 
 // finish drains the tail block and invalidates any predictor read
@@ -502,11 +388,6 @@ func (r *manyRunner) runUnit(u *workUnit) {
 // correctly after the run.
 func (r *manyRunner) finish() {
 	r.drain()
-	for _, g := range r.groups {
-		// Publish uniform groups' owned planes back into the lane
-		// predictors before anyone reads them through the interface.
-		g.g.Writeback()
-	}
 	for i := range r.cells {
 		if r.cells[i].kern != nil {
 			kernel.Invalidate(r.cells[i].p)
@@ -533,8 +414,6 @@ func (r *manyRunner) countPaths() {
 	for i := range r.cells {
 		c := &r.cells[i]
 		switch {
-		case c.grouped:
-			mPathGroup.Inc()
 		case c.kern != nil:
 			mPathKernel.Inc()
 		case c.stepper != nil && c.tracker == nil:
@@ -566,11 +445,10 @@ func (r *manyRunner) run(src trace.Source) ([]Result, error) {
 // plus the predictors' own work — O(events + predictors x events_cond)
 // instead of O(predictors x events).
 //
-// With Options.Segments 0 (auto), a run of at least two work units
-// whose predictors cannot share state drains each block cell-parallel
-// on up to GOMAXPROCS goroutines: exact by construction, since cells
-// never interact. Any other run is serial. Segments >= 2 returns
-// ErrSegments.
+// With Options.Segments 0 (auto), a run of at least two cells whose
+// predictors cannot share state drains each block cell-parallel on up
+// to GOMAXPROCS goroutines: exact by construction, since cells never
+// interact. Any other run is serial. Segments >= 2 returns ErrSegments.
 func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
 	if opts.Segments >= 2 {
 		return nil, ErrSegments
@@ -580,7 +458,7 @@ func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Res
 	}
 	r := newManyRunner(preds, opts)
 	if opts.Segments == 0 && len(preds) > 1 && cellParallelSafe(preds) {
-		if workers := min(runtime.GOMAXPROCS(0), len(r.units)); workers >= 2 {
+		if workers := min(runtime.GOMAXPROCS(0), len(r.cells)); workers >= 2 {
 			r.startWorkers(workers)
 			defer r.stopWorkers()
 		}

@@ -24,7 +24,7 @@ var streamFamilies = []string{
 }
 
 // streamPreds builds a fresh mixed predictor set: kernel, stepper and
-// generic cells, so a cell-parallel run has several work units.
+// generic cells, so a cell-parallel run has several kinds of cell.
 func streamPreds() []predictor.Predictor {
 	var preds []predictor.Predictor
 	for _, s := range []string{

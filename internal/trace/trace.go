@@ -351,9 +351,17 @@ func Measure(src Source) (*Stats, error) {
 //
 // pcDelta is the zig-zag encoded difference from the previous PC.
 // Nothing writes this format any more; Mapped's varint arm (MapFile,
-// DecodeBytes) still reads it, so old files and uploads keep working.
+// DecodeBytes) still reads it, so old files keep working. The format
+// stores no record count, so a stream cut at a record boundary decodes
+// as a shorter trace without error: the prediction service refuses it.
 
 var magic = [4]byte{'G', 'S', 'K', 'T'}
+
+// IsLegacyVarint reports whether data opens with the legacy varint
+// format's magic; it does not validate the header or the records.
+func IsLegacyVarint(data []byte) bool {
+	return len(data) >= 4 && [4]byte(data[:4]) == magic
+}
 
 const formatVersion = 1
 

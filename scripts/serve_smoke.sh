@@ -7,12 +7,13 @@
 #   - both sweep responses are byte-identical (cold vs cached),
 #   - the second pass is served entirely from the result store
 #     (server.simulate.cache_hits advances by exactly 21),
-#   - ingesting the same workload twice (once as the committed legacy
-#     varint fixture, once as its columnar twin) pools exactly one
-#     segment (dedup counter +1, one pool blob), the pooled segment
-#     reads back as canonical columnar bytes, and a sweep addressed by
-#     trace_sha256 is byte-identical to the same sweep with the trace
-#     inlined,
+#   - the committed legacy varint fixture is refused (bad_trace: the
+#     format stores no record count, so a cut upload would pool a
+#     shorter trace), ingesting the workload's columnar file twice
+#     pools exactly one segment (dedup counter +1, one pool blob), the
+#     pooled segment reads back as canonical columnar bytes, and a
+#     sweep addressed by trace_sha256 is byte-identical to the same
+#     sweep with the trace inlined,
 #   - SIGTERM drains and the process exits 0.
 #
 # All HTTP goes through cmd/predload (the typed internal/client), so
@@ -113,18 +114,24 @@ echo "serve-smoke: bad spec rejected with stable error code"
 
 # --- Trace pool: ingest, dedup, read-back, sweep-by-hash. ---
 
-# The same workload in both serialisations: the committed legacy
-# varint fixture (verilog at scale 0.01) and a fresh columnar file of
-# it. Ingest must canonicalise them to one pooled segment. The sweep
-# above already pooled its bench workload, so assert on deltas, not
-# absolute counts.
+# The committed legacy varint fixture (verilog at scale 0.01) is
+# refused and pools nothing; a fresh columnar file of the same workload
+# ingested twice must pool one segment. The sweep above already pooled
+# its bench workload, so assert on deltas, not absolute counts.
 legacy=internal/trace/testdata/verilog-0.01.trace
 "$workdir/tracegen" -bench verilog -scale 0.01 -format columnar -o "$workdir/w.ctrace" 2>/dev/null
 
 pool_blobs0=$(find "$workdir/pool" -maxdepth 1 -name '*.ctrace' | wc -l)
 dedup0=$("$predload" metric -target "$base" tracepool.dedup_hits)
 
-"$predload" ingest -target "$base" "$legacy" >"$workdir/ingest1.json"
+if "$predload" ingest -target "$base" "$legacy" >/dev/null 2>"$workdir/legacy.err"; then
+    echo "serve-smoke: legacy varint upload was accepted" >&2
+    exit 1
+fi
+grep -q "bad_trace" "$workdir/legacy.err"
+echo "serve-smoke: legacy varint upload refused with bad_trace"
+
+"$predload" ingest -target "$base" "$workdir/w.ctrace" >"$workdir/ingest1.json"
 "$predload" ingest -target "$base" "$workdir/w.ctrace" >"$workdir/ingest2.json"
 cmp "$workdir/ingest1.json" "$workdir/ingest2.json"
 hash=$(jq -r .trace_sha256 "$workdir/ingest1.json")
